@@ -62,9 +62,16 @@ def _gather_rows(
 def _bfs_depths(
     n: int, indptr: np.ndarray, indices: np.ndarray, source: int = 0
 ) -> np.ndarray:
-    """Frontier BFS over CSR arrays; unreachable nodes keep depth -1."""
+    """Frontier BFS over CSR arrays; unreachable nodes keep depth -1.
+
+    Each frontier is deduplicated in O(|frontier|) by a last-writer-wins
+    ``owner`` array instead of a sort: a node survives at the one slot
+    that wrote it last.  Frontiers come out unsorted, but depths depend
+    only on the frontier *sets*.
+    """
     depths = np.full(n, -1, dtype=np.int64)
     depths[source] = 0
+    owner = np.empty(n, dtype=np.int64)
     frontier = np.array([source], dtype=np.int64)
     depth = 0
     while frontier.size:
@@ -72,7 +79,9 @@ def _bfs_depths(
         nbrs = nbrs[depths[nbrs] < 0]
         if nbrs.size == 0:
             break
-        frontier = np.unique(nbrs)
+        slots = np.arange(nbrs.size, dtype=np.int64)
+        owner[nbrs] = slots
+        frontier = nbrs[owner[nbrs] == slots]
         depth += 1
         depths[frontier] = depth
     return depths
@@ -230,15 +239,38 @@ class CSRNetwork:
 
 
 def _csr_from_edges(n: int, src: np.ndarray, dst: np.ndarray):
-    """Symmetrise ``(src, dst)`` pairs into sorted CSR arrays."""
-    all_src = np.concatenate([src, dst])
-    all_dst = np.concatenate([dst, src])
-    order = np.lexsort((all_dst, all_src))
-    indices = all_dst[order]
-    deg = np.bincount(all_src, minlength=n)
+    """Symmetrise ``(src, dst)`` pairs into sorted CSR arrays.
+
+    Both orientations of every edge are packed into one row-major key
+    ``row * n + col`` and sorted in place — a single-key sort, which
+    orders entries exactly as a ``(row, col)`` lexsort would.
+    """
+    keys = np.concatenate([src * n + dst, dst * n + src])
+    keys.sort()
+    rows = keys // n
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(deg, out=indptr[1:])
-    return indptr, indices.astype(np.int64, copy=False)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    rows *= n
+    keys -= rows  # keys now hold the column of every entry
+    return indptr, keys
+
+
+def _insert_edges(n, indptr, indices, src, dst):
+    """Insert new undirected ``(src, dst)`` edges into sorted CSR arrays.
+
+    Only the new directed entries are placed, each after the entries of
+    its row with a smaller column; the existing ``2E`` entries are never
+    re-sorted.  New entries sharing a position arrive in sorted order and
+    ``np.insert`` keeps it, so every row stays sorted.
+    """
+    add_indptr, cols = _csr_from_edges(n, src, dst)
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(add_indptr))
+    # Offset of each new entry inside its row: the count of smaller columns.
+    row_lengths = indptr[rows + 1] - indptr[rows]
+    entry = np.repeat(np.arange(cols.size, dtype=np.int64), row_lengths)
+    smaller = _gather_rows(indptr, indices, rows) < cols[entry]
+    at = indptr[rows] + np.bincount(entry[smaller], minlength=cols.size)
+    return indptr + add_indptr, np.insert(indices, at, cols)
 
 
 # ----------------------------------------------------------------------
@@ -350,8 +382,8 @@ def gnp_random_csr(
         if int(depths.min()) >= 0:
             return CSRNetwork(indptr, indices, r=r, depths=depths)
         if connect == "augment":
-            src, dst = _augment_to_connected(n, indptr, indices, depths, src, dst, rng)
-            indptr, indices = _csr_from_edges(n, src, dst)
+            extra_src, extra_dst = _augment_to_connected(indptr, indices, depths, rng)
+            indptr, indices = _insert_edges(n, indptr, indices, extra_src, extra_dst)
             depths = _bfs_depths(n, indptr, indices)
             return CSRNetwork(indptr, indices, r=r, depths=depths)
     raise ConfigurationError(
@@ -359,15 +391,19 @@ def gnp_random_csr(
     )
 
 
-def _augment_to_connected(n, indptr, indices, depths, src, dst, rng):
+def _augment_to_connected(indptr, indices, depths, rng):
     """One seeded random edge from every stray component into the source
-    component; returns the augmented ``(src, dst)`` edge arrays."""
+    component; returns the ``(src, dst)`` arrays of the added edges.
+
+    Components are discovered in increasing order of their smallest
+    label, and each one's members are listed level by level in sorted
+    order — the ``rng`` draws index into that list."""
     reached = depths >= 0
     source_comp = np.flatnonzero(reached)
     extra_src: list[int] = []
     extra_dst: list[int] = []
     visited = reached.copy()
-    for v in range(n):
+    for v in np.flatnonzero(~reached).tolist():
         if visited[v]:
             continue
         # Collect v's whole component so later members are skipped.
@@ -378,13 +414,13 @@ def _augment_to_connected(n, indptr, indices, depths, src, dst, rng):
             nbrs = _gather_rows(indptr, indices, frontier)
             nbrs = np.unique(nbrs[~visited[nbrs]])
             visited[nbrs] = True
-            comp.extend(int(u) for u in nbrs)
+            comp.extend(nbrs.tolist())
             frontier = nbrs
-        extra_src.append(int(comp[int(rng.integers(len(comp)))]))
+        extra_src.append(comp[int(rng.integers(len(comp)))])
         extra_dst.append(int(source_comp[int(rng.integers(len(source_comp)))]))
     return (
-        np.concatenate([src, np.array(extra_src, dtype=np.int64)]),
-        np.concatenate([dst, np.array(extra_dst, dtype=np.int64)]),
+        np.array(extra_src, dtype=np.int64),
+        np.array(extra_dst, dtype=np.int64),
     )
 
 

@@ -1,15 +1,21 @@
-"""CSR-native topology generation: structure, determinism, and exact
+"""CSR-native topology generation: structure, determinism, pinned
+bit-identity, properties of the assembly/BFS helpers, and exact
 equivalence with the legacy (dict-of-sets) layered builders."""
 
 from __future__ import annotations
 
+import hashlib
+
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.randomized import KnownRadiusKP
 from repro.sim.channel import ChannelKernel
 from repro.sim.errors import ConfigurationError
 from repro.sim.fast import run_broadcast_fast
-from repro.core.randomized import KnownRadiusKP
 from repro.topology import (
     CSRNetwork,
     complete_layered,
@@ -20,6 +26,22 @@ from repro.topology import (
     uniform_complete_layered,
     uniform_complete_layered_csr,
 )
+from repro.topology.csr import _bfs_depths, _csr_from_edges, _insert_edges
+
+
+def _assert_canonical(net: CSRNetwork) -> None:
+    """Kernel-ready CSR form: strictly increasing rows, symmetric, no
+    self-loops."""
+    indptr, indices = net.csr_arrays()
+    assert indices.dtype == np.int64 and indptr.dtype == np.int64
+    assert np.all((indices >= 0) & (indices < net.n))
+    src = np.repeat(np.arange(net.n), np.diff(indptr))
+    assert not np.any(src == indices), "self-loops"
+    # Row-major keys strictly increase iff every row is strictly
+    # increasing (sorted, no duplicate edges).
+    keys = src * net.n + indices
+    assert np.all(np.diff(keys) > 0), "unsorted row or duplicate edge"
+    assert np.array_equal(np.sort(indices * net.n + src), keys), "asymmetric edge"
 
 
 def _edge_set(net) -> set[tuple[int, int]]:
@@ -40,16 +62,7 @@ def _csr_edge_set(net: CSRNetwork) -> set[tuple[int, int]]:
 class TestCSRNetworkStructure:
     def test_gnp_is_simple_symmetric_and_connected(self):
         net = gnp_random_csr(800, 9 / 800, seed=4)
-        indptr, indices = net.csr_arrays()
-        src = np.repeat(np.arange(net.n), np.diff(indptr))
-        assert not np.any(src == indices), "self-loops"
-        pairs = set(zip(src.tolist(), indices.tolist()))
-        assert len(pairs) == len(indices), "duplicate edges"
-        assert all((v, u) in pairs for u, v in pairs), "asymmetric edge"
-        # rows sorted (CSR canonical form, required by the kernels)
-        for i in (0, 1, net.n // 2, net.n - 1):
-            row = indices[indptr[i]:indptr[i + 1]]
-            assert np.all(np.diff(row) > 0)
+        _assert_canonical(net)
         depths = net.depths_array()
         assert depths[0] == 0 and np.all(depths >= 0), "disconnected node"
 
@@ -73,6 +86,9 @@ class TestCSRNetworkStructure:
         assert np.all(net.depths_array() >= 0)
         pairs = _csr_edge_set(net)
         assert len(pairs) >= net.n - 1
+        # The augmentation edges are inserted into the sorted rows in
+        # place; the result must still be in canonical form.
+        _assert_canonical(net)
 
     def test_resample_mode_raises_when_hopeless(self):
         with pytest.raises(ConfigurationError):
@@ -135,3 +151,134 @@ class TestEngineAdoption:
                                    seed=seed)
             assert a.wake_times == b.wake_times
             assert a.time == b.time and a.layer_times == b.layer_times
+
+
+def _sha256(array: np.ndarray) -> str:
+    data = np.ascontiguousarray(array, dtype=np.int64).tobytes()
+    return hashlib.sha256(data).hexdigest()
+
+
+class TestGnpBitIdentity:
+    """Pinned sha256 digests of ``(indptr, indices, depths)``.
+
+    Generation is a pure function of ``(n, p, seed, connect)``: any change
+    to the sampling, CSR assembly, augmentation or BFS that alters a
+    single array byte — or one RNG draw — fails here.
+    """
+
+    @pytest.mark.parametrize(
+        "n, c, seed, connect, edges, indptr_digest, indices_digest, depths_digest",
+        [
+            # Connected on the first draw.
+            (2000, 12.0, 0, "augment", 12081,
+             "52982a2f69565953fefb734d38ab4ad9c365e9f0829c8884d9e71f1c444c7094",
+             "be7335040c5f38f9a60a04097a86f935752594250e7aa79771ad96eed976d67b",
+             "67a714a9b24d374e6e0a417347351492ebd82ad1afda0247f3c05a7f1a87280c"),
+            # Giant component plus 858 stray components, 78 of size >= 3.
+            (3000, 1.5, 1, "augment", 3143,
+             "7791e66a7778790ffad479cc5eec0f42359324597d551b49eb8cc713b45cbd7d",
+             "4d4f8914815dfd2cd8e14dff993563a15ef945c4281cc6096c009633813e32c1",
+             "22f20997679a4676eecc0d14395b40f61fd8bdc485bb6ee2135b3669f1abf207"),
+            # Subcritical: the source itself is isolated; 1826 stray
+            # components, the largest of 62 nodes.
+            (3000, 0.8, 1, "augment", 3000,
+             "1bcaafd9c0ff2eb8a5e506b71d9ceb2d5a1ae1f460a66dc495a4a2ccc5a926bc",
+             "804fb68cd13469d1900ee5ea97113ebc3627fd501da6f1b48123db4ce39eceb7",
+             "ec9ee161e76488ba9e8b5c7ba1611113db03b2379253bb1585c696db4972a986"),
+            # Three disconnected draws rejected, the fourth kept.
+            (1500, 6.0, 0, "resample", 4564,
+             "dc6b42d7807dfb22464e4febbbe73c68c91d271137f2aff241440887c7012653",
+             "9f5d8e5b234a0ef62dac76e1d0da2150c5cfadd99a866c37ca9604f7856c3bec",
+             "9080ba21d78e3f0a816f26844bf087713126c4cc3d9919c5a3d6ea6c577aa6a8"),
+        ],
+        ids=["connected", "augment-giant", "augment-subcritical", "resample"],
+    )
+    def test_gnp_arrays_pinned(
+        self, n, c, seed, connect, edges, indptr_digest, indices_digest, depths_digest
+    ):
+        net = gnp_random_csr(n, c / n, seed=seed, connect=connect)
+        assert net.num_edges == edges
+        assert _sha256(net.indptr) == indptr_digest
+        assert _sha256(net.indices) == indices_digest
+        assert _sha256(net.depths_array()) == depths_digest
+
+
+# ----------------------------------------------------------------------
+# Properties of the assembly and BFS helpers against independent
+# references (numpy lexsort, networkx)
+# ----------------------------------------------------------------------
+
+
+@st.composite
+def _edge_lists(draw, max_n: int = 40):
+    """``(n, src, dst)``: a simple undirected graph as an unsorted edge
+    list, each edge in a random orientation."""
+    n = draw(st.integers(1, max_n))
+    node = st.integers(0, n - 1)
+    pairs = draw(st.lists(
+        st.tuples(node, node).filter(lambda e: e[0] != e[1]),
+        unique_by=lambda e: (min(e), max(e)),
+        max_size=3 * n,
+    ))
+    src = np.array([u for u, _ in pairs], dtype=np.int64)
+    dst = np.array([v for _, v in pairs], dtype=np.int64)
+    return n, src, dst
+
+
+def _lexsort_csr(n, src, dst):
+    all_src = np.concatenate([src, dst])
+    all_dst = np.concatenate([dst, src])
+    order = np.lexsort((all_dst, all_src))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(all_src, minlength=n), out=indptr[1:])
+    return indptr, all_dst[order]
+
+
+class TestAssemblyProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(_edge_lists())
+    def test_csr_from_edges_matches_lexsort(self, graph):
+        n, src, dst = graph
+        indptr, indices = _csr_from_edges(n, src, dst)
+        ref_indptr, ref_indices = _lexsort_csr(n, src, dst)
+        assert indptr.dtype == np.int64 and indices.dtype == np.int64
+        assert np.array_equal(indptr, ref_indptr)
+        assert np.array_equal(indices, ref_indices)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_edge_lists(), st.data())
+    def test_insert_edges_matches_rebuild(self, graph, data):
+        n, src, dst = graph
+        split = data.draw(st.integers(0, src.size))
+        indptr, indices = _csr_from_edges(n, src[:split], dst[:split])
+        got = _insert_edges(n, indptr, indices, src[split:], dst[split:])
+        want = _csr_from_edges(n, src, dst)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
+    @settings(max_examples=60, deadline=None)
+    @given(_edge_lists(max_n=60), st.data())
+    def test_bfs_depths_match_networkx(self, graph, data):
+        # Sparse random graphs, often disconnected: unreachable nodes
+        # must read -1.
+        n, src, dst = graph
+        source = data.draw(st.integers(0, n - 1))
+        depths = _bfs_depths(n, *_csr_from_edges(n, src, dst), source=source)
+        g = nx.Graph()
+        g.add_nodes_from(range(n))
+        g.add_edges_from(zip(src.tolist(), dst.tolist()))
+        want = np.full(n, -1, dtype=np.int64)
+        for v, d in nx.single_source_shortest_path_length(g, source).items():
+            want[v] = d
+        assert np.array_equal(depths, want)
+
+    def test_bfs_depths_on_a_long_path(self):
+        # Depth far above every frontier size (one node per level), with
+        # shuffled labels so frontiers jump around the arrays.
+        n = 5000
+        order = np.random.default_rng(7).permutation(n)
+        order = np.concatenate([[0], order[order != 0]])
+        depths = _bfs_depths(n, *_csr_from_edges(n, order[:-1], order[1:]))
+        want = np.empty(n, dtype=np.int64)
+        want[order] = np.arange(n)
+        assert np.array_equal(depths, want)
