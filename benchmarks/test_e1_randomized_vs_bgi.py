@@ -26,11 +26,13 @@ def test_e1(benchmark, table_reporter):
     assert report.ok, report.render()
 
     from repro.core import KnownRadiusKP
-    from repro.sim import run_broadcast_fast
+    from repro.sim import run_broadcast
     from repro.topology import km_hard_layered
 
     net = km_hard_layered(1024, 256, seed=17)
     benchmark.pedantic(
-        lambda: run_broadcast_fast(net, KnownRadiusKP(net.r, 256), seed=0),
+        lambda: run_broadcast(
+            net, KnownRadiusKP(net.r, 256), seed=0, engine="fast"
+        ),
         rounds=3, iterations=1,
     )

@@ -25,11 +25,13 @@ def test_e2(benchmark, table_reporter):
     assert report.ok, report.render()
 
     from repro.core import KnownRadiusKP
-    from repro.sim import run_broadcast_fast
+    from repro.sim import run_broadcast
     from repro.topology import km_hard_layered
 
     net = km_hard_layered(512, 64, seed=23)
     benchmark.pedantic(
-        lambda: run_broadcast_fast(net, KnownRadiusKP(net.r, 64), seed=1),
+        lambda: run_broadcast(
+            net, KnownRadiusKP(net.r, 64), seed=1, engine="fast"
+        ),
         rounds=3, iterations=1,
     )

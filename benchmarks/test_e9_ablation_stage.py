@@ -24,11 +24,13 @@ def test_e9(benchmark, table_reporter):
     assert report.ok, report.render()
 
     from repro.core import KnownRadiusKP
-    from repro.sim import run_broadcast_fast
+    from repro.sim import run_broadcast
     from repro.topology import complete_layered
 
     net = complete_layered([1] * 50 + [300] + [1] * 50)
     benchmark.pedantic(
-        lambda: run_broadcast_fast(net, KnownRadiusKP(net.r, net.radius), seed=0),
+        lambda: run_broadcast(
+            net, KnownRadiusKP(net.r, net.radius), seed=0, engine="fast"
+        ),
         rounds=3, iterations=1,
     )

@@ -70,7 +70,7 @@ def test_batched_vs_serial_repeat_broadcast(table_reporter):
     serial_s = time.perf_counter() - start
 
     start = time.perf_counter()
-    batched = repeat_broadcast(net, algo, runs=runs, engine="batch")
+    batched = repeat_broadcast(net, algo, runs=runs)
     batched_s = time.perf_counter() - start
 
     assert [r.time for r in batched] == [r.time for r in serial]

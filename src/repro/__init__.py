@@ -4,9 +4,8 @@ A complete, executable reproduction of Kowalski & Pelc (PODC 2003 /
 Distributed Computing 2005):
 
 * :mod:`repro.sim` — the synchronous radio model (collision = silence, no
-  collision detection, no spontaneous transmissions) with a reference
-  engine for interactive protocols and a vectorised engine for oblivious
-  ones;
+  collision detection, no spontaneous transmissions) with six
+  bit-identical engines behind one driver, :func:`~repro.sim.simulate`;
 * :mod:`repro.core` — the paper's algorithms: the optimal randomized
   broadcast of Theorem 1, Echo/Binary-Selection, Select-and-Send
   (Theorem 3), and Complete-Layered (Theorem 4);
@@ -42,7 +41,7 @@ from .sim import (
     TraceLevel,
     repeat_broadcast,
     run_broadcast,
-    run_broadcast_fast,
+    simulate,
 )
 
 __version__ = "1.0.0"
@@ -63,7 +62,7 @@ __all__ = [
     "core",
     "repeat_broadcast",
     "run_broadcast",
-    "run_broadcast_fast",
+    "simulate",
     "sim",
     "topology",
 ]

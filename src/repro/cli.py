@@ -88,7 +88,7 @@ from .core import (
     OptimalRandomizedBroadcasting,
     SelectAndSend,
 )
-from .sim import RadioNetwork, TraceLevel, repeat_broadcast, run_broadcast
+from .sim import ENGINES, RadioNetwork, TraceLevel, repeat_broadcast, run_broadcast
 
 __all__ = ["main"]
 
@@ -145,6 +145,10 @@ ALGORITHM_CHOICES = [
 ]
 
 
+#: ``--engine`` choices of the single-run subcommands.
+SERIAL_ENGINES = [name for name, spec in ENGINES.items() if not spec.batch]
+
+
 def _add_topology_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--topology", default="geometric",
                         help="path|star|grid|tree|gnp|geometric|layered|"
@@ -184,10 +188,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         net = load_network(args.load_network)
     else:
         net = _build_topology(args)
-    if args.engine in ("reference", "event") and hasattr(net, "to_radio_network"):
-        # The per-node engines need adjacency dicts; CSR topologies are
-        # generated for the array paths and convert explicitly.
-        net = net.to_radio_network()
     algorithm = _build_algorithm(args.algorithm, net)
     level = TraceLevel.FULL if args.trace else TraceLevel.NONE
     faults = _load_fault_plan(args.faults) if args.faults else None
@@ -221,28 +221,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         # run is `repro trace export`-able just like a sweep.
         spans = SpanRecorder(sink=_span_sink)
     try:
-        if args.engine == "macro":
-            from .sim.macro import run_broadcast_macro
-
-            result = run_broadcast_macro(
-                net, algorithm, seed=args.seed, trace_level=level,
-                faults=faults, metrics=metrics, spans=spans,
-                allow_large=args.allow_large,
-            )
-        elif args.engine == "fast":
-            from .sim.fast import run_broadcast_fast
-
-            result = run_broadcast_fast(
-                net, algorithm, seed=args.seed, trace_level=level,
-                faults=faults, metrics=metrics, spans=spans,
-                allow_large=args.allow_large,
-            )
-        else:
-            result = run_broadcast(
-                net, algorithm, seed=args.seed, trace_level=level,
-                faults=faults, metrics=metrics, spans=spans,
-                engine=args.engine, allow_large=args.allow_large,
-            )
+        result = run_broadcast(
+            net, algorithm, seed=args.seed, trace_level=level,
+            faults=faults, metrics=metrics, spans=spans,
+            engine=args.engine, allow_large=args.allow_large,
+        )
     except ConfigurationError as exc:
         raise SystemExit(f"run failed: {exc}")
     if runlog is not None:
@@ -598,17 +581,10 @@ def _cmd_explain_run(args: argparse.Namespace) -> int:
     net = _build_topology(args)
     algorithm = _build_algorithm(args.algorithm, net)
     try:
-        if args.engine == "fast":
-            from .sim.fast import run_broadcast_fast
-
-            result = run_broadcast_fast(
-                net, algorithm, seed=args.seed, trace_level=TraceLevel.FULL,
-            )
-        else:
-            result = run_broadcast(
-                net, algorithm, seed=args.seed, trace_level=TraceLevel.FULL,
-                engine=args.engine,
-            )
+        result = run_broadcast(
+            net, algorithm, seed=args.seed, trace_level=TraceLevel.FULL,
+            engine=args.engine,
+        )
     except ConfigurationError as exc:
         raise SystemExit(f"explain failed: {exc}")
     report = analyze(result, algorithm=algorithm)
@@ -892,8 +868,7 @@ def main(argv: list[str] | None = None) -> int:
     _add_topology_args(p_run)
     p_run.add_argument("--algorithm", default="kp", choices=ALGORITHM_CHOICES)
     p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument("--engine", default="reference",
-                       choices=["reference", "event", "fast", "macro"],
+    p_run.add_argument("--engine", default="reference", choices=SERIAL_ENGINES,
                        help="execution engine (results are bit-identical; "
                             "macro is the compiled multi-slot path for "
                             "large n — see docs/PERFORMANCE.md)")
@@ -1037,7 +1012,7 @@ def main(argv: list[str] | None = None) -> int:
     p_ex_run.add_argument("--algorithm", default="kp", choices=ALGORITHM_CHOICES)
     p_ex_run.add_argument("--seed", type=int, default=0)
     p_ex_run.add_argument("--engine", default="reference",
-                          choices=["reference", "event", "fast"],
+                          choices=SERIAL_ENGINES,
                           help="engine to record the trace on (forensic "
                                "output is bit-identical across engines)")
     p_ex_run.add_argument("--json", action="store_true",
@@ -1098,12 +1073,12 @@ def main(argv: list[str] | None = None) -> int:
     _add_topology_args(p_prof_run)
     p_prof_run.add_argument("--algorithm", default="kp", choices=ALGORITHM_CHOICES)
     p_prof_run.add_argument("--engine", default="auto",
-                            choices=["auto", "batch", "reference"],
-                            help="engine to profile (auto/batch run all "
-                                 "trials as one batch: the array engine for "
+                            choices=["auto", *ENGINES],
+                            help="engine to profile (auto runs all trials "
+                                 "as one batch: the array engine for "
                                  "vectorised algorithms, the batched event "
-                                 "engine otherwise; reference forces the "
-                                 "serial per-node engine)")
+                                 "engine otherwise; any other name forces "
+                                 "that engine)")
     p_prof_run.add_argument("--trials", type=int, default=10)
     p_prof_run.add_argument("--seed", type=int, default=0)
     _add_profile_report_args(p_prof_run)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from ..analysis import render_table, summarize
 from ..baselines import BGIBroadcast, RoundRobinBroadcast
 from ..sim import FaultPlan, repeat_broadcast, run_broadcast
-from ..sim.fast import run_broadcast_batch, run_broadcast_fast
+from ..sim.fast import run_broadcast_batch
 from ..topology import gnp_connected, path
 from .base import ExperimentReport, register
 
@@ -135,7 +135,9 @@ def run(quick: bool = False) -> ExperimentReport:
     )
     for trial, seed in enumerate((0, 1, 2)):
         ref = run_broadcast(net, bgi, seed=seed, max_steps=max_steps, faults=plan)
-        fast = run_broadcast_fast(net, bgi, seed=seed, max_steps=max_steps, faults=plan)
+        fast = run_broadcast(
+            net, bgi, seed=seed, max_steps=max_steps, faults=plan, engine="fast"
+        )
         same = (
             ref.wake_times == fast.wake_times == batch[trial].wake_times
             and ref.time == fast.time == batch[trial].time

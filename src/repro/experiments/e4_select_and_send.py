@@ -41,8 +41,7 @@ def run(quick: bool = False) -> ExperimentReport:
             # the reference run bit for bit, faster (deterministic, so
             # one run covers the Monte-Carlo estimate exactly).
             (ss,) = repeat_broadcast(
-                net, SelectAndSend(), runs=1, engine="batch",
-                require_completion=True,
+                net, SelectAndSend(), runs=1, require_completion=True
             )
             dfs = run_broadcast(net, KnownNeighborsDFS(net), require_completion=True)
             rr = run_broadcast(net, RoundRobinBroadcast(net.r), require_completion=True)

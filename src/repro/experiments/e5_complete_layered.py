@@ -39,8 +39,7 @@ def run(quick: bool = False) -> ExperimentReport:
         # path routes it through the batched event engine, one run
         # covering the estimate bit-identically to the reference.
         (result,) = repeat_broadcast(
-            net, CompleteLayeredBroadcast(), runs=1, engine="batch",
-            require_completion=True,
+            net, CompleteLayeredBroadcast(), runs=1, require_completion=True
         )
         rows.append([
             n, d, result.time,
@@ -74,8 +73,7 @@ def run(quick: bool = False) -> ExperimentReport:
         # path routes it through the batched event engine, one run
         # covering the estimate bit-identically to the reference.
         (result,) = repeat_broadcast(
-            net, CompleteLayeredBroadcast(), runs=1, engine="batch",
-            require_completion=True,
+            net, CompleteLayeredBroadcast(), runs=1, require_completion=True
         )
         claimed = claimed_cms_undirected_bound(n, d)
         ratios.append(result.time / claimed)
@@ -100,8 +98,7 @@ def run(quick: bool = False) -> ExperimentReport:
         # path routes it through the batched event engine, one run
         # covering the estimate bit-identically to the reference.
         (result,) = repeat_broadcast(
-            net, CompleteLayeredBroadcast(), runs=1, engine="batch",
-            require_completion=True,
+            net, CompleteLayeredBroadcast(), runs=1, require_completion=True
         )
         rows3.append([seed, result.time,
                       result.time / complete_layered_bound(1024, 64)])

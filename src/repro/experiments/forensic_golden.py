@@ -20,7 +20,6 @@ from typing import Callable, Mapping, Sequence
 from ..analysis import render_table
 from ..obs.forensics import ForensicsReport, analyze
 from ..sim import run_broadcast
-from ..sim.fast import run_broadcast_fast
 from ..sim.trace import TraceLevel
 from .base import ExperimentReport
 
@@ -28,15 +27,9 @@ __all__ = ["add_forensic_golden"]
 
 
 def _run(net, algorithm, seed: int, engine: str) -> ForensicsReport:
-    if engine == "fast":
-        result = run_broadcast_fast(
-            net, algorithm, seed=seed, trace_level=TraceLevel.FULL
-        )
-    else:
-        result = run_broadcast(
-            net, algorithm, seed=seed, engine=engine,
-            trace_level=TraceLevel.FULL,
-        )
+    result = run_broadcast(
+        net, algorithm, seed=seed, engine=engine, trace_level=TraceLevel.FULL,
+    )
     return analyze(result, algorithm=algorithm)
 
 
@@ -58,8 +51,8 @@ def add_forensic_golden(
         make_algorithm: Zero-arg factory (fresh instance per engine, so
             stateful protocols cannot leak state between runs).
         seed: Seed for the representative run.
-        engines: Engine names; ``"fast"`` maps to the array engine,
-            anything else is passed to :func:`run_broadcast`.
+        engines: Registered engine names, each passed to
+            :func:`run_broadcast`.
         expected: The pinned golden scalars
             (``wasted_slot_fraction``/``critical_path_depth``/...).
         label: Configuration description used in claim text.

@@ -96,11 +96,11 @@ def obs_overhead_workload(quick: bool = False):
     net, algorithm, trials = batched_workload(quick)
 
     def plain():
-        return repeat_broadcast(net, algorithm, runs=trials, engine="batch")
+        return repeat_broadcast(net, algorithm, runs=trials)
 
     def instrumented():
         return repeat_broadcast(
-            net, algorithm, runs=trials, engine="batch", metrics=MetricsRegistry()
+            net, algorithm, runs=trials, metrics=MetricsRegistry()
         )
 
     return plain, instrumented
@@ -122,13 +122,13 @@ def telemetry_overhead_workload(quick: bool = False):
     net, algorithm, trials = batched_workload(quick)
 
     def plain():
-        return repeat_broadcast(net, algorithm, runs=trials, engine="batch")
+        return repeat_broadcast(net, algorithm, runs=trials)
 
     def telemetered():
         recorder = SpanRecorder(sink=lambda event: None)
         with recorder.span("point", "point"):
             return repeat_broadcast(
-                net, algorithm, runs=trials, engine="batch", spans=recorder
+                net, algorithm, runs=trials, spans=recorder
             )
 
     return plain, telemetered
@@ -188,13 +188,13 @@ def _reference_engine(quick: bool):
 )
 def _fast_engine(quick: bool):
     from ..baselines import BGIBroadcast
-    from ..sim import run_broadcast_fast
+    from ..sim import run_broadcast
     from ..topology import km_hard_layered
 
     n, depth = (256, 32) if quick else (1024, 64)
     net = km_hard_layered(n, depth, seed=3)
     algorithm = BGIBroadcast(net.r)
-    return lambda: run_broadcast_fast(net, algorithm, seed=1)
+    return lambda: run_broadcast(net, algorithm, seed=1, engine="fast")
 
 
 @register(
@@ -206,7 +206,7 @@ def _batched_engine(quick: bool):
     from ..sim import repeat_broadcast
 
     net, algorithm, trials = batched_workload(quick)
-    return lambda: repeat_broadcast(net, algorithm, runs=trials, engine="batch")
+    return lambda: repeat_broadcast(net, algorithm, runs=trials)
 
 
 @register(

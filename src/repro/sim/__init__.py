@@ -9,6 +9,7 @@ spontaneous transmissions, labels in ``{0..r}`` with only the own label and
 from .batched_event import BatchedEventEngine
 from .channel import ChannelKernel
 from .coins import CoinSource, NodeRandom, coin_uniform
+from .driver import ENGINES, EngineSpec, simulate
 from .engine import SynchronousEngine
 from .event import EventDrivenEngine
 from .errors import (
@@ -24,7 +25,6 @@ from .fast import (
     FastEngine,
     VectorizedAlgorithm,
     run_broadcast_batch,
-    run_broadcast_fast,
 )
 from .faults import FaultCounters, FaultPlan, derive_fault_seed
 from .guard import check_memory_budget
@@ -63,6 +63,8 @@ __all__ = [
     "ChannelKernel",
     "CoinSource",
     "ConfigurationError",
+    "ENGINES",
+    "EngineSpec",
     "EventDrivenEngine",
     "FastEngine",
     "FaultCounters",
@@ -98,7 +100,7 @@ __all__ = [
     "resolve_macro_backend",
     "run_broadcast",
     "run_broadcast_batch",
-    "run_broadcast_fast",
     "run_broadcast_macro",
+    "simulate",
     "source_message",
 ]

@@ -1,0 +1,368 @@
+"""The engine registry and the one driver on top of it.
+
+Six engines execute the same synchronous radio semantics (the
+conformance suite holds them to bit-identical results); they differ only
+in execution strategy and in what they can run.  :data:`ENGINES` names
+them and records the capabilities the driver checks; :func:`simulate`
+runs any of them by name::
+
+    from repro.sim import simulate
+    results = simulate(network, algorithm, seeds=[0, 1, 2], engine="auto")
+
+Every public driver (:func:`~repro.sim.run.run_broadcast`,
+:func:`~repro.sim.run.repeat_broadcast`,
+:func:`~repro.sim.fast.run_broadcast_batch`,
+:func:`~repro.sim.macro.run_broadcast_macro`) is a thin alias over
+:func:`simulate`, so the step limit, the memory guard, span wrapping and
+result assembly each happen in exactly one place.
+"""
+
+from __future__ import annotations
+
+from contextlib import nullcontext
+from dataclasses import dataclass
+from typing import Callable, Sequence
+
+import numpy as np
+
+from ..obs.metrics import COUNT_BUCKETS, MetricsRegistry, SLOT_BUCKETS
+from ..obs.spans import SpanRecorder
+from ..obs.timings import Timings
+from .batched_event import BatchedEventEngine
+from .engine import SynchronousEngine
+from .errors import BroadcastIncompleteError, ConfigurationError
+from .event import EventDrivenEngine
+from .fast import (
+    ASLEEP,
+    BatchedFastEngine,
+    FastEngine,
+    VectorizedAlgorithm,
+    _check_vectorized,
+)
+from .faults import FaultPlan
+from .guard import check_memory_budget
+from .macro import MacroStepEngine, _build_macro_engine
+from .run import BroadcastResult, default_max_steps
+from .trace import TraceLevel
+
+__all__ = ["ENGINES", "EngineSpec", "simulate"]
+
+
+@dataclass(frozen=True)
+class EngineSpec:
+    """One registered engine and the capabilities :func:`simulate` checks.
+
+    Attributes:
+        name: Registry key (the ``engine=`` argument of every driver).
+        engine_cls: The engine class.  Serial engines are constructed as
+            ``engine_cls(network, algorithm, seed=..., ...)``, batch
+            engines as ``engine_cls(network, algorithm, seeds, ...)``.
+        oblivious_only: Runs only
+            :class:`~repro.sim.fast.VectorizedAlgorithm` schedules.
+        batch: Runs every seed in one engine instance (one ``batch[T]``
+            span); serial engines run one instance per seed.
+        collision_detection: Supports the collision-detection variant.
+        step_hooks: Accepts per-trial ``(step, transmitters)`` hooks
+            (``step_hooks=``, one per seed).
+        needs_adjacency: Reads per-node neighbour maps, so CSR-native
+            topologies are converted with ``to_radio_network()`` first.
+        build: Construction rule replacing the plain constructor call,
+            for engines whose class depends on the requested
+            instrumentation (``macro``).
+    """
+
+    name: str
+    engine_cls: type
+    oblivious_only: bool = False
+    batch: bool = False
+    collision_detection: bool = False
+    step_hooks: bool = False
+    needs_adjacency: bool = False
+    build: Callable[..., object] | None = None
+
+
+#: Every engine in the repo, by name.
+ENGINES: dict[str, EngineSpec] = {
+    spec.name: spec
+    for spec in (
+        EngineSpec("reference", SynchronousEngine, collision_detection=True,
+                   needs_adjacency=True),
+        EngineSpec("event", EventDrivenEngine, collision_detection=True,
+                   needs_adjacency=True),
+        EngineSpec("fast", FastEngine, oblivious_only=True),
+        EngineSpec("macro", MacroStepEngine, oblivious_only=True,
+                   build=_build_macro_engine),
+        EngineSpec("batched_fast", BatchedFastEngine, oblivious_only=True,
+                   batch=True),
+        EngineSpec("batched_event", BatchedEventEngine, batch=True,
+                   collision_detection=True, step_hooks=True,
+                   needs_adjacency=True),
+    )
+}
+
+
+def _resolve_engine(engine: str | EngineSpec, algorithm) -> EngineSpec:
+    """Registry lookup; ``"auto"`` picks the batch engine that can run
+    ``algorithm`` — the array program for oblivious schedules, the
+    shared-clock event engine for everything else."""
+    if isinstance(engine, EngineSpec):
+        return engine
+    if engine == "auto":
+        engine = (
+            "batched_fast"
+            if isinstance(algorithm, VectorizedAlgorithm)
+            else "batched_event"
+        )
+    spec = ENGINES.get(engine)
+    if spec is None:
+        raise ConfigurationError(
+            f"unknown engine {engine!r}; expected 'auto' or one of "
+            f"{', '.join(repr(name) for name in ENGINES)}"
+        )
+    return spec
+
+
+def simulate(
+    network,
+    algorithm,
+    seeds: Sequence[int],
+    engine: str | EngineSpec = "auto",
+    max_steps: int | None = None,
+    trace_level: TraceLevel = TraceLevel.NONE,
+    require_completion: bool = False,
+    collision_detection: bool = False,
+    faults: FaultPlan | None = None,
+    metrics: MetricsRegistry | None = None,
+    timings: Timings | None = None,
+    spans: SpanRecorder | None = None,
+    step_hooks=None,
+    allow_large: bool = False,
+) -> list[BroadcastResult]:
+    """Run one broadcast per seed on a registered engine.
+
+    Result ``i`` is the execution with master seed ``seeds[i]``; it is
+    identical on every engine that can run ``algorithm`` (asserted by the
+    conformance suite), so ``engine`` only chooses the execution strategy.
+
+    Args:
+        network: Topology — a :class:`~repro.sim.network.RadioNetwork` or
+            a CSR-native :class:`~repro.topology.csr.CSRNetwork` (converted
+            for the engines that need per-node adjacency).
+        algorithm: The broadcasting algorithm; oblivious-only engines
+            require a :class:`~repro.sim.fast.VectorizedAlgorithm`.
+        seeds: Per-trial master seeds.
+        engine: A name in :data:`ENGINES`, or ``"auto"``:
+            ``batched_fast`` for vectorisable algorithms, ``batched_event``
+            otherwise.  An :class:`EngineSpec` is accepted too (how
+            :func:`~repro.sim.macro.run_broadcast_macro` binds its
+            block size and backend).
+        max_steps: Step limit per trial, non-negative.  Defaults to
+            :func:`~repro.sim.run.default_max_steps`.
+        trace_level: Channel detail to record (identical records on every
+            engine).
+        require_completion: Raise
+            :class:`~repro.sim.errors.BroadcastIncompleteError` carrying
+            the first incomplete result instead of returning it.
+        collision_detection: The collision-detection model variant.
+        faults: Optional :class:`~repro.sim.faults.FaultPlan` applied to
+            every trial (the loss stream is keyed per trial seed).
+        metrics: Optional :class:`~repro.obs.metrics.MetricsRegistry`
+            receiving the engines' per-slot counters and one per-run
+            summary per trial.
+        timings: Optional :class:`~repro.obs.timings.Timings` shared by
+            every trial; defaults to a fresh one when ``metrics`` or
+            ``spans`` is given.
+        spans: Optional :class:`~repro.obs.spans.SpanRecorder`: one
+            ``trial[seed]`` span per serial run, one ``batch[T]`` span per
+            batch, each with synthetic ``engine.*`` stage children.
+        step_hooks: Optional per-trial ``(step, transmitters)`` callbacks,
+            one entry per seed (``batched_event`` only).
+        allow_large: Skip the memory-estimate guard
+            (:func:`~repro.sim.guard.check_memory_budget`).
+
+    Returns:
+        One :class:`~repro.sim.run.BroadcastResult` per seed, in order.
+    """
+    spec = _resolve_engine(engine, algorithm)
+    if spec.oblivious_only:
+        _check_vectorized(algorithm)
+    if collision_detection and not spec.collision_detection:
+        raise ConfigurationError(
+            f"engine {spec.name!r} does not support collision detection"
+        )
+    if step_hooks is not None and not spec.step_hooks:
+        raise ConfigurationError(f"engine {spec.name!r} does not support step hooks")
+    if spec.needs_adjacency and hasattr(network, "to_radio_network"):
+        network = network.to_radio_network()
+    if max_steps is None:
+        max_steps = default_max_steps(network, algorithm)
+    if max_steps < 0:
+        raise ConfigurationError(f"max_steps must be non-negative, got {max_steps}")
+    seeds = [int(seed) for seed in seeds]
+    check_memory_budget(
+        network.n, max_steps, trace_level,
+        trials=len(seeds) if spec.batch else 1,
+        dense_metrics=metrics is not None, allow_large=allow_large,
+    )
+    if timings is None and (metrics is not None or spans is not None):
+        timings = Timings()
+    kwargs = dict(faults=faults, metrics=metrics, timings=timings,
+                  trace_level=trace_level)
+    if spec.collision_detection:
+        kwargs["collision_detection"] = collision_detection
+    if spec.step_hooks:
+        kwargs["step_hooks"] = step_hooks
+    results: list[BroadcastResult] = []
+    for run_seeds in [seeds] if spec.batch else [[s] for s in seeds]:
+        if spec.batch:
+            engine_obj = spec.engine_cls(network, algorithm, run_seeds, **kwargs)
+            span_name = f"batch[{len(run_seeds)}]"
+            span_attrs = {"trials": len(run_seeds)}
+        else:
+            construct = spec.build or spec.engine_cls
+            engine_obj = construct(network, algorithm, seed=run_seeds[0], **kwargs)
+            span_name = f"trial[{run_seeds[0]}]"
+            span_attrs = {"seed": run_seeds[0]}
+        with (
+            spans.trial_span(
+                span_name, timings, **span_attrs,
+                algorithm=algorithm.name, n=network.n,
+            )
+            if spans is not None
+            else nullcontext()
+        ) as span:
+            engine_obj.run(max_steps)
+            if span is not None:
+                span.attrs["completed"] = engine_obj.all_informed
+        view = engine_obj if spec.batch else _SingleRun(engine_obj)
+        for result in _assemble_results(network, algorithm, view, run_seeds,
+                                        timings, metrics):
+            if require_completion and not result.completed:
+                raise BroadcastIncompleteError(
+                    f"{algorithm.name} informed {result.informed}/{network.n} "
+                    f"nodes within {max_steps} steps (seed {result.seed})",
+                    result=result,
+                )
+            results.append(result)
+    return results
+
+
+# ----------------------------------------------------------------------
+# Result assembly
+# ----------------------------------------------------------------------
+
+
+class _SingleRun:
+    """A single-run engine seen through the batch engines' per-trial
+    accessors, so :func:`_assemble_results` speaks one vocabulary."""
+
+    def __init__(self, engine):
+        self._engine = engine
+        wake_steps = getattr(engine, "wake_steps", None)
+        self.wake_steps = None if wake_steps is None else wake_steps[None, :]
+
+    def completion_times(self) -> list[int | None]:
+        return [self._engine.completion_time]
+
+    def trial_steps(self, trial: int) -> int:
+        return self._engine.step
+
+    def wake_times(self, trial: int) -> dict[int, int]:
+        # A dict attribute on the per-node engines, a method on the array ones.
+        wake_times = self._engine.wake_times
+        return dict(wake_times) if isinstance(wake_times, dict) else wake_times()
+
+    def trace_for(self, trial: int):
+        return self._engine.trace
+
+    def fault_counters_for(self, trial: int):
+        counters = getattr(self._engine, "fault_counters", None)
+        return counters.snapshot() if counters is not None else None
+
+    def transmission_counts(self, trial: int):
+        return self._engine.transmission_counts()
+
+
+def _assemble_results(network, algorithm, engine, seeds, timings, metrics):
+    """One :class:`BroadcastResult` per trial of a finished engine, with
+    the per-run summary metrics recorded as each is built.  Array engines
+    (a ``wake_steps`` matrix) take the layer times from the depth array
+    when the topology carries one."""
+    wake_rows = getattr(engine, "wake_steps", None)
+    times = engine.completion_times()
+    results = []
+    for t, seed in enumerate(seeds):
+        wake_steps = wake_rows[t] if wake_rows is not None else None
+        wake_times = engine.wake_times(t)
+        completed = times[t] is not None
+        result = BroadcastResult(
+            completed=completed,
+            time=times[t] if completed else engine.trial_steps(t),
+            informed=len(wake_times),
+            n=network.n,
+            radius=network.radius,
+            algorithm=algorithm.name,
+            seed=seed,
+            wake_times=wake_times,
+            layer_times=_layer_times_for(network, wake_times, wake_steps),
+            trace=engine.trace_for(t),
+            fault_counters=engine.fault_counters_for(t),
+            timings=timings,
+        )
+        if metrics is not None:
+            _record_result_metrics(metrics, result, engine.transmission_counts(t))
+        results.append(result)
+    return results
+
+
+def _layer_times_for(network, wake_times, wake_steps) -> tuple[int | None, ...]:
+    """For each BFS layer, the slot by which all of it was informed
+    (``None``: not fully informed).  Uses the flat depth array when the
+    network carries one (CSR-native topologies; node order == label
+    order), else walks ``network.layers()``."""
+    depths_fn = getattr(network, "depths_array", None)
+    if depths_fn is None or wake_steps is None:
+        return tuple(
+            max(wake_times[v] for v in layer)
+            if all(v in wake_times for v in layer)
+            else None
+            for layer in network.layers()
+        )
+    depths = depths_fn()
+    num_layers = int(depths.max()) + 1
+    totals = np.bincount(depths, minlength=num_layers)
+    informed = wake_steps != ASLEEP
+    informed_depths = depths[informed]
+    settled = np.bincount(informed_depths, minlength=num_layers)
+    latest = np.full(num_layers, np.iinfo(np.int64).min, dtype=np.int64)
+    np.maximum.at(latest, informed_depths, wake_steps[informed])
+    return tuple(
+        int(latest[j]) if settled[j] == totals[j] else None
+        for j in range(num_layers)
+    )
+
+
+def _record_result_metrics(
+    metrics: MetricsRegistry, result: BroadcastResult, transmission_counts=None
+) -> None:
+    """Driver-level metric observations for one finished run.
+
+    The per-slot engine counters (``engine_*``) are incremented by the
+    engines themselves; this records the per-*run* summary metrics the
+    canonical registry exposes (names documented in
+    ``docs/OBSERVABILITY.md``).
+    """
+    metrics.counter("runs_total").inc()
+    if result.completed:
+        metrics.counter("runs_completed").inc()
+    metrics.histogram("slots_to_completion", SLOT_BUCKETS).observe(result.time)
+    if transmission_counts is not None:
+        metrics.histogram("transmissions_per_node", COUNT_BUCKETS).observe_many(
+            transmission_counts
+        )
+    counters = result.fault_counters
+    if counters is not None:
+        metrics.counter("faults_crashed_nodes").inc(counters.crashed_nodes)
+        metrics.counter("faults_jammed_slots").inc(counters.jammed_slots)
+        metrics.counter("faults_lost_messages").inc(counters.lost_messages)
+        metrics.counter("faults_delayed_wakes").inc(counters.delayed_wakes)

@@ -25,7 +25,7 @@ resolve the channel from the same precompiled topology,
 ``adjacency`` views, the event engine its CSR neighbour arrays.
 
 Semantics are identical to :class:`repro.sim.engine.SynchronousEngine`
-(verified per-node, per-slot by ``tests/sim/test_differential.py``):
+(verified per-node, per-slot by ``tests/sim/test_conformance.py``):
 exactly-one reception, half-duplex, no spontaneous transmissions, nodes
 woken in slot ``t`` first act in ``t + 1``, and — because transmission
 coins are slot-indexed and derived from the same
@@ -35,7 +35,6 @@ for the same ``(seed, label, step)``.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from time import perf_counter
 from typing import Protocol as TypingProtocol, Sequence, runtime_checkable
 
@@ -49,20 +48,13 @@ from .coins import CoinSource, derive_trial_seeds
 from .errors import ConfigurationError
 from .faults import CompiledFaults, FaultCounters, FaultPlan, compile_faults, derive_fault_seed
 from .network import RadioNetwork
-from .guard import check_memory_budget
-from .run import (
-    BroadcastResult,
-    _layer_times_for,
-    _record_result_metrics,
-    default_max_steps,
-)
+from .run import BroadcastResult
 from .trace import Trace, TraceLevel
 
 __all__ = [
     "VectorizedAlgorithm",
     "FastEngine",
     "BatchedFastEngine",
-    "run_broadcast_fast",
     "run_broadcast_batch",
     "ASLEEP",
 ]
@@ -112,6 +104,17 @@ class VectorizedAlgorithm(TypingProtocol):
             the node transmits.
         """
         ...  # pragma: no cover - protocol definition
+
+
+def _wake_dict(labels: np.ndarray, wake_steps: np.ndarray) -> dict[int, int]:
+    """``label -> wake slot`` for the informed nodes of one wake row."""
+    # tolist() first: zipping Python ints is several times faster than
+    # iterating numpy scalars, and at 10^6 nodes this dict is the single
+    # most expensive piece of result assembly.
+    pairs = zip(labels.tolist(), wake_steps.tolist())
+    if int(wake_steps.max()) != ASLEEP:
+        return dict(pairs)
+    return {label: ws for label, ws in pairs if ws != ASLEEP}
 
 
 def _check_vectorized(algorithm) -> None:
@@ -369,11 +372,7 @@ class FastEngine:
 
     def wake_times(self) -> dict[int, int]:
         """Map informed labels to their wake slots."""
-        return {
-            int(label): int(ws)
-            for label, ws in zip(self.labels, self.wake_steps)
-            if ws != ASLEEP
-        }
+        return _wake_dict(self.labels, self.wake_steps)
 
     def transmission_counts(self) -> list[int] | None:
         """Per-node transmission tallies (label order); ``None`` when
@@ -769,12 +768,7 @@ class BatchedFastEngine:
 
     def wake_times(self, trial: int) -> dict[int, int]:
         """Map informed labels of one trial to their wake slots."""
-        row = self.wake_steps[trial]
-        return {
-            int(label): int(ws)
-            for label, ws in zip(self.labels, row)
-            if ws != ASLEEP
-        }
+        return _wake_dict(self.labels, self.wake_steps[trial])
 
     def transmission_counts(self, trial: int) -> list[int] | None:
         """Per-node transmission tallies of one trial (label order);
@@ -782,69 +776,6 @@ class BatchedFastEngine:
         if self._tx_counts is None:
             return None
         return [int(c) for c in self._tx_counts[trial]]
-
-
-def run_broadcast_fast(
-    network: RadioNetwork,
-    algorithm: VectorizedAlgorithm,
-    seed: int = 0,
-    max_steps: int | None = None,
-    faults: FaultPlan | None = None,
-    metrics: MetricsRegistry | None = None,
-    timings: Timings | None = None,
-    spans: SpanRecorder | None = None,
-    trace_level: TraceLevel = TraceLevel.NONE,
-    allow_large: bool = False,
-) -> BroadcastResult:
-    """Vectorised counterpart of :func:`repro.sim.run.run_broadcast`.
-
-    ``allow_large`` skips the :func:`~repro.sim.guard.check_memory_budget`
-    estimate guard (FULL traces at large ``n * max_steps``)."""
-    if max_steps is None:
-        max_steps = default_max_steps(network, algorithm)
-    check_memory_budget(
-        network.n, max_steps, trace_level,
-        dense_metrics=metrics is not None, allow_large=allow_large,
-    )
-    if timings is None and (metrics is not None or spans is not None):
-        timings = Timings()
-    engine = FastEngine(
-        network, algorithm, seed=seed, faults=faults,
-        metrics=metrics, timings=timings, trace_level=trace_level,
-    )
-    with (
-        spans.trial_span(
-            f"trial[{seed}]", timings,
-            seed=seed, algorithm=algorithm.name, n=network.n,
-        )
-        if spans is not None
-        else nullcontext()
-    ):
-        engine.run(max_steps)
-    completed = engine.all_informed
-    time = engine.completion_time if completed else engine.step
-    wake_times = engine.wake_times()
-    result = BroadcastResult(
-        completed=completed,
-        time=time,
-        informed=engine.informed_count,
-        n=network.n,
-        radius=network.radius,
-        algorithm=algorithm.name,
-        seed=seed,
-        wake_times=wake_times,
-        layer_times=_layer_times_for(network, wake_times, engine.wake_steps),
-        trace=engine.trace,
-        fault_counters=(
-            engine.fault_counters.snapshot()
-            if engine.fault_counters is not None
-            else None
-        ),
-        timings=timings,
-    )
-    if metrics is not None:
-        _record_result_metrics(metrics, result, engine.transmission_counts())
-    return result
 
 
 def run_broadcast_batch(
@@ -866,59 +797,27 @@ def run_broadcast_batch(
 ) -> list[BroadcastResult]:
     """Run many Monte-Carlo trials of one broadcast as a single batch.
 
-    Result ``i`` is *identical* (per-node wake slots and fault counters
-    included) to the corresponding single-run engine with seed
-    ``seeds[i]`` — batching is purely an execution strategy, not a
-    semantic variant.  Two batch engines implement it:
+    A thin alias over :func:`~repro.sim.driver.simulate`: result ``i``
+    is *identical* (per-node wake slots and fault counters included) to
+    the serial run with seed ``seeds[i]`` — batching is purely an
+    execution strategy, not a semantic variant.  ``engine="auto"`` (the
+    default) picks ``"batched_fast"`` (the ``(trials, n)`` array program
+    of :class:`BatchedFastEngine`, oblivious algorithms only) when the
+    algorithm is vectorisable and ``"batched_event"`` (the shared-clock
+    :class:`~repro.sim.batched_event.BatchedEventEngine`, any protocol;
+    collision detection and step hooks too) otherwise.
 
-    * ``"batched_fast"`` — the ``(trials, n)`` array program of
-      :class:`BatchedFastEngine`; oblivious
-      (:class:`VectorizedAlgorithm`) algorithms only, trial ``i``
-      reproduces ``run_broadcast_fast(..., seed=seeds[i])``.
-    * ``"batched_event"`` — the shared-clock
-      :class:`~repro.sim.batched_event.BatchedEventEngine`; any
-      protocol-based algorithm, trial ``i`` reproduces
-      ``run_broadcast(..., seed=seeds[i], engine="event")`` slot for
-      slot (traces, hooks, and fault counters included).
-
-    ``"auto"`` (the default) picks ``batched_fast`` when the algorithm is
-    vectorisable and ``batched_event`` otherwise, which makes this the
-    single batched entry point for every algorithm in the repo.
-
-    Args:
-        network: Topology to broadcast on.
-        algorithm: A :class:`VectorizedAlgorithm` and/or
-            :class:`~repro.sim.protocol.BroadcastAlgorithm` (see the
-            engine table above).
-        seeds: Explicit per-trial master seeds.  Mutually exclusive with
-            ``trials``.
-        trials: Number of trials; seeds default to
-            ``derive_trial_seeds(base_seed, trials)`` (``base_seed + i``,
-            the :func:`~repro.sim.run.repeat_broadcast` convention).
-        base_seed: First trial seed when ``trials`` is given.
-        max_steps: Step limit; defaults exactly as in
-            :func:`~repro.sim.run.run_broadcast`.
-        faults: Optional :class:`~repro.sim.faults.FaultPlan` applied to
-            every trial (per-trial loss realisations).
-        metrics: Optional :class:`~repro.obs.metrics.MetricsRegistry`
-            receiving per-trial-slot engine tallies and per-trial run
-            summaries.
-        timings: Optional :class:`~repro.obs.timings.Timings`; the batch
-            runs as one program, so every returned result carries the
-            *same* (shared) timings object.
-        spans: Optional :class:`~repro.obs.spans.SpanRecorder`; the whole
-            batch records as one ``trial`` span (stage costs are joint).
-        engine: ``"auto"``, ``"batched_fast"``, or ``"batched_event"``.
-        trace_level: Per-trial channel traces — supported by *both* batch
-            engines, with identical records (asserted by the conformance
-            suite).
-        collision_detection: CD model variant (``batched_event`` only).
-        step_hooks: Optional per-trial step hooks (``batched_event``
-            only), one entry per trial.
+    ``seeds`` gives the per-trial master seeds explicitly; alternatively
+    ``trials`` derives ``derive_trial_seeds(base_seed, trials)``
+    (``base_seed + i``, the :func:`~repro.sim.run.repeat_broadcast`
+    convention).  Every other argument means what it means on
+    :func:`~repro.sim.driver.simulate`.
 
     Returns:
         One :class:`~repro.sim.run.BroadcastResult` per trial, in seed order.
     """
+    from .driver import simulate
+
     if seeds is None:
         if trials is None:
             raise ConfigurationError("provide either seeds or trials")
@@ -927,111 +826,9 @@ def run_broadcast_batch(
         raise ConfigurationError(
             f"trials={trials} conflicts with {len(seeds)} explicit seeds"
         )
-    if max_steps is None:
-        max_steps = default_max_steps(network, algorithm)
-    check_memory_budget(
-        network.n, max_steps, trace_level, trials=len(seeds),
-        dense_metrics=metrics is not None, allow_large=allow_large,
-    )
-    if timings is None and (metrics is not None or spans is not None):
-        timings = Timings()
-    if engine == "auto":
-        engine = (
-            "batched_fast"
-            if isinstance(algorithm, VectorizedAlgorithm)
-            else "batched_event"
-        )
-    batch_span = (
-        spans.trial_span(
-            f"batch[{len(seeds)}]", timings,
-            trials=len(seeds), algorithm=algorithm.name, n=network.n,
-        )
-        if spans is not None
-        else nullcontext()
-    )
-    if engine == "batched_event":
-        with batch_span:
-            return _run_batched_event(
-                network, algorithm, seeds, max_steps, faults, metrics, timings,
-                trace_level, collision_detection, step_hooks,
-            )
-    if engine != "batched_fast":
-        raise ConfigurationError(
-            f"unknown engine {engine!r}; expected 'auto', 'batched_fast', "
-            f"or 'batched_event'"
-        )
-    if collision_detection or step_hooks is not None:
-        raise ConfigurationError(
-            "collision detection and step hooks require "
-            "engine='batched_event' (the array engine supports neither)"
-        )
-    engine = BatchedFastEngine(
-        network, algorithm, seeds, faults=faults,
-        metrics=metrics, timings=timings, trace_level=trace_level,
-    )
-    with batch_span:
-        engine.run(max_steps)
-    times = engine.completion_times()
-    counts = engine.informed_counts()
-    results = []
-    for t, seed in enumerate(engine.seeds):
-        completed = times[t] is not None
-        wake_times = engine.wake_times(t)
-        result = BroadcastResult(
-            completed=completed,
-            time=times[t] if completed else engine.trial_steps(t),
-            informed=int(counts[t]),
-            n=network.n,
-            radius=network.radius,
-            algorithm=algorithm.name,
-            seed=seed,
-            wake_times=wake_times,
-            layer_times=_layer_times_for(network, wake_times, engine.wake_steps[t]),
-            trace=engine.trace_for(t),
-            fault_counters=engine.fault_counters_for(t),
-            timings=timings,
-        )
-        if metrics is not None:
-            _record_result_metrics(metrics, result, engine.transmission_counts(t))
-        results.append(result)
-    return results
-
-
-def _run_batched_event(
-    network, algorithm, seeds, max_steps, faults, metrics, timings,
-    trace_level, collision_detection, step_hooks,
-) -> list[BroadcastResult]:
-    """The ``engine="batched_event"`` arm of :func:`run_broadcast_batch`."""
-    # Imported lazily to keep the oblivious array path's import graph flat.
-    from .batched_event import BatchedEventEngine
-
-    engine = BatchedEventEngine(
-        network, algorithm, seeds,
-        faults=faults, metrics=metrics, timings=timings,
+    return simulate(
+        network, algorithm, seeds, engine=engine, max_steps=max_steps,
         trace_level=trace_level, collision_detection=collision_detection,
-        step_hooks=step_hooks,
+        faults=faults, metrics=metrics, timings=timings, spans=spans,
+        step_hooks=step_hooks, allow_large=allow_large,
     )
-    engine.run(max_steps)
-    times = engine.completion_times()
-    results = []
-    for t, seed in enumerate(engine.seeds):
-        completed = times[t] is not None
-        wake_times = engine.wake_times(t)
-        result = BroadcastResult(
-            completed=completed,
-            time=times[t] if completed else engine.trial_steps(t),
-            informed=len(wake_times),
-            n=network.n,
-            radius=network.radius,
-            algorithm=algorithm.name,
-            seed=seed,
-            wake_times=wake_times,
-            layer_times=_layer_times_for(network, wake_times),
-            trace=engine.trace_for(t),
-            fault_counters=engine.fault_counters_for(t),
-            timings=timings,
-        )
-        if metrics is not None:
-            _record_result_metrics(metrics, result, engine.transmission_counts(t))
-        results.append(result)
-    return results

@@ -42,7 +42,8 @@ the reference engine under every plan/trace combination.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -52,10 +53,15 @@ from ..obs.timings import Timings
 from .channel import ChannelKernel
 from .coins import CoinSource, _step_salt
 from .errors import ConfigurationError
-from .fast import ASLEEP, VectorizedAlgorithm, _check_vectorized, run_broadcast_fast
+from .fast import (
+    ASLEEP,
+    FastEngine,
+    VectorizedAlgorithm,
+    _check_vectorized,
+    _wake_dict,
+)
 from .faults import FaultPlan
-from .guard import check_memory_budget
-from .run import BroadcastResult, _layer_times_for, default_max_steps
+from .run import BroadcastResult
 from .trace import Trace, TraceLevel
 
 __all__ = [
@@ -279,17 +285,7 @@ class MacroStepEngine:
         return int(self._awake_wakes[self._awake_count - 1]) + 1
 
     def wake_times(self) -> dict[int, int]:
-        # tolist() first: zipping Python ints is several times faster than
-        # iterating numpy scalars, and at macro scale this dict is the
-        # single most expensive piece of result assembly.
-        steps = self.wake_steps.tolist()
-        labels = self.labels.tolist()
-        if self._awake_count == self.n:
-            return dict(zip(labels, steps))
-        asleep = int(ASLEEP)
-        return {
-            label: ws for label, ws in zip(labels, steps) if ws != asleep
-        }
+        return _wake_dict(self.labels, self.wake_steps)
 
     def transmission_counts(self) -> None:
         return None  # plain runs are never instrumented
@@ -523,6 +519,44 @@ class MacroStepEngine:
         self._awake_count = count + newly.size
 
 
+def _build_macro_engine(
+    network,
+    algorithm: VectorizedAlgorithm,
+    seed: int = 0,
+    faults: FaultPlan | None = None,
+    metrics: MetricsRegistry | None = None,
+    timings: Timings | None = None,
+    trace_level: TraceLevel = TraceLevel.NONE,
+    block_size: int = 64,
+    backend: str = "auto",
+):
+    """The ``macro`` registry entry's construction rule.
+
+    Plain runs (no faults, metrics, timings or traces) get a
+    :class:`MacroStepEngine` on the resolved ``backend``.  Instrumented
+    runs get a :class:`~repro.sim.fast.FastEngine` with the macro plan
+    adapted back into dense masks, so fault/trace/metric semantics live in
+    one engine and the plan decode itself is conformance-tested under
+    every fault and trace combination.
+    """
+    backend = resolve_macro_backend(backend)
+    if (
+        faults is None
+        and metrics is None
+        and timings is None
+        and trace_level is TraceLevel.NONE
+    ):
+        return MacroStepEngine(
+            network, algorithm, seed=seed, block_size=block_size, backend=backend
+        )
+    if getattr(algorithm, "macro_plan", None) is not None:
+        algorithm = _PlanAdaptedAlgorithm(algorithm, block_size)
+    return FastEngine(
+        network, algorithm, seed=seed, faults=faults, metrics=metrics,
+        timings=timings, trace_level=trace_level,
+    )
+
+
 def run_broadcast_macro(
     network,
     algorithm: VectorizedAlgorithm,
@@ -537,78 +571,24 @@ def run_broadcast_macro(
     backend: str = "auto",
     allow_large: bool = False,
 ) -> BroadcastResult:
-    """Macro-step counterpart of :func:`~repro.sim.fast.run_broadcast_fast`.
+    """One run on the ``macro`` engine (see :func:`_build_macro_engine`).
 
-    Bit-identical results (asserted by the conformance suite); the
-    execution strategy depends on the requested instrumentation:
-
-    * **Plain runs** (no faults, metrics, traces, timings or spans)
-      execute on :class:`MacroStepEngine` — the compiled path this module
-      exists for, on the numpy or numba backend per ``backend``.
-    * **Instrumented runs** execute on
-      :class:`~repro.sim.fast.FastEngine` with the macro plan adapted
-      back into dense masks, so fault/trace/metric semantics live in
-      exactly one engine and the plan decode itself is conformance-tested
-      under every fault and trace combination.
-
-    Args:
-        network: Topology — :class:`~repro.sim.network.RadioNetwork` or
-            :class:`~repro.topology.csr.CSRNetwork`.
-        algorithm: Oblivious :class:`~repro.sim.fast.VectorizedAlgorithm`;
-            the optional ``macro_plan`` hook unlocks the batch decode,
-            anything else runs on the per-slot fallback.
-        seed / max_steps / faults / metrics / timings / spans /
-            trace_level: As in :func:`~repro.sim.fast.run_broadcast_fast`.
-        block_size: Macro-step width ``K`` (results never depend on it).
-        backend: ``"auto"`` (default; numba when importable, overridable
-            via ``REPRO_MACRO_BACKEND``), ``"numpy"`` or ``"numba"``.
-        allow_large: Skip the
-            :func:`~repro.sim.guard.check_memory_budget` estimate guard.
+    A thin alias over :func:`~repro.sim.driver.simulate` that binds the
+    two macro-only parameters: ``block_size``, the macro-step width ``K``
+    (results never depend on it), and ``backend`` — ``"auto"`` (default;
+    numba when importable, overridable via ``REPRO_MACRO_BACKEND``),
+    ``"numpy"`` or ``"numba"``.  Results are bit-identical to every other
+    engine (asserted by the conformance suite).
     """
-    _check_vectorized(algorithm)
-    if max_steps is None:
-        max_steps = default_max_steps(network, algorithm)
-    check_memory_budget(
-        network.n, max_steps, trace_level,
-        dense_metrics=metrics is not None, allow_large=allow_large,
+    from .driver import ENGINES, simulate
+
+    spec = replace(
+        ENGINES["macro"],
+        build=partial(_build_macro_engine, block_size=block_size, backend=backend),
     )
-    backend = resolve_macro_backend(backend)
-    instrumented = (
-        faults is not None
-        or metrics is not None
-        or timings is not None
-        or spans is not None
-        or trace_level is not TraceLevel.NONE
+    (result,) = simulate(
+        network, algorithm, [seed], engine=spec, max_steps=max_steps,
+        faults=faults, metrics=metrics, timings=timings, spans=spans,
+        trace_level=trace_level, allow_large=allow_large,
     )
-    if instrumented:
-        algo = (
-            _PlanAdaptedAlgorithm(algorithm, block_size)
-            if getattr(algorithm, "macro_plan", None) is not None
-            else algorithm
-        )
-        return run_broadcast_fast(
-            network, algo, seed=seed, max_steps=max_steps, faults=faults,
-            metrics=metrics, timings=timings, spans=spans,
-            trace_level=trace_level, allow_large=True,  # guarded above
-        )
-    engine = MacroStepEngine(
-        network, algorithm, seed=seed, block_size=block_size, backend=backend
-    )
-    engine.run(max_steps)
-    completed = engine.all_informed
-    time = engine.completion_time if completed else engine.step
-    wake_times = engine.wake_times()
-    return BroadcastResult(
-        completed=completed,
-        time=time,
-        informed=engine.informed_count,
-        n=network.n,
-        radius=network.radius,
-        algorithm=algorithm.name,
-        seed=seed,
-        wake_times=wake_times,
-        layer_times=_layer_times_for(network, wake_times, engine.wake_steps),
-        trace=engine.trace,
-        fault_counters=None,
-        timings=None,
-    )
+    return result

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..obs.metrics import COUNT_BUCKETS, MetricsRegistry, SLOT_BUCKETS
+from ..obs.metrics import MetricsRegistry
 from ..obs.spans import SpanRecorder
 from ..obs.timings import Timings
 
@@ -20,10 +20,8 @@ from ..obs.timings import Timings
 # public location.  Every engine derives per-node randomness through these
 # two functions; tests pin the exact streams.
 from .coins import derive_node_rng, derive_trial_seeds
-from .engine import SynchronousEngine
-from .errors import BroadcastIncompleteError, ConfigurationError
+from .errors import ConfigurationError
 from .faults import FaultCounters, FaultPlan
-from .guard import check_memory_budget
 from .network import RadioNetwork
 from .protocol import BroadcastAlgorithm
 from .trace import Trace, TraceLevel
@@ -104,80 +102,6 @@ class BroadcastResult:
         return self.time / max(1, self.radius)
 
 
-def _layer_times(network: RadioNetwork, wake_times: dict[int, int]) -> tuple[int | None, ...]:
-    times: list[int | None] = []
-    for layer in network.layers():
-        if all(v in wake_times for v in layer):
-            times.append(max(wake_times[v] for v in layer))
-        else:
-            times.append(None)
-    return tuple(times)
-
-
-def _layer_times_from_arrays(
-    depths: "np.ndarray", wake_steps: "np.ndarray"
-) -> tuple[int | None, ...]:
-    """:func:`_layer_times` computed from flat arrays — identical output,
-    no per-node Python loop.  ``depths`` is the BFS depth of every node
-    (e.g. :meth:`~repro.topology.csr.CSRNetwork.depths_array`) and
-    ``wake_steps`` the engine's wake array in the same node order, with
-    sleepers at the int64 max sentinel."""
-    import numpy as np
-
-    asleep = np.iinfo(np.int64).max
-    num_layers = int(depths.max()) + 1
-    totals = np.bincount(depths, minlength=num_layers)
-    informed = wake_steps != asleep
-    informed_depths = depths[informed]
-    settled = np.bincount(informed_depths, minlength=num_layers)
-    latest = np.full(num_layers, np.iinfo(np.int64).min, dtype=np.int64)
-    np.maximum.at(latest, informed_depths, wake_steps[informed])
-    return tuple(
-        int(latest[j]) if settled[j] == totals[j] else None
-        for j in range(num_layers)
-    )
-
-
-def _layer_times_for(
-    network, wake_times: dict[int, int], wake_steps=None
-) -> tuple[int | None, ...]:
-    """Layer times via the array fast path when the network carries
-    precomputed depths (CSR-native topologies; node order == label
-    order), else via the label-dict walk over ``network.layers()``."""
-    depths_fn = getattr(network, "depths_array", None)
-    if depths_fn is not None and wake_steps is not None:
-        return _layer_times_from_arrays(depths_fn(), wake_steps)
-    return _layer_times(network, wake_times)
-
-
-def _record_result_metrics(
-    metrics: MetricsRegistry,
-    result: BroadcastResult,
-    transmission_counts=None,
-) -> None:
-    """Driver-level metric observations for one finished run.
-
-    The per-slot engine counters (``engine_*``) are incremented by the
-    engines themselves; this records the per-*run* summary metrics the
-    canonical registry exposes (names documented in
-    ``docs/OBSERVABILITY.md``).
-    """
-    metrics.counter("runs_total").inc()
-    if result.completed:
-        metrics.counter("runs_completed").inc()
-    metrics.histogram("slots_to_completion", SLOT_BUCKETS).observe(result.time)
-    if transmission_counts is not None:
-        metrics.histogram("transmissions_per_node", COUNT_BUCKETS).observe_many(
-            transmission_counts
-        )
-    counters = result.fault_counters
-    if counters is not None:
-        metrics.counter("faults_crashed_nodes").inc(counters.crashed_nodes)
-        metrics.counter("faults_jammed_slots").inc(counters.jammed_slots)
-        metrics.counter("faults_lost_messages").inc(counters.lost_messages)
-        metrics.counter("faults_delayed_wakes").inc(counters.delayed_wakes)
-
-
 def run_broadcast(
     network: RadioNetwork,
     algorithm: BroadcastAlgorithm,
@@ -195,118 +119,26 @@ def run_broadcast(
 ) -> BroadcastResult:
     """Execute one broadcast and measure its time.
 
-    Args:
-        network: Topology to broadcast on.
-        algorithm: The broadcasting algorithm.
-        seed: Master seed for the per-node RNGs.
-        max_steps: Step limit.  Defaults to
-            :func:`default_max_steps` — the algorithm's own hint, and
-            failing that ``64 * n * (log2(n) + 1)``.
-        trace_level: Channel detail to record.
-        require_completion: Raise
-            :class:`~repro.sim.errors.BroadcastIncompleteError` instead of
-            returning a partial result when the limit is hit.
-        collision_detection: Run the collision-detection model variant
-            (see :class:`~repro.sim.engine.SynchronousEngine`); requires a
-            CD-aware algorithm.
-        faults: Optional :class:`~repro.sim.faults.FaultPlan` injected
-            into the execution; the result then carries
-            :attr:`BroadcastResult.fault_counters`.
-        metrics: Optional :class:`~repro.obs.metrics.MetricsRegistry`.
-            When given, the engine records per-slot counters and this
-            driver observes the per-run summary metrics; the result also
-            carries stage :attr:`BroadcastResult.timings`.  Instrumenting
-            never changes what the run computes.
-        timings: Optional :class:`~repro.obs.timings.Timings` to
-            accumulate into (shared across several runs, e.g. by a sweep
-            point); defaults to a fresh one when ``metrics`` or ``spans``
-            is given.
-        spans: Optional :class:`~repro.obs.spans.SpanRecorder`.  When
-            given, the execution is wrapped in a ``trial`` span with
-            synthetic ``engine.*`` stage children taken from the
-            ``Timings`` delta.  Recording spans never changes the result.
-        engine: ``"reference"`` (the per-node
-            :class:`~repro.sim.engine.SynchronousEngine`, the default) or
-            ``"event"`` (the
-            :class:`~repro.sim.event.EventDrivenEngine`, which skips
-            provably silent slots using protocols'
-            :meth:`~repro.sim.protocol.Protocol.quiet_until` hints).
-            Both produce bit-identical results; ``"event"`` is much
-            faster for adaptive algorithms that implement the hint.
-        allow_large: Skip the up-front memory-estimate guard
-            (:func:`~repro.sim.guard.check_memory_budget`) that refuses
-            FULL traces / dense metrics whose footprint scales past the
-            configured limits.
+    A thin alias over :func:`~repro.sim.driver.simulate` with one seed;
+    every argument means what it means there.  ``engine`` is any
+    registered name (:data:`~repro.sim.driver.ENGINES`): ``"reference"``
+    (the per-node :class:`~repro.sim.engine.SynchronousEngine`, the
+    default), ``"event"`` (skips provably silent slots using protocols'
+    :meth:`~repro.sim.protocol.Protocol.quiet_until` hints), or, for
+    oblivious algorithms, ``"fast"`` / ``"macro"``.  All produce
+    bit-identical results.
 
     Returns:
         A :class:`BroadcastResult`.
     """
-    if engine == "reference":
-        engine_cls = SynchronousEngine
-    elif engine == "event":
-        # Imported lazily to keep the reference path's import graph flat.
-        from .event import EventDrivenEngine
+    from .driver import simulate
 
-        engine_cls = EventDrivenEngine
-    else:
-        raise ConfigurationError(
-            f"unknown engine {engine!r}; expected 'reference' or 'event'"
-        )
-    if max_steps is None:
-        max_steps = default_max_steps(network, algorithm)
-    check_memory_budget(
-        network.n, max_steps, trace_level,
-        dense_metrics=metrics is not None, allow_large=allow_large,
+    (result,) = simulate(
+        network, algorithm, [seed], engine=engine, max_steps=max_steps,
+        trace_level=trace_level, require_completion=require_completion,
+        collision_detection=collision_detection, faults=faults,
+        metrics=metrics, timings=timings, spans=spans, allow_large=allow_large,
     )
-    if timings is None and (metrics is not None or spans is not None):
-        timings = Timings()
-    engine = engine_cls(
-        network,
-        algorithm,
-        seed=seed,
-        trace_level=trace_level,
-        collision_detection=collision_detection,
-        faults=faults,
-        metrics=metrics,
-        timings=timings,
-    )
-    if spans is None:
-        engine.run(max_steps)
-    else:
-        with spans.trial_span(
-            f"trial[{seed}]", timings,
-            seed=seed, algorithm=algorithm.name, n=network.n,
-        ) as trial:
-            engine.run(max_steps)
-            trial.attrs["completed"] = engine.all_informed
-    completed = engine.all_informed
-    time = engine.completion_time if completed else engine.step
-    result = BroadcastResult(
-        completed=completed,
-        time=time,
-        informed=engine.informed_count,
-        n=network.n,
-        radius=network.radius,
-        algorithm=algorithm.name,
-        seed=seed,
-        wake_times=dict(engine.wake_times),
-        layer_times=_layer_times(network, engine.wake_times),
-        trace=engine.trace,
-        fault_counters=(
-            engine.fault_counters.snapshot()
-            if engine.fault_counters is not None
-            else None
-        ),
-        timings=timings,
-    )
-    if metrics is not None:
-        _record_result_metrics(metrics, result, engine.transmission_counts())
-    if require_completion and not completed:
-        raise BroadcastIncompleteError(
-            f"{algorithm.name} informed {result.informed}/{network.n} nodes "
-            f"within {max_steps} steps",
-            result=result,
-        )
     return result
 
 
@@ -331,73 +163,24 @@ def repeat_broadcast(
     deterministic algorithm's trials differ — the loss stream is keyed by
     the trial seed — so the collapse only applies when loss is off.)
 
-    Unless ``engine="reference"`` is forced, all trials execute as one
-    batch through :func:`~repro.sim.fast.run_broadcast_batch`: oblivious
-    algorithms (anything implementing
-    :class:`~repro.sim.fast.VectorizedAlgorithm`) as a ``(trials, n)``
-    array program, every other algorithm through the shared-clock
-    :class:`~repro.sim.batched_event.BatchedEventEngine`.  Per-trial
-    results are identical to the serial path, only faster.
-
-    Args:
-        engine: ``"auto"`` or ``"batch"`` (run all trials as one batch —
-            the two are now synonyms, kept for call-site compatibility),
-            or ``"reference"`` (force the serial per-node engine, e.g.
-            for benchmarking the batch paths against it).
-        faults: Optional :class:`~repro.sim.faults.FaultPlan` applied to
-            every trial (the loss realisation still differs per trial).
-        metrics: Optional :class:`~repro.obs.metrics.MetricsRegistry`
-            shared by every trial.
-        timings: Optional :class:`~repro.obs.timings.Timings` shared by
-            every trial; defaults to a fresh one when ``metrics`` or
-            ``spans`` is given.
-        spans: Optional :class:`~repro.obs.spans.SpanRecorder` shared by
-            every trial (batched execution records one ``trial`` span for
-            the whole batch — its stage costs are joint).
+    A thin alias over :func:`~repro.sim.driver.simulate` with seeds
+    ``derive_trial_seeds(base_seed, runs)``.  The default ``engine="auto"``
+    runs all trials as one batch: oblivious algorithms (anything
+    implementing :class:`~repro.sim.fast.VectorizedAlgorithm`) as a
+    ``(trials, n)`` array program, every other algorithm on the
+    shared-clock :class:`~repro.sim.batched_event.BatchedEventEngine`.
+    Any registered engine name forces that engine (e.g. ``"reference"``
+    to benchmark the batch paths against the serial per-node engine);
+    per-trial results are identical either way.
     """
+    from .driver import simulate
+
     if runs < 1:
         raise ConfigurationError(f"runs must be positive, got {runs}")
-    if engine not in ("auto", "batch", "reference"):
-        raise ConfigurationError(f"unknown engine {engine!r}")
     if algorithm.deterministic and (faults is None or faults.loss_probability == 0.0):
         runs = 1
-    if timings is None and (metrics is not None or spans is not None):
-        timings = Timings()
-    if engine != "reference":
-        # Imported lazily: fast.py imports this module for BroadcastResult.
-        from .fast import run_broadcast_batch
-
-        results = run_broadcast_batch(
-            network,
-            algorithm,
-            trials=runs,
-            base_seed=base_seed,
-            max_steps=max_steps,
-            faults=faults,
-            metrics=metrics,
-            timings=timings,
-            spans=spans,
-        )
-        if require_completion:
-            for result in results:
-                if not result.completed:
-                    raise BroadcastIncompleteError(
-                        f"{algorithm.name} informed {result.informed}/"
-                        f"{network.n} nodes (seed {result.seed})",
-                        result=result,
-                    )
-        return results
-    return [
-        run_broadcast(
-            network,
-            algorithm,
-            seed=seed,
-            max_steps=max_steps,
-            require_completion=require_completion,
-            faults=faults,
-            metrics=metrics,
-            timings=timings,
-            spans=spans,
-        )
-        for seed in derive_trial_seeds(base_seed, runs)
-    ]
+    return simulate(
+        network, algorithm, derive_trial_seeds(base_seed, runs), engine=engine,
+        max_steps=max_steps, require_completion=require_completion,
+        faults=faults, metrics=metrics, timings=timings, spans=spans,
+    )

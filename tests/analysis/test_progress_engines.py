@@ -20,7 +20,7 @@ from repro.analysis.progress import (
 from repro.baselines import BGIBroadcast, RoundRobinBroadcast
 from repro.core import KnownRadiusKP
 from repro.sim import run_broadcast
-from repro.sim.fast import run_broadcast_batch, run_broadcast_fast
+from repro.sim.fast import run_broadcast_batch
 from repro.topology import gnp_connected, path, uniform_complete_layered
 
 
@@ -44,7 +44,7 @@ def test_progress_curves_identical_across_engines(make_net):
     net = make_net()
     for algorithm in _algorithms(net):
         reference = run_broadcast(net, algorithm, seed=11)
-        fast = run_broadcast_fast(net, algorithm, seed=11)
+        fast = run_broadcast(net, algorithm, seed=11, engine="fast")
         batched = run_broadcast_batch(net, algorithm, seeds=[11])[0]
         curve = progress_curve(reference)
         assert progress_curve(fast) == curve
@@ -57,7 +57,7 @@ def test_milestones_and_front_speed_identical_across_engines(make_net):
     net = make_net()
     for algorithm in _algorithms(net):
         reference = run_broadcast(net, algorithm, seed=3)
-        fast = run_broadcast_fast(net, algorithm, seed=3)
+        fast = run_broadcast(net, algorithm, seed=3, engine="fast")
         batched = run_broadcast_batch(net, algorithm, seeds=[3])[0]
         marks = milestones(reference)
         assert milestones(fast) == marks
@@ -76,7 +76,7 @@ def test_batched_trials_each_carry_their_own_curve():
     seeds = [5, 6, 7, 8]
     batch = run_broadcast_batch(net, algorithm, seeds=seeds)
     for seed, batched in zip(seeds, batch):
-        single = run_broadcast_fast(net, algorithm, seed=seed)
+        single = run_broadcast(net, algorithm, seed=seed, engine="fast")
         assert progress_curve(batched) == progress_curve(single)
         assert milestones(batched) == milestones(single)
         assert initially_informed(batched) == 1

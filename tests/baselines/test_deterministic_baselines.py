@@ -13,7 +13,7 @@ from repro.baselines.known_neighbors import KnownNeighborsDFS
 from repro.baselines.round_robin import RoundRobinBroadcast
 from repro.baselines.selective_schedule import SelectiveFamilyBroadcast
 from repro.core.select_and_send import SelectAndSend
-from repro.sim import run_broadcast, run_broadcast_fast
+from repro.sim import run_broadcast
 from repro.sim.errors import ConfigurationError
 from repro.topology import gnp_connected, grid, path, random_tree, star, uniform_complete_layered
 
@@ -57,7 +57,7 @@ class TestSelectiveFamily:
     def test_fast_and_reference_agree(self):
         net = grid(4, 4)
         algo = SelectiveFamilyBroadcast(net.r, "random", seed=3)
-        assert run_broadcast(net, algo).time == run_broadcast_fast(net, algo).time
+        assert run_broadcast(net, algo).time == run_broadcast(net, algo, engine="fast").time
 
 
 class TestInterleaved:
@@ -125,7 +125,7 @@ class TestCentralized:
     def test_fast_and_reference_agree(self):
         net = uniform_complete_layered(50, 5)
         algo = CentralizedGreedySchedule(net)
-        assert run_broadcast(net, algo).time == run_broadcast_fast(net, algo).time
+        assert run_broadcast(net, algo).time == run_broadcast(net, algo, engine="fast").time
 
     def test_near_optimal_on_star(self):
         net = star(30)

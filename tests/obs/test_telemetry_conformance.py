@@ -1,7 +1,7 @@
 """Telemetry purity: spans on vs. off is bit-identical, on every engine.
 
 Same contract the metrics layer is held to (`spans` observe, never
-perturb), checked across all five registered engines via the
+perturb), checked across all six registered engines via the
 cross-engine conformance matrices, and end-to-end through ``run_sweep``:
 payloads and cache bytes must not change when a :class:`TelemetryHub`
 is attached.
@@ -16,19 +16,17 @@ import pytest
 from repro.core import SelectAndSend
 from repro.obs.spans import SpanRecorder
 from repro.obs.telemetry import TelemetryHub
-from repro.sim import run_broadcast
-from repro.sim.fast import run_broadcast_batch, run_broadcast_fast
-from repro.sim.macro import run_broadcast_macro
+from repro.sim import ENGINES, run_broadcast, simulate
 from repro.sweep import ResultCache, SweepSpec, run_sweep
 from repro.topology import gnp_connected, km_hard_layered
 
 from ..sim.conformance import (
-    ENGINES,
     OBLIVIOUS_ALGORITHMS,
     SEEDS,
     adaptive_engines,
     all_engines,
     assert_results_match,
+    engine_spec,
 )
 
 SWEEP_SPEC = dict(
@@ -42,28 +40,10 @@ SWEEP_SPEC = dict(
 
 
 def run_engine(engine, net, make_algo, seeds, recorder=None):
-    """Uniform per-engine runner mirroring the conformance registry's,
-    with the ``spans`` handle threaded through every driver."""
-    if engine in ("reference", "event"):
-        return [
-            run_broadcast(net, make_algo(net), seed=seed, engine=engine,
-                          spans=recorder)
-            for seed in seeds
-        ]
-    if engine == "fast":
-        return [
-            run_broadcast_fast(net, make_algo(net), seed=seed, spans=recorder)
-            for seed in seeds
-        ]
-    if engine.startswith("macro"):
-        backend = "numba" if engine == "macro_numba" else "numpy"
-        return [
-            run_broadcast_macro(net, make_algo(net), seed=seed,
-                                spans=recorder, backend=backend)
-            for seed in seeds
-        ]
-    return run_broadcast_batch(
-        net, make_algo(net), seeds=list(seeds), engine=engine, spans=recorder
+    """One run per seed on a registered engine, with the ``spans``
+    handle threaded through the driver."""
+    return simulate(
+        net, make_algo(net), seeds, engine=engine_spec(engine), spans=recorder
     )
 
 
@@ -85,9 +65,7 @@ def test_spans_do_not_perturb_oblivious_runs(engine):
     json.dumps(events)
 
 
-@pytest.mark.parametrize(
-    "engine", [e for e in adaptive_engines() if ENGINES[e].adaptive]
-)
+@pytest.mark.parametrize("engine", adaptive_engines())
 def test_spans_do_not_perturb_adaptive_runs(engine):
     net = gnp_connected(48, 0.12, seed=7)
     plain = run_engine(engine, net, lambda net: SelectAndSend(), SEEDS)
@@ -97,6 +75,28 @@ def test_spans_do_not_perturb_adaptive_runs(engine):
     )
     for i, (mine, theirs) in enumerate(zip(telemetered, plain)):
         assert_results_match(mine, theirs, (engine, "trial", i))
+
+
+@pytest.mark.parametrize(
+    "engine", [name for name, spec in ENGINES.items() if not spec.batch]
+)
+def test_serial_trial_spans_share_one_vocabulary(engine):
+    """Every serial engine's ``trial[seed]`` span carries the same
+    attributes, ``completed`` included — the driver wraps them all."""
+    net = km_hard_layered(48, 4, seed=5)
+    algorithm = OBLIVIOUS_ALGORITHMS["kp-known-d"](net)
+    events = []
+    result = run_broadcast(
+        net, algorithm, seed=1, engine=engine,
+        spans=SpanRecorder(sink=events.append),
+    )
+    (trial,) = [e for e in events if e["kind"] == "trial"]
+    assert trial["name"] == "trial[1]"
+    assert trial["attrs"] == {
+        "seed": 1, "algorithm": algorithm.name, "n": net.n,
+        "completed": result.completed,
+    }
+    assert result.completed
 
 
 class TestSweepPurity:

@@ -1,22 +1,20 @@
-"""Cross-engine conformance harness: one semantics, five execution strategies.
+"""Cross-engine conformance harness: one semantics, six execution strategies.
 
-Every engine in the repo — the per-node reference
-:class:`~repro.sim.engine.SynchronousEngine`, the vectorised
+Every engine in :data:`repro.sim.ENGINES` — the per-node reference
+:class:`~repro.sim.engine.SynchronousEngine`, the adaptive serial
+:class:`~repro.sim.event.EventDrivenEngine`, the vectorised
 :class:`~repro.sim.fast.FastEngine` and multi-trial
-:class:`~repro.sim.fast.BatchedFastEngine`, the adaptive serial
-:class:`~repro.sim.event.EventDrivenEngine`, and the adaptive batched
+:class:`~repro.sim.fast.BatchedFastEngine`, the sparse
+:class:`~repro.sim.macro.MacroStepEngine`, and the adaptive batched
 :class:`~repro.sim.batched_event.BatchedEventEngine` — is a pure
 execution strategy over the same synchronous radio semantics.  This
-module is the shared substrate the differential tests are built from:
+module is the shared substrate the conformance tests are built from:
 
 * the canonical **matrices** (oblivious algorithms, adaptive protocol
-  cases, topologies, fault plans, trial seeds) that used to be
-  copy-pasted across ``test_differential.py``, ``test_event_engine.py``
-  and ``test_faults.py``;
-* an **engine registry** (:data:`ENGINES`): each engine registers a
-  uniform runner plus capability flags, and ``test_conformance.py``
-  drives every registered engine through the full matrix — adding an
-  engine to the repo means adding one :func:`register_engine` call here;
+  cases, topologies, fault plans, trial seeds);
+* one **runner** (:func:`run_engine`) that drives any registered engine
+  through :func:`~repro.sim.simulate` — adding an engine to the
+  ``repro.sim`` registry puts it under the whole matrix;
 * **comparison helpers** asserting slot-for-slot execution identity
   (results, traces, fault counters, aggregated metrics) against the
   reference engine, including identical *failures*;
@@ -30,8 +28,8 @@ collect it, test modules import from it.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, replace
+from functools import partial
 
 from hypothesis import strategies as st
 
@@ -49,11 +47,11 @@ from repro.core import (
     TokenGossip,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.sim import FaultPlan, run_broadcast
-from repro.sim.errors import ProtocolViolationError
+from repro.sim import ENGINES, FaultPlan, simulate
 from repro.sim._kernels import HAVE_NUMBA
-from repro.sim.fast import run_broadcast_batch, run_broadcast_fast
-from repro.sim.macro import run_broadcast_macro
+from repro.sim.driver import EngineSpec
+from repro.sim.errors import ProtocolViolationError
+from repro.sim.macro import _build_macro_engine
 from repro.sim.messages import CollisionMarker
 from repro.sim.protocol import BroadcastAlgorithm, Protocol
 from repro.sim.trace import TraceLevel
@@ -154,8 +152,31 @@ ADAPTIVE_PLANS = {"none": lambda net: None, "crash-jam-delay": crash_jam_delay_p
 
 
 # ----------------------------------------------------------------------
-# Engine registry
+# Engines: the repro.sim registry, driven through one runner
 # ----------------------------------------------------------------------
+
+#: Engines the matrix holds to metrics identity with the reference
+#: engine; the array engines' counter parity is covered by
+#: ``tests/sim/test_instrumentation.py``.
+METRICS_COMPARABLE = {"reference", "event", "batched_event"}
+
+#: Macro cells, by name -> backend.  They run at block size 37, not the
+#: default 64, so the small matrix topologies cross block boundaries (and
+#: instrumented runs decode the macro plan across blocks); the JIT
+#: backend gets its own cells where numba is importable.
+MACRO_CELLS = {"macro": "numpy", **({"macro_numba": "numba"} if HAVE_NUMBA else {})}
+
+
+def engine_spec(name: str) -> EngineSpec:
+    """The registry entry a conformance cell runs (macro cells bound to
+    their block size and backend)."""
+    backend = MACRO_CELLS.get(name)
+    if backend is None:
+        return ENGINES[name]
+    return replace(
+        ENGINES["macro"],
+        build=partial(_build_macro_engine, block_size=37, backend=backend),
+    )
 
 
 @dataclass(frozen=True)
@@ -170,153 +191,34 @@ class Outcome:
     error: str | None = None
 
 
-@dataclass(frozen=True)
-class EngineSpec:
-    """A registered engine: a uniform runner plus capability flags.
-
-    ``runner(net, algorithm_factory, seeds, faults, max_steps,
-    trace_level, collision_detection, with_metrics)`` must execute one
-    independent run per seed and return an :class:`Outcome`.  Serial
-    engines loop (one shared metrics registry, mirroring the batch
-    aggregate); batch engines run all seeds at once.
-
-    Capability flags gate matrix cells, they never weaken assertions:
-    an engine that *claims* a capability is held to bit-identity on it.
-    """
-
-    name: str
-    runner: Callable[..., Outcome]
-    #: Runs arbitrary BroadcastAlgorithm protocols (vs. oblivious only).
-    adaptive: bool = True
-    #: Records channel traces / supports the CD variant / records metrics
-    #: comparably to the reference engine.
-    traces: bool = True
-    collision_detection: bool = True
-    metrics: bool = True
-
-
-ENGINES: dict[str, EngineSpec] = {}
-
-
-def register_engine(spec: EngineSpec) -> EngineSpec:
-    if spec.name in ENGINES:
-        raise ValueError(f"engine {spec.name!r} already registered")
-    ENGINES[spec.name] = spec
-    return spec
-
-
-def _serial_runner(engine: str):
-    def run(net, make_algo, seeds, faults=None, max_steps=4000,
-            trace_level=TraceLevel.NONE, collision_detection=False,
-            with_metrics=False) -> Outcome:
-        metrics = MetricsRegistry() if with_metrics else None
-        results = []
-        for seed in seeds:
-            try:
-                results.append(run_broadcast(
-                    net, make_algo(net), seed=seed, engine=engine,
-                    faults=faults, max_steps=max_steps,
-                    trace_level=trace_level,
-                    collision_detection=collision_detection,
-                    metrics=metrics, require_completion=False,
-                ))
-            except ProtocolViolationError as exc:
-                return Outcome(tuple(results), None, str(exc))
-        return Outcome(
-            tuple(results), metrics.to_dict() if metrics else None, None
-        )
-
-    return run
-
-
-def _fast_runner(net, make_algo, seeds, faults=None, max_steps=4000,
-                 trace_level=TraceLevel.NONE, collision_detection=False,
-                 with_metrics=False) -> Outcome:
+def run_engine(engine, net, make_algo, seeds, faults=None, max_steps=4000,
+               trace_level=TraceLevel.NONE, collision_detection=False,
+               with_metrics=False) -> Outcome:
+    """One independent run per seed on a registered engine, through
+    :func:`~repro.sim.simulate` — serial engines loop over the seeds,
+    batch engines run them at once, one shared metrics registry either
+    way."""
     metrics = MetricsRegistry() if with_metrics else None
-    results = [
-        run_broadcast_fast(
-            net, make_algo(net), seed=seed, faults=faults,
-            max_steps=max_steps, metrics=metrics, trace_level=trace_level,
+    try:
+        results = simulate(
+            net, make_algo(net), seeds, engine=engine_spec(engine), faults=faults,
+            max_steps=max_steps, trace_level=trace_level,
+            collision_detection=collision_detection, metrics=metrics,
         )
-        for seed in seeds
-    ]
+    except ProtocolViolationError as exc:
+        return Outcome((), None, str(exc))
     return Outcome(tuple(results), metrics.to_dict() if metrics else None, None)
-
-
-def _macro_runner(backend: str):
-    def run(net, make_algo, seeds, faults=None, max_steps=4000,
-            trace_level=TraceLevel.NONE, collision_detection=False,
-            with_metrics=False) -> Outcome:
-        metrics = MetricsRegistry() if with_metrics else None
-        results = [
-            run_broadcast_macro(
-                net, make_algo(net), seed=seed, faults=faults,
-                max_steps=max_steps, metrics=metrics,
-                trace_level=trace_level, backend=backend, block_size=37,
-            )
-            for seed in seeds
-        ]
-        return Outcome(
-            tuple(results), metrics.to_dict() if metrics else None, None
-        )
-
-    return run
-
-
-def _batch_runner(engine: str):
-    def run(net, make_algo, seeds, faults=None, max_steps=4000,
-            trace_level=TraceLevel.NONE, collision_detection=False,
-            with_metrics=False) -> Outcome:
-        metrics = MetricsRegistry() if with_metrics else None
-        kwargs = {"trace_level": trace_level}
-        if engine == "batched_event":
-            kwargs["collision_detection"] = collision_detection
-        try:
-            results = run_broadcast_batch(
-                net, make_algo(net), seeds=list(seeds), engine=engine,
-                faults=faults, max_steps=max_steps, metrics=metrics,
-                **kwargs,
-            )
-        except ProtocolViolationError as exc:
-            return Outcome((), None, str(exc))
-        return Outcome(
-            tuple(results), metrics.to_dict() if metrics else None, None
-        )
-
-    return run
-
-
-register_engine(EngineSpec("reference", _serial_runner("reference")))
-register_engine(EngineSpec("event", _serial_runner("event")))
-register_engine(EngineSpec(
-    "fast", _fast_runner,
-    adaptive=False, collision_detection=False, metrics=False,
-))
-register_engine(EngineSpec(
-    "batched_fast", _batch_runner("batched_fast"),
-    adaptive=False, collision_detection=False, metrics=False,
-))
-register_engine(EngineSpec("batched_event", _batch_runner("batched_event")))
-register_engine(EngineSpec(
-    "macro", _macro_runner("numpy"),
-    adaptive=False, collision_detection=False, metrics=False,
-))
-if HAVE_NUMBA:  # the JIT backend registers only where numba is importable
-    register_engine(EngineSpec(
-        "macro_numba", _macro_runner("numba"),
-        adaptive=False, collision_detection=False, metrics=False,
-    ))
 
 
 def adaptive_engines() -> list[str]:
     """Engines able to run arbitrary protocols (reference first)."""
-    names = sorted(ENGINES, key=lambda n: (n != "reference", n))
-    return [n for n in names if ENGINES[n].adaptive]
+    return [n for n in all_engines() if not engine_spec(n).oblivious_only]
 
 
 def all_engines() -> list[str]:
-    """Every registered engine, reference first."""
-    return sorted(ENGINES, key=lambda n: (n != "reference", n))
+    """Every registered engine plus the macro cells, reference first."""
+    return sorted(set(ENGINES) | set(MACRO_CELLS),
+                  key=lambda n: (n != "reference", n))
 
 
 # ----------------------------------------------------------------------

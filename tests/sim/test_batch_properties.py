@@ -21,7 +21,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.baselines import BGIBroadcast, RoundRobinBroadcast
 from repro.core import KnownRadiusKP
-from repro.sim.fast import BatchedFastEngine, run_broadcast_batch, run_broadcast_fast
+from repro.sim import run_broadcast
+from repro.sim.fast import BatchedFastEngine, run_broadcast_batch
 from repro.topology import gnp_connected, path, star
 
 SETTINGS = settings(max_examples=20, deadline=None)
@@ -78,7 +79,7 @@ def test_permuting_seeds_permutes_results(net, algo_index, seeds, permutation):
 def test_batch_of_one_equals_single_trial(net, algo_index, seed):
     make = ALGORITHMS[algo_index]
     (batched,) = run_broadcast_batch(net, make(net), seeds=[seed])
-    single = run_broadcast_fast(net, make(net), seed=seed)
+    single = run_broadcast(net, make(net), seed=seed, engine="fast")
     assert _fingerprint(batched) == _fingerprint(single)
     assert batched.informed == single.informed
     assert batched.layer_times == single.layer_times

@@ -1,23 +1,34 @@
 """Drive every registered engine through the shared conformance matrices.
 
-The harness (``tests/sim/conformance.py``) owns the matrices, the engine
-registry, and the assertion helpers; this module is just the loop.  Each
-matrix cell computes the reference engine's outcome once and holds every
-other registered engine to execution identity against it — including
-identical failures, slot-for-slot traces, and aggregated metrics for the
-engines that claim those capabilities.
+The harness (``tests/sim/conformance.py``) owns the matrices, the runner,
+and the assertion helpers; this module is just the loop.  Each matrix
+cell computes the reference engine's outcome once and holds every other
+engine in the ``repro.sim`` registry to execution identity against it —
+including identical failures, slot-for-slot traces, and aggregated
+metrics for the engines that record them comparably.  The last tests pin
+the public entry points and what the driver does once for every engine.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.baselines import RoundRobinBroadcast
+from repro.core import KnownRadiusKP
+from repro.sim import (
+    ConfigurationError,
+    ENGINES,
+    run_broadcast,
+    run_broadcast_batch,
+    simulate,
+)
 from repro.sim.trace import TraceLevel
+from repro.topology import gnp_random_csr, path
 
 from .conformance import (
     ADAPTIVE_CASES,
     ADAPTIVE_PLANS,
-    ENGINES,
+    METRICS_COMPARABLE,
     OBLIVIOUS_ALGORITHMS,
     OBLIVIOUS_PLANS,
     OBLIVIOUS_TOPOLOGIES,
@@ -26,6 +37,7 @@ from .conformance import (
     all_engines,
     assert_outcomes_match,
     full_fault_plan,
+    run_engine,
 )
 
 
@@ -50,8 +62,8 @@ def test_all_engines_conform_oblivious(networks, algo_name, topo, plan_name):
     plan = OBLIVIOUS_PLANS[plan_name](net)
     budget = 120 if plan is not None else 4000
 
-    reference = ENGINES["reference"].runner(
-        net, make, SEEDS, faults=plan, max_steps=budget,
+    reference = run_engine(
+        "reference", net, make, SEEDS, faults=plan, max_steps=budget,
     )
     if plan is None:
         for result in reference.results:
@@ -59,8 +71,8 @@ def test_all_engines_conform_oblivious(networks, algo_name, topo, plan_name):
     for name in all_engines():
         if name == "reference":
             continue
-        candidate = ENGINES[name].runner(
-            net, make, SEEDS, faults=plan, max_steps=budget,
+        candidate = run_engine(
+            name, net, make, SEEDS, faults=plan, max_steps=budget,
         )
         assert_outcomes_match(
             candidate, reference, key=(name, algo_name, topo, plan_name),
@@ -73,7 +85,7 @@ def test_all_engines_conform_oblivious(networks, algo_name, topo, plan_name):
 def test_all_engines_record_identical_full_traces(
     networks, algo_name, topo, plan_name
 ):
-    """The oblivious matrix again, at ``TraceLevel.FULL``: all five
+    """The oblivious matrix again, at ``TraceLevel.FULL``: all six
     engines must record bit-identical channel traces, and the forensic
     reports derived from them — propagation DAG, slot taxonomy, summary
     scalars — must be bit-equal too (``assert_results_match`` derives
@@ -83,17 +95,15 @@ def test_all_engines_record_identical_full_traces(
     plan = OBLIVIOUS_PLANS[plan_name](net)
     budget = 120 if plan is not None else 4000
 
-    reference = ENGINES["reference"].runner(
-        net, make, SEEDS, faults=plan, max_steps=budget,
+    reference = run_engine(
+        "reference", net, make, SEEDS, faults=plan, max_steps=budget,
         trace_level=TraceLevel.FULL,
     )
     for name in all_engines():
         if name == "reference":
             continue
-        spec = ENGINES[name]
-        assert spec.traces, f"{name} no longer claims trace support"
-        candidate = spec.runner(
-            net, make, SEEDS, faults=plan, max_steps=budget,
+        candidate = run_engine(
+            name, net, make, SEEDS, faults=plan, max_steps=budget,
             trace_level=TraceLevel.FULL,
         )
         assert_outcomes_match(
@@ -115,21 +125,19 @@ def test_adaptive_engines_conform_slot_for_slot(case, plan_name):
 
     outcomes = {}
     for name in adaptive_engines():
-        spec = ENGINES[name]
-        if cd and not spec.collision_detection:
+        if cd and not ENGINES[name].collision_detection:
             continue
-        outcomes[name] = spec.runner(
-            net, make, SEEDS, faults=plan, max_steps=4000,
+        outcomes[name] = run_engine(
+            name, net, make, SEEDS, faults=plan, max_steps=4000,
             trace_level=TraceLevel.FULL, collision_detection=cd,
             with_metrics=True,
         )
     reference = outcomes.pop("reference")
     assert reference.error is None, (case, plan_name)
     for name, candidate in outcomes.items():
-        spec = ENGINES[name]
         assert_outcomes_match(
             candidate, reference, key=(name, case, plan_name),
-            compare_traces=spec.traces, compare_metrics=spec.metrics,
+            compare_traces=True, compare_metrics=name in METRICS_COMPARABLE,
         )
 
 
@@ -144,15 +152,15 @@ def test_adaptive_engines_fail_identically_under_loss():
     plan = full_fault_plan(net)
     make = lambda _net: SelectAndSend()  # noqa: E731
 
-    reference = ENGINES["reference"].runner(
-        net, make, SEEDS, faults=plan, max_steps=4000,
+    reference = run_engine(
+        "reference", net, make, SEEDS, faults=plan, max_steps=4000,
     )
     assert reference.error is not None  # the plan does break this run
     for name in adaptive_engines():
         if name == "reference":
             continue
-        candidate = ENGINES[name].runner(
-            net, make, SEEDS, faults=plan, max_steps=4000,
+        candidate = run_engine(
+            name, net, make, SEEDS, faults=plan, max_steps=4000,
         )
         assert candidate.error == reference.error, name
 
@@ -166,12 +174,62 @@ def test_engines_agree_on_incomplete_runs(algo_name):
     make = OBLIVIOUS_ALGORITHMS[algo_name]
     budget = 3
 
-    reference = ENGINES["reference"].runner(net, make, [1], max_steps=budget)
+    reference = run_engine("reference", net, make, [1], max_steps=budget)
     (ref_result,) = reference.results
     assert not ref_result.completed
     assert ref_result.time == budget
     for name in all_engines():
         if name == "reference":
             continue
-        candidate = ENGINES[name].runner(net, make, [1], max_steps=budget)
+        candidate = run_engine(name, net, make, [1], max_steps=budget)
         assert_outcomes_match(candidate, reference, key=(name, algo_name))
+
+
+@pytest.mark.parametrize("topo", sorted(OBLIVIOUS_TOPOLOGIES))
+@pytest.mark.parametrize("algo_name", ["kp-known-d", "round-robin"])
+def test_public_entry_points_agree(networks, topo, algo_name):
+    """The user-facing drivers — one run each way — produce identical
+    executions.  (The exhaustive matrix above goes through the shared
+    runner; this pins the public API shape: default arguments, one seed
+    at a time.)"""
+    net = networks[topo]
+    make = OBLIVIOUS_ALGORITHMS[algo_name]
+
+    batched = run_broadcast_batch(net, make(net), seeds=SEEDS)
+    for seed, from_batch in zip(SEEDS, batched):
+        reference = run_broadcast(net, make(net), seed=seed)
+        fast = run_broadcast(net, make(net), seed=seed, engine="fast")
+
+        assert reference.completed and fast.completed and from_batch.completed, (
+            topo, algo_name, seed,
+        )
+        assert fast.wake_times == reference.wake_times, (topo, algo_name, seed)
+        assert from_batch.wake_times == reference.wake_times, (topo, algo_name, seed)
+        assert fast.time == reference.time == from_batch.time
+        assert fast.layer_times == reference.layer_times == from_batch.layer_times
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+def test_negative_max_steps_rejected_on_every_engine(engine):
+    """The driver validates the step limit once, so no engine can turn
+    ``max_steps=-1`` into a silent 0-slot result."""
+    net = path(6)
+    with pytest.raises(ConfigurationError, match="max_steps"):
+        simulate(net, RoundRobinBroadcast(net.r), [0], engine=engine, max_steps=-1)
+
+
+def test_csr_topologies_run_on_per_node_engines():
+    """CSR-native topologies run on every single-run engine: the driver
+    converts them for the engines that need per-node adjacency."""
+    net = gnp_random_csr(200, 8 / 200, seed=1)
+    results = {
+        engine: run_broadcast(
+            net, KnownRadiusKP(net.r, net.radius), seed=3, engine=engine
+        )
+        for engine in ("reference", "event", "macro")
+    }
+    reference = results.pop("reference")
+    assert reference.completed
+    for engine, result in results.items():
+        assert result.wake_times == reference.wake_times, engine
+        assert result.layer_times == reference.layer_times, engine

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro.baselines.round_robin import RoundRobinBroadcast
 from repro.baselines.selective_schedule import SelectiveFamilyBroadcast
 from repro.sim.errors import ConfigurationError
-from repro.sim.fast import ASLEEP, FastEngine, run_broadcast_fast
+from repro.sim.fast import ASLEEP, FastEngine
 from repro.sim.network import RadioNetwork
 from repro.sim.run import run_broadcast
 from repro.topology import gnp_connected, grid, path, star, uniform_complete_layered
@@ -101,7 +101,7 @@ def test_cross_engine_equivalence_round_robin(make_net):
     net = make_net()
     algo = RoundRobinBroadcast(net.r)
     ref = run_broadcast(net, algo)
-    fast = run_broadcast_fast(net, algo)
+    fast = run_broadcast(net, algo, engine="fast")
     assert ref.completed and fast.completed
     assert ref.time == fast.time
     assert ref.wake_times == fast.wake_times
@@ -111,7 +111,7 @@ def test_cross_engine_equivalence_selective_family():
     net = gnp_connected(20, 0.3, seed=2)
     algo = SelectiveFamilyBroadcast(net.r, "random", seed=4)
     ref = run_broadcast(net, algo)
-    fast = run_broadcast_fast(net, algo)
+    fast = run_broadcast(net, algo, engine="fast")
     assert ref.time == fast.time
     assert ref.wake_times == fast.wake_times
 
@@ -126,7 +126,7 @@ def test_directed_network_fast_engine():
 
 def test_run_broadcast_fast_incomplete_result():
     net = path(5)
-    result = run_broadcast_fast(net, _MaskSchedule({}), max_steps=3)
+    result = run_broadcast(net, _MaskSchedule({}), max_steps=3, engine="fast")
     assert not result.completed
     assert result.informed == 1
     assert result.time == 3
@@ -142,4 +142,4 @@ def test_cross_engine_property_random_trees(n, seed):
     edges = [(i, rng.randrange(i)) for i in range(1, n)]
     net = RadioNetwork.undirected(range(n), edges)
     algo = RoundRobinBroadcast(net.r)
-    assert run_broadcast(net, algo).time == run_broadcast_fast(net, algo).time
+    assert run_broadcast(net, algo).time == run_broadcast(net, algo, engine="fast").time

@@ -1,6 +1,6 @@
 """Fault-injection layer: plan validation, per-family semantics, counters.
 
-The differential suite (``test_differential.py``) pins cross-engine
+The conformance suite (``test_conformance.py``) pins cross-engine
 bit-identity; this module pins what the faults *mean* — mostly on the
 reference engine, whose per-node execution is the specification — plus
 round-trips of the declarative plan and a property-based check that a

@@ -15,7 +15,7 @@ from repro.baselines import BGIBroadcast, RoundRobinBroadcast
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.timings import Timings
 from repro.sim import run_broadcast
-from repro.sim.fast import run_broadcast_batch, run_broadcast_fast
+from repro.sim.fast import run_broadcast_batch
 from repro.sim.serialization import result_from_dict, result_to_dict
 from repro.topology import gnp_connected, path, uniform_complete_layered
 
@@ -46,9 +46,9 @@ class TestResultsUnchanged:
     def test_fast_engine(self):
         net = _net()
         algorithm = BGIBroadcast(net.r)
-        plain = run_broadcast_fast(net, algorithm, seed=SEED)
-        instrumented = run_broadcast_fast(net, algorithm, seed=SEED,
-                                          metrics=MetricsRegistry())
+        plain = run_broadcast(net, algorithm, seed=SEED, engine="fast")
+        instrumented = run_broadcast(net, algorithm, seed=SEED,
+                                     metrics=MetricsRegistry(), engine="fast")
         assert _result_key(instrumented) == _result_key(plain)
 
     def test_batched_engine(self):
@@ -76,7 +76,7 @@ class TestCounterParity:
         algorithm = RoundRobinBroadcast(net.r)
         ref, fast = MetricsRegistry(), MetricsRegistry()
         run_broadcast(net, algorithm, seed=SEED, metrics=ref)
-        run_broadcast_fast(net, algorithm, seed=SEED, metrics=fast)
+        run_broadcast(net, algorithm, seed=SEED, metrics=fast, engine="fast")
         assert fast.to_dict() == ref.to_dict()
 
     def test_batched_matches_serial_reference(self):
@@ -124,9 +124,9 @@ class TestProfilingIdentity:
 
         net = _net()
         algorithm = BGIBroadcast(net.r)
-        plain = run_broadcast_fast(net, algorithm, seed=SEED)
+        plain = run_broadcast(net, algorithm, seed=SEED, engine="fast")
         profiled, stats = profile_call(
-            lambda: run_broadcast_fast(net, algorithm, seed=SEED)
+            lambda: run_broadcast(net, algorithm, seed=SEED, engine="fast")
         )
         assert _result_key(profiled) == _result_key(plain)
         assert stats.total_calls > 0
@@ -201,8 +201,8 @@ class TestTimings:
 
     def test_fast_engine_stage_names(self):
         net = path(8)
-        result = run_broadcast_fast(net, RoundRobinBroadcast(net.r), seed=0,
-                                    metrics=MetricsRegistry())
+        result = run_broadcast(net, RoundRobinBroadcast(net.r), seed=0,
+                               metrics=MetricsRegistry(), engine="fast")
         stages = set(result.timings.stages)
         assert {"engine.coins", "engine.channel", "engine.step"} <= stages
 

@@ -18,9 +18,13 @@ from hypothesis import strategies as st
 import repro.sim.guard as guard
 from repro.baselines.round_robin import RoundRobinBroadcast
 from repro.core.randomized import KnownRadiusKP, OptimalRandomizedBroadcasting
-from repro.sim import ConfigurationError, TraceLevel, check_memory_budget
+from repro.sim import (
+    ConfigurationError,
+    TraceLevel,
+    check_memory_budget,
+    run_broadcast,
+)
 from repro.sim._kernels import HAVE_NUMBA
-from repro.sim.fast import run_broadcast_fast
 from repro.sim.macro import (
     MacroStepEngine,
     resolve_macro_backend,
@@ -46,8 +50,8 @@ class TestBlockSizeInvariance:
     )
     def test_results_never_depend_on_k(self, block_size, seed):
         net = km_hard_layered_csr(60, 4, seed=3)
-        baseline = run_broadcast_fast(
-            net, KnownRadiusKP(net.r, net.radius), seed=seed
+        baseline = run_broadcast(
+            net, KnownRadiusKP(net.r, net.radius), seed=seed, engine="fast"
         )
         result = run_broadcast_macro(
             net, KnownRadiusKP(net.r, net.radius), seed=seed,
@@ -58,8 +62,8 @@ class TestBlockSizeInvariance:
     def test_partial_runs_report_executed_slots(self):
         net = gnp_random_csr(200, 10 / 200, seed=1)
         for budget in (1, 2, 5, 17):
-            fast = run_broadcast_fast(
-                net, KnownRadiusKP(net.r, net.radius), seed=3, max_steps=budget
+            fast = run_broadcast(
+                net, KnownRadiusKP(net.r, net.radius), seed=3, max_steps=budget, engine="fast"
             )
             macro = run_broadcast_macro(
                 net, KnownRadiusKP(net.r, net.radius), seed=3,
@@ -133,7 +137,7 @@ class TestMemoryGuard:
         net = gnp_random_csr(50, 0.2, seed=0)
         algo = KnownRadiusKP(net.r, net.radius)
         with pytest.raises(ConfigurationError):
-            run_broadcast_fast(net, algo, trace_level=TraceLevel.FULL)
+            run_broadcast(net, algo, trace_level=TraceLevel.FULL, engine="fast")
         with pytest.raises(ConfigurationError):
             run_broadcast_macro(net, algo, trace_level=TraceLevel.FULL)
         # the documented escape hatch actually runs
@@ -153,8 +157,8 @@ class TestLargeNSpotChecks:
         net = gnp_random_csr(n, 8 / n, seed=13)
         algo = KnownRadiusKP(net.r, net.radius)
         budget = 120
-        fast = run_broadcast_fast(net, KnownRadiusKP(net.r, net.radius),
-                                  seed=7, max_steps=budget)
+        fast = run_broadcast(net, KnownRadiusKP(net.r, net.radius),
+                             seed=7, max_steps=budget, engine="fast")
         macro = run_broadcast_macro(net, algo, seed=7, max_steps=budget,
                                     block_size=64)
         assert _summary(macro) == _summary(fast)
@@ -162,8 +166,8 @@ class TestLargeNSpotChecks:
     def test_layered_50k_identity(self):
         net = km_hard_layered_csr(50_000, 12, seed=5)
         budget = 200
-        fast = run_broadcast_fast(net, KnownRadiusKP(net.r, net.radius),
-                                  seed=2, max_steps=budget)
+        fast = run_broadcast(net, KnownRadiusKP(net.r, net.radius),
+                             seed=2, max_steps=budget, engine="fast")
         macro = run_broadcast_macro(net, KnownRadiusKP(net.r, net.radius),
                                     seed=2, max_steps=budget, block_size=128)
         assert _summary(macro) == _summary(fast)
@@ -172,6 +176,6 @@ class TestLargeNSpotChecks:
         # The macro engine is not CSR-only: dict-of-sets topologies run
         # through the same ChannelKernel compilation.
         net = km_hard_layered(2_000, 8, seed=9)
-        fast = run_broadcast_fast(net, KnownRadiusKP(net.r, 8), seed=1)
+        fast = run_broadcast(net, KnownRadiusKP(net.r, 8), seed=1, engine="fast")
         macro = run_broadcast_macro(net, KnownRadiusKP(net.r, 8), seed=1)
         assert _summary(macro) == _summary(fast)

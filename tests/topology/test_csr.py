@@ -13,9 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.randomized import KnownRadiusKP
+from repro.sim import run_broadcast
 from repro.sim.channel import ChannelKernel
 from repro.sim.errors import ConfigurationError
-from repro.sim.fast import run_broadcast_fast
 from repro.topology import (
     CSRNetwork,
     complete_layered,
@@ -145,10 +145,10 @@ class TestEngineAdoption:
         csr = km_hard_layered_csr(90, 5, seed=4)
         legacy = csr.to_radio_network()
         for seed in (0, 1):
-            a = run_broadcast_fast(csr, KnownRadiusKP(csr.r, csr.radius),
-                                   seed=seed)
-            b = run_broadcast_fast(legacy, KnownRadiusKP(legacy.r, csr.radius),
-                                   seed=seed)
+            a = run_broadcast(csr, KnownRadiusKP(csr.r, csr.radius),
+                              seed=seed, engine="fast")
+            b = run_broadcast(legacy, KnownRadiusKP(legacy.r, csr.radius),
+                              seed=seed, engine="fast")
             assert a.wake_times == b.wake_times
             assert a.time == b.time and a.layer_times == b.layer_times
 

@@ -128,10 +128,10 @@ def test_directed_complete_layered_arcs_forward_only():
 
 def test_directed_layered_runs_kp(topology_zoo=None):
     from repro.core import KnownRadiusKP
-    from repro.sim import run_broadcast, run_broadcast_fast
+    from repro.sim import run_broadcast
     from repro.topology import directed_complete_layered
 
     net = directed_complete_layered([1, 8, 16, 4, 10])
     algo = KnownRadiusKP(net.r, net.radius)
     assert run_broadcast(net, algo, seed=2).completed
-    assert run_broadcast_fast(net, algo, seed=2).completed
+    assert run_broadcast(net, algo, seed=2, engine="fast").completed
