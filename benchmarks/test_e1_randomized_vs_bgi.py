@@ -32,7 +32,7 @@ def test_e1(benchmark, table_reporter):
     net = km_hard_layered(1024, 256, seed=17)
     benchmark.pedantic(
         lambda: run_broadcast(
-            net, KnownRadiusKP(net.r, 256), seed=0, engine="fast"
+            net, KnownRadiusKP(net.r, 256), seed=0, engine="macro"
         ),
         rounds=3, iterations=1,
     )

@@ -31,7 +31,7 @@ def test_e2(benchmark, table_reporter):
     net = km_hard_layered(512, 64, seed=23)
     benchmark.pedantic(
         lambda: run_broadcast(
-            net, KnownRadiusKP(net.r, 64), seed=1, engine="fast"
+            net, KnownRadiusKP(net.r, 64), seed=1, engine="macro"
         ),
         rounds=3, iterations=1,
     )

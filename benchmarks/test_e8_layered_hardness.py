@@ -30,7 +30,7 @@ def test_e8(benchmark, table_reporter):
     net = km_hard_layered(512, 128, seed=31)
     benchmark.pedantic(
         lambda: run_broadcast(
-            net, KnownRadiusKP(net.r, 128), seed=0, engine="fast"
+            net, KnownRadiusKP(net.r, 128), seed=0, engine="macro"
         ),
         rounds=3, iterations=1,
     )

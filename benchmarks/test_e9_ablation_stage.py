@@ -30,7 +30,7 @@ def test_e9(benchmark, table_reporter):
     net = complete_layered([1] * 50 + [300] + [1] * 50)
     benchmark.pedantic(
         lambda: run_broadcast(
-            net, KnownRadiusKP(net.r, net.radius), seed=0, engine="fast"
+            net, KnownRadiusKP(net.r, net.radius), seed=0, engine="macro"
         ),
         rounds=3, iterations=1,
     )

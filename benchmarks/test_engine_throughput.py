@@ -26,7 +26,7 @@ from repro.topology import gnp_connected, km_hard_layered
 #: the full workloads belong to ``repro bench``).
 REGISTRY_BENCHES = [
     "reference_engine",
-    "fast_engine",
+    "macro_fallback_engine",
     "batched_engine",
     "topology_generation",
     "universal_sequence",
@@ -93,16 +93,16 @@ def test_batched_vs_serial_repeat_broadcast(table_reporter):
     assert speedup >= 5.0, f"batched speedup only {speedup:.1f}x"
 
 
-def test_fast_engine_setup_cost(benchmark):
-    """Adjacency build + first slot: the fixed cost per run."""
-    from repro.sim.fast import FastEngine
+def test_macro_engine_setup_cost(benchmark):
+    """Kernel build + first slot: the fixed cost per run."""
+    from repro.sim.macro import MacroStepEngine
 
     net = km_hard_layered(2048, 128, seed=3)
     algo = RoundRobinBroadcast(net.r)
 
     def setup_and_step():
-        engine = FastEngine(net, algo, seed=0)
-        engine.run_step()
+        engine = MacroStepEngine(net, algo, seed=0)
+        engine.run(1)
         return engine
 
     engine = benchmark(setup_and_step)

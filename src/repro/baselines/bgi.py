@@ -92,12 +92,12 @@ class BGIBroadcast(BroadcastAlgorithm):
     def create(self, label: int, r: int, rng: random.Random) -> Protocol:
         return _DecayProtocol(label, r, rng, self.phase_len)
 
-    # -- fast engine -------------------------------------------------------
+    # -- array engines ------------------------------------------------------
 
     def reset_run(self, shape: int | tuple[int, int]) -> None:
-        """Called by the fast engines before a run.
+        """Called by the array engines before a run.
 
-        ``shape`` is ``n`` on :class:`~repro.sim.fast.FastEngine` and
+        ``shape`` is ``n`` on :class:`~repro.sim.macro.MacroStepEngine` and
         ``(trials, n)`` on :class:`~repro.sim.fast.BatchedFastEngine`.
         """
         self._active_mask = np.zeros(shape, dtype=bool)

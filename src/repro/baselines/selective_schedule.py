@@ -17,7 +17,7 @@ This baseline matters for two of the paper's discussions:
   *size lower bound* powers the paper's jamming construction.
 
 Both a deterministic (Kautz–Singleton) and a randomized-family variant are
-available; both are oblivious, so they run on the fast engine.
+available; both are oblivious, so they run on the array engines.
 """
 
 from __future__ import annotations
@@ -110,7 +110,7 @@ class SelectiveFamilyBroadcast(BroadcastAlgorithm):
         slots = [label in member for member in self._sets]
         return _ScheduleProtocol(label, r, rng, slots)
 
-    # -- fast engine -------------------------------------------------------
+    # -- array engines ------------------------------------------------------
 
     def _membership_matrix(self, labels: np.ndarray) -> np.ndarray:
         if self._matrix_labels is None or not np.array_equal(self._matrix_labels, labels):

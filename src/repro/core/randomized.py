@@ -15,7 +15,7 @@ Structure, following the paper exactly:
   ``D = 2, 4, ..., r`` removes the assumption that D is known.
 
 Both a per-node :class:`~repro.sim.protocol.Protocol` (reference engine)
-and a vectorised schedule (fast engine) are provided; they implement the
+and a vectorised schedule (array engines) are provided; they implement the
 same probability timetable.
 
 Fidelity knobs
@@ -209,7 +209,7 @@ class _PhasedAlgorithm(BroadcastAlgorithm):
     def create(self, label: int, r: int, rng: random.Random) -> Protocol:
         return _StageProtocol(label, r, rng, self._phases, self._phase_starts)
 
-    # -- fast engine -------------------------------------------------------
+    # -- array engines ------------------------------------------------------
 
     def transmit_mask(
         self,

@@ -12,7 +12,7 @@ paper's algorithms and checks the semantics end to end:
 * message loss degrades broadcasting time monotonically;
 * a jam window on a receiver delays its wake past the window, and an
   adversarial wake-up delay acts as a completion-time floor;
-* all three engines (reference, fast, batched) produce bit-identical
+* all three engines (reference, macro, batched) produce bit-identical
   faulty executions — wake times and fault counters alike.
 """
 
@@ -135,20 +135,20 @@ def run(quick: bool = False) -> ExperimentReport:
     )
     for trial, seed in enumerate((0, 1, 2)):
         ref = run_broadcast(net, bgi, seed=seed, max_steps=max_steps, faults=plan)
-        fast = run_broadcast(
-            net, bgi, seed=seed, max_steps=max_steps, faults=plan, engine="fast"
+        macro = run_broadcast(
+            net, bgi, seed=seed, max_steps=max_steps, faults=plan, engine="macro"
         )
         same = (
-            ref.wake_times == fast.wake_times == batch[trial].wake_times
-            and ref.time == fast.time == batch[trial].time
+            ref.wake_times == macro.wake_times == batch[trial].wake_times
+            and ref.time == macro.time == batch[trial].time
             and ref.fault_counters
-            == fast.fault_counters
+            == macro.fault_counters
             == batch[trial].fault_counters
         )
         parity &= same
         details.append(f"seed {seed}: {'ok' if same else 'MISMATCH'}")
     report.check(
-        "reference, fast, and batched engines agree bit-for-bit under faults",
+        "reference, macro, and batched engines agree bit-for-bit under faults",
         parity,
         "; ".join(details),
     )

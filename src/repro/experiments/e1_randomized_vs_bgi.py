@@ -124,7 +124,7 @@ def run(quick: bool = False, seeds: int | None = None) -> ExperimentReport:
     golden_net = km_hard_layered(256, 16, seed=17)
     add_forensic_golden(
         report, golden_net, lambda: KnownRadiusKP(golden_net.r, 16),
-        seed=3, engines=("reference", "event", "fast"),
+        seed=3, engines=("reference", "event", "macro"),
         expected={
             "slots": 106,
             "informed": 256,

@@ -182,11 +182,12 @@ def _reference_engine(quick: bool):
 
 
 @register(
-    "fast_engine",
-    tags=("engine", "fast"),
-    description="Single-run vectorised engine, BGI Decay on km_hard_layered",
+    "macro_fallback_engine",
+    tags=("engine", "macro"),
+    description="Single-run macro engine on its per-slot fallback path "
+    "(BGI Decay has no macro plan) on km_hard_layered",
 )
-def _fast_engine(quick: bool):
+def _macro_fallback_engine(quick: bool):
     from ..baselines import BGIBroadcast
     from ..sim import run_broadcast
     from ..topology import km_hard_layered
@@ -194,7 +195,7 @@ def _fast_engine(quick: bool):
     n, depth = (256, 32) if quick else (1024, 64)
     net = km_hard_layered(n, depth, seed=3)
     algorithm = BGIBroadcast(net.r)
-    return lambda: run_broadcast(net, algorithm, seed=1, engine="fast")
+    return lambda: run_broadcast(net, algorithm, seed=1, engine="macro")
 
 
 @register(

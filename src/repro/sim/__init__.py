@@ -22,7 +22,6 @@ from .errors import (
 from .fast import (
     ASLEEP,
     BatchedFastEngine,
-    FastEngine,
     VectorizedAlgorithm,
     run_broadcast_batch,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "ENGINES",
     "EngineSpec",
     "EventDrivenEngine",
-    "FastEngine",
     "FaultCounters",
     "FaultPlan",
     "MacroPlan",

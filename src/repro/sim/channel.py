@@ -5,16 +5,17 @@ have, and who was the unique one?" — is the inner loop of every engine.
 The reference :class:`~repro.sim.engine.SynchronousEngine` resolves it
 with per-edge dict updates, which is exact but costs a Python-level
 operation per edge per slot.  This module compiles the topology once into
-flat CSR arrays so the two fast families share one kernel:
+flat CSR arrays so the fast engines share one kernel:
 
 * :class:`~repro.sim.event.EventDrivenEngine` calls :meth:`ChannelKernel.
   resolve` with the (typically tiny) set of transmitter indices — a
   neighbour-slice gather plus one ``np.bincount``.
-* :class:`~repro.sim.fast.FastEngine` and
-  :class:`~repro.sim.fast.BatchedFastEngine` use the
-  :attr:`ChannelKernel.adjacency` / :attr:`ChannelKernel.adjacency_t`
-  scipy matrices built from the same arrays, resolving the whole (or the
-  whole batch of) transmit mask(s) with one sparse product.
+* :class:`~repro.sim.macro.MacroStepEngine` gathers the transmitters'
+  (or the sleepers') neighbour lists from the same CSR arrays directly.
+* :class:`~repro.sim.fast.BatchedFastEngine` uses the
+  :attr:`ChannelKernel.adjacency_t` scipy matrix built from the same
+  arrays, resolving the whole batch of transmit masks with one sparse
+  product.
 
 Node *indices* are positions in the sorted label array
 (:attr:`ChannelKernel.labels`), the same convention ``sim/fast.py`` has

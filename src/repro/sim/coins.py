@@ -1,10 +1,11 @@
 """Shared randomness derivation for every execution path.
 
-All three engines — the per-node reference engine
-(:class:`~repro.sim.engine.SynchronousEngine`), the vectorised
-:class:`~repro.sim.fast.FastEngine`, and the batched multi-trial
-:class:`~repro.sim.fast.BatchedFastEngine` — must produce *identical*
-executions for the same ``(network, algorithm, seed)``.  Two pieces make
+Every engine — the per-node reference engine
+(:class:`~repro.sim.engine.SynchronousEngine`), the sparse single-run
+:class:`~repro.sim.macro.MacroStepEngine`, the batched multi-trial
+:class:`~repro.sim.fast.BatchedFastEngine`, and the event engines — must
+produce *identical* executions for the same ``(network, algorithm,
+seed)``.  Two pieces make
 that possible:
 
 * **Per-node RNG derivation.**  Node ``v`` of a run with master seed ``s``
@@ -19,7 +20,7 @@ that possible:
   ``uniform(s, v, t)`` of the master seed, the label, and the slot — a
   splitmix64-style hash, bit-identical between the scalar implementation
   (:meth:`NodeRandom.coin`, used by protocols) and the vectorised one
-  (:meth:`CoinSource.uniform`, used by the fast engines).  Batching over
+  (:meth:`CoinSource.uniform`, used by the array engines).  Batching over
   trials is then just a second key axis.
 
 Trial seeds for Monte-Carlo repetition are derived by
@@ -129,7 +130,7 @@ def derive_node_rng(seed: int, label: int) -> NodeRandom:
     """Derive node ``label``'s private RNG for a run with master ``seed``.
 
     The single derivation point shared by every engine (the reference
-    engine constructs protocols with it; the fast engines build their
+    engine constructs protocols with it; the array engines build their
     :class:`CoinSource` keys from the same ``(seed, label)`` pairs).
     """
     return NodeRandom(seed, label)

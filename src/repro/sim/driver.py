@@ -1,6 +1,6 @@
 """The engine registry and the one driver on top of it.
 
-Six engines execute the same synchronous radio semantics (the
+Five engines execute the same synchronous radio semantics (the
 conformance suite holds them to bit-identical results); they differ only
 in execution strategy and in what they can run.  :data:`ENGINES` names
 them and records the capabilities the driver checks; :func:`simulate`
@@ -32,16 +32,10 @@ from .batched_event import BatchedEventEngine
 from .engine import SynchronousEngine
 from .errors import BroadcastIncompleteError, ConfigurationError
 from .event import EventDrivenEngine
-from .fast import (
-    ASLEEP,
-    BatchedFastEngine,
-    FastEngine,
-    VectorizedAlgorithm,
-    _check_vectorized,
-)
+from .fast import ASLEEP, BatchedFastEngine, VectorizedAlgorithm, _check_vectorized
 from .faults import FaultPlan
 from .guard import check_memory_budget
-from .macro import MacroStepEngine, _build_macro_engine
+from .macro import MacroStepEngine
 from .run import BroadcastResult, default_max_steps
 from .trace import TraceLevel
 
@@ -54,7 +48,10 @@ class EngineSpec:
 
     Attributes:
         name: Registry key (the ``engine=`` argument of every driver).
-        engine_cls: The engine class.  Serial engines are constructed as
+        engine_cls: The engine class (or a ``partial`` of it binding
+            engine-specific parameters, as
+            :func:`~repro.sim.macro.run_broadcast_macro` binds the macro
+            block size and backend).  Serial engines are constructed as
             ``engine_cls(network, algorithm, seed=..., ...)``, batch
             engines as ``engine_cls(network, algorithm, seeds, ...)``.
         oblivious_only: Runs only
@@ -66,19 +63,15 @@ class EngineSpec:
             (``step_hooks=``, one per seed).
         needs_adjacency: Reads per-node neighbour maps, so CSR-native
             topologies are converted with ``to_radio_network()`` first.
-        build: Construction rule replacing the plain constructor call,
-            for engines whose class depends on the requested
-            instrumentation (``macro``).
     """
 
     name: str
-    engine_cls: type
+    engine_cls: Callable[..., object]
     oblivious_only: bool = False
     batch: bool = False
     collision_detection: bool = False
     step_hooks: bool = False
     needs_adjacency: bool = False
-    build: Callable[..., object] | None = None
 
 
 #: Every engine in the repo, by name.
@@ -89,9 +82,7 @@ ENGINES: dict[str, EngineSpec] = {
                    needs_adjacency=True),
         EngineSpec("event", EventDrivenEngine, collision_detection=True,
                    needs_adjacency=True),
-        EngineSpec("fast", FastEngine, oblivious_only=True),
-        EngineSpec("macro", MacroStepEngine, oblivious_only=True,
-                   build=_build_macro_engine),
+        EngineSpec("macro", MacroStepEngine, oblivious_only=True),
         EngineSpec("batched_fast", BatchedFastEngine, oblivious_only=True,
                    batch=True),
         EngineSpec("batched_event", BatchedEventEngine, batch=True,
@@ -219,8 +210,9 @@ def simulate(
             span_name = f"batch[{len(run_seeds)}]"
             span_attrs = {"trials": len(run_seeds)}
         else:
-            construct = spec.build or spec.engine_cls
-            engine_obj = construct(network, algorithm, seed=run_seeds[0], **kwargs)
+            engine_obj = spec.engine_cls(
+                network, algorithm, seed=run_seeds[0], **kwargs
+            )
             span_name = f"trial[{run_seeds[0]}]"
             span_attrs = {"seed": run_seeds[0]}
         with (

@@ -5,24 +5,25 @@ algorithm and BGI Decay — as well as the round-robin and selective-family
 deterministic baselines are *oblivious*: a node's decision to transmit in
 slot ``t`` depends only on ``(t, label, wake slot, coin flips)``, never on
 received message contents.  For such algorithms the channel can be resolved
-with one sparse matrix-vector product per slot, which makes the large
-parameter sweeps of EXPERIMENTS.md feasible in pure Python.
+with one sparse matrix product per slot, which makes the large parameter
+sweeps of EXPERIMENTS.md feasible in pure Python.
 
-Two engines live here:
-
-* :class:`FastEngine` — one run, per-node state vectors of shape ``(n,)``.
-* :class:`BatchedFastEngine` — ``T`` independent Monte-Carlo trials at
-  once, state lifted to ``(T, n)``; one sparse product per slot resolves
-  the channel for *every* trial simultaneously.  This is the workhorse of
-  :func:`run_broadcast_batch` and the sweep runner.
+This module holds the vectorised interface (:class:`VectorizedAlgorithm`)
+and :class:`BatchedFastEngine`, which runs ``T`` independent Monte-Carlo
+trials at once with state lifted to ``(T, n)``: one sparse product per
+slot resolves the channel for *every* trial simultaneously.  It is the
+workhorse of :func:`run_broadcast_batch` and the sweep runner.  Single
+runs go to the sparse macro-step engine
+(:class:`~repro.sim.macro.MacroStepEngine`).
 
 *Adaptive* algorithms — the paper's token algorithms, whose decisions do
 depend on message contents — cannot be vectorised this way, but they have
 their own fast path: the event-driven engine in :mod:`repro.sim.event`,
-driven by ``Protocol.quiet_until`` idle hints.  Both engine families
-resolve the channel from the same precompiled topology,
+driven by ``Protocol.quiet_until`` idle hints.  Every engine family
+resolves the channel from the same precompiled topology,
 :class:`repro.sim.channel.ChannelKernel` — this module uses its sparse
-``adjacency`` views, the event engine its CSR neighbour arrays.
+``adjacency_t`` view, the event and macro engines its CSR neighbour
+arrays.
 
 Semantics are identical to :class:`repro.sim.engine.SynchronousEngine`
 (verified per-node, per-slot by ``tests/sim/test_conformance.py``):
@@ -53,7 +54,6 @@ from .trace import Trace, TraceLevel
 
 __all__ = [
     "VectorizedAlgorithm",
-    "FastEngine",
     "BatchedFastEngine",
     "run_broadcast_batch",
     "ASLEEP",
@@ -90,7 +90,7 @@ class VectorizedAlgorithm(TypingProtocol):
             labels: ``int64`` array of node labels (fixed across steps),
                 always of shape ``(n,)``.
             wake_steps: ``int64`` array; ``ASLEEP`` for uninformed nodes.
-                Shape ``(n,)`` on :class:`FastEngine`, ``(trials, n)`` on
+                Shape ``(n,)`` on single-run engines, ``(trials, n)`` on
                 :class:`BatchedFastEngine`.  Implementations may ignore
                 sleepers — the engine masks them out — but must not let
                 them influence other nodes.
@@ -124,272 +124,14 @@ def _check_vectorized(algorithm) -> None:
         )
 
 
-class FastEngine:
-    """Array-based synchronous engine for a single run.
-
-    Args:
-        network: Topology (directed or undirected).
-        algorithm: An oblivious algorithm implementing
-            :class:`VectorizedAlgorithm`.
-        seed: Master seed; coins are the slot-indexed flips of
-            :mod:`repro.sim.coins`, identical to what the reference
-            engine's per-node protocols draw.
-        faults: Optional :class:`~repro.sim.faults.FaultPlan`; applied
-            with exactly the reference engine's semantics.
-        metrics: Optional :class:`~repro.obs.metrics.MetricsRegistry`
-            (slot/transmission/collision instruments, identical names and
-            semantics to the reference engine's).
-        timings: Optional :class:`~repro.obs.timings.Timings` accumulating
-            the stages ``engine.coins``, ``engine.channel``,
-            ``engine.faults`` (⊂ channel), and ``engine.step``.
-        trace_level: Channel detail to record into :attr:`trace` —
-            identical records to the reference engine's (transmitters,
-            deliveries, collisions, woken; asserted by the conformance
-            suite).  ``NONE`` (the default) records nothing and adds no
-            per-slot work beyond one attribute check.
-    """
-
-    def __init__(
-        self,
-        network: RadioNetwork,
-        algorithm: VectorizedAlgorithm,
-        seed: int = 0,
-        faults: FaultPlan | None = None,
-        metrics: MetricsRegistry | None = None,
-        timings: Timings | None = None,
-        trace_level: TraceLevel = TraceLevel.NONE,
-    ):
-        _check_vectorized(algorithm)
-        self.network = network
-        self.algorithm = algorithm
-        self.seed = seed
-        kernel = ChannelKernel(network)
-        self.labels = kernel.labels
-        self._index = kernel.index
-        self.adjacency = kernel.adjacency
-        self.coins = CoinSource.for_run(seed, self.labels)
-        self.trace = Trace(level=trace_level)
-        self.trace.mark_initially_informed(network.source)
-        self._tracing = trace_level is not TraceLevel.NONE
-        self._trace_full = trace_level is TraceLevel.FULL
-        # Sender identification for FULL traces: at a receiver with
-        # exactly one transmitting in-neighbour, the weighted hit count
-        # (weight index + 1) *is* that sender's index + 1.
-        self._weights = (
-            np.arange(network.n, dtype=np.int64) + 1 if self._trace_full else None
-        )
-        self.wake_steps = np.full(network.n, ASLEEP, dtype=np.int64)
-        self.wake_steps[self._index[network.source]] = -1
-        # Hot-loop scratch buffers: the per-slot int32 transmit vector and
-        # the boolean collision temporaries are written in place instead of
-        # freshly allocated every slot (see run_step).
-        self._mask_i32 = np.empty(network.n, dtype=np.int32)
-        self._coll_buf = np.empty(network.n, dtype=bool)
-        self._not_tx_buf = np.empty(network.n, dtype=bool)
-        self.step = 0
-        self.timings = timings
-        self.metrics = metrics
-        self._tx_counts: np.ndarray | None = None
-        if metrics is not None:
-            self._slots_counter = metrics.counter("engine_slots")
-            self._tx_counter = metrics.counter("engine_transmissions")
-            self._collision_hist = metrics.histogram(
-                "collisions_per_slot", COUNT_BUCKETS
-            )
-            self._tx_counts = np.zeros(network.n, dtype=np.int64)
-        self.faults = faults
-        self.fault_counters: FaultCounters | None = None
-        self._cf: CompiledFaults | None = None
-        if faults is not None:
-            self._cf = compile_faults(
-                faults, network, self._index, self.labels,
-                [derive_fault_seed(faults.seed, seed)],
-            )
-            self.fault_counters = FaultCounters()
-            self.trace.fault_counters = self.fault_counters
-        # Stateful schedules (e.g. Decay's per-phase activity mask) get a
-        # fresh-run notification so algorithm objects can be reused.
-        reset = getattr(algorithm, "reset_run", None)
-        if reset is not None:
-            reset(network.n)
-
-    # ------------------------------------------------------------------
-
-    @property
-    def awake(self) -> np.ndarray:
-        """Boolean mask of informed nodes."""
-        return self.wake_steps != ASLEEP
-
-    @property
-    def all_informed(self) -> bool:
-        return bool(self.awake.all())
-
-    @property
-    def informed_count(self) -> int:
-        return int(self.awake.sum())
-
-    @property
-    def all_settled(self) -> bool:
-        """No further wake possible: informed, or crashed while asleep."""
-        cf = self._cf
-        if cf is None or not cf.has_crashes:
-            return self.all_informed
-        return bool((self.awake | (cf.crash_slots <= self.step)).all())
-
-    def run_step(self) -> np.ndarray:
-        """Execute one slot; returns the boolean transmit mask used."""
-        step = self.step
-        awake = self.awake
-        cf = self._cf
-        timings = self.timings
-        t_start = perf_counter() if timings is not None else 0.0
-        alive = None
-        if cf is not None:
-            counters = self.fault_counters
-            counters.crashed_nodes += cf.crash_counts.get(step, 0)
-            counters.jammed_slots += len(cf.jam_indices.get(step, ()))
-            if cf.has_crashes:
-                alive = cf.crash_slots > step
-        mask = self.algorithm.transmit_mask(
-            step, self.labels, self.wake_steps, self.network.r, self.coins
-        )
-        if timings is not None:
-            t_coins = perf_counter()
-            timings.add("engine.coins", t_coins - t_start)
-        mask = np.asarray(mask, dtype=bool) & awake  # no spontaneous transmissions
-        if alive is not None:
-            mask &= alive  # crashed nodes are silent forever
-        n_coll = 0
-        newly = rec_deliver = trace_hits = None
-        if mask.any():
-            mask_i32 = self._mask_i32
-            mask_i32[:] = mask  # in-place bool -> int32 cast, no allocation
-            hits = mask_i32 @ self.adjacency
-            hits = np.asarray(hits).ravel()
-            trace_hits = hits
-            if self.metrics is not None:
-                coll = np.greater_equal(hits, 2, out=self._coll_buf)
-                coll &= np.logical_not(mask, out=self._not_tx_buf)
-                n_coll = int(coll.sum())
-            if cf is None:
-                # Exactly-one rule; transmitters cannot receive (half-duplex)
-                # but they are already informed, so only sleepers matter.
-                newly = (~awake) & (hits == 1)
-                if self._trace_full:
-                    rec_deliver = (hits == 1) & ~mask
-            else:
-                # Fault pipeline, identical to the reference engine:
-                # crash -> jam -> loss -> wake-delay.
-                t_faults = perf_counter() if timings is not None else 0.0
-                delivered = (hits == 1) & ~mask
-                if alive is not None:
-                    delivered &= alive
-                jammed = cf.jam_indices.get(step)
-                if jammed is not None and jammed.size:
-                    delivered[jammed] = False
-                if cf.loss_probability > 0.0 and delivered.any():
-                    lost = delivered & (
-                        cf.loss_coins.uniform(step) < cf.loss_probability
-                    )
-                    counters.lost_messages += int(lost.sum())
-                    delivered &= ~lost
-                sleeping = delivered & ~awake
-                if cf.has_delays:
-                    delayed = sleeping & (step < cf.deaf_until)
-                    counters.delayed_wakes += int(delayed.sum())
-                    newly = sleeping & ~delayed
-                else:
-                    newly = sleeping
-                if self._trace_full:
-                    # Awake receivers hear too (already informed, never
-                    # deaf); sleepers only count if they actually woke.
-                    rec_deliver = (delivered & awake) | newly
-                if timings is not None:
-                    timings.add("engine.faults", perf_counter() - t_faults)
-            self.wake_steps[newly] = step
-        if timings is not None:
-            t_end = perf_counter()
-            timings.add("engine.channel", t_end - t_coins)
-            timings.add("engine.step", t_end - t_start)
-        if self.metrics is not None:
-            self._slots_counter.inc()
-            self._tx_counter.inc(int(mask.sum()))
-            self._tx_counts += mask
-            self._collision_hist.observe(n_coll)
-        if self._tracing:
-            self._record_step(step, mask, trace_hits, alive, rec_deliver, newly)
-        self.step += 1
-        return mask
-
-    def _record_step(self, step, mask, hits, alive, rec_deliver, newly) -> None:
-        """Append slot ``step`` to :attr:`trace` (reference-identical)."""
-        labels = self.labels
-        transmitters: tuple[int, ...] = ()
-        deliveries: dict[int, int] = {}
-        collisions: tuple[int, ...] = ()
-        woken: tuple[int, ...] = ()
-        if hits is not None:  # someone transmitted this slot
-            transmitters = tuple(int(v) for v in labels[mask])
-            woken = tuple(int(v) for v in labels[newly])
-            if self._trace_full:
-                colls = (hits >= 2) & ~mask
-                if alive is not None:
-                    colls &= alive
-                collisions = tuple(int(v) for v in labels[colls])
-                if rec_deliver.any():
-                    senders = np.asarray(
-                        (mask * self._weights) @ self.adjacency
-                    ).ravel()
-                    deliveries = {
-                        int(labels[i]): int(labels[senders[i] - 1])
-                        for i in np.flatnonzero(rec_deliver)
-                    }
-        self.trace.record(
-            step=step,
-            transmitters=transmitters,
-            deliveries=deliveries,
-            collisions=collisions,
-            woken=woken,
-            informed=self.informed_count,
-        )
-
-    def run(self, max_steps: int, stop_when_informed: bool = True) -> int:
-        """Run until completion or the step limit; returns slots executed."""
-        executed = 0
-        while executed < max_steps:
-            if stop_when_informed and self.all_settled:
-                break
-            self.run_step()
-            executed += 1
-        return executed
-
-    @property
-    def completion_time(self) -> int | None:
-        """Slots needed to inform every node, or ``None`` if incomplete."""
-        if not self.all_informed:
-            return None
-        return int(self.wake_steps.max()) + 1
-
-    def wake_times(self) -> dict[int, int]:
-        """Map informed labels to their wake slots."""
-        return _wake_dict(self.labels, self.wake_steps)
-
-    def transmission_counts(self) -> list[int] | None:
-        """Per-node transmission tallies (label order); ``None`` when
-        the engine ran uninstrumented."""
-        if self._tx_counts is None:
-            return None
-        return [int(c) for c in self._tx_counts]
-
-
 class BatchedFastEngine:
     """Array-based engine running ``T`` independent trials in lock-step.
 
     Per-node state is lifted to shape ``(trials, n)``; one sparse product
     per slot resolves the channel of every trial at once.  Trial ``t``
-    executes *exactly* the run that ``FastEngine(network, algorithm,
-    seeds[t])`` would — same coin flips, same wake slots — because coins
-    are slot-indexed per ``(seed, label)`` and carry no cross-trial state.
+    executes *exactly* the single run with master seed ``seeds[t]`` — same
+    coin flips, same wake slots — because coins are slot-indexed per
+    ``(seed, label)`` and carry no cross-trial state.
 
     Args:
         network: Topology (directed or undirected).
@@ -399,8 +141,8 @@ class BatchedFastEngine:
         faults: Optional :class:`~repro.sim.faults.FaultPlan`; crashes,
             jams and delays are identical across trials (the fault
             environment is the adversary), while the loss stream is keyed
-            per trial seed — trial ``t`` reproduces exactly
-            ``FastEngine(network, algorithm, seeds[t], faults=faults)``.
+            per trial seed — trial ``t`` reproduces exactly the single
+            run with seed ``seeds[t]`` under ``faults``.
         metrics: Optional :class:`~repro.obs.metrics.MetricsRegistry`.
             Tallies are *per-trial-slot* and filtered to active
             (unsettled) trials, so they match what the ``trials``
@@ -450,9 +192,9 @@ class BatchedFastEngine:
                 self._trace_weights = np.arange(network.n, dtype=np.int64) + 1
         self.wake_steps = np.full((self.trials, network.n), ASLEEP, dtype=np.int64)
         self.wake_steps[:, self._index[network.source]] = -1
-        # Hot-loop scratch buffers (see FastEngine): per-slot int32
-        # transmit matrix and boolean collision temporaries, written in
-        # place instead of freshly allocated every slot.
+        # Hot-loop scratch buffers: per-slot int32 transmit matrix and
+        # boolean collision temporaries, written in place instead of
+        # freshly allocated every slot.
         self._mask_i32 = np.empty((network.n, self.trials), dtype=np.int32)
         self._coll_buf = np.empty((self.trials, network.n), dtype=bool)
         self._not_tx_buf = np.empty((self.trials, network.n), dtype=bool)
@@ -598,8 +340,8 @@ class BatchedFastEngine:
                 if self._trace_full:
                     rec_deliver = (hits == 1) & ~mask
             else:
-                # Fault pipeline, identical to FastEngine per trial row:
-                # crash -> jam -> loss -> wake-delay.
+                # Fault pipeline, identical to the reference engine per
+                # trial row: crash -> jam -> loss -> wake-delay.
                 t_faults = perf_counter() if timings is not None else 0.0
                 delivered = (hits == 1) & ~mask
                 if alive is not None:

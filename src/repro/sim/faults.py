@@ -263,9 +263,9 @@ def scalar_loss_coin(fault_seed: int, receiver: int, step: int) -> float:
 class CompiledFaults:
     """A :class:`FaultPlan` lowered onto one engine's node indexing.
 
-    Shared by :class:`~repro.sim.fast.FastEngine` (coin keys of shape
-    ``(n,)``) and :class:`~repro.sim.fast.BatchedFastEngine` (``(T, n)``,
-    one loss stream per trial).
+    Shared by :class:`~repro.sim.macro.MacroStepEngine` (coin keys of
+    shape ``(n,)``) and :class:`~repro.sim.fast.BatchedFastEngine`
+    (``(T, n)``, one loss stream per trial).
 
     Attributes:
         crash_slots: ``(n,)`` int64; :data:`NEVER` where the node never

@@ -125,8 +125,8 @@ def run_broadcast(
     (the per-node :class:`~repro.sim.engine.SynchronousEngine`, the
     default), ``"event"`` (skips provably silent slots using protocols'
     :meth:`~repro.sim.protocol.Protocol.quiet_until` hints), or, for
-    oblivious algorithms, ``"fast"`` / ``"macro"``.  All produce
-    bit-identical results.
+    oblivious algorithms, ``"macro"`` (the sparse macro-step engine).  All
+    produce bit-identical results.
 
     Returns:
         A :class:`BroadcastResult`.

@@ -4,7 +4,7 @@ A sweep is described by a :class:`SweepSpec` (topology family, parameter
 grids, algorithm, trial count), expanded into self-contained
 :class:`SweepPoint` cells, and executed by :func:`run_sweep` — cache
 misses are sharded across worker processes while each point's trials run
-as one batched array program on the fast engine.  Results persist in a
+as one batched array program on the batched fast engine.  Results persist in a
 content-addressed JSON cache under ``benchmarks/results/sweep-cache``.
 """
 

@@ -9,8 +9,8 @@ costs minutes and gigabytes before a single slot runs.  This module
 samples instances *directly into* the flat CSR form the kernels consume:
 
 * :class:`CSRNetwork` — an identity-labelled (``label == index``) network
-  backed by ``(indptr, indices)`` arrays, duck-compatible with the fast
-  and macro engines (the :class:`~repro.sim.channel.ChannelKernel`
+  backed by ``(indptr, indices)`` arrays, duck-compatible with the array
+  engines (the :class:`~repro.sim.channel.ChannelKernel`
   recognises :meth:`CSRNetwork.csr_arrays` and adopts the arrays without
   copying).
 * :func:`gnp_random_csr` — G(n, p) via geometric-gap skip sampling over
@@ -97,9 +97,9 @@ class CSRNetwork:
     :class:`~repro.sim.network.RadioNetwork` into, which is what lets the
     kernel adopt these arrays as-is (zero-copy) via :meth:`csr_arrays`.
 
-    The vectorised engines (:class:`~repro.sim.fast.FastEngine`,
-    :class:`~repro.sim.fast.BatchedFastEngine`, and the macro-step path)
-    run on a ``CSRNetwork`` directly.  The per-node reference engines
+    The array engines (:class:`~repro.sim.macro.MacroStepEngine` and
+    :class:`~repro.sim.fast.BatchedFastEngine`) run on a ``CSRNetwork``
+    directly.  The per-node reference engines
     need dict neighbour maps; convert with :meth:`to_radio_network`
     (small instances only).
 

@@ -44,10 +44,10 @@ def test_progress_curves_identical_across_engines(make_net):
     net = make_net()
     for algorithm in _algorithms(net):
         reference = run_broadcast(net, algorithm, seed=11)
-        fast = run_broadcast(net, algorithm, seed=11, engine="fast")
+        macro = run_broadcast(net, algorithm, seed=11, engine="macro")
         batched = run_broadcast_batch(net, algorithm, seeds=[11])[0]
         curve = progress_curve(reference)
-        assert progress_curve(fast) == curve
+        assert progress_curve(macro) == curve
         assert progress_curve(batched) == curve
         assert curve[-1] == net.n
 
@@ -57,14 +57,14 @@ def test_milestones_and_front_speed_identical_across_engines(make_net):
     net = make_net()
     for algorithm in _algorithms(net):
         reference = run_broadcast(net, algorithm, seed=3)
-        fast = run_broadcast(net, algorithm, seed=3, engine="fast")
+        macro = run_broadcast(net, algorithm, seed=3, engine="macro")
         batched = run_broadcast_batch(net, algorithm, seeds=[3])[0]
         marks = milestones(reference)
-        assert milestones(fast) == marks
+        assert milestones(macro) == marks
         assert milestones(batched) == marks
         assert marks.full == reference.time
         speed = front_speed(reference)
-        assert front_speed(fast) == speed
+        assert front_speed(macro) == speed
         assert front_speed(batched) == speed
 
 
@@ -76,7 +76,7 @@ def test_batched_trials_each_carry_their_own_curve():
     seeds = [5, 6, 7, 8]
     batch = run_broadcast_batch(net, algorithm, seeds=seeds)
     for seed, batched in zip(seeds, batch):
-        single = run_broadcast(net, algorithm, seed=seed, engine="fast")
+        single = run_broadcast(net, algorithm, seed=seed, engine="macro")
         assert progress_curve(batched) == progress_curve(single)
         assert milestones(batched) == milestones(single)
         assert initially_informed(batched) == 1

@@ -31,7 +31,7 @@ def test_completes_on_zoo(topology_zoo):
 
 def test_fast_engine_completes():
     net = km_hard_layered(300, 12, seed=0)
-    result = run_broadcast(net, BGIBroadcast(net.r), seed=5, engine="fast")
+    result = run_broadcast(net, BGIBroadcast(net.r), seed=5, engine="macro")
     assert result.completed
 
 
@@ -75,7 +75,7 @@ def test_decay_activity_is_monotone_within_phase():
 
 def test_seeds_vary_times():
     net = uniform_complete_layered(150, 6)
-    times = {run_broadcast(net, BGIBroadcast(net.r), seed=s, engine="fast").time for s in range(6)}
+    times = {run_broadcast(net, BGIBroadcast(net.r), seed=s, engine="macro").time for s in range(6)}
     assert len(times) > 1
 
 
@@ -83,5 +83,5 @@ def test_engines_agree_in_distribution():
     net = uniform_complete_layered(100, 5)
     algo = BGIBroadcast(net.r)
     ref = sum(run_broadcast(net, algo, seed=s).time for s in range(6)) / 6
-    fast = sum(run_broadcast(net, algo, seed=s, engine="fast").time for s in range(6)) / 6
-    assert 0.5 < ref / fast < 2.0
+    macro = sum(run_broadcast(net, algo, seed=s, engine="macro").time for s in range(6)) / 6
+    assert 0.5 < ref / macro < 2.0

@@ -57,7 +57,7 @@ class TestSelectiveFamily:
     def test_fast_and_reference_agree(self):
         net = grid(4, 4)
         algo = SelectiveFamilyBroadcast(net.r, "random", seed=3)
-        assert run_broadcast(net, algo).time == run_broadcast(net, algo, engine="fast").time
+        assert run_broadcast(net, algo).time == run_broadcast(net, algo, engine="macro").time
 
 
 class TestInterleaved:
@@ -125,7 +125,7 @@ class TestCentralized:
     def test_fast_and_reference_agree(self):
         net = uniform_complete_layered(50, 5)
         algo = CentralizedGreedySchedule(net)
-        assert run_broadcast(net, algo).time == run_broadcast(net, algo, engine="fast").time
+        assert run_broadcast(net, algo).time == run_broadcast(net, algo, engine="macro").time
 
     def test_near_optimal_on_star(self):
         net = star(30)

@@ -80,7 +80,7 @@ class TestKnownRadiusKP:
 
     def test_fast_engine_completes(self):
         net = km_hard_layered(256, 16, seed=2)
-        result = run_broadcast(net, KnownRadiusKP(net.r, 16), seed=0, engine="fast")
+        result = run_broadcast(net, KnownRadiusKP(net.r, 16), seed=0, engine="macro")
         assert result.completed
 
     def test_source_transmits_alone_in_slot_zero(self):
@@ -110,7 +110,7 @@ class TestKnownRadiusKP:
     def test_seeds_change_outcomes(self):
         net = km_hard_layered(200, 10, seed=1)
         algo = KnownRadiusKP(net.r, 10)
-        times = {run_broadcast(net, algo, seed=s, engine="fast").time for s in range(6)}
+        times = {run_broadcast(net, algo, seed=s, engine="macro").time for s in range(6)}
         assert len(times) > 1
 
 
@@ -138,10 +138,10 @@ class TestOptimalRandomized:
         net = uniform_complete_layered(120, 6)
         algo = KnownRadiusKP(net.r, 6)
         ref = [run_broadcast(net, algo, seed=s).time for s in range(8)]
-        fast = [run_broadcast(net, algo, seed=s, engine="fast").time for s in range(8)]
+        macro = [run_broadcast(net, algo, seed=s, engine="macro").time for s in range(8)]
         # Means within a factor of two of each other (loose but meaningful:
         # catches systematically wrong probabilities or eligibility).
-        assert 0.5 < (sum(ref) / len(ref)) / (sum(fast) / len(fast)) < 2.0
+        assert 0.5 < (sum(ref) / len(ref)) / (sum(macro) / len(macro)) < 2.0
 
     def test_vector_mask_shape_and_type(self):
         algo = OptimalRandomizedBroadcasting(31, stage_constant=2)
@@ -157,6 +157,6 @@ def test_kp_beats_bgi_shape_on_layered():
     from repro.baselines.bgi import BGIBroadcast
 
     net = km_hard_layered(512, 32, seed=7)
-    kp = [run_broadcast(net, KnownRadiusKP(net.r, 32), seed=s, engine="fast").time for s in range(5)]
-    bgi = [run_broadcast(net, BGIBroadcast(net.r), seed=s, engine="fast").time for s in range(5)]
+    kp = [run_broadcast(net, KnownRadiusKP(net.r, 32), seed=s, engine="macro").time for s in range(5)]
+    bgi = [run_broadcast(net, BGIBroadcast(net.r), seed=s, engine="macro").time for s in range(5)]
     assert sum(kp) < sum(bgi)

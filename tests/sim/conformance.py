@@ -1,11 +1,10 @@
-"""Cross-engine conformance harness: one semantics, six execution strategies.
+"""Cross-engine conformance harness: one semantics, five execution strategies.
 
 Every engine in :data:`repro.sim.ENGINES` — the per-node reference
 :class:`~repro.sim.engine.SynchronousEngine`, the adaptive serial
-:class:`~repro.sim.event.EventDrivenEngine`, the vectorised
-:class:`~repro.sim.fast.FastEngine` and multi-trial
-:class:`~repro.sim.fast.BatchedFastEngine`, the sparse
-:class:`~repro.sim.macro.MacroStepEngine`, and the adaptive batched
+:class:`~repro.sim.event.EventDrivenEngine`, the sparse single-run
+:class:`~repro.sim.macro.MacroStepEngine`, the vectorised multi-trial
+:class:`~repro.sim.fast.BatchedFastEngine`, and the adaptive batched
 :class:`~repro.sim.batched_event.BatchedEventEngine` — is a pure
 execution strategy over the same synchronous radio semantics.  This
 module is the shared substrate the conformance tests are built from:
@@ -51,7 +50,7 @@ from repro.sim import ENGINES, FaultPlan, simulate
 from repro.sim._kernels import HAVE_NUMBA
 from repro.sim.driver import EngineSpec
 from repro.sim.errors import ProtocolViolationError
-from repro.sim.macro import _build_macro_engine
+from repro.sim.macro import MacroStepEngine
 from repro.sim.messages import CollisionMarker
 from repro.sim.protocol import BroadcastAlgorithm, Protocol
 from repro.sim.trace import TraceLevel
@@ -156,14 +155,15 @@ ADAPTIVE_PLANS = {"none": lambda net: None, "crash-jam-delay": crash_jam_delay_p
 # ----------------------------------------------------------------------
 
 #: Engines the matrix holds to metrics identity with the reference
-#: engine; the array engines' counter parity is covered by
+#: engine; ``batched_fast``'s counter parity is covered by
 #: ``tests/sim/test_instrumentation.py``.
-METRICS_COMPARABLE = {"reference", "event", "batched_event"}
+METRICS_COMPARABLE = {"reference", "event", "batched_event", "macro", "macro_numba"}
 
 #: Macro cells, by name -> backend.  They run at block size 37, not the
 #: default 64, so the small matrix topologies cross block boundaries (and
 #: instrumented runs decode the macro plan across blocks); the JIT
-#: backend gets its own cells where numba is importable.
+#: backend gets its own cells where numba is importable (instrumented
+#: runs there take the numpy block path).
 MACRO_CELLS = {"macro": "numpy", **({"macro_numba": "numba"} if HAVE_NUMBA else {})}
 
 
@@ -175,7 +175,7 @@ def engine_spec(name: str) -> EngineSpec:
         return ENGINES[name]
     return replace(
         ENGINES["macro"],
-        build=partial(_build_macro_engine, block_size=37, backend=backend),
+        engine_cls=partial(MacroStepEngine, block_size=37, backend=backend),
     )
 
 

@@ -5,7 +5,7 @@ seeds and any small topology:
 
 * permuting the seed list permutes the results and changes nothing else
   (trials are independent — no cross-trial state leaks);
-* a batch of one is the single-trial fast path exactly;
+* a batch of one is the single-trial single-run engine exactly;
 * nodes still holding the ``ASLEEP`` sentinel never transmit (no
   spontaneous transmissions, the radio-model ground rule).
 """
@@ -79,7 +79,7 @@ def test_permuting_seeds_permutes_results(net, algo_index, seeds, permutation):
 def test_batch_of_one_equals_single_trial(net, algo_index, seed):
     make = ALGORITHMS[algo_index]
     (batched,) = run_broadcast_batch(net, make(net), seeds=[seed])
-    single = run_broadcast(net, make(net), seed=seed, engine="fast")
+    single = run_broadcast(net, make(net), seed=seed, engine="macro")
     assert _fingerprint(batched) == _fingerprint(single)
     assert batched.informed == single.informed
     assert batched.layer_times == single.layer_times

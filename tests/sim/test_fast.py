@@ -1,4 +1,8 @@
-"""Vectorised engine: semantics and cross-engine equivalence."""
+"""Single-run array engine: channel semantics and cross-engine equivalence.
+
+The semantics cases read what happened in each slot from the engine's
+FULL-trace step records.
+"""
 
 from __future__ import annotations
 
@@ -10,9 +14,11 @@ from hypothesis import strategies as st
 from repro.baselines.round_robin import RoundRobinBroadcast
 from repro.baselines.selective_schedule import SelectiveFamilyBroadcast
 from repro.sim.errors import ConfigurationError
-from repro.sim.fast import ASLEEP, FastEngine
+from repro.sim.fast import ASLEEP
+from repro.sim.macro import MacroStepEngine
 from repro.sim.network import RadioNetwork
 from repro.sim.run import run_broadcast
+from repro.sim.trace import TraceLevel
 from repro.topology import gnp_connected, grid, path, star, uniform_complete_layered
 
 
@@ -30,6 +36,18 @@ class _MaskSchedule:
         return np.isin(labels, list(wanted)) if wanted else np.zeros(len(labels), bool)
 
 
+def _traced(net, schedule, max_steps=10):
+    """Run ``schedule`` on the single-run array engine with a FULL trace;
+    returns the engine (its trace's step records carry the transmitters)."""
+    engine = MacroStepEngine(net, schedule, trace_level=TraceLevel.FULL)
+    engine.run(max_steps)
+    return engine
+
+
+def _transmitters(engine):
+    return [record.transmitters for record in engine.trace.steps]
+
+
 def test_rejects_non_vectorized_algorithm():
     net = path(3)
 
@@ -38,51 +56,48 @@ def test_rejects_non_vectorized_algorithm():
         deterministic = True
 
     with pytest.raises(ConfigurationError):
-        FastEngine(net, NotVectorized())
+        MacroStepEngine(net, NotVectorized())
 
 
 def test_exactly_one_rule_and_wake_progression():
     net = star(4)
-    engine = FastEngine(net, _MaskSchedule({0: {0}}))
-    engine.run_step()
+    engine = _traced(net, _MaskSchedule({0: {0}}), max_steps=1)
     assert engine.all_informed
     assert engine.completion_time == 1
+    (record,) = engine.trace.steps
+    assert record.deliveries == {1: 0, 2: 0, 3: 0}
 
 
 def test_collision_blocks_wake():
     # Nodes 1, 2 adjacent to 3; both transmit at step 1 -> 3 not woken.
     net = RadioNetwork.undirected(range(4), [(0, 1), (0, 2), (1, 3), (2, 3)])
-    engine = FastEngine(net, _MaskSchedule({0: {0}, 1: {1, 2}}))
-    engine.run_step()
-    engine.run_step()
+    engine = _traced(net, _MaskSchedule({0: {0}, 1: {1, 2}}), max_steps=2)
     assert not engine.all_informed
     assert engine.informed_count == 3
+    assert engine.trace.steps[1].collisions == (0, 3)  # the source hears both
+    assert engine.trace.steps[1].woken == ()
 
 
 def test_no_spontaneous_transmission_in_fast_engine():
     # Schedule says node 2 transmits at step 0, but it is asleep.
     net = path(3)
-    engine = FastEngine(net, _MaskSchedule({0: {2}}))
-    mask = engine.run_step()
-    assert not mask.any()
+    engine = _traced(net, _MaskSchedule({0: {2}}), max_steps=1)
+    assert _transmitters(engine) == [()]
 
 
 def test_wake_this_step_cannot_transmit_same_step():
     # Node 1 woken at step 0 by the source; schedule wants 1 at step 0 too.
     net = path(3)
-    engine = FastEngine(net, _MaskSchedule({0: {0, 1}, 1: {1}}))
-    mask0 = engine.run_step()
-    assert list(engine.labels[mask0]) == [0]
-    mask1 = engine.run_step()
-    assert list(engine.labels[mask1]) == [1]
+    engine = _traced(net, _MaskSchedule({0: {0, 1}, 1: {1}}), max_steps=2)
+    assert _transmitters(engine) == [(0,), (1,)]
     assert engine.completion_time == 2
 
 
 def test_asleep_sentinel_and_wake_times():
     net = path(3)
-    engine = FastEngine(net, _MaskSchedule({0: {0}}))
+    engine = MacroStepEngine(net, _MaskSchedule({0: {0}}))
     assert engine.wake_steps[2] == ASLEEP
-    engine.run_step()
+    engine.run(1)
     assert engine.wake_times() == {0: -1, 1: 0}
 
 
@@ -101,32 +116,32 @@ def test_cross_engine_equivalence_round_robin(make_net):
     net = make_net()
     algo = RoundRobinBroadcast(net.r)
     ref = run_broadcast(net, algo)
-    fast = run_broadcast(net, algo, engine="fast")
-    assert ref.completed and fast.completed
-    assert ref.time == fast.time
-    assert ref.wake_times == fast.wake_times
+    macro = run_broadcast(net, algo, engine="macro")
+    assert ref.completed and macro.completed
+    assert ref.time == macro.time
+    assert ref.wake_times == macro.wake_times
 
 
 def test_cross_engine_equivalence_selective_family():
     net = gnp_connected(20, 0.3, seed=2)
     algo = SelectiveFamilyBroadcast(net.r, "random", seed=4)
     ref = run_broadcast(net, algo)
-    fast = run_broadcast(net, algo, engine="fast")
-    assert ref.time == fast.time
-    assert ref.wake_times == fast.wake_times
+    macro = run_broadcast(net, algo, engine="macro")
+    assert ref.time == macro.time
+    assert ref.wake_times == macro.wake_times
 
 
 def test_directed_network_fast_engine():
     net = RadioNetwork.directed([0, 1, 2], [(0, 1), (1, 2)])
-    engine = FastEngine(net, _MaskSchedule({0: {0}, 1: {1}}))
-    engine.run(10)
+    engine = _traced(net, _MaskSchedule({0: {0}, 1: {1}}))
     assert engine.all_informed
     assert engine.completion_time == 2
+    assert _transmitters(engine) == [(0,), (1,)]
 
 
 def test_run_broadcast_fast_incomplete_result():
     net = path(5)
-    result = run_broadcast(net, _MaskSchedule({}), max_steps=3, engine="fast")
+    result = run_broadcast(net, _MaskSchedule({}), max_steps=3, engine="macro")
     assert not result.completed
     assert result.informed == 1
     assert result.time == 3
@@ -142,4 +157,4 @@ def test_cross_engine_property_random_trees(n, seed):
     edges = [(i, rng.randrange(i)) for i in range(1, n)]
     net = RadioNetwork.undirected(range(n), edges)
     algo = RoundRobinBroadcast(net.r)
-    assert run_broadcast(net, algo).time == run_broadcast(net, algo, engine="fast").time
+    assert run_broadcast(net, algo).time == run_broadcast(net, algo, engine="macro").time

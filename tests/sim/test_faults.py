@@ -15,12 +15,14 @@ from repro.baselines import BGIBroadcast, RoundRobinBroadcast
 from repro.sim import (
     ConfigurationError,
     FaultPlan,
+    MacroStepEngine,
     SynchronousEngine,
+    TraceLevel,
     load_result,
     run_broadcast,
     save_result,
 )
-from repro.sim.fast import ASLEEP, FastEngine
+from repro.sim.fast import ASLEEP
 from repro.sim.faults import FaultCounters, derive_fault_seed
 from repro.topology import gnp_connected, path, star
 
@@ -190,7 +192,7 @@ def test_result_serialisation_round_trips_counters(tmp_path):
 
 # ----------------------------------------------------------------------
 # Crashed nodes never transmit — on the reference and batched event
-# engines via step hooks, on the fast engine via the returned masks.
+# engines via step hooks, on the macro engine via its FULL trace.
 # (The drawing strategy lives in the conformance harness so the batched
 # property suite shares it.)
 
@@ -218,17 +220,18 @@ def test_crashed_node_never_transmits_after_crash_slot(case, seed):
     engine.run(60)
     assert not violations
 
-    fast = FastEngine(net, BGIBroadcast(net.r), seed=seed, faults=plan)
-    idx = {label: i for i, label in enumerate(fast.labels)}[crashed]
-    for step in range(60):
-        if fast.all_settled:
-            break
-        mask = fast.run_step()
-        if step >= crash_slot:
-            assert not mask[idx], (step, crashed)
+    macro = MacroStepEngine(
+        net, BGIBroadcast(net.r), seed=seed, faults=plan,
+        trace_level=TraceLevel.FULL,
+    )
+    macro.run(60)
+    for record in macro.trace.steps:
+        if record.step >= crash_slot:
+            assert crashed not in record.transmitters, (record.step, crashed)
     # And a crashed-while-asleep node must still be asleep at the end.
     if crashed not in engine.wake_times:
-        assert fast.wake_steps[idx] == ASLEEP
+        idx = {label: i for i, label in enumerate(macro.labels)}[crashed]
+        assert macro.wake_steps[idx] == ASLEEP
 
     # Batched event engine: every trial's hook stream is crash-clean too.
     from repro.sim import BatchedEventEngine

@@ -4,7 +4,7 @@ Two invariants matter: (1) instrumentation must never change what an
 engine computes — results with metrics on are bit-identical to results
 with metrics off; (2) the three engines must agree on every counter and
 histogram for the same (network, algorithm, seed), just as they agree on
-the results themselves.
+the results themselves.  The single-run array engine is ``macro``.
 """
 
 from __future__ import annotations
@@ -12,12 +12,14 @@ from __future__ import annotations
 import pytest
 
 from repro.baselines import BGIBroadcast, RoundRobinBroadcast
+from repro.core import KnownRadiusKP
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.timings import Timings
 from repro.sim import run_broadcast
 from repro.sim.fast import run_broadcast_batch
 from repro.sim.serialization import result_from_dict, result_to_dict
-from repro.topology import gnp_connected, path, uniform_complete_layered
+from repro.sim.trace import TraceLevel
+from repro.topology import gnp_connected, gnp_random_csr, path, uniform_complete_layered
 
 SEED = 13
 
@@ -44,11 +46,12 @@ class TestResultsUnchanged:
         assert instrumented.timings is not None
 
     def test_fast_engine(self):
+        """The single-run array engine, ``macro``."""
         net = _net()
         algorithm = BGIBroadcast(net.r)
-        plain = run_broadcast(net, algorithm, seed=SEED, engine="fast")
+        plain = run_broadcast(net, algorithm, seed=SEED, engine="macro")
         instrumented = run_broadcast(net, algorithm, seed=SEED,
-                                     metrics=MetricsRegistry(), engine="fast")
+                                     metrics=MetricsRegistry(), engine="macro")
         assert _result_key(instrumented) == _result_key(plain)
 
     def test_batched_engine(self):
@@ -74,10 +77,10 @@ class TestCounterParity:
     def test_single_run_parity(self, make_net):
         net = make_net()
         algorithm = RoundRobinBroadcast(net.r)
-        ref, fast = MetricsRegistry(), MetricsRegistry()
+        ref, macro = MetricsRegistry(), MetricsRegistry()
         run_broadcast(net, algorithm, seed=SEED, metrics=ref)
-        run_broadcast(net, algorithm, seed=SEED, metrics=fast, engine="fast")
-        assert fast.to_dict() == ref.to_dict()
+        run_broadcast(net, algorithm, seed=SEED, metrics=macro, engine="macro")
+        assert macro.to_dict() == ref.to_dict()
 
     def test_batched_matches_serial_reference(self):
         net = _net()
@@ -124,9 +127,9 @@ class TestProfilingIdentity:
 
         net = _net()
         algorithm = BGIBroadcast(net.r)
-        plain = run_broadcast(net, algorithm, seed=SEED, engine="fast")
+        plain = run_broadcast(net, algorithm, seed=SEED, engine="macro")
         profiled, stats = profile_call(
-            lambda: run_broadcast(net, algorithm, seed=SEED, engine="fast")
+            lambda: run_broadcast(net, algorithm, seed=SEED, engine="macro")
         )
         assert _result_key(profiled) == _result_key(plain)
         assert stats.total_calls > 0
@@ -200,11 +203,31 @@ class TestTimings:
         assert result.timings.count("engine.step") == result.time
 
     def test_fast_engine_stage_names(self):
+        """The single-run array engine, ``macro``: one ``engine.step`` per
+        executed slot, as on the reference engine."""
         net = path(8)
         result = run_broadcast(net, RoundRobinBroadcast(net.r), seed=0,
-                               metrics=MetricsRegistry(), engine="fast")
+                               metrics=MetricsRegistry(), engine="macro")
         stages = set(result.timings.stages)
         assert {"engine.coins", "engine.channel", "engine.step"} <= stages
+        assert result.timings.count("engine.step") == result.time
+
+    def test_macro_timings_count_every_slot(self):
+        # Timings and PROGRESS traces keep receiver-side resolution on CSR
+        # topologies; every executed slot, silent or not, still ticks
+        # engine.step and lands in the trace.
+        net = gnp_random_csr(400, 10 / 400, seed=2)
+        timings = Timings()
+        result = run_broadcast(net, KnownRadiusKP(net.r, net.radius), seed=3,
+                               timings=timings, trace_level=TraceLevel.PROGRESS,
+                               engine="macro")
+        reference = run_broadcast(net, KnownRadiusKP(net.r, net.radius), seed=3,
+                                  trace_level=TraceLevel.PROGRESS)
+        assert _result_key(result) == _result_key(reference)
+        assert result.trace.informed_counts == reference.trace.informed_counts
+        assert result.trace.wake_times == reference.trace.wake_times
+        assert timings.count("engine.step") == result.time
+        assert timings.count("engine.coins") == result.time
 
     def test_batch_shares_one_timings_object(self):
         net = path(8)

@@ -146,9 +146,9 @@ class TestEngineAdoption:
         legacy = csr.to_radio_network()
         for seed in (0, 1):
             a = run_broadcast(csr, KnownRadiusKP(csr.r, csr.radius),
-                              seed=seed, engine="fast")
+                              seed=seed, engine="macro")
             b = run_broadcast(legacy, KnownRadiusKP(legacy.r, csr.radius),
-                              seed=seed, engine="fast")
+                              seed=seed, engine="macro")
             assert a.wake_times == b.wake_times
             assert a.time == b.time and a.layer_times == b.layer_times
 

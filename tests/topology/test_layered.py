@@ -134,4 +134,4 @@ def test_directed_layered_runs_kp(topology_zoo=None):
     net = directed_complete_layered([1, 8, 16, 4, 10])
     algo = KnownRadiusKP(net.r, net.radius)
     assert run_broadcast(net, algo, seed=2).completed
-    assert run_broadcast(net, algo, seed=2, engine="fast").completed
+    assert run_broadcast(net, algo, seed=2, engine="macro").completed
