@@ -122,7 +122,7 @@ class BGIBroadcast(BroadcastAlgorithm):
         elif self._active_phase == phase:
             # Slot-indexed coins: ANDing into already-inactive rows is a
             # no-op, so this matches the per-node stateful Decay exactly.
-            self._active_mask &= coins.uniform(step) < 0.5
+            self._active_mask &= coins.below(step, 0.5)
         else:  # run started mid-phase (step offset != 0): stay silent
             self._active_mask[:] = False
         return self._active_mask.copy()

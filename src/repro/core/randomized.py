@@ -231,7 +231,7 @@ class _PhasedAlgorithm(BroadcastAlgorithm):
         eligible = wake_steps < (self._phase_starts[phase_index] + stage_start)
         if probability >= 1.0:
             return eligible
-        return eligible & (coins.uniform(step) < probability)
+        return eligible & coins.below(step, probability)
 
     def macro_plan(self, start: int, count: int, r: int):
         """Decode ``count`` slots at once for the macro-step engine.

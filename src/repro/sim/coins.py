@@ -31,6 +31,7 @@ same per-trial executions.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Sequence
 
@@ -180,28 +181,28 @@ class CoinSource:
         _mix64_inplace(z)
         return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
-    def uniform_at(self, step: int, idx: np.ndarray) -> np.ndarray:
-        """Coins of slot ``step`` for the node indices ``idx`` only.
+    def below(self, step: int, p: float, keys: np.ndarray | None = None) -> np.ndarray:
+        """``uniform(step) < p`` as a bool array, without the float coins.
 
-        ``uniform_at(step, idx)`` equals ``uniform(step)[idx]`` element by
-        element (each coin is a pure function of its own key) but costs
-        ``O(len(idx))`` rather than ``O(n)`` — the macro-step engine uses
-        it to flip coins only for the currently eligible nodes.  Only
-        defined for single-run ``(n,)`` key arrays.
+        A coin is ``(z >> 11) * 2**-53`` for the mixed 64-bit word ``z``,
+        so for ``0 <= p < 1`` the test ``coin < p`` holds exactly when
+        ``z < ceil(p * 2**53) << 11`` (``p * 2**53`` is exact, and
+        ``p < 1`` keeps the threshold below ``2**64``).  Comparing the
+        word directly skips the shift, the float conversion and the
+        multiply per coin and gives bit-identical decisions.
+
+        ``keys`` restricts the test to a pre-gathered key subset:
+        ``below(step, p, keys[idx])`` equals ``below(step, p)[idx]``.
+        Callers that test the same subset over many slots (the macro
+        engine's eligible prefix and eligible sleeper-edge entries)
+        gather the keys once and amortise the copy across the slots.
         """
-        z = self._keys[idx] ^ np.uint64(_step_salt(step))  # fancy index copies
+        if keys is None:
+            keys = self._keys
+        if p >= 1.0:
+            return np.ones(keys.shape, dtype=bool)
+        if p <= 0.0:
+            return np.zeros(keys.shape, dtype=bool)
+        z = keys ^ np.uint64(_step_salt(step))
         _mix64_inplace(z)
-        return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
-
-    def uniform_keys(self, step: int, keys_sub: np.ndarray) -> np.ndarray:
-        """Coins of slot ``step`` for a pre-gathered key subset.
-
-        ``uniform_keys(step, keys[idx])`` equals ``uniform_at(step, idx)``;
-        callers that flip coins for the same node subset over many
-        consecutive slots (the macro-step engine, whose eligible set is
-        constant within a KP stage) gather the keys once and amortise the
-        fancy-index copy across the run of slots.
-        """
-        z = keys_sub ^ np.uint64(_step_salt(step))
-        _mix64_inplace(z)
-        return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        return z < np.uint64(math.ceil(p * 2.0**53) << 11)

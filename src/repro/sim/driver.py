@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -32,7 +32,13 @@ from .batched_event import BatchedEventEngine
 from .engine import SynchronousEngine
 from .errors import BroadcastIncompleteError, ConfigurationError
 from .event import EventDrivenEngine
-from .fast import ASLEEP, BatchedFastEngine, VectorizedAlgorithm, _check_vectorized
+from .fast import (
+    ASLEEP,
+    BatchedFastEngine,
+    VectorizedAlgorithm,
+    WakeTimes,
+    _check_vectorized,
+)
 from .faults import FaultPlan
 from .guard import check_memory_budget
 from .macro import MacroStepEngine
@@ -250,8 +256,6 @@ class _SingleRun:
 
     def __init__(self, engine):
         self._engine = engine
-        wake_steps = getattr(engine, "wake_steps", None)
-        self.wake_steps = None if wake_steps is None else wake_steps[None, :]
 
     def completion_times(self) -> list[int | None]:
         return [self._engine.completion_time]
@@ -259,8 +263,9 @@ class _SingleRun:
     def trial_steps(self, trial: int) -> int:
         return self._engine.step
 
-    def wake_times(self, trial: int) -> dict[int, int]:
-        # A dict attribute on the per-node engines, a method on the array ones.
+    def wake_times(self, trial: int) -> Mapping[int, int]:
+        # A dict attribute on the per-node engines, a method returning a
+        # WakeTimes on the array ones.
         wake_times = self._engine.wake_times
         return dict(wake_times) if isinstance(wake_times, dict) else wake_times()
 
@@ -277,14 +282,10 @@ class _SingleRun:
 
 def _assemble_results(network, algorithm, engine, seeds, timings, metrics):
     """One :class:`BroadcastResult` per trial of a finished engine, with
-    the per-run summary metrics recorded as each is built.  Array engines
-    (a ``wake_steps`` matrix) take the layer times from the depth array
-    when the topology carries one."""
-    wake_rows = getattr(engine, "wake_steps", None)
+    the per-run summary metrics recorded as each is built."""
     times = engine.completion_times()
     results = []
     for t, seed in enumerate(seeds):
-        wake_steps = wake_rows[t] if wake_rows is not None else None
         wake_times = engine.wake_times(t)
         completed = times[t] is not None
         result = BroadcastResult(
@@ -296,7 +297,7 @@ def _assemble_results(network, algorithm, engine, seeds, timings, metrics):
             algorithm=algorithm.name,
             seed=seed,
             wake_times=wake_times,
-            layer_times=_layer_times_for(network, wake_times, wake_steps),
+            layer_times=_layer_times_for(network, wake_times),
             trace=engine.trace_for(t),
             fault_counters=engine.fault_counters_for(t),
             timings=timings,
@@ -307,19 +308,32 @@ def _assemble_results(network, algorithm, engine, seeds, timings, metrics):
     return results
 
 
-def _layer_times_for(network, wake_times, wake_steps) -> tuple[int | None, ...]:
+def _layer_times_for(network, wake_times) -> tuple[int | None, ...]:
     """For each BFS layer, the slot by which all of it was informed
-    (``None``: not fully informed).  Uses the flat depth array when the
-    network carries one (CSR-native topologies; node order == label
-    order), else walks ``network.layers()``."""
-    depths_fn = getattr(network, "depths_array", None)
-    if depths_fn is None or wake_steps is None:
+    (``None``: not fully informed).
+
+    The per-node engines' dicts walk ``network.layers()``.  The array
+    engines' :class:`~repro.sim.fast.WakeTimes` are read as arrays: per
+    layer through the flat depth array when the network carries one
+    (CSR-native topologies; node order == label order), else through
+    the layers' label positions.
+    """
+    if not isinstance(wake_times, WakeTimes):
         return tuple(
             max(wake_times[v] for v in layer)
             if all(v in wake_times for v in layer)
             else None
             for layer in network.layers()
         )
+    wake_steps = wake_times.wake_steps
+    depths_fn = getattr(network, "depths_array", None)
+    if depths_fn is None:
+        # A layer's latest slot is ASLEEP exactly when one of it sleeps.
+        layers = network.layers()
+        lengths = np.array([len(layer) for layer in layers])
+        slots = wake_steps[np.searchsorted(wake_times.labels, np.concatenate(layers))]
+        latest = np.maximum.reduceat(slots, np.cumsum(lengths) - lengths)
+        return tuple(None if t == ASLEEP else t for t in latest.tolist())
     depths = depths_fn()
     num_layers = int(depths.max()) + 1
     totals = np.bincount(depths, minlength=num_layers)

@@ -36,6 +36,8 @@ for the same ``(seed, label, step)``.
 
 from __future__ import annotations
 
+import operator
+from collections.abc import ItemsView, Mapping, ValuesView
 from time import perf_counter
 from typing import Protocol as TypingProtocol, Sequence, runtime_checkable
 
@@ -57,6 +59,7 @@ __all__ = [
     "BatchedFastEngine",
     "run_broadcast_batch",
     "ASLEEP",
+    "WakeTimes",
 ]
 
 #: Sentinel wake step for nodes that are not informed yet.
@@ -96,8 +99,10 @@ class VectorizedAlgorithm(TypingProtocol):
                 them influence other nodes.
             r: Public label bound.
             coins: Slot-indexed coin flips; ``coins.uniform(step)`` has
-                the same shape as ``wake_steps``.  Deterministic schedules
-                never touch it.
+                the same shape as ``wake_steps``, and
+                ``coins.below(step, p)`` is the transmit test
+                ``uniform(step) < p`` without the float conversion.
+                Deterministic schedules never touch it.
 
         Returns:
             Boolean array broadcastable to ``wake_steps.shape``: True where
@@ -106,15 +111,98 @@ class VectorizedAlgorithm(TypingProtocol):
         ...  # pragma: no cover - protocol definition
 
 
-def _wake_dict(labels: np.ndarray, wake_steps: np.ndarray) -> dict[int, int]:
-    """``label -> wake slot`` for the informed nodes of one wake row."""
-    # tolist() first: zipping Python ints is several times faster than
-    # iterating numpy scalars, and at 10^6 nodes this dict is the single
-    # most expensive piece of result assembly.
-    pairs = zip(labels.tolist(), wake_steps.tolist())
-    if int(wake_steps.max()) != ASLEEP:
-        return dict(pairs)
-    return {label: ws for label, ws in pairs if ws != ASLEEP}
+class WakeTimes(Mapping):
+    """``label -> wake slot`` of the informed nodes of one array-engine run.
+
+    A read-only mapping over the run's labels (increasing) and its own
+    copy of the wake row, so handing a result over costs one array copy
+    instead of an ``n``-entry dict.  It behaves like the dict the
+    per-node engines return: iteration in label order, ``len`` equal to
+    the informed count, ``get`` / ``in`` answering "not informed" for
+    sleepers, equality with any mapping (two instances compare as
+    arrays), and pickling.  Wholesale reads are cheapest through
+    ``items()`` / ``values()`` or the arrays below; ``dict(m)`` and
+    ``{**m}`` pay one lookup per key.
+
+    Attributes:
+        labels: ``int64`` node labels in increasing order.
+        wake_steps: ``int64`` wake slot per label; ``ASLEEP`` for
+            sleepers.
+    """
+
+    __slots__ = ("labels", "wake_steps", "_count")
+
+    def __init__(self, labels: np.ndarray, wake_steps: np.ndarray):
+        self.labels = labels
+        self.wake_steps = np.array(wake_steps, dtype=np.int64)
+        self.wake_steps.flags.writeable = False
+        self._count = int(np.count_nonzero(self.wake_steps != ASLEEP))
+
+    def _informed(self) -> tuple[np.ndarray, np.ndarray]:
+        """Labels and wake slots of the informed nodes, in label order."""
+        if self._count == len(self.labels):
+            return self.labels, self.wake_steps
+        informed = self.wake_steps != ASLEEP
+        return self.labels[informed], self.wake_steps[informed]
+
+    def __getitem__(self, label) -> int:
+        try:
+            key = operator.index(label)
+        except TypeError:
+            raise KeyError(label) from None
+        labels, n = self.labels, len(self.labels)
+        # Labels increase; where label == position (every CSR-native
+        # topology) the binary search is skipped.
+        if 0 <= key < n and labels.item(key) == key:
+            i = key
+        else:
+            i = int(np.searchsorted(labels, key))
+        if i < n and labels.item(i) == key:
+            slot = self.wake_steps.item(i)
+            if slot != ASLEEP:
+                return slot
+        raise KeyError(label)
+
+    def __iter__(self):
+        return iter(self._informed()[0].tolist())
+
+    def __len__(self) -> int:
+        return self._count
+
+    def items(self):
+        return _WakeItems(self)
+
+    def values(self):
+        return _WakeValues(self)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, WakeTimes):
+            mine, theirs = self._informed(), other._informed()
+            return all(map(np.array_equal, mine, theirs))
+        if not isinstance(other, Mapping):
+            return NotImplemented
+        if len(other) != self._count:
+            return False
+        return dict(self.items()) == (
+            other if isinstance(other, dict) else dict(other.items())
+        )
+
+    def __repr__(self) -> str:
+        return f"WakeTimes({dict(self.items())!r})"
+
+    def __reduce__(self):
+        return WakeTimes, (self.labels, self.wake_steps)
+
+
+class _WakeItems(ItemsView):
+    def __iter__(self):
+        labels, slots = self._mapping._informed()
+        return zip(labels.tolist(), slots.tolist())
+
+
+class _WakeValues(ValuesView):
+    def __iter__(self):
+        return iter(self._mapping._informed()[1].tolist())
 
 
 def _check_vectorized(algorithm) -> None:
@@ -350,8 +438,8 @@ class BatchedFastEngine:
                 if jammed is not None and jammed.size:
                     delivered[:, jammed] = False
                 if cf.loss_probability > 0.0 and delivered.any():
-                    lost = delivered & (
-                        cf.loss_coins.uniform(step) < cf.loss_probability
+                    lost = delivered & cf.loss_coins.below(
+                        step, cf.loss_probability
                     )
                     self._lost += lost.sum(axis=1) * active
                     delivered &= ~lost
@@ -508,9 +596,9 @@ class BatchedFastEngine:
             int(latest[t]) + 1 if done[t] else None for t in range(self.trials)
         ]
 
-    def wake_times(self, trial: int) -> dict[int, int]:
+    def wake_times(self, trial: int) -> WakeTimes:
         """Map informed labels of one trial to their wake slots."""
-        return _wake_dict(self.labels, self.wake_steps[trial])
+        return WakeTimes(self.labels, self.wake_steps[trial])
 
     def transmission_counts(self, trial: int) -> list[int] | None:
         """Per-node transmission tallies of one trial (label order);

@@ -21,8 +21,8 @@ slots where three nodes transmit.  This module removes both:
   product, the engine keeps the awake set as a wake-ordered index list:
   the eligible set of a slot is a binary-searched *prefix*, coins are
   flipped only for eligible nodes
-  (:meth:`~repro.sim.coins.CoinSource.uniform_keys` — bit-identical to
-  the dense flips), and the channel is resolved by gathering only the
+  (:meth:`~repro.sim.coins.CoinSource.below` — bit-identical to the
+  dense flips), and the channel is resolved by gathering only the
   transmitters' CSR neighbour lists (O(sum deg(tx)) instead of O(E)), or
   from the sleepers' side once they are the smaller set.
 
@@ -53,7 +53,7 @@ from ..obs.timings import Timings
 from .channel import ChannelKernel
 from .coins import CoinSource, _step_salt
 from .errors import ConfigurationError
-from .fast import ASLEEP, VectorizedAlgorithm, _check_vectorized, _wake_dict
+from .fast import ASLEEP, VectorizedAlgorithm, WakeTimes, _check_vectorized
 from .faults import (
     NEVER,
     CompiledFaults,
@@ -219,11 +219,11 @@ class MacroStepEngine:
         self._awake_idx[0] = source_idx
         self._awake_wakes[0] = -1
         self._awake_count = 1
-        # Receiver-side resolution state (see _resolve_receiver_side):
-        # the sorted sleeper list plus its flattened neighbour gather,
-        # refreshed lazily whenever nodes have woken since the last sync.
-        self._asleep_idx = np.delete(np.arange(n, dtype=np.int64), source_idx)
-        self._sleeper_sync = -1
+        # Receiver-side resolution state (see _resolve_receiver_side): the
+        # sleepers' neighbour gather, built at the first receiver-side
+        # slot, and the eligible entries of one threshold.
+        self._sl_idx: np.ndarray | None = None
+        self._el_for: tuple[int, int] | None = None
         self._avg_deg = kernel.indices.size / max(1, n)
         self.step = 0
         self._plan_hook = getattr(algorithm, "macro_plan", None)
@@ -308,8 +308,8 @@ class MacroStepEngine:
             return None
         return int(self._awake_wakes[self._awake_count - 1]) + 1
 
-    def wake_times(self) -> dict[int, int]:
-        return _wake_dict(self.labels, self.wake_steps)
+    def wake_times(self) -> WakeTimes:
+        return WakeTimes(self.labels, self.wake_steps)
 
     def transmission_counts(self) -> list[int] | None:
         """Per-node transmission tallies (label order); ``None`` when the
@@ -412,8 +412,7 @@ class MacroStepEngine:
                     if p >= 1.0:
                         tx = cached_cand
                     else:
-                        flips = self.coins.uniform_keys(step, cached_keys)
-                        tx = cached_cand[flips < p]
+                        tx = cached_cand[self.coins.below(step, p, cached_keys)]
             if observed:
                 self._observe_slot(step, tx, rx, t_start)
             elif rx is not None:
@@ -541,9 +540,8 @@ class MacroStepEngine:
             if jammed is not None and jammed.size:
                 delivered = delivered[~np.isin(delivered, jammed)]
             if cf.loss_probability > 0.0 and delivered.size:
-                lost = (
-                    cf.loss_coins.uniform_keys(step, cf.loss_coins._keys[delivered])
-                    < cf.loss_probability
+                lost = cf.loss_coins.below(
+                    step, cf.loss_probability, cf.loss_coins._keys[delivered]
                 )
                 self.fault_counters.lost_messages += int(np.count_nonzero(lost))
                 delivered = delivered[~lost]
@@ -618,53 +616,62 @@ class MacroStepEngine:
 
     # -- receiver-side resolution ------------------------------------------
 
-    def _sync_sleepers(self) -> None:
-        """Refresh the sleeper list and its cached neighbour gather.
+    def _sleeper_gather(self) -> None:
+        """Build, or compact, the sleepers' neighbour gather.
 
-        The gather (``cat``: the concatenation of every sleeper's
-        neighbour list, with ``cum`` segment offsets and the matching coin
-        keys) is immutable between wake events, so consecutive
-        receiver-side slots reuse it and pay only the per-slot transmit
-        test.
+        ``_sl_idx`` lists sleepers in index order, ``_sl_nbr`` the
+        concatenation of their neighbour lists, ``_sl_len`` each list's
+        length and ``_sl_owner`` each entry's position in ``_sl_idx``.
+        It is gathered once, at the first receiver-side slot.  Nodes that
+        wake stay in it (candidates are filtered by ``wake == ASLEEP``)
+        until fewer than half of its sleepers are still asleep; it is then
+        compacted in place, so compaction costs a geometric series rather
+        than one re-gather per wake event.
         """
-        if self._sleeper_sync == self._awake_count:
+        s = self._sl_idx
+        if s is None:
+            s = np.flatnonzero(self.wake_steps == ASLEEP)
+            nbr, lengths = self._neighbours(s)
+        elif 2 * (self.n - self._awake_count) < s.size:
+            keep = self.wake_steps[s] == ASLEEP
+            s = s[keep]
+            nbr = self._sl_nbr[np.repeat(keep, self._sl_len)]
+            lengths = self._sl_len[keep]
+        else:
             return
-        s = self._asleep_idx
-        s = s[self.wake_steps[s] == ASLEEP]
-        self._asleep_idx = s
-        cat, lengths = self._neighbours(s)
-        self._sleeper_cum = np.cumsum(lengths) - lengths
-        self._sleeper_cat = cat
-        self._sleeper_keys = self.coins._keys[cat]
-        self._sleeper_elig_cache = (None, None)
-        self._sleeper_sync = self._awake_count
+        self._sl_idx, self._sl_nbr, self._sl_len = s, nbr, lengths
+        self._sl_owner = np.repeat(np.arange(s.size), lengths)
+        self._el_for = None  # entry positions moved
 
     def _resolve_receiver_side(self, p: float, elig: int, step: int) -> np.ndarray:
         """One slot resolved from the sleepers' side of the channel;
         returns the newly woken indices.
 
-        For each sleeper, count transmitting in-neighbours directly:
-        a neighbour transmits iff it woke before ``elig`` and its slot
-        coin passes.  Exactly the same transmit predicate as the
-        transmitter-side path (coins are pure per-(node, slot)
-        functions), evaluated only where a wake event is possible.
+        For each sleeper, count transmitting in-neighbours directly: a
+        neighbour transmits iff it woke before ``elig`` and its slot coin
+        passes — the transmitter-side predicate (coins are pure
+        per-(node, slot) functions), evaluated only where a wake event is
+        possible.  The gather entries whose neighbour is eligible are
+        listed once per threshold (sleeper slot and coin key); a slot
+        tests coins on those entries only and counts the passes per
+        sleeper with one ``bincount``.  A list built at step ``t`` for
+        threshold ``elig`` stays valid while ``elig <= t``, since nodes
+        woken later carry ``wake >= t``; otherwise (e.g.
+        :data:`ELIGIBLE_ANY_AWAKE`) it is rebuilt.
         """
-        self._sync_sleepers()
-        s = self._asleep_idx
-        if s.size == 0:
-            return _EMPTY
-        cached_elig, cached_mask = self._sleeper_elig_cache
-        if cached_elig != elig:
-            cached_mask = self.wake_steps[self._sleeper_cat] < elig
-            self._sleeper_elig_cache = (elig, cached_mask)
-        if p >= 1.0:
-            vt = cached_mask
-        else:
-            vt = cached_mask & (
-                self.coins.uniform_keys(step, self._sleeper_keys) < p
-            )
-        counts = np.add.reduceat(vt.astype(np.int64), self._sleeper_cum)
-        newly = s[counts == 1]
+        self._sleeper_gather()
+        built = self._el_for
+        if built is None or built[0] != elig or elig > built[1]:
+            eligible = np.flatnonzero(self.wake_steps[self._sl_nbr] < elig)
+            self._el_slot = self._sl_owner[eligible]
+            self._el_keys = self.coins._keys[self._sl_nbr[eligible]]
+            self._el_for = (elig, step)
+        slots = self._el_slot
+        if p < 1.0:
+            slots = slots[self.coins.below(step, p, self._el_keys)]
+        counts = np.bincount(slots, minlength=self._sl_idx.size)
+        candidates = self._sl_idx[counts == 1]
+        newly = candidates[self.wake_steps[candidates] == ASLEEP]
         if newly.size:
             self._append_newly(newly, step)
         return newly

@@ -9,6 +9,7 @@ These are the functions most users call::
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from ..obs.metrics import MetricsRegistry
@@ -68,7 +69,12 @@ class BroadcastResult:
         algorithm: Name of the algorithm that ran.
         seed: Seed used for this run.
         wake_times: label -> slot at which the node was informed
-            (source: -1).
+            (source: -1), for informed nodes only.  A read-only
+            ``Mapping``: a ``dict`` from the per-node engines, a
+            :class:`~repro.sim.fast.WakeTimes` (the labels and a copy of
+            the wake row, no per-node Python objects) from the array
+            engines.  Both compare equal whenever they hold the same
+            pairs.
         layer_times: For each BFS layer j, the slot by which the whole
             layer was informed (index 0 is the source layer, always -1);
             ``None`` entries mark layers not fully informed.
@@ -90,7 +96,7 @@ class BroadcastResult:
     radius: int
     algorithm: str
     seed: int
-    wake_times: dict[int, int] = field(repr=False, default_factory=dict)
+    wake_times: Mapping[int, int] = field(repr=False, default_factory=dict)
     layer_times: tuple[int | None, ...] = field(repr=False, default=())
     trace: Trace = field(repr=False, default_factory=Trace)
     fault_counters: FaultCounters | None = field(repr=False, default=None)

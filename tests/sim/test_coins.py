@@ -17,6 +17,8 @@ from repro.sim.coins import (
     CoinSource,
     NODE_STREAM_TEMPLATE,
     NodeRandom,
+    _mix64,
+    _step_salt,
     coin_uniform,
     derive_node_rng,
     derive_trial_seeds,
@@ -119,3 +121,88 @@ class TestCoinSource:
         backward = [coins.uniform(t) for t in reversed(range(5))][::-1]
         for a, b in zip(forward, backward):
             np.testing.assert_array_equal(a, b)
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def _unshift(z: int, shift: int) -> int:
+    """Inverse of ``z ^= z >> shift`` on 64-bit words."""
+    out = z
+    for _ in range(64 // shift + 1):
+        out = z ^ (out >> shift)
+    return out
+
+
+def _unmix64(z: int) -> int:
+    """Inverse of the splitmix64 finalizer: ``_mix64(_unmix64(z)) == z``."""
+    z = _unshift(z, 31)
+    z = z * pow(0x94D049BB133111EB, -1, 1 << 64) & _MASK64
+    z = _unshift(z, 27)
+    z = z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & _MASK64
+    return _unshift(z, 30)
+
+
+class TestBelowThreshold:
+    """``CoinSource.below`` compares mixed words with an integer threshold;
+    it must agree with ``uniform(step) < p`` on every key, including the
+    words sitting exactly on either side of the threshold."""
+
+    STEP = 12345
+    PROBS = [
+        0.0,
+        2.0**-53,
+        2.0**-40,
+        2.0**-6,
+        0.5,
+        0.1,
+        1 / 3,
+        0.7,
+        1 - 2.0**-53,
+        1.0,
+        1.5,
+        -0.25,
+    ]
+
+    def _edge_keys(self, p: float) -> np.ndarray:
+        """Keys whose slot-``STEP`` words straddle the float boundary of
+        ``p``, plus a spread of ordinary keys."""
+        words = [0, 1, 2047, 2048, _MASK64]
+        if 0.0 < p < 1.0:
+            for m in {int(np.floor(p * 2.0**53)), int(np.ceil(p * 2.0**53))}:
+                for mantissa in (m - 1, m, m + 1):
+                    if 0 <= mantissa < 1 << 53:
+                        base = mantissa << 11
+                        words += [base, base + 1, base + 2047]
+        salt = _step_salt(self.STEP)
+        keys = [_unmix64(w) ^ salt for w in words]
+        keys += [node_key(5, label) for label in range(64 - len(keys))]
+        return np.array(keys, dtype=np.uint64)
+
+    def test_unmix_inverts_the_finalizer(self):
+        for z in (0, 1, 2**53, 2**63 + 12345, _MASK64):
+            assert _mix64(_unmix64(z)) == z
+
+    @pytest.mark.parametrize("p", PROBS)
+    def test_equals_float_comparison(self, p):
+        keys = self._edge_keys(p)
+        for shaped in (keys, keys.reshape(4, -1)):
+            coins = CoinSource(shaped)
+            got = coins.below(self.STEP, p)
+            assert got.shape == shaped.shape and got.dtype == bool
+            np.testing.assert_array_equal(got, coins.uniform(self.STEP) < p)
+
+    @pytest.mark.parametrize("p", [2.0**-53, 0.25, 0.3, 1 - 2.0**-53])
+    def test_key_subset_matches_full_array(self, p):
+        labels = np.arange(500)
+        single = CoinSource.for_run(7, labels)
+        batch = CoinSource.for_batch([7, 8, 9], labels)
+        idx = np.array([3, 0, 499, 250, 3])
+        for step in (0, 1, 99):
+            np.testing.assert_array_equal(
+                single.below(step, p, single._keys[idx]),
+                single.below(step, p)[idx],
+            )
+            np.testing.assert_array_equal(
+                batch.below(step, p), batch.uniform(step) < p
+            )

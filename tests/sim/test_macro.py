@@ -23,19 +23,24 @@ from repro.baselines.round_robin import RoundRobinBroadcast
 from repro.core.randomized import KnownRadiusKP, OptimalRandomizedBroadcasting
 from repro.obs.metrics import MetricsRegistry
 from repro.sim import (
+    ASLEEP,
     ConfigurationError,
     FaultPlan,
     TraceLevel,
     check_memory_budget,
+    default_max_steps,
     run_broadcast,
     run_broadcast_batch,
 )
 from repro.sim._kernels import HAVE_NUMBA
 from repro.sim.macro import (
+    ELIGIBLE_ANY_AWAKE,
+    MacroPlan,
     MacroStepEngine,
     resolve_macro_backend,
     run_broadcast_macro,
 )
+from repro.sim.protocol import BroadcastAlgorithm, ObliviousTransmitter
 from repro.topology import (
     gnp_random_csr,
     km_hard_layered,
@@ -53,6 +58,56 @@ def _dense(net, algo, seed, **kwargs):
     (result,) = run_broadcast_batch(net, algo, seeds=[seed],
                                     engine="batched_fast", **kwargs)
     return result
+
+
+def _run_numpy_engine(net, algo, seed, block_size):
+    """A full run on the numpy block path, plus whether any slot was
+    resolved from the sleepers' side (the gather is built lazily there)."""
+    engine = MacroStepEngine(net, algo, seed=seed, block_size=block_size,
+                             backend="numpy")
+    engine.run(default_max_steps(net, algo))
+    return engine, engine._sl_idx is not None
+
+
+class _AnyAwakeProtocol(ObliviousTransmitter):
+    def __init__(self, label, r, rng, probs):
+        super().__init__(label, r, rng)
+        self._probs = probs
+
+    def wants_to_transmit(self, step: int) -> bool:
+        if self.wake_step is None:
+            return False
+        return self.coin(step) < self._probs[step % len(self._probs)]
+
+
+class AnyAwakeSweep(BroadcastAlgorithm):
+    """Every awake node transmits with a cyclic probability.
+
+    Its macro plan is all probability slots with
+    :data:`ELIGIBLE_ANY_AWAKE` eligibility — allowed by the
+    :class:`MacroPlan` contract though KP never emits them — so nodes
+    woken mid-block are eligible from the next slot on.
+    """
+
+    name = "any-awake-sweep"
+    deterministic = False
+    PROBS = (1.0, 0.5, 0.25, 0.125, 1 / 16, 1 / 32, 1 / 64)
+
+    def create(self, label, r, rng):
+        return _AnyAwakeProtocol(label, r, rng, self.PROBS)
+
+    def transmit_mask(self, step, labels, wake_steps, r, coins):
+        p = self.PROBS[step % len(self.PROBS)]
+        return (wake_steps != ASLEEP) & coins.below(step, p)
+
+    def macro_plan(self, start: int, count: int, r: int) -> MacroPlan:
+        steps = start + np.arange(count)
+        return MacroPlan(
+            start=start,
+            probs=np.asarray(self.PROBS)[steps % len(self.PROBS)],
+            elig=np.full(count, ELIGIBLE_ANY_AWAKE, dtype=np.int64),
+            single=np.full(count, -1, dtype=np.int64),
+        )
 
 
 class TestBlockSizeInvariance:
@@ -129,6 +184,48 @@ class TestBackends:
                 b = run_broadcast_macro(net, make(), seed=seed,
                                         backend="numba", block_size=37)
                 assert _summary(a) == _summary(b)
+
+
+class TestReceiverSide:
+    """Complete runs that spend their late slots on the sleepers' side of
+    the channel: eligible-entry lists, their reuse across slots, lazy
+    compaction of the sleeper gather, all the way to the last wake."""
+
+    @pytest.mark.parametrize(
+        "make_net, sleeper_side",
+        [
+            (lambda: gnp_random_csr(20_000, 12 / 20_000, seed=21), True),
+            # The hard layered family is dense enough that the cost model
+            # keeps every slot on the transmitter side: a full-completion
+            # check of the block loop, not of the sleepers' side.
+            (lambda: km_hard_layered_csr(20_000, 10, seed=6), False),
+        ],
+        ids=["gnp", "km_layered"],
+    )
+    def test_full_run_matches_dense(self, make_net, sleeper_side):
+        net = make_net()
+        dense = _dense(net, KnownRadiusKP(net.r, net.radius), 3)
+        assert dense.completed
+        for block_size in (29, 128):
+            engine, used_rx = _run_numpy_engine(
+                net, KnownRadiusKP(net.r, net.radius), 3, block_size
+            )
+            assert used_rx == sleeper_side
+            assert engine.completion_time == dense.time
+            assert engine.wake_times() == dense.wake_times
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_any_awake_probability_slots_match_reference(self, seed):
+        """With ``ELIGIBLE_ANY_AWAKE`` a node woken after an eligible list
+        was built transmits in later slots, so the list must be rebuilt
+        rather than reused."""
+        net = gnp_random_csr(1_500, 6 / 1_500, seed=4)
+        reference = run_broadcast(net, AnyAwakeSweep(), seed=seed)
+        assert reference.completed
+        engine, used_rx = _run_numpy_engine(net, AnyAwakeSweep(), seed, 23)
+        assert used_rx
+        assert engine.completion_time == reference.time
+        assert engine.wake_times() == reference.wake_times
 
 
 class TestMemoryGuard:
