@@ -40,7 +40,12 @@ def default_phase_length(r: int) -> int:
 
 
 class _DecayProtocol(ObliviousTransmitter):
-    """Per-node Decay state machine for the reference engine."""
+    """Per-node Decay state machine for the per-node engines.
+
+    Its idle hint is exact: outside an unbroken Decay run the node is
+    quiet until the next phase start, so the event engines poll each
+    informed node once per phase plus once per slot of its own run.
+    """
 
     def __init__(self, label: int, r: int, rng: random.Random, phase_len: int):
         super().__init__(label, r, rng)
@@ -62,6 +67,29 @@ class _DecayProtocol(ObliviousTransmitter):
         # Continue while the coin keeps coming up heads.
         self._active = self.coin(step) < 0.5
         return self._active
+
+    def quiet_until(self, step: int) -> int:
+        phase, offset = divmod(step, self._phase_len)
+        next_phase = step - offset + self._phase_len
+        if offset == 0:
+            # Every node informed before the phase opens it.
+            eligible = self.wake_step is not None and self.wake_step < step
+            return step if eligible else next_phase
+        if self._active_phase != phase or not self._active:
+            return next_phase  # no run in this phase, or it already ended
+        # Slot-indexed coins are pure, so the hint may flip one ahead of
+        # the poll; a sequential fallback stream (no ``coin``) may not be
+        # advanced here.
+        coin = getattr(self.rng, "coin", None)
+        if coin is None:
+            return step
+        if coin(step) < 0.5:
+            return step  # the run continues: transmits now
+        # The run ends at ``step``.  Record it exactly as wants_to_transmit
+        # would: the engine skips this slot, and a delivery later in the
+        # phase re-queries the hint, which must not see the run as live.
+        self._active = False
+        return next_phase
 
 
 class BGIBroadcast(BroadcastAlgorithm):

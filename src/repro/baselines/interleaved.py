@@ -20,7 +20,7 @@ from typing import Any
 
 from ..core.echo import EchoReply
 from ..sim.messages import Message
-from ..sim.protocol import BroadcastAlgorithm, Protocol
+from ..sim.protocol import QUIET_FOREVER, BroadcastAlgorithm, Protocol
 
 __all__ = ["InterleavedBroadcast"]
 
@@ -57,14 +57,34 @@ class _InterleavedProtocol(Protocol):
                 sub.on_wake(local, Message(message.sender, EchoReply(message.sender)))
 
     def next_action(self, step: int) -> Any | None:
-        offset = step % 2
-        local = step // 2
-        return self._subs[offset].next_action(local)
+        return self._subs[step & 1].next_action(step >> 1)
 
     def observe(self, step: int, message: Message | None) -> None:
-        offset = step % 2
-        local = step // 2
-        self._subs[offset].observe(local, message)
+        self._subs[step & 1].observe(step >> 1, message)
+
+    def quiet_until(self, step: int) -> int:
+        """Earliest global slot either sub-protocol needs, from their own hints.
+
+        Each sub is asked at its first local slot whose global slot
+        ``2 local + offset`` is at or after ``step``, and its answer is
+        mapped back the same way.  A sub's promise covers its own slots
+        only, which is all it ever acts or observes in.
+        """
+        even, odd = self._subs
+        local = (step + 1) >> 1
+        quiet = even.quiet_until(local)
+        if quiet < local:
+            quiet = local
+        bound = 2 * quiet if quiet < QUIET_FOREVER else QUIET_FOREVER
+        if bound == step:
+            return step  # the even stream acts now: nothing comes earlier
+        local = step >> 1
+        quiet = odd.quiet_until(local)
+        if quiet < local:
+            quiet = local
+        if quiet < QUIET_FOREVER and 2 * quiet + 1 < bound:
+            bound = 2 * quiet + 1
+        return bound
 
     @staticmethod
     def _localize(step: int, offset: int) -> tuple[int, bool]:

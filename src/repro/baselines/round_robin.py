@@ -31,6 +31,10 @@ class _RoundRobinProtocol(ObliviousTransmitter):
     def wants_to_transmit(self, step: int) -> bool:
         return step % self._period == self.label
 
+    def quiet_until(self, step: int) -> int:
+        """The node's next own slot: ``t >= step`` with ``t % period == label``."""
+        return step + (self.label - step) % self._period
+
 
 class RoundRobinBroadcast(BroadcastAlgorithm):
     """Deterministic round-robin schedule over labels ``0..r``.

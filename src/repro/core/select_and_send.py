@@ -114,6 +114,10 @@ class _SelectAndSendProtocol(QuietEchoSchedule, Protocol):
 
     def _handle(self, step: int, message: Message) -> None:
         payload = message.payload
+        if isinstance(payload, EchoReply):
+            # Informational for non-holders (it carries the source message)
+            # and the most frequent payload: tested first.
+            return
         if isinstance(payload, InitOrder):
             # Reserve the slot base + 2 * label for the self-announcement.
             self._init_reply_slot = payload.base_slot + 2 * self.label
@@ -144,8 +148,6 @@ class _SelectAndSendProtocol(QuietEchoSchedule, Protocol):
         elif isinstance(payload, StopAll):
             self.stopped = True
             self.scheduled.clear()
-        elif isinstance(payload, EchoReply):
-            pass  # informational for non-holders (it carries the source message)
         else:
             raise ProtocolViolationError(
                 f"node {self.label}: unexpected payload {payload!r}"

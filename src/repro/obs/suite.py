@@ -27,6 +27,7 @@ __all__ = [
     "batched_workload",
     "default_registry",
     "forensics_overhead_workload",
+    "interleaved_adaptive_workload",
     "million_node_workload",
     "obs_overhead_workload",
     "telemetry_overhead_workload",
@@ -86,6 +87,29 @@ def batched_adaptive_workload(quick: bool = False):
     """
     net, algorithm = adaptive_workload(quick)
     trials = 4 if quick else 8
+    return net, algorithm, trials
+
+
+def interleaved_adaptive_workload(quick: bool = False):
+    """The randomized adaptive batch: (network, algorithm, trials).
+
+    E6's interleaving with BGI Decay in place of round-robin, as a
+    Monte-Carlo batch on a complete layered network — every trial is its
+    own execution class, so this measures the idle hints of Decay and the
+    interleaver rather than the deterministic collapse that
+    :func:`batched_adaptive_workload` measures.  Shared by the
+    ``interleaved_adaptive_engine`` bench and
+    ``benchmarks/test_interleaved_adaptive_engine.py`` so the committed
+    ``BENCH_interleaved_adaptive_engine`` baseline and the pytest
+    speedup gate measure the same thing.
+    """
+    from ..baselines import BGIBroadcast, InterleavedBroadcast
+    from ..core import SelectAndSend
+    from ..topology import uniform_complete_layered
+
+    n, depth, trials = (128, 8, 4) if quick else (256, 16, 12)
+    net = uniform_complete_layered(n, depth, relabel_seed=3)
+    algorithm = InterleavedBroadcast(BGIBroadcast(net.r), SelectAndSend())
     return net, algorithm, trials
 
 
@@ -239,6 +263,24 @@ def _batched_adaptive_engine(quick: bool):
     from ..sim import run_broadcast_batch
 
     net, algorithm, trials = batched_adaptive_workload(quick)
+    return lambda: run_broadcast_batch(
+        net, algorithm, trials=trials, engine="batched_event"
+    )
+
+
+@register(
+    "interleaved_adaptive_engine",
+    tags=("engine", "event", "adaptive", "batch"),
+    # Sub-100ms quick workload, as for batched_adaptive_engine; the
+    # pytest gate against the reference engine is the real bar.
+    tolerance=1.6,
+    description="Batched event engine, interleaved BGI + Select-and-Send "
+    "Monte-Carlo on uniform_complete_layered",
+)
+def _interleaved_adaptive_engine(quick: bool):
+    from ..sim import run_broadcast_batch
+
+    net, algorithm, trials = interleaved_adaptive_workload(quick)
     return lambda: run_broadcast_batch(
         net, algorithm, trials=trials, engine="batched_event"
     )

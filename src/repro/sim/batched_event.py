@@ -247,7 +247,9 @@ class BatchedEventEngine:
         (``_skip_silent`` synthesizes the skipped slots per trial);
         otherwise due classes execute the slot and quiet ones synthesize
         it, keeping every live engine on the same clock.  Settled classes
-        freeze exactly where their serial runs would have stopped.
+        freeze exactly where their serial runs would have stopped.  Once a
+        single class is live there is no clock left to share: that
+        class's own :meth:`EventDrivenEngine.run` finishes the budget.
 
         A :class:`~repro.sim.errors.ProtocolViolationError` aborts only
         its own class; the remaining classes run to completion, and the
@@ -270,6 +272,17 @@ class BatchedEventEngine:
                 and not (stop_when_informed and cls.engine.all_settled)
             ]
             if not live:
+                break
+            if len(live) == 1:
+                # One class left (every deterministic batch, and the tail
+                # of a randomized one): its own event loop runs the rest
+                # of the budget under the same stop rule, with no
+                # shared clock to keep aligned.
+                cls = live[0]
+                try:
+                    executed += cls.engine.run(max_steps - executed, stop_when_informed)
+                except ProtocolViolationError as exc:
+                    cls.error = exc
                 break
             # Invariant: live engines share one clock — they all started at
             # slot 0 and advance in lock-step below; only settled or

@@ -41,8 +41,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from heapq import heappop, heappush
+from itertools import repeat
 from time import perf_counter
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -217,40 +218,16 @@ class EventDrivenEngine(SynchronousEngine):
         touched: dict[int, Protocol] = dict(active)
         record_full = self.trace.level is TraceLevel.FULL
         n_coll = 0
+        #: (receiver, sender) pairs for every receiver with exactly one
+        #: transmitting in-neighbour.
+        heard: Iterable[tuple[int, int]] = ()
         if len(transmissions) == 1:
             # Lone-transmitter fast path (the overwhelmingly common slot for
             # token protocols: orders, passes, single replies).  Every
             # neighbour hears exactly one message — no collisions, no
             # numpy needed; n_coll stays 0.
-            sender, message = next(iter(transmissions.items()))
-            for receiver in self._out_nbrs[sender]:
-                if faulty:
-                    if self._dead(receiver, step):
-                        continue  # crashed nodes receive nothing
-                    if receiver in jam_set:
-                        continue  # jammed: indistinguishable from silence
-                    if (
-                        self._loss_probability > 0.0
-                        and scalar_loss_coin(self._fault_seed, receiver, step)
-                        < self._loss_probability
-                    ):
-                        counters.lost_messages += 1
-                        continue
-                protocol = protocols.get(receiver)
-                if protocol is None:
-                    if faulty and step < self._deaf_until.get(receiver, 0):
-                        counters.delayed_wakes += 1
-                        continue  # wake-up delayed: the message is ignored
-                    deliveries[receiver] = sender
-                    self._wake(receiver, step, message)
-                    woken.append(receiver)
-                    touched[receiver] = protocols[receiver]
-                else:
-                    # A delivery voids any quiet promise, even for nodes
-                    # that were not polled this slot.
-                    deliveries[receiver] = sender
-                    protocol.observe(step, message)
-                    touched[receiver] = protocol
+            (sender,) = transmissions
+            heard = zip(self._out_nbrs[sender], repeat(sender))
         elif transmissions:
             kernel = self._kernel
             labels_arr = kernel.labels
@@ -262,63 +239,67 @@ class EventDrivenEngine(SynchronousEngine):
             )
             hits, sender_of, cat = kernel.resolve(tx)
             hc = hits[cat]
-            for ri in cat[hc == 1]:
-                receiver = int(labels_arr[ri])
-                if receiver in transmissions:
-                    continue  # half-duplex: transmitters hear nothing
-                if faulty:
-                    if self._dead(receiver, step):
-                        continue  # crashed nodes receive nothing
-                    if receiver in jam_set:
-                        continue  # jammed: indistinguishable from silence
-                    if (
-                        self._loss_probability > 0.0
-                        and scalar_loss_coin(self._fault_seed, receiver, step)
-                        < self._loss_probability
-                    ):
-                        counters.lost_messages += 1
-                        continue
-                message = transmissions[int(labels_arr[sender_of[ri]])]
-                protocol = protocols.get(receiver)
-                if protocol is None:
-                    if faulty and step < self._deaf_until.get(receiver, 0):
-                        counters.delayed_wakes += 1
-                        continue  # wake-up delayed: the message is ignored
-                    deliveries[receiver] = message.sender
-                    self._wake(receiver, step, message)
-                    woken.append(receiver)
-                    touched[receiver] = protocols[receiver]
-                else:
-                    deliveries[receiver] = message.sender
-                    protocol.observe(step, message)
-                    touched[receiver] = protocol
-            if (
-                self.metrics is not None
-                or record_full
-                or self.collision_detection
-            ):
-                coll_idx = np.unique(cat[hc >= 2])
-                if coll_idx.size:
-                    if self.metrics is not None:
-                        # Metric collision definition (same as every
-                        # engine): receivers with >= 2 transmitting
-                        # in-neighbours that are not themselves
-                        # transmitting, dead receivers included.
-                        tx_flag = self._tx_flag
-                        tx_flag[tx] = True
-                        n_coll = int((~tx_flag[coll_idx]).sum())
-                        tx_flag[tx] = False
-                    if record_full or self.collision_detection:
-                        for ri in coll_idx:
-                            receiver = int(labels_arr[ri])
-                            if receiver in transmissions:
-                                continue
-                            if faulty and self._dead(receiver, step):
-                                continue
-                            if record_full:
-                                collisions.append(receiver)
-                            if self.collision_detection and receiver in protocols:
-                                collided_listeners.add(receiver)
+            ones = cat[hc == 1]
+            # Two array gathers rather than two numpy scalar lookups per
+            # receiver.
+            heard = zip(
+                labels_arr[ones].tolist(), labels_arr[sender_of[ones]].tolist()
+            )
+        for receiver, sender in heard:
+            if receiver in transmissions:
+                continue  # half-duplex: transmitters hear nothing
+            if faulty:
+                if self._dead(receiver, step):
+                    continue  # crashed nodes receive nothing
+                if receiver in jam_set:
+                    continue  # jammed: indistinguishable from silence
+                if (
+                    self._loss_probability > 0.0
+                    and scalar_loss_coin(self._fault_seed, receiver, step)
+                    < self._loss_probability
+                ):
+                    counters.lost_messages += 1
+                    continue
+            protocol = protocols.get(receiver)
+            if protocol is None:
+                if faulty and step < self._deaf_until.get(receiver, 0):
+                    counters.delayed_wakes += 1
+                    continue  # wake-up delayed: the message is ignored
+                deliveries[receiver] = sender
+                self._wake(receiver, step, transmissions[sender])
+                woken.append(receiver)
+                protocol = protocols[receiver]
+            else:
+                # A delivery voids any quiet promise, even for nodes that
+                # were not polled this slot.
+                deliveries[receiver] = sender
+                protocol.observe(step, transmissions[sender])
+            touched[receiver] = protocol
+        if len(transmissions) > 1 and (
+            self.metrics is not None or record_full or self.collision_detection
+        ):
+            coll_idx = np.unique(cat[hc >= 2])
+            if coll_idx.size:
+                if self.metrics is not None:
+                    # Metric collision definition (same as every engine):
+                    # receivers with >= 2 transmitting in-neighbours that
+                    # are not themselves transmitting, dead receivers
+                    # included.
+                    tx_flag = self._tx_flag
+                    tx_flag[tx] = True
+                    n_coll = int((~tx_flag[coll_idx]).sum())
+                    tx_flag[tx] = False
+                if record_full or self.collision_detection:
+                    for ri in coll_idx:
+                        receiver = int(labels_arr[ri])
+                        if receiver in transmissions:
+                            continue
+                        if faulty and self._dead(receiver, step):
+                            continue
+                        if record_full:
+                            collisions.append(receiver)
+                        if self.collision_detection and receiver in protocols:
+                            collided_listeners.add(receiver)
 
         # Silence / CD-marker observations go only to the polled nodes:
         # by the quiet_until contract, a quiet node's behaviour is
@@ -410,9 +391,15 @@ class EventDrivenEngine(SynchronousEngine):
         if max_steps < 0:
             raise ConfigurationError(f"max_steps must be non-negative, got {max_steps}")
         has_fault_events = bool(self._fault_events)
+        # Without crashes "settled" is "informed": one length check a slot.
+        crash_free = not self._crash_slots
+        protocols = self.protocols
+        n = self.network.n
         executed = 0
         while executed < max_steps:
-            if stop_when_informed and self.all_settled:
+            if stop_when_informed and (
+                len(protocols) == n if crash_free else self.all_settled
+            ):
                 break
             step = self.step
             target = self._next_poll_slot()

@@ -34,7 +34,7 @@ import random
 from abc import ABC, abstractmethod
 from typing import Any
 
-from .messages import Message
+from .messages import SOURCE_PAYLOAD, Message
 
 __all__ = ["Protocol", "BroadcastAlgorithm", "ObliviousTransmitter", "QUIET_FOREVER"]
 
@@ -217,6 +217,4 @@ class ObliviousTransmitter(Protocol):
         """Whether to transmit the source message in slot ``step``."""
 
     def next_action(self, step: int) -> Any | None:
-        from .messages import SOURCE_PAYLOAD
-
         return SOURCE_PAYLOAD if self.wants_to_transmit(step) else None

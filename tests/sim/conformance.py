@@ -35,6 +35,7 @@ from hypothesis import strategies as st
 from repro.baselines import (
     BGIBroadcast,
     CentralizedGreedySchedule,
+    InterleavedBroadcast,
     RoundRobinBroadcast,
     SelectiveFamilyBroadcast,
 )
@@ -94,28 +95,52 @@ OBLIVIOUS_TOPOLOGIES = {
     "km-hard": lambda: km_hard_layered(48, 4, seed=5),
 }
 
-#: Adaptive protocol cases: name -> (network builder, algorithm builder,
-#: collision_detection).  Select-and-Send runs on arbitrary topologies;
-#: Complete-Layered only on the complete layered class it is correct
-#: for.  TokenGossip wraps S&S without implementing ``quiet_until`` — it
-#: exercises the unhinted default (polled every slot) on the event
-#: engines.
+#: Adaptive protocol cases: name -> (network builder, algorithm builder
+#: taking the network, collision_detection).  Select-and-Send runs on
+#: arbitrary topologies; Complete-Layered only on the complete layered
+#: class it is correct for.  The interleaved cases run a hinted oblivious
+#: protocol and Select-and-Send on alternate slots (e6's pairing and the
+#: benchmark's randomized batch).  TokenGossip wraps S&S without
+#: implementing ``quiet_until`` — it exercises the unhinted default
+#: (polled every slot) on the event engines.
 ADAPTIVE_CASES = {
-    "ss-path": (lambda: path(24, relabel="shuffled", seed=5), SelectAndSend, False),
-    "ss-tree": (lambda: random_tree(32, seed=3), SelectAndSend, False),
-    "ss-gnp": (lambda: gnp_connected(48, 0.12, seed=7), SelectAndSend, False),
-    "cl-uniform": (
-        lambda: uniform_complete_layered(48, 5, relabel_seed=2),
-        CompleteLayeredBroadcast,
+    "ss-path": (
+        lambda: path(24, relabel="shuffled", seed=5),
+        lambda net: SelectAndSend(),
         False,
     ),
-    "cl-km": (lambda: km_hard_layered(48, 6, seed=4), CompleteLayeredBroadcast, False),
+    "ss-tree": (lambda: random_tree(32, seed=3), lambda net: SelectAndSend(), False),
+    "ss-gnp": (
+        lambda: gnp_connected(48, 0.12, seed=7),
+        lambda net: SelectAndSend(),
+        False,
+    ),
+    "cl-uniform": (
+        lambda: uniform_complete_layered(48, 5, relabel_seed=2),
+        lambda net: CompleteLayeredBroadcast(),
+        False,
+    ),
+    "cl-km": (
+        lambda: km_hard_layered(48, 6, seed=4),
+        lambda net: CompleteLayeredBroadcast(),
+        False,
+    ),
     "cl-native-cd": (
         lambda: uniform_complete_layered(48, 5, relabel_seed=2),
-        lambda: CompleteLayeredBroadcast(native_cd=True),
+        lambda net: CompleteLayeredBroadcast(native_cd=True),
         True,
     ),
-    "gossip-unhinted": (lambda: path(10), TokenGossip, False),
+    "interleaved-bgi-ss": (
+        lambda: uniform_complete_layered(48, 5, relabel_seed=2),
+        lambda net: InterleavedBroadcast(BGIBroadcast(net.r), SelectAndSend()),
+        False,
+    ),
+    "interleaved-rr-ss": (
+        lambda: path(24, relabel="shuffled", seed=5),
+        lambda net: InterleavedBroadcast(RoundRobinBroadcast(net.r), SelectAndSend()),
+        False,
+    ),
+    "gossip-unhinted": (lambda: path(10), lambda net: TokenGossip(), False),
 }
 
 
@@ -319,6 +344,9 @@ class HintCheckedProtocol(Protocol):
         self._promised_at = -1
 
     def on_wake(self, step, message):
+        # The engine stamped the wrapper; oblivious inner protocols read
+        # their own wake step to decide eligibility.
+        self._inner.wake_step = step
         self._inner.on_wake(step, message)
 
     def quiet_until(self, step):

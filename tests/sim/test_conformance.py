@@ -132,14 +132,13 @@ def test_adaptive_engines_conform_slot_for_slot(case, plan_name):
     build, make_algo, cd = ADAPTIVE_CASES[case]
     net = build()
     plan = ADAPTIVE_PLANS[plan_name](net)
-    make = lambda _net: make_algo()  # noqa: E731 - adapt to runner signature
 
     outcomes = {}
     for name in adaptive_engines():
         if cd and not ENGINES[name].collision_detection:
             continue
         outcomes[name] = run_engine(
-            name, net, make, SEEDS, faults=plan, max_steps=4000,
+            name, net, make_algo, SEEDS, faults=plan, max_steps=4000,
             trace_level=TraceLevel.FULL, collision_detection=cd,
             with_metrics=True,
         )
