@@ -870,7 +870,7 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--engine", default="reference", choices=SERIAL_ENGINES,
                        help="execution engine (results are bit-identical; "
-                            "macro is the compiled multi-slot path for "
+                            "macro is the multi-slot array path for "
                             "large n — see docs/PERFORMANCE.md)")
     p_run.add_argument("--allow-large", action="store_true",
                        help="override the estimated-memory guard for FULL "

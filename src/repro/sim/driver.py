@@ -55,9 +55,8 @@ class EngineSpec:
     Attributes:
         name: Registry key (the ``engine=`` argument of every driver).
         engine_cls: The engine class (or a ``partial`` of it binding
-            engine-specific parameters, as
-            :func:`~repro.sim.macro.run_broadcast_macro` binds the macro
-            block size and backend).  Serial engines are constructed as
+            engine-specific parameters, such as the macro engine's block
+            size).  Serial engines are constructed as
             ``engine_cls(network, algorithm, seed=..., ...)``, batch
             engines as ``engine_cls(network, algorithm, seeds, ...)``.
         oblivious_only: Runs only
@@ -150,9 +149,9 @@ def simulate(
         seeds: Per-trial master seeds.
         engine: A name in :data:`ENGINES`, or ``"auto"``:
             ``batched_fast`` for vectorisable algorithms, ``batched_event``
-            otherwise.  An :class:`EngineSpec` is accepted too (how
-            :func:`~repro.sim.macro.run_broadcast_macro` binds its
-            block size and backend).
+            otherwise.  An :class:`EngineSpec` is accepted too (a
+            registry entry whose ``engine_cls`` binds engine-specific
+            parameters).
         max_steps: Step limit per trial, non-negative.  Defaults to
             :func:`~repro.sim.run.default_max_steps`.
         trace_level: Channel detail to record (identical records on every

@@ -26,23 +26,15 @@ slots where three nodes transmit.  This module removes both:
   transmitters' CSR neighbour lists (O(sum deg(tx)) instead of O(E)), or
   from the sleepers' side once they are the smaller set.
 
-Two interchangeable backends execute a plain block: the pure-numpy
-implementation (always available) and an optional numba ``@njit`` kernel
-(:mod:`repro.sim._kernels`) that fuses the whole block into one compiled
-call.  ``backend="auto"`` picks numba when importable; both are held to
-bit-identity by the conformance suite.
-
 Instrumented runs (fault plans, metrics, traces, timings) execute on the
-numpy block path of the same engine, with per-slot bookkeeping; the
-conformance matrix holds them to the reference engine's results, traces,
-fault counters and metrics under every plan/trace combination.
+same block loop, with per-slot bookkeeping; the conformance matrix holds
+them to the reference engine's results, traces, fault counters and
+metrics under every plan/trace combination.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, replace
-from functools import partial
+from dataclasses import dataclass
 from time import perf_counter
 
 import numpy as np
@@ -51,7 +43,7 @@ from ..obs.metrics import COUNT_BUCKETS, MetricsRegistry
 from ..obs.spans import SpanRecorder
 from ..obs.timings import Timings
 from .channel import ChannelKernel
-from .coins import CoinSource, _step_salt
+from .coins import CoinSource
 from .errors import ConfigurationError
 from .fast import ASLEEP, VectorizedAlgorithm, WakeTimes, _check_vectorized
 from .faults import (
@@ -77,10 +69,6 @@ __all__ = [
 #: ``wake == ASLEEP`` and ``ASLEEP < ASLEEP`` is false, so the plan rule
 #: ``wake < elig`` degenerates to plain awakeness at this value.
 ELIGIBLE_ANY_AWAKE: int = ASLEEP
-
-#: Environment override for the default backend selection ("numpy" or
-#: "numba"); the CI numba leg forces the JIT path with it.
-BACKEND_ENV = "REPRO_MACRO_BACKEND"
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -116,29 +104,18 @@ class MacroPlan:
 
 
 def resolve_macro_backend(backend: str = "auto") -> str:
-    """Resolve ``"auto"`` to a concrete backend name.
+    """Validate a macro ``backend`` name; the numpy block loop is the only
+    one.
 
-    ``"auto"`` honours :data:`BACKEND_ENV` when set, else picks
-    ``"numba"`` exactly when numba is importable.  Requesting
-    ``"numba"`` without numba installed is a configuration error, never a
-    silent fallback.
+    Kept for the benchmark harness only, which records the name: returns
+    ``"numpy"`` for ``"auto"`` or ``"numpy"`` and raises
+    :class:`~repro.sim.errors.ConfigurationError` for anything else.
     """
-    from . import _kernels
-
-    if backend == "auto":
-        backend = os.environ.get(BACKEND_ENV, "") or "auto"
-    if backend == "auto":
-        return "numba" if _kernels.HAVE_NUMBA else "numpy"
-    if backend not in ("numpy", "numba"):
+    if backend not in ("auto", "numpy"):
         raise ConfigurationError(
-            f"unknown macro backend {backend!r}; expected 'auto', 'numpy' or 'numba'"
+            f"unknown macro backend {backend!r}; expected 'auto' or 'numpy'"
         )
-    if backend == "numba" and not _kernels.HAVE_NUMBA:
-        raise ConfigurationError(
-            "macro backend 'numba' requested but numba is not importable; "
-            "install numba or use backend='numpy'"
-        )
-    return backend
+    return "numpy"
 
 
 class MacroStepEngine:
@@ -164,10 +141,8 @@ class MacroStepEngine:
         block_size: Macro-step width ``K``.  Results never depend on it
             (hypothesis-tested); it only trades plan-decode batching
             against wasted decode past the settle slot.
-        backend: ``"auto"``, ``"numpy"`` or ``"numba"`` (see
-            :func:`resolve_macro_backend`).  Instrumented runs always take
-            the numpy block path, and :attr:`backend` then reads
-            ``"numpy"``.
+        backend: Validated by :func:`resolve_macro_backend` and otherwise
+            unused; kept for the benchmark harness only.
         faults: Optional :class:`~repro.sim.faults.FaultPlan`, applied per
             slot in the reference engine's order: crash -> jam -> loss ->
             wake-delay.
@@ -200,7 +175,7 @@ class MacroStepEngine:
         self.algorithm = algorithm
         self.seed = seed
         self.block_size = block_size
-        self.backend = resolve_macro_backend(backend)
+        resolve_macro_backend(backend)
         kernel = ChannelKernel(network)
         self.kernel = kernel
         self.labels = kernel.labels
@@ -279,15 +254,6 @@ class MacroStepEngine:
             or timings is not None
             or trace_level is not TraceLevel.NONE
         )
-        if self._observed:
-            # Instrumented runs take the numpy block path; the JIT kernel
-            # has no per-slot bookkeeping.
-            self.backend = "numpy"
-        if self.backend == "numba":
-            # JIT scratch: hit counts (kept all-zero between blocks) and
-            # the touched-node compaction buffer.
-            self._counts = np.zeros(n, dtype=np.int64)
-            self._touched = np.empty(n, dtype=np.int64)
         reset = getattr(algorithm, "reset_run", None)
         if reset is not None:
             reset(n)
@@ -342,16 +308,13 @@ class MacroStepEngine:
                 if self._plan_hook is not None
                 else None
             )
-            if plan is not None and self.backend == "numba":
-                executed += self._run_plan_block_numba(plan, count)
-            else:
-                executed += self._run_block(plan, count)
+            executed += self._run_block(plan, count)
         return executed
 
     def _run_block(self, plan: MacroPlan | None, count: int) -> int:
-        """Up to ``count`` slots on the numpy path: decisions from the
-        macro plan, or per-slot ``transmit_mask`` for algorithms without
-        one (dense decisions, sparse channel)."""
+        """Up to ``count`` slots: decisions from the macro plan, or
+        per-slot ``transmit_mask`` for algorithms without one (dense
+        decisions, sparse channel)."""
         wake = self.wake_steps
         timings = self.timings
         observed = self._observed
@@ -420,41 +383,6 @@ class MacroStepEngine:
             elif tx is not None and tx.size:
                 self._resolve_and_wake(tx, step)
         return executed
-
-    def _run_plan_block_numba(self, plan: MacroPlan, count: int) -> int:
-        from ._kernels import run_plan_block
-
-        # Solo slots carry labels; the kernel wants indices (-1: silent,
-        # including labels no node holds).
-        single_idx = np.full(count, -1, dtype=np.int64)
-        for j in range(count):
-            s = plan.single[j]
-            if s >= 0:
-                idx = self._index.get(int(s))
-                if idx is not None:
-                    single_idx[j] = idx
-        salts = np.array(
-            [_step_salt(self.step + j) for j in range(count)], dtype=np.uint64
-        )
-        executed, awake_count = run_plan_block(
-            self.kernel.indptr,
-            self.kernel.indices,
-            self.wake_steps,
-            self._awake_idx,
-            self._awake_wakes,
-            self._awake_count,
-            self.coins._keys,
-            self.step,
-            salts,
-            np.ascontiguousarray(plan.probs, dtype=np.float64),
-            np.ascontiguousarray(plan.elig, dtype=np.int64),
-            single_idx,
-            self._counts,
-            self._touched,
-        )
-        self.step += int(executed)
-        self._awake_count = int(awake_count)
-        return int(executed)
 
     # -- instrumented slots ------------------------------------------------
 
@@ -694,27 +622,19 @@ def run_broadcast_macro(
     timings: Timings | None = None,
     spans: SpanRecorder | None = None,
     trace_level: TraceLevel = TraceLevel.NONE,
-    block_size: int = 64,
-    backend: str = "auto",
     allow_large: bool = False,
 ) -> BroadcastResult:
     """One run on the ``macro`` engine (:class:`MacroStepEngine`).
 
-    A thin alias over :func:`~repro.sim.driver.simulate` that binds the
-    two macro-only parameters: ``block_size``, the macro-step width ``K``
-    (results never depend on it), and ``backend`` — ``"auto"`` (default;
-    numba when importable, overridable via ``REPRO_MACRO_BACKEND``),
-    ``"numpy"`` or ``"numba"``.  Results are bit-identical to every other
-    engine (asserted by the conformance suite).
+    A thin alias over :func:`~repro.sim.driver.simulate` with one seed and
+    ``engine="macro"``; every argument means what it means there.  Results
+    are bit-identical to every other engine (asserted by the conformance
+    suite).
     """
-    from .driver import ENGINES, simulate
+    from .driver import simulate
 
-    spec = replace(
-        ENGINES["macro"],
-        engine_cls=partial(MacroStepEngine, block_size=block_size, backend=backend),
-    )
     (result,) = simulate(
-        network, algorithm, [seed], engine=spec, max_steps=max_steps,
+        network, algorithm, [seed], engine="macro", max_steps=max_steps,
         faults=faults, metrics=metrics, timings=timings, spans=spans,
         trace_level=trace_level, allow_large=allow_large,
     )

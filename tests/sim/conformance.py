@@ -48,7 +48,6 @@ from repro.core import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.sim import ENGINES, FaultPlan, simulate
-from repro.sim._kernels import HAVE_NUMBA
 from repro.sim.driver import EngineSpec
 from repro.sim.errors import ProtocolViolationError
 from repro.sim.macro import MacroStepEngine
@@ -182,25 +181,18 @@ ADAPTIVE_PLANS = {"none": lambda net: None, "crash-jam-delay": crash_jam_delay_p
 #: Engines the matrix holds to metrics identity with the reference
 #: engine; ``batched_fast``'s counter parity is covered by
 #: ``tests/sim/test_instrumentation.py``.
-METRICS_COMPARABLE = {"reference", "event", "batched_event", "macro", "macro_numba"}
-
-#: Macro cells, by name -> backend.  They run at block size 37, not the
-#: default 64, so the small matrix topologies cross block boundaries (and
-#: instrumented runs decode the macro plan across blocks); the JIT
-#: backend gets its own cells where numba is importable (instrumented
-#: runs there take the numpy block path).
-MACRO_CELLS = {"macro": "numpy", **({"macro_numba": "numba"} if HAVE_NUMBA else {})}
+METRICS_COMPARABLE = {"reference", "event", "batched_event", "macro"}
 
 
 def engine_spec(name: str) -> EngineSpec:
-    """The registry entry a conformance cell runs (macro cells bound to
-    their block size and backend)."""
-    backend = MACRO_CELLS.get(name)
-    if backend is None:
+    """The registry entry a conformance cell runs.  The ``macro`` cell
+    runs at block size 37, not the default 64, so the small matrix
+    topologies cross block boundaries (and instrumented runs decode the
+    macro plan across blocks)."""
+    if name != "macro":
         return ENGINES[name]
     return replace(
-        ENGINES["macro"],
-        engine_cls=partial(MacroStepEngine, block_size=37, backend=backend),
+        ENGINES["macro"], engine_cls=partial(MacroStepEngine, block_size=37)
     )
 
 
@@ -241,9 +233,8 @@ def adaptive_engines() -> list[str]:
 
 
 def all_engines() -> list[str]:
-    """Every registered engine plus the macro cells, reference first."""
-    return sorted(set(ENGINES) | set(MACRO_CELLS),
-                  key=lambda n: (n != "reference", n))
+    """Every registered engine, reference first."""
+    return sorted(ENGINES, key=lambda n: (n != "reference", n))
 
 
 # ----------------------------------------------------------------------

@@ -57,10 +57,9 @@ def test_all_engines_conform_oblivious(networks, algo_name, topo, plan_name):
     nodes) under the tight budget, so the assertion is execution identity
     — wake slots, executed-slot counts, fault counters — not completion.
     Every engine runs once plain — the production path: for the macro
-    cells that is the uninstrumented block loop (and the JIT kernel on
-    ``macro_numba``).  The engines in ``METRICS_COMPARABLE`` run a second
-    time with ``metrics=`` and must also tally the reference engine's
-    counters and histograms exactly.
+    cell that is the uninstrumented block loop.  The engines in
+    ``METRICS_COMPARABLE`` run a second time with ``metrics=`` and must
+    also tally the reference engine's counters and histograms exactly.
     """
     net = networks[topo]
     make = OBLIVIOUS_ALGORITHMS[algo_name]

@@ -1,14 +1,13 @@
-"""Macro-step engine: block-size invariance, backend parity, the memory
-guard, and large-n spot checks against the dense batched engine.
+"""Macro-step engine: block-size invariance, the memory guard, and
+large-n spot checks against the dense batched engine.
 
 The full cross-engine matrix (including faults, traces and metrics for
 the instrumented macro path) lives in ``test_conformance.py``; this
-module covers the knobs that matrix holds fixed — the macro-step width
-``K``, the numpy/numba backend split, CSR-native topologies at sizes the
-matrix never visits, plain and instrumented — plus the
-:mod:`repro.sim.guard` estimates.  The oracle is a single-trial
-``batched_fast`` run: a dense ``O(E)``-per-slot array program that shares
-no resolution code with the macro engine.
+module covers what that matrix holds fixed — the macro-step width ``K``,
+CSR-native topologies at sizes the matrix never visits, plain and
+instrumented — plus the :mod:`repro.sim.guard` estimates.  The oracle is
+a single-trial ``batched_fast`` run: a dense ``O(E)``-per-slot array
+program that shares no resolution code with the macro engine.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from hypothesis import strategies as st
 
 import repro.sim.guard as guard
 from repro.baselines.round_robin import RoundRobinBroadcast
-from repro.core.randomized import KnownRadiusKP, OptimalRandomizedBroadcasting
+from repro.core.randomized import KnownRadiusKP
 from repro.obs.metrics import MetricsRegistry
 from repro.sim import (
     ASLEEP,
@@ -31,8 +30,8 @@ from repro.sim import (
     default_max_steps,
     run_broadcast,
     run_broadcast_batch,
+    simulate,
 )
-from repro.sim._kernels import HAVE_NUMBA
 from repro.sim.macro import (
     ELIGIBLE_ANY_AWAKE,
     MacroPlan,
@@ -47,6 +46,8 @@ from repro.topology import (
     km_hard_layered_csr,
 )
 
+from .conformance import engine_spec
+
 
 def _summary(result):
     return (result.completed, result.time, result.informed,
@@ -60,11 +61,10 @@ def _dense(net, algo, seed, **kwargs):
     return result
 
 
-def _run_numpy_engine(net, algo, seed, block_size):
-    """A full run on the numpy block path, plus whether any slot was
+def _run_engine(net, algo, seed, block_size):
+    """A full run at block size ``block_size``, plus whether any slot was
     resolved from the sleepers' side (the gather is built lazily there)."""
-    engine = MacroStepEngine(net, algo, seed=seed, block_size=block_size,
-                             backend="numpy")
+    engine = MacroStepEngine(net, algo, seed=seed, block_size=block_size)
     engine.run(default_max_steps(net, algo))
     return engine, engine._sl_idx is not None
 
@@ -119,11 +119,12 @@ class TestBlockSizeInvariance:
     def test_results_never_depend_on_k(self, block_size, seed):
         net = km_hard_layered_csr(60, 4, seed=3)
         baseline = _dense(net, KnownRadiusKP(net.r, net.radius), seed)
-        result = run_broadcast_macro(
-            net, KnownRadiusKP(net.r, net.radius), seed=seed,
-            block_size=block_size, backend="numpy",
+        engine, _ = _run_engine(
+            net, KnownRadiusKP(net.r, net.radius), seed, block_size
         )
-        assert _summary(result) == _summary(baseline)
+        assert engine.completion_time == baseline.time
+        assert engine.informed_count == baseline.informed
+        assert engine.wake_times() == baseline.wake_times
 
     def test_partial_runs_report_executed_slots(self):
         net = gnp_random_csr(200, 10 / 200, seed=1)
@@ -132,7 +133,7 @@ class TestBlockSizeInvariance:
                            max_steps=budget)
             macro = run_broadcast_macro(
                 net, KnownRadiusKP(net.r, net.radius), seed=3,
-                max_steps=budget, block_size=64,
+                max_steps=budget,
             )
             assert _summary(macro) == _summary(dense)
 
@@ -143,47 +144,14 @@ class TestBlockSizeInvariance:
 
 
 class TestBackends:
-    def test_resolve_rejects_unknown(self):
+    @pytest.mark.parametrize("backend", ["cuda", "numba"])
+    def test_resolve_rejects_unknown(self, backend):
+        assert resolve_macro_backend() == "numpy"
         with pytest.raises(ConfigurationError):
-            resolve_macro_backend("cuda")
-
-    def test_env_override_wins_over_auto(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MACRO_BACKEND", "numpy")
-        assert resolve_macro_backend("auto") == "numpy"
-
-    @pytest.mark.skipif(HAVE_NUMBA, reason="numba present: request succeeds")
-    def test_numba_request_without_numba_is_an_error(self):
+            resolve_macro_backend(backend)
+        net = gnp_random_csr(50, 0.2, seed=0)
         with pytest.raises(ConfigurationError):
-            resolve_macro_backend("numba")
-
-    def test_instrumented_runs_take_the_numpy_path(self, monkeypatch):
-        """An observed run reports (and runs on) the numpy block path even
-        when numba was requested; a plain run keeps the JIT backend."""
-        monkeypatch.setattr("repro.sim._kernels.HAVE_NUMBA", True)
-        net = gnp_random_csr(200, 10 / 200, seed=1)
-        algo = KnownRadiusKP(net.r, net.radius)
-        assert MacroStepEngine(net, algo, backend="numba").backend == "numba"
-        observed = MacroStepEngine(net, algo, seed=3, backend="numba",
-                                   metrics=MetricsRegistry())
-        assert observed.backend == "numpy"
-        observed.run(400)
-        plain = run_broadcast_macro(net, KnownRadiusKP(net.r, net.radius),
-                                    seed=3, backend="numpy")
-        assert observed.wake_times() == plain.wake_times
-
-    @pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-    @pytest.mark.parametrize("seed", [0, 1, 5])
-    def test_numba_backend_bit_identical(self, seed):
-        for net in (gnp_random_csr(400, 10 / 400, seed=2),
-                    km_hard_layered_csr(150, 6, seed=1)):
-            for make in (lambda: KnownRadiusKP(net.r, net.radius),
-                         lambda: OptimalRandomizedBroadcasting(net.r),
-                         lambda: RoundRobinBroadcast(net.r)):
-                a = run_broadcast_macro(net, make(), seed=seed,
-                                        backend="numpy", block_size=37)
-                b = run_broadcast_macro(net, make(), seed=seed,
-                                        backend="numba", block_size=37)
-                assert _summary(a) == _summary(b)
+            MacroStepEngine(net, RoundRobinBroadcast(net.r), backend=backend)
 
 
 class TestReceiverSide:
@@ -207,7 +175,7 @@ class TestReceiverSide:
         dense = _dense(net, KnownRadiusKP(net.r, net.radius), 3)
         assert dense.completed
         for block_size in (29, 128):
-            engine, used_rx = _run_numpy_engine(
+            engine, used_rx = _run_engine(
                 net, KnownRadiusKP(net.r, net.radius), 3, block_size
             )
             assert used_rx == sleeper_side
@@ -222,7 +190,7 @@ class TestReceiverSide:
         net = gnp_random_csr(1_500, 6 / 1_500, seed=4)
         reference = run_broadcast(net, AnyAwakeSweep(), seed=seed)
         assert reference.completed
-        engine, used_rx = _run_numpy_engine(net, AnyAwakeSweep(), seed, 23)
+        engine, used_rx = _run_engine(net, AnyAwakeSweep(), seed, 23)
         assert used_rx
         assert engine.completion_time == reference.time
         assert engine.wake_times() == reference.wake_times
@@ -281,8 +249,7 @@ class TestLargeNSpotChecks:
         budget = 120
         dense = _dense(net, KnownRadiusKP(net.r, net.radius), 7,
                        max_steps=budget)
-        macro = run_broadcast_macro(net, algo, seed=7, max_steps=budget,
-                                    block_size=64)
+        macro = run_broadcast_macro(net, algo, seed=7, max_steps=budget)
         assert _summary(macro) == _summary(dense)
 
     def test_layered_50k_identity(self):
@@ -290,8 +257,8 @@ class TestLargeNSpotChecks:
         budget = 200
         dense = _dense(net, KnownRadiusKP(net.r, net.radius), 2,
                        max_steps=budget)
-        macro = run_broadcast_macro(net, KnownRadiusKP(net.r, net.radius),
-                                    seed=2, max_steps=budget, block_size=128)
+        (macro,) = simulate(net, KnownRadiusKP(net.r, net.radius), [2],
+                            engine=engine_spec("macro"), max_steps=budget)
         assert _summary(macro) == _summary(dense)
 
     def test_legacy_network_also_supported(self):
@@ -320,8 +287,7 @@ class TestLargeNSpotChecks:
         dense = _dense(net, KnownRadiusKP(net.r, net.radius), 7,
                        metrics=dense_metrics, **kwargs)
         macro = run_broadcast_macro(net, KnownRadiusKP(net.r, net.radius),
-                                    seed=7, block_size=64,
-                                    metrics=macro_metrics, **kwargs)
+                                    seed=7, metrics=macro_metrics, **kwargs)
         assert _summary(macro) == _summary(dense)
         assert macro.fault_counters == dense.fault_counters
         assert macro.fault_counters.lost_messages > 0
@@ -341,8 +307,8 @@ class TestLargeNSpotChecks:
         plan = FaultPlan(crashes=((last, plain.wake_times[last]),))
         reference = run_broadcast(net, algo(), seed=0, faults=plan,
                                   max_steps=10 * plain.time)
-        macro = run_broadcast_macro(net, algo(), seed=0, faults=plan,
-                                    max_steps=10 * plain.time, block_size=37)
+        (macro,) = simulate(net, algo(), [0], engine=engine_spec("macro"),
+                            faults=plan, max_steps=10 * plain.time)
         assert not reference.completed
         assert reference.time < 10 * plain.time
         assert _summary(macro) == _summary(reference)

@@ -39,8 +39,7 @@ def _gapped_path() -> RadioNetwork:
 
 def _array_results(net, algo, seed, max_steps):
     """The same run on both array engines."""
-    macro = run_broadcast_macro(net, algo(), seed=seed, max_steps=max_steps,
-                                backend="numpy")
+    macro = run_broadcast_macro(net, algo(), seed=seed, max_steps=max_steps)
     (batched,) = run_broadcast_batch(net, algo(), seeds=[seed],
                                      max_steps=max_steps, engine="batched_fast")
     return {"macro": macro, "batched_fast": batched}
