@@ -89,7 +89,7 @@ def test_metrics_overhead_and_bench_baseline(table_reporter):
                 ["metrics on", f"{on_s:.3f}", f"{slots / on_s:.0f}"],
                 ["overhead", f"{overhead:.2f}x", ""],
             ],
-            title=f"BatchedFastEngine, {trials} trials ({slots} trial-slots)",
+            title=f"macro unions, {trials} trials ({slots} trial-slots)",
         ),
     )
 

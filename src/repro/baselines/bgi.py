@@ -111,7 +111,7 @@ class BGIBroadcast(BroadcastAlgorithm):
             raise ConfigurationError(f"phase_len must be positive, got {phase_len}")
         self.phase_len = phase_len
         self.name = f"bgi-decay(L={phase_len})"
-        # Fast-engine per-run state (reset by the engine via reset_run).
+        # Array-engine per-run state (reset by the engine via reset_run).
         self._active_mask: np.ndarray | None = None
         self._active_phase: int = -1
 
@@ -123,10 +123,11 @@ class BGIBroadcast(BroadcastAlgorithm):
     # -- array engines ------------------------------------------------------
 
     def reset_run(self, shape: int | tuple[int, int]) -> None:
-        """Called by the array engines before a run.
+        """Called by the array engine before a run.
 
-        ``shape`` is ``n`` on :class:`~repro.sim.macro.MacroStepEngine` and
-        ``(trials, n)`` on :class:`~repro.sim.fast.BatchedFastEngine`.
+        ``shape`` is the shape of the engine's wake array: ``(n,)`` for
+        one :class:`~repro.sim.macro.MacroStepEngine` run, ``(trials, n)``
+        for a union of trials.
         """
         self._active_mask = np.zeros(shape, dtype=bool)
         self._active_phase = -1

@@ -145,8 +145,9 @@ ALGORITHM_CHOICES = [
 ]
 
 
-#: ``--engine`` choices of the single-run subcommands.
-SERIAL_ENGINES = [name for name, spec in ENGINES.items() if not spec.batch]
+#: ``--engine`` choices of the single-run subcommands: every engine but
+#: the shared-clock batch engine, which only pays off across trials.
+SERIAL_ENGINES = ["reference", "event", "macro"]
 
 
 def _add_topology_args(parser: argparse.ArgumentParser) -> None:
@@ -1074,11 +1075,11 @@ def main(argv: list[str] | None = None) -> int:
     p_prof_run.add_argument("--algorithm", default="kp", choices=ALGORITHM_CHOICES)
     p_prof_run.add_argument("--engine", default="auto",
                             choices=["auto", *ENGINES],
-                            help="engine to profile (auto runs all trials "
-                                 "as one batch: the array engine for "
-                                 "vectorised algorithms, the batched event "
-                                 "engine otherwise; any other name forces "
-                                 "that engine)")
+                            help="engine to profile (auto runs the trials "
+                                 "as macro unions for vectorised algorithms "
+                                 "and as one batched event engine batch "
+                                 "otherwise; any other name forces that "
+                                 "engine)")
     p_prof_run.add_argument("--trials", type=int, default=10)
     p_prof_run.add_argument("--seed", type=int, default=0)
     _add_profile_report_args(p_prof_run)

@@ -20,7 +20,7 @@ def _batch_times(net, algorithm, runs: int) -> list[int]:
     """Trial times for seeds 0..runs-1, all trials in one batched run.
 
     ``engine="auto"`` dispatches per algorithm: the oblivious KP/BGI
-    schedules here take the ``(trials, n)`` array engine, any adaptive
+    schedules here run as macro unions of network copies, any adaptive
     algorithm would take the batched event engine — same results either
     way (the conformance suite pins trial-for-trial identity).
     """

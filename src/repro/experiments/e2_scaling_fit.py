@@ -27,7 +27,7 @@ def _batch_times(net, algorithm, runs: int) -> list[int]:
     """Trial times for seeds 0..runs-1, all trials in one batched run.
 
     ``engine="auto"`` dispatches per algorithm: the oblivious schedules
-    here take the ``(trials, n)`` array engine, any adaptive algorithm
+    here run as macro unions of network copies, any adaptive algorithm
     would take the batched event engine — same results either way (the
     conformance suite pins trial-for-trial identity).
     """

@@ -10,7 +10,7 @@ The timing protocol is pinned so that trajectory records stay comparable
 across PRs: ``warmup`` untimed calls, then ``repeats`` timed calls, with
 the **minimum** as the headline statistic (least scheduler noise) and the
 median alongside it.  Every record carries an environment fingerprint
-(git SHA, python/numpy/scipy versions, platform, CPU count) so a
+(git SHA, python/numpy versions, platform, CPU count) so a
 regression can be told apart from a machine change.
 
 Records append to ``benchmarks/results/BENCH_trajectory.jsonl`` (one
@@ -201,17 +201,10 @@ def environment_fingerprint() -> dict:
     """Machine/toolchain identity stamped onto every bench record."""
     import numpy
 
-    try:
-        import scipy
-
-        scipy_version = scipy.__version__
-    except ImportError:  # pragma: no cover - scipy is a dev dependency
-        scipy_version = None
     return {
         "git_sha": git_sha(),
         "python": platform.python_version(),
         "numpy": numpy.__version__,
-        "scipy": scipy_version,
         "platform": platform.platform(),
         "machine": platform.machine(),
         "cpu_count": os.cpu_count(),

@@ -124,8 +124,8 @@ class Histogram:
         """Record ``count`` observations of the same ``value`` at once.
 
         Exactly equivalent to calling :meth:`observe` ``count`` times
-        (integer-valued sums stay exact); the batched engine uses this to
-        flush its buffered zero-collision slots in O(1).
+        (integer-valued sums stay exact); the event engine uses this to
+        record a jump over silent slots in O(1).
         """
         if count <= 0:
             return

@@ -79,6 +79,13 @@ class TelemetrySender:
             return False
         return True
 
+    def close(self) -> None:
+        """Flush and release this process's end of the bus: returns once
+        the queue's feeder thread has written every emitted event, so a
+        worker that calls it before exiting loses none of them."""
+        self._queue.close()
+        self._queue.join_thread()
+
 
 class LocalSender:
     """In-process sender for serial execution: events go straight to the

@@ -19,15 +19,11 @@ from .errors import (
     ProtocolViolationError,
     SimulationError,
 )
-from .fast import (
-    ASLEEP,
-    BatchedFastEngine,
-    VectorizedAlgorithm,
-    run_broadcast_batch,
-)
+from .fast import ASLEEP, VectorizedAlgorithm, run_broadcast_batch
 from .faults import FaultCounters, FaultPlan, derive_fault_seed
 from .guard import check_memory_budget
 from .macro import (
+    BatchedFastEngine,
     MacroPlan,
     MacroStepEngine,
     resolve_macro_backend,

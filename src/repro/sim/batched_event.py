@@ -2,9 +2,9 @@
 
 :class:`~repro.sim.event.EventDrivenEngine` makes one adaptive run cheap
 by polling only the nodes whose ``quiet_until`` promise expired and
-fast-forwarding provably silent slots; :class:`~repro.sim.fast.
-BatchedFastEngine` makes many *oblivious* trials cheap by lifting state
-to ``(trials, n)`` arrays.  This engine combines the two ideas for the
+fast-forwarding provably silent slots; :class:`~repro.sim.macro.
+MacroStepEngine` makes many *oblivious* trials cheap by running them as
+one union of network copies.  This engine combines the two ideas for the
 adaptive protocols the array engines cannot run: a batch of trials
 advances on one shared clock, every trial keeps its own promise heap, and
 whenever *all* trials are quiet the whole batch jumps to the minimum next
@@ -115,7 +115,7 @@ class BatchedEventEngine:
         faults: Optional :class:`~repro.sim.faults.FaultPlan` applied to
             every trial; crashes, jams, and delays are identical across
             trials, the loss stream is keyed per trial seed — exactly the
-            :class:`~repro.sim.fast.BatchedFastEngine` convention.
+            :class:`~repro.sim.macro.MacroStepEngine` union convention.
         metrics: Optional :class:`~repro.obs.metrics.MetricsRegistry`.
             Each execution class records into a private registry; after
             the run the private registries are merged in with
@@ -210,7 +210,7 @@ class BatchedEventEngine:
         return groups
 
     # ------------------------------------------------------------------
-    # Batch-level state, mirroring BatchedFastEngine's vocabulary.
+    # Batch-level state.
 
     @property
     def execution_classes(self) -> int:
@@ -340,7 +340,7 @@ class BatchedEventEngine:
         serial event-engine runs exactly.  One-shot (the class registries
         are consumed); :meth:`run` calls it, manual steppers must call it
         before snapshotting.  Also sets ``batch_active_trials`` to the
-        current unsettled count, mirroring the batched fast engine.
+        current unsettled count.
         """
         if self.metrics is None or self._metrics_flushed:
             return

@@ -11,15 +11,11 @@ flat CSR arrays so the fast engines share one kernel:
   resolve` with the (typically tiny) set of transmitter indices — a
   neighbour-slice gather plus one ``np.bincount``.
 * :class:`~repro.sim.macro.MacroStepEngine` gathers the transmitters'
-  (or the sleepers') neighbour lists from the same CSR arrays directly.
-* :class:`~repro.sim.fast.BatchedFastEngine` uses the
-  :attr:`ChannelKernel.adjacency_t` scipy matrix built from the same
-  arrays, resolving the whole batch of transmit masks with one sparse
-  product.
+  (or the sleepers') neighbour lists from the same CSR arrays directly,
+  for one trial or a union of trials.
 
 Node *indices* are positions in the sorted label array
-(:attr:`ChannelKernel.labels`), the same convention ``sim/fast.py`` has
-always used.
+(:attr:`ChannelKernel.labels`).
 """
 
 from __future__ import annotations
@@ -101,37 +97,6 @@ class ChannelKernel:
         # Written fresh on every resolve(); only entries with hits == 1
         # this slot are ever read, and those were written this slot.
         self._sender_buf = np.empty(self.n, dtype=np.int64)
-        self._adjacency = None
-        self._adjacency_t = None
-
-    # -- sparse-matrix views (the fast engines' form of the kernel) --------
-
-    @property
-    def adjacency(self):
-        """Sparse ``(n, n)`` int32 CSR sender -> receiver matrix.
-
-        ``mask_int32 @ adjacency`` yields per-receiver hit counts; built
-        lazily so engines that never need the matrix form (the
-        event-driven engine) keep scipy off their import path.
-        """
-        if self._adjacency is None:
-            from scipy import sparse
-
-            data = np.ones(len(self.indices), dtype=np.int32)
-            self._adjacency = sparse.csr_matrix(
-                (data, self.indices.astype(np.int32), self.indptr),
-                shape=(self.n, self.n), dtype=np.int32,
-            )
-            self._adjacency.sort_indices()  # canonical form for scipy fast paths
-        return self._adjacency
-
-    @property
-    def adjacency_t(self):
-        """Transposed adjacency as CSR, for the batched sparse-first form
-        ``(adj^T @ mask^T)^T`` (see :class:`~repro.sim.fast.BatchedFastEngine`)."""
-        if self._adjacency_t is None:
-            self._adjacency_t = self.adjacency.T.tocsr()
-        return self._adjacency_t
 
     # -- sparse-transmitter resolution (the event engine's form) -----------
 

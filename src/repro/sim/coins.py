@@ -1,12 +1,11 @@
 """Shared randomness derivation for every execution path.
 
 Every engine — the per-node reference engine
-(:class:`~repro.sim.engine.SynchronousEngine`), the sparse single-run
-:class:`~repro.sim.macro.MacroStepEngine`, the batched multi-trial
-:class:`~repro.sim.fast.BatchedFastEngine`, and the event engines — must
-produce *identical* executions for the same ``(network, algorithm,
-seed)``.  Two pieces make
-that possible:
+(:class:`~repro.sim.engine.SynchronousEngine`), the sparse
+:class:`~repro.sim.macro.MacroStepEngine` (one trial or a union of
+trials), and the event engines — must produce *identical* executions for
+the same ``(network, algorithm, seed)``.  Two pieces make that
+possible:
 
 * **Per-node RNG derivation.**  Node ``v`` of a run with master seed ``s``
   owns the stream ``random.Random(f"{s}:{v}")`` (the scheme the reference

@@ -1,6 +1,6 @@
 """The engine registry and the one driver on top of it.
 
-Five engines execute the same synchronous radio semantics (the
+Four engines execute the same synchronous radio semantics (the
 conformance suite holds them to bit-identical results); they differ only
 in execution strategy and in what they can run.  :data:`ENGINES` names
 them and records the capabilities the driver checks; :func:`simulate`
@@ -32,20 +32,24 @@ from .batched_event import BatchedEventEngine
 from .engine import SynchronousEngine
 from .errors import BroadcastIncompleteError, ConfigurationError
 from .event import EventDrivenEngine
-from .fast import (
-    ASLEEP,
-    BatchedFastEngine,
-    VectorizedAlgorithm,
-    WakeTimes,
-    _check_vectorized,
-)
+from .fast import ASLEEP, VectorizedAlgorithm, WakeTimes, _check_vectorized
 from .faults import FaultPlan
 from .guard import check_memory_budget
 from .macro import MacroStepEngine
 from .run import BroadcastResult, default_max_steps
 from .trace import TraceLevel
 
-__all__ = ["ENGINES", "EngineSpec", "simulate"]
+__all__ = ["ENGINES", "EngineSpec", "UNION_NODE_LIMIT", "simulate"]
+
+#: Node copies per ``macro`` union: a call's seeds run in unions of
+#: ``max(1, UNION_NODE_LIMIT // n)`` trials, so from n = 2**16 on every
+#: seed runs alone.  KP on G(n, 12/n), one 16-seed union against 16
+#: one-seed runs (2-vCPU x86-64 VM, best of 5): 3.3x as fast at
+#: n = 1024 and 1.9x at 4096, a tie at 16384 (2**18 copies) and 0.74x
+#: at 65536 (2**20 copies), where the union's per-slot bincounts and
+#: gathers over all its copies outweigh the per-run overhead it saves.
+#: At 2**16 copies (n = 16384, 4 seeds) the union still ran 1.27x.
+UNION_NODE_LIMIT = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -61,8 +65,10 @@ class EngineSpec:
             engines as ``engine_cls(network, algorithm, seeds, ...)``.
         oblivious_only: Runs only
             :class:`~repro.sim.fast.VectorizedAlgorithm` schedules.
-        batch: Runs every seed in one engine instance (one ``batch[T]``
-            span); serial engines run one instance per seed.
+        batch: Runs many seeds in one engine instance (one ``batch[T]``
+            span per instance) — all of them, or for ``macro`` unions of
+            up to :data:`UNION_NODE_LIMIT` node copies; serial engines
+            run one instance per seed.
         collision_detection: Supports the collision-detection variant.
         step_hooks: Accepts per-trial ``(step, transmitters)`` hooks
             (``step_hooks=``, one per seed).
@@ -87,9 +93,7 @@ ENGINES: dict[str, EngineSpec] = {
                    needs_adjacency=True),
         EngineSpec("event", EventDrivenEngine, collision_detection=True,
                    needs_adjacency=True),
-        EngineSpec("macro", MacroStepEngine, oblivious_only=True),
-        EngineSpec("batched_fast", BatchedFastEngine, oblivious_only=True,
-                   batch=True),
+        EngineSpec("macro", MacroStepEngine, oblivious_only=True, batch=True),
         EngineSpec("batched_event", BatchedEventEngine, batch=True,
                    collision_detection=True, step_hooks=True,
                    needs_adjacency=True),
@@ -99,15 +103,13 @@ ENGINES: dict[str, EngineSpec] = {
 
 def _resolve_engine(engine: str | EngineSpec, algorithm) -> EngineSpec:
     """Registry lookup; ``"auto"`` picks the batch engine that can run
-    ``algorithm`` — the array program for oblivious schedules, the
+    ``algorithm`` — macro unions for oblivious schedules, the
     shared-clock event engine for everything else."""
     if isinstance(engine, EngineSpec):
         return engine
     if engine == "auto":
         engine = (
-            "batched_fast"
-            if isinstance(algorithm, VectorizedAlgorithm)
-            else "batched_event"
+            "macro" if isinstance(algorithm, VectorizedAlgorithm) else "batched_event"
         )
     spec = ENGINES.get(engine)
     if spec is None:
@@ -147,9 +149,8 @@ def simulate(
         algorithm: The broadcasting algorithm; oblivious-only engines
             require a :class:`~repro.sim.fast.VectorizedAlgorithm`.
         seeds: Per-trial master seeds.
-        engine: A name in :data:`ENGINES`, or ``"auto"``:
-            ``batched_fast`` for vectorisable algorithms, ``batched_event``
-            otherwise.  An :class:`EngineSpec` is accepted too (a
+        engine: A name in :data:`ENGINES`, or ``"auto"``: ``macro`` for
+            vectorisable algorithms, ``batched_event`` otherwise.  An :class:`EngineSpec` is accepted too (a
             registry entry whose ``engine_cls`` binds engine-specific
             parameters).
         max_steps: Step limit per trial, non-negative.  Defaults to
@@ -170,7 +171,8 @@ def simulate(
             ``spans`` is given.
         spans: Optional :class:`~repro.obs.spans.SpanRecorder`: one
             ``trial[seed]`` span per serial run, one ``batch[T]`` span per
-            batch, each with synthetic ``engine.*`` stage children.
+            batch engine instance, each with synthetic ``engine.*`` stage
+            children.
         step_hooks: Optional per-trial ``(step, transmitters)`` callbacks,
             one entry per seed (``batched_event`` only).
         allow_large: Skip the memory-estimate guard
@@ -195,9 +197,10 @@ def simulate(
     if max_steps < 0:
         raise ConfigurationError(f"max_steps must be non-negative, got {max_steps}")
     seeds = [int(seed) for seed in seeds]
+    groups = _seed_groups(spec, network.n, seeds)
     check_memory_budget(
         network.n, max_steps, trace_level,
-        trials=len(seeds) if spec.batch else 1,
+        trials=max(map(len, groups), default=1),
         dense_metrics=metrics is not None, allow_large=allow_large,
     )
     if timings is None and (metrics is not None or spans is not None):
@@ -209,7 +212,7 @@ def simulate(
     if spec.step_hooks:
         kwargs["step_hooks"] = step_hooks
     results: list[BroadcastResult] = []
-    for run_seeds in [seeds] if spec.batch else [[s] for s in seeds]:
+    for run_seeds in groups:
         if spec.batch:
             engine_obj = spec.engine_cls(network, algorithm, run_seeds, **kwargs)
             span_name = f"batch[{len(run_seeds)}]"
@@ -244,14 +247,29 @@ def simulate(
     return results
 
 
+def _seed_groups(spec: EngineSpec, n: int, seeds: list[int]) -> list[list[int]]:
+    """The seeds of each engine instance: one per serial run, all of them
+    for the shared-clock event engine, and unions of at most
+    :data:`UNION_NODE_LIMIT` node copies (at least one seed) for the
+    oblivious array engine."""
+    if not spec.batch:
+        return [[seed] for seed in seeds]
+    if not spec.oblivious_only:
+        return [seeds]
+    per_union = max(1, UNION_NODE_LIMIT // n)
+    unions = [seeds[i:i + per_union] for i in range(0, len(seeds), per_union)]
+    return unions or [seeds]  # no seeds: the engine refuses them
+
+
 # ----------------------------------------------------------------------
 # Result assembly
 # ----------------------------------------------------------------------
 
 
 class _SingleRun:
-    """A single-run engine seen through the batch engines' per-trial
-    accessors, so :func:`_assemble_results` speaks one vocabulary."""
+    """A per-node single-run engine seen through the batch engines'
+    per-trial accessors, so :func:`_assemble_results` speaks one
+    vocabulary."""
 
     def __init__(self, engine):
         self._engine = engine
@@ -263,10 +281,7 @@ class _SingleRun:
         return self._engine.step
 
     def wake_times(self, trial: int) -> Mapping[int, int]:
-        # A dict attribute on the per-node engines, a method returning a
-        # WakeTimes on the array ones.
-        wake_times = self._engine.wake_times
-        return dict(wake_times) if isinstance(wake_times, dict) else wake_times()
+        return dict(self._engine.wake_times)
 
     def trace_for(self, trial: int):
         return self._engine.trace

@@ -5,9 +5,9 @@ the channel; related work (Czumaj–Davies randomized broadcasting without
 network knowledge, crash-prone radio models) studies how algorithms
 degrade when the network misbehaves.  This module gives the simulator a
 single declarative description of such misbehaviour — a
-:class:`FaultPlan` — that **all three engines** apply with identical
+:class:`FaultPlan` — that **every engine** applies with identical
 semantics, so the differential suite can assert bit-identical faulty
-executions across the reference, fast, and batched paths.
+executions across the reference, event, macro and batched paths.
 
 Four fault families are supported:
 
@@ -263,9 +263,9 @@ def scalar_loss_coin(fault_seed: int, receiver: int, step: int) -> float:
 class CompiledFaults:
     """A :class:`FaultPlan` lowered onto one engine's node indexing.
 
-    Shared by :class:`~repro.sim.macro.MacroStepEngine` (coin keys of
-    shape ``(n,)``) and :class:`~repro.sim.fast.BatchedFastEngine`
-    (``(T, n)``, one loss stream per trial).
+    Used by :class:`~repro.sim.macro.MacroStepEngine`: loss coin keys of
+    shape ``(n,)`` for one trial, ``(T, n)`` for a union (one loss
+    stream per trial).
 
     Attributes:
         crash_slots: ``(n,)`` int64; :data:`NEVER` where the node never

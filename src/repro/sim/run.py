@@ -171,10 +171,10 @@ def repeat_broadcast(
 
     A thin alias over :func:`~repro.sim.driver.simulate` with seeds
     ``derive_trial_seeds(base_seed, runs)``.  The default ``engine="auto"``
-    runs all trials as one batch: oblivious algorithms (anything
-    implementing :class:`~repro.sim.fast.VectorizedAlgorithm`) as a
-    ``(trials, n)`` array program, every other algorithm on the
-    shared-clock :class:`~repro.sim.batched_event.BatchedEventEngine`.
+    runs the trials as batches: oblivious algorithms (anything
+    implementing :class:`~repro.sim.fast.VectorizedAlgorithm`) as macro
+    unions of network copies, every other algorithm on the shared-clock
+    :class:`~repro.sim.batched_event.BatchedEventEngine`.
     Any registered engine name forces that engine (e.g. ``"reference"``
     to benchmark the batch paths against the serial per-node engine);
     per-trial results are identical either way.

@@ -37,8 +37,8 @@ TOPOLOGIES: dict[str, Callable[..., RadioNetwork]] = {
 }
 
 #: Algorithm name -> factory taking the network plus keyword parameters.
-#: All entries are oblivious (vectorisable), so sweep points run on the
-#: batched engine; `repeat_broadcast` falls back to the reference engine
+#: All entries are oblivious (vectorisable), so sweep points run as macro
+#: unions; `repeat_broadcast` falls back to the batched event engine
 #: automatically if a non-vectorised factory is ever registered.
 ALGORITHMS: dict[str, Callable[..., Any]] = {
     "kp-known-d": lambda net, d=None, stage_constant=4660, extra_step="universal": KnownRadiusKP(

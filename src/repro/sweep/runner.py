@@ -21,9 +21,10 @@ Points that exhaust their retry budget fail the sweep with
 chance, and with all successful payloads already cached.
 
 Each point itself runs all its Monte-Carlo trials as one batched array
-program (:func:`~repro.sim.run.repeat_broadcast` dispatches oblivious
-algorithms to :class:`~repro.sim.fast.BatchedFastEngine`), so the
-parallelism is two-level: processes over points, arrays over trials.
+program (:func:`~repro.sim.run.repeat_broadcast` runs oblivious
+algorithms as unions of trials on
+:class:`~repro.sim.macro.MacroStepEngine`), so the parallelism is
+two-level: processes over points, arrays over trials.
 """
 
 from __future__ import annotations
@@ -312,6 +313,11 @@ class SweepOutcome:
 # Crash-safe worker pool
 
 
+#: Seconds the pool waits for its workers to exit on the stop sentinel
+#: before killing the rest.
+_STOP_TIMEOUT_S = 5.0
+
+
 def _pool_worker(
     task_queue, result_queue, instrument: bool = False,
     profile_dir: str | None = None,
@@ -322,11 +328,15 @@ def _pool_worker(
     The ``start`` message *before* execution is what makes recovery
     possible: if this process dies mid-point (SIGKILL, OOM, segfault),
     the parent knows exactly which point was in flight and resubmits it.
+    A ``None`` task is the stop sentinel: the worker flushes its
+    telemetry queue (joining the feeder thread) and exits.
     """
     pid = os.getpid()
     while True:
         task = task_queue.get()
         if task is None:
+            if telemetry is not None:
+                telemetry.sender.close()
             return
         index, canonical = task
         result_queue.put(("start", index, pid))
@@ -507,11 +517,31 @@ def _run_pool(
                 clear_inflight(index)
                 handle_failure(index, message[2], message[3])
     finally:
+        # Stop the workers with one sentinel each, so every worker flushes
+        # its telemetry before exiting; drain while they do (a full bus
+        # pipe would block the flush), then once more after the last one
+        # is joined.  Only workers that miss the deadline are killed.
+        # Leftover tasks (stale duplicates, or everything after an early
+        # exit) are discarded first, so a worker finishes at most the
+        # point it is on before it reads its sentinel.
+        while True:
+            try:
+                task_queue.get_nowait()
+            except queue_module.Empty:
+                break
+        for _ in processes:
+            task_queue.put(None)
+        deadline = time.monotonic() + _STOP_TIMEOUT_S
+        for process in processes:
+            while process.is_alive() and time.monotonic() < deadline:
+                if telemetry is not None:
+                    telemetry.drain()
+                process.join(timeout=0.05)
         if telemetry is not None:
             telemetry.drain()
         for process in processes:
-            process.kill()
-        for process in processes:
+            if process.is_alive():
+                process.kill()
             process.join(timeout=5.0)
         for q in (task_queue, result_queue):
             q.close()

@@ -97,9 +97,8 @@ class CSRNetwork:
     :class:`~repro.sim.network.RadioNetwork` into, which is what lets the
     kernel adopt these arrays as-is (zero-copy) via :meth:`csr_arrays`.
 
-    The array engines (:class:`~repro.sim.macro.MacroStepEngine` and
-    :class:`~repro.sim.fast.BatchedFastEngine`) run on a ``CSRNetwork``
-    directly.  The per-node reference engines
+    The array engine (:class:`~repro.sim.macro.MacroStepEngine`) runs on
+    a ``CSRNetwork`` directly.  The per-node reference engines
     need dict neighbour maps; convert with :meth:`to_radio_network`
     (small instances only).
 

@@ -1,10 +1,10 @@
-"""Progress analytics agree across all three engines (S3).
+"""Progress analytics agree across the engines (S3).
 
 The analytics in :mod:`repro.analysis.progress` consume only
 ``wake_times`` / ``layer_times`` from a result, and the engines are
 bit-identical on those — so curves, milestones, and front speeds must be
-indistinguishable whether a run came from the reference engine, the
-vectorised single-run engine, or a :class:`BatchedFastEngine` batch.
+indistinguishable whether a run came from the reference engine, a
+one-seed macro run, or one trial of a several-seed macro union.
 """
 
 from __future__ import annotations
@@ -45,7 +45,8 @@ def test_progress_curves_identical_across_engines(make_net):
     for algorithm in _algorithms(net):
         reference = run_broadcast(net, algorithm, seed=11)
         macro = run_broadcast(net, algorithm, seed=11, engine="macro")
-        batched = run_broadcast_batch(net, algorithm, seeds=[11])[0]
+        batched = run_broadcast_batch(net, algorithm, seeds=[11, 12],
+                                      engine="macro")[0]
         curve = progress_curve(reference)
         assert progress_curve(macro) == curve
         assert progress_curve(batched) == curve
@@ -58,7 +59,8 @@ def test_milestones_and_front_speed_identical_across_engines(make_net):
     for algorithm in _algorithms(net):
         reference = run_broadcast(net, algorithm, seed=3)
         macro = run_broadcast(net, algorithm, seed=3, engine="macro")
-        batched = run_broadcast_batch(net, algorithm, seeds=[3])[0]
+        batched = run_broadcast_batch(net, algorithm, seeds=[3, 4],
+                                      engine="macro")[0]
         marks = milestones(reference)
         assert milestones(macro) == marks
         assert milestones(batched) == marks
@@ -74,7 +76,7 @@ def test_batched_trials_each_carry_their_own_curve():
     net = gnp_connected(30, 0.2, seed=2)
     algorithm = BGIBroadcast(net.r)
     seeds = [5, 6, 7, 8]
-    batch = run_broadcast_batch(net, algorithm, seeds=seeds)
+    batch = run_broadcast_batch(net, algorithm, seeds=seeds, engine="macro")
     for seed, batched in zip(seeds, batch):
         single = run_broadcast(net, algorithm, seed=seed, engine="macro")
         assert progress_curve(batched) == progress_curve(single)

@@ -1,7 +1,7 @@
 """Telemetry purity: spans on vs. off is bit-identical, on every engine.
 
 Same contract the metrics layer is held to (`spans` observe, never
-perturb), checked across all six registered engines via the
+perturb), checked across every registered engine via the
 cross-engine conformance matrices, and end-to-end through ``run_sweep``:
 payloads and cache bytes must not change when a :class:`TelemetryHub`
 is attached.
@@ -97,6 +97,26 @@ def test_serial_trial_spans_share_one_vocabulary(engine):
         "completed": result.completed,
     }
     assert result.completed
+
+
+@pytest.mark.parametrize(
+    "engine", [name for name, spec in ENGINES.items() if spec.batch]
+)
+def test_batch_spans_share_one_vocabulary(engine):
+    """Every batch engine's ``batch[T]`` span carries the same attributes;
+    a ``macro`` call runs its three seeds as one union, so one span."""
+    net = km_hard_layered(48, 4, seed=5)
+    algorithm = OBLIVIOUS_ALGORITHMS["kp-known-d"](net)
+    events = []
+    results = simulate(net, algorithm, SEEDS, engine=engine,
+                       spans=SpanRecorder(sink=events.append))
+    (batch,) = [e for e in events if e["kind"] == "trial"]
+    assert batch["name"] == f"batch[{len(SEEDS)}]"
+    assert batch["attrs"] == {
+        "trials": len(SEEDS), "algorithm": algorithm.name, "n": net.n,
+        "completed": all(r.completed for r in results),
+    }
+    assert batch["attrs"]["completed"]
 
 
 class TestSweepPurity:

@@ -1,10 +1,10 @@
-"""Cross-engine conformance harness: one semantics, five execution strategies.
+"""Cross-engine conformance harness: one semantics, four execution strategies.
 
 Every engine in :data:`repro.sim.ENGINES` — the per-node reference
 :class:`~repro.sim.engine.SynchronousEngine`, the adaptive serial
-:class:`~repro.sim.event.EventDrivenEngine`, the sparse single-run
-:class:`~repro.sim.macro.MacroStepEngine`, the vectorised multi-trial
-:class:`~repro.sim.fast.BatchedFastEngine`, and the adaptive batched
+:class:`~repro.sim.event.EventDrivenEngine`, the sparse
+:class:`~repro.sim.macro.MacroStepEngine` (all of a cell's seeds as one
+union), and the adaptive batched
 :class:`~repro.sim.batched_event.BatchedEventEngine` — is a pure
 execution strategy over the same synchronous radio semantics.  This
 module is the shared substrate the conformance tests are built from:
@@ -179,16 +179,16 @@ ADAPTIVE_PLANS = {"none": lambda net: None, "crash-jam-delay": crash_jam_delay_p
 # ----------------------------------------------------------------------
 
 #: Engines the matrix holds to metrics identity with the reference
-#: engine; ``batched_fast``'s counter parity is covered by
-#: ``tests/sim/test_instrumentation.py``.
+#: engine: every registered one.  The ``macro`` cells run the seeds as
+#: one union, so they also pin batch counter parity.
 METRICS_COMPARABLE = {"reference", "event", "batched_event", "macro"}
 
 
 def engine_spec(name: str) -> EngineSpec:
     """The registry entry a conformance cell runs.  The ``macro`` cell
-    runs at block size 37, not the default 64, so the small matrix
-    topologies cross block boundaries (and instrumented runs decode the
-    macro plan across blocks)."""
+    runs its seeds as one union at block size 37, not the default 64, so
+    the small matrix topologies cross block boundaries (and instrumented
+    runs decode the macro plan across blocks)."""
     if name != "macro":
         return ENGINES[name]
     return replace(

@@ -95,7 +95,7 @@ def test_all_engines_conform_oblivious(networks, algo_name, topo, plan_name):
 def test_all_engines_record_identical_full_traces(
     networks, algo_name, topo, plan_name
 ):
-    """The oblivious matrix again, at ``TraceLevel.FULL``: all five
+    """The oblivious matrix again, at ``TraceLevel.FULL``: all four
     engines must record bit-identical channel traces, and the forensic
     reports derived from them — propagation DAG, slot taxonomy, summary
     scalars — must be bit-equal too (``assert_results_match`` derives

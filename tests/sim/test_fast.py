@@ -63,7 +63,7 @@ def test_exactly_one_rule_and_wake_progression():
     net = star(4)
     engine = _traced(net, _MaskSchedule({0: {0}}), max_steps=1)
     assert engine.all_informed
-    assert engine.completion_time == 1
+    assert engine.completion_times() == [1]
     (record,) = engine.trace.steps
     assert record.deliveries == {1: 0, 2: 0, 3: 0}
 
@@ -73,7 +73,7 @@ def test_collision_blocks_wake():
     net = RadioNetwork.undirected(range(4), [(0, 1), (0, 2), (1, 3), (2, 3)])
     engine = _traced(net, _MaskSchedule({0: {0}, 1: {1, 2}}), max_steps=2)
     assert not engine.all_informed
-    assert engine.informed_count == 3
+    assert len(engine.wake_times()) == 3
     assert engine.trace.steps[1].collisions == (0, 3)  # the source hears both
     assert engine.trace.steps[1].woken == ()
 
@@ -90,7 +90,7 @@ def test_wake_this_step_cannot_transmit_same_step():
     net = path(3)
     engine = _traced(net, _MaskSchedule({0: {0, 1}, 1: {1}}), max_steps=2)
     assert _transmitters(engine) == [(0,), (1,)]
-    assert engine.completion_time == 2
+    assert engine.completion_times() == [2]
 
 
 def test_asleep_sentinel_and_wake_times():
@@ -135,7 +135,7 @@ def test_directed_network_fast_engine():
     net = RadioNetwork.directed([0, 1, 2], [(0, 1), (1, 2)])
     engine = _traced(net, _MaskSchedule({0: {0}, 1: {1}}))
     assert engine.all_informed
-    assert engine.completion_time == 2
+    assert engine.completion_times() == [2]
     assert _transmitters(engine) == [(0,), (1,)]
 
 

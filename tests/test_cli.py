@@ -60,6 +60,21 @@ def test_universal_reports_degradation(capsys):
     assert "U2" in out
 
 
+@pytest.mark.parametrize(
+    "command, expected",
+    [(["run"], "completed: True"), (["explain", "run"], "40 informed")],
+    ids=["run", "explain-run"],
+)
+def test_single_run_commands_take_the_macro_engine(command, expected, capsys):
+    """``--engine macro`` stays a single-run choice although the macro
+    engine is registered as a batch engine (it runs seed unions)."""
+    code = main([*command, "--topology", "gnp", "--n", "40", "--algorithm",
+                 "kp-known-d", "--engine", "macro"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert expected in out
+
+
 def test_unknown_topology_rejected():
     with pytest.raises(SystemExit):
         main(["run", "--topology", "torus", "--n", "10"])
