@@ -145,11 +145,6 @@ ALGORITHM_CHOICES = [
 ]
 
 
-#: ``--engine`` choices of the single-run subcommands: every engine but
-#: the shared-clock batch engine, which only pays off across trials.
-SERIAL_ENGINES = ["reference", "event", "macro"]
-
-
 def _add_topology_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--topology", default="geometric",
                         help="path|star|grid|tree|gnp|geometric|layered|"
@@ -869,7 +864,7 @@ def main(argv: list[str] | None = None) -> int:
     _add_topology_args(p_run)
     p_run.add_argument("--algorithm", default="kp", choices=ALGORITHM_CHOICES)
     p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument("--engine", default="reference", choices=SERIAL_ENGINES,
+    p_run.add_argument("--engine", default="reference", choices=list(ENGINES),
                        help="execution engine (results are bit-identical; "
                             "macro is the multi-slot array path for "
                             "large n — see docs/PERFORMANCE.md)")
@@ -1013,7 +1008,7 @@ def main(argv: list[str] | None = None) -> int:
     p_ex_run.add_argument("--algorithm", default="kp", choices=ALGORITHM_CHOICES)
     p_ex_run.add_argument("--seed", type=int, default=0)
     p_ex_run.add_argument("--engine", default="reference",
-                          choices=SERIAL_ENGINES,
+                          choices=list(ENGINES),
                           help="engine to record the trace on (forensic "
                                "output is bit-identical across engines)")
     p_ex_run.add_argument("--json", action="store_true",
@@ -1077,7 +1072,7 @@ def main(argv: list[str] | None = None) -> int:
                             choices=["auto", *ENGINES],
                             help="engine to profile (auto runs the trials "
                                  "as macro unions for vectorised algorithms "
-                                 "and as one batched event engine batch "
+                                 "and as one event engine batch "
                                  "otherwise; any other name forces that "
                                  "engine)")
     p_prof_run.add_argument("--trials", type=int, default=10)

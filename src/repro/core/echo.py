@@ -260,16 +260,15 @@ class QuietEchoSchedule:
     ``_awaiting`` is cleared, after 2 Echo slots, or 1 under native
     collision detection).  A stopped node is terminally quiet.  Message
     deliveries re-activate a node regardless of any promise — the
-    event-driven engines (serial :class:`~repro.sim.event.EventDrivenEngine`
-    and batched :class:`~repro.sim.batched_event.BatchedEventEngine` alike)
-    re-query this hint after every delivery, which is what makes returning
+    event-driven :class:`~repro.sim.event.EventDrivenEngine` (which the
+    ``event`` engine runs once per execution class) re-queries this hint
+    after every delivery, which is what makes returning
     :data:`~repro.sim.protocol.QUIET_FOREVER` safe (contract:
     ``docs/MODEL.md``).
 
-    The hint is hot in batched runs — every execution class re-polls its
-    busy nodes each shared-clock iteration — so the common case (a
-    transmission scheduled for the current slot) short-circuits before
-    the scheduled-dict scan.
+    The hint is hot — the event engine re-polls every busy node after
+    each of its slots — so the common case (a transmission scheduled for
+    the current slot) short-circuits before the scheduled-dict scan.
     """
 
     def quiet_until(self, step: int) -> int:

@@ -21,7 +21,7 @@ def _batch_times(net, algorithm, runs: int) -> list[int]:
 
     ``engine="auto"`` dispatches per algorithm: the oblivious KP/BGI
     schedules here run as macro unions of network copies, any adaptive
-    algorithm would take the batched event engine — same results either
+    algorithm would take the event engine — same results either
     way (the conformance suite pins trial-for-trial identity).
     """
     return [

@@ -28,7 +28,7 @@ def _batch_times(net, algorithm, runs: int) -> list[int]:
 
     ``engine="auto"`` dispatches per algorithm: the oblivious schedules
     here run as macro unions of network copies, any adaptive algorithm
-    would take the batched event engine — same results either way (the
+    would take the event engine — same results either way (the
     conformance suite pins trial-for-trial identity).
     """
     return [

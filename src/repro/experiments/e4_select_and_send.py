@@ -37,7 +37,7 @@ def run(quick: bool = False) -> ExperimentReport:
     for n in sizes:
         for family, net in _families(n).items():
             # S&S is adaptive with exact idle hints: the batch path
-            # routes it through the batched event engine, reproducing
+            # routes it through the event engine, reproducing
             # the reference run bit for bit, faster (deterministic, so
             # one run covers the Monte-Carlo estimate exactly).
             (ss,) = repeat_broadcast(

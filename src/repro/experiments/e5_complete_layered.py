@@ -36,7 +36,7 @@ def run(quick: bool = False) -> ExperimentReport:
     for n, d in shape_cases:
         net = uniform_complete_layered(n, d)
         # Complete-Layered is deterministic and hint-exact: the batch
-        # path routes it through the batched event engine, one run
+        # path routes it through the event engine, one run
         # covering the estimate bit-identically to the reference.
         (result,) = repeat_broadcast(
             net, CompleteLayeredBroadcast(), runs=1, require_completion=True
@@ -70,7 +70,7 @@ def run(quick: bool = False) -> ExperimentReport:
     for n, d in refutation_cases:
         net = uniform_complete_layered(n, d)
         # Complete-Layered is deterministic and hint-exact: the batch
-        # path routes it through the batched event engine, one run
+        # path routes it through the event engine, one run
         # covering the estimate bit-identically to the reference.
         (result,) = repeat_broadcast(
             net, CompleteLayeredBroadcast(), runs=1, require_completion=True
@@ -95,7 +95,7 @@ def run(quick: bool = False) -> ExperimentReport:
     for seed in range(2 if quick else 3):
         net = km_hard_layered(1024, 64, seed=seed)
         # Complete-Layered is deterministic and hint-exact: the batch
-        # path routes it through the batched event engine, one run
+        # path routes it through the event engine, one run
         # covering the estimate bit-identically to the reference.
         (result,) = repeat_broadcast(
             net, CompleteLayeredBroadcast(), runs=1, require_completion=True

@@ -148,7 +148,7 @@ class Histogram:
         ``weight > 1`` folds ``other`` in with multiplicity, exactly as if
         ``weight`` identical copies had been merged: bucket counts, total,
         and sum scale; min/max do not (repeating observations cannot move
-        the extremes).  The batched event engine uses this to account one
+        the extremes).  The event engine uses this to account one
         representative execution for a whole class of identical trials.
         """
         if other.edges != self.edges:

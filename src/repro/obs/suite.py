@@ -76,11 +76,9 @@ def batched_adaptive_workload(quick: bool = False):
     """The batched adaptive workload: (network, algorithm, trials).
 
     The same e4 Select-and-Send run as :func:`adaptive_workload`, but as
-    a Monte-Carlo batch — the shape the
-    :class:`~repro.sim.batched_event.BatchedEventEngine` exists to
-    accelerate (execution-class collapse turns the deterministic batch
-    into one representative run).  Shared by the
-    ``batched_adaptive_engine`` bench and
+    a Monte-Carlo batch on the ``event`` engine, whose execution-class
+    collapse turns the deterministic batch into one representative run.
+    Shared by the ``batched_adaptive_engine`` bench and
     ``benchmarks/test_batched_adaptive_engine.py`` so the committed
     ``BENCH_batched_adaptive_engine`` baseline and the pytest speedup
     gate measure the same thing.
@@ -254,7 +252,7 @@ def _adaptive_engine(quick: bool):
     # Sub-100ms quick workload on shared CI boxes: scheduler noise easily
     # exceeds the generic 1.3; the 5x-speedup pytest gate is the real bar.
     tolerance=1.6,
-    description="Batched event engine, Select-and-Send Monte-Carlo on e4's G(n, p)",
+    description="Event engine, Select-and-Send Monte-Carlo batch on e4's G(n, p)",
 )
 def _batched_adaptive_engine(quick: bool):
     # run_broadcast_batch, not repeat_broadcast: the driver's own
@@ -264,7 +262,7 @@ def _batched_adaptive_engine(quick: bool):
 
     net, algorithm, trials = batched_adaptive_workload(quick)
     return lambda: run_broadcast_batch(
-        net, algorithm, trials=trials, engine="batched_event"
+        net, algorithm, trials=trials, engine="event"
     )
 
 
@@ -274,15 +272,15 @@ def _batched_adaptive_engine(quick: bool):
     # Sub-100ms quick workload, as for batched_adaptive_engine; the
     # pytest gate against the reference engine is the real bar.
     tolerance=1.6,
-    description="Batched event engine, interleaved BGI + Select-and-Send "
-    "Monte-Carlo on uniform_complete_layered",
+    description="Event engine, interleaved BGI + Select-and-Send "
+    "Monte-Carlo batch on uniform_complete_layered",
 )
 def _interleaved_adaptive_engine(quick: bool):
     from ..sim import run_broadcast_batch
 
     net, algorithm, trials = interleaved_adaptive_workload(quick)
     return lambda: run_broadcast_batch(
-        net, algorithm, trials=trials, engine="batched_event"
+        net, algorithm, trials=trials, engine="event"
     )
 
 

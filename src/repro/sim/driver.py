@@ -1,6 +1,6 @@
 """The engine registry and the one driver on top of it.
 
-Four engines execute the same synchronous radio semantics (the
+Three engines execute the same synchronous radio semantics (the
 conformance suite holds them to bit-identical results); they differ only
 in execution strategy and in what they can run.  :data:`ENGINES` names
 them and records the capabilities the driver checks; :func:`simulate`
@@ -31,7 +31,6 @@ from ..obs.timings import Timings
 from .batched_event import BatchedEventEngine
 from .engine import SynchronousEngine
 from .errors import BroadcastIncompleteError, ConfigurationError
-from .event import EventDrivenEngine
 from .fast import ASLEEP, VectorizedAlgorithm, WakeTimes, _check_vectorized
 from .faults import FaultPlan
 from .guard import check_memory_budget
@@ -70,8 +69,6 @@ class EngineSpec:
             up to :data:`UNION_NODE_LIMIT` node copies; serial engines
             run one instance per seed.
         collision_detection: Supports the collision-detection variant.
-        step_hooks: Accepts per-trial ``(step, transmitters)`` hooks
-            (``step_hooks=``, one per seed).
         needs_adjacency: Reads per-node neighbour maps, so CSR-native
             topologies are converted with ``to_radio_network()`` first.
     """
@@ -81,7 +78,6 @@ class EngineSpec:
     oblivious_only: bool = False
     batch: bool = False
     collision_detection: bool = False
-    step_hooks: bool = False
     needs_adjacency: bool = False
 
 
@@ -91,25 +87,22 @@ ENGINES: dict[str, EngineSpec] = {
     for spec in (
         EngineSpec("reference", SynchronousEngine, collision_detection=True,
                    needs_adjacency=True),
-        EngineSpec("event", EventDrivenEngine, collision_detection=True,
-                   needs_adjacency=True),
+        EngineSpec("event", BatchedEventEngine, batch=True,
+                   collision_detection=True, needs_adjacency=True),
         EngineSpec("macro", MacroStepEngine, oblivious_only=True, batch=True),
-        EngineSpec("batched_event", BatchedEventEngine, batch=True,
-                   collision_detection=True, step_hooks=True,
-                   needs_adjacency=True),
     )
 }
 
 
 def _resolve_engine(engine: str | EngineSpec, algorithm) -> EngineSpec:
     """Registry lookup; ``"auto"`` picks the batch engine that can run
-    ``algorithm`` — macro unions for oblivious schedules, the
-    shared-clock event engine for everything else."""
+    ``algorithm`` — macro unions for oblivious schedules, the event
+    engine for everything else."""
     if isinstance(engine, EngineSpec):
         return engine
     if engine == "auto":
         engine = (
-            "macro" if isinstance(algorithm, VectorizedAlgorithm) else "batched_event"
+            "macro" if isinstance(algorithm, VectorizedAlgorithm) else "event"
         )
     spec = ENGINES.get(engine)
     if spec is None:
@@ -133,7 +126,6 @@ def simulate(
     metrics: MetricsRegistry | None = None,
     timings: Timings | None = None,
     spans: SpanRecorder | None = None,
-    step_hooks=None,
     allow_large: bool = False,
 ) -> list[BroadcastResult]:
     """Run one broadcast per seed on a registered engine.
@@ -148,11 +140,11 @@ def simulate(
             for the engines that need per-node adjacency).
         algorithm: The broadcasting algorithm; oblivious-only engines
             require a :class:`~repro.sim.fast.VectorizedAlgorithm`.
-        seeds: Per-trial master seeds.
+        seeds: Per-trial master seeds, at least one.
         engine: A name in :data:`ENGINES`, or ``"auto"``: ``macro`` for
-            vectorisable algorithms, ``batched_event`` otherwise.  An :class:`EngineSpec` is accepted too (a
-            registry entry whose ``engine_cls`` binds engine-specific
-            parameters).
+            vectorisable algorithms, ``event`` otherwise.  An
+            :class:`EngineSpec` is accepted too (a registry entry whose
+            ``engine_cls`` binds engine-specific parameters).
         max_steps: Step limit per trial, non-negative.  Defaults to
             :func:`~repro.sim.run.default_max_steps`.
         trace_level: Channel detail to record (identical records on every
@@ -173,8 +165,6 @@ def simulate(
             ``trial[seed]`` span per serial run, one ``batch[T]`` span per
             batch engine instance, each with synthetic ``engine.*`` stage
             children.
-        step_hooks: Optional per-trial ``(step, transmitters)`` callbacks,
-            one entry per seed (``batched_event`` only).
         allow_large: Skip the memory-estimate guard
             (:func:`~repro.sim.guard.check_memory_budget`).
 
@@ -188,8 +178,6 @@ def simulate(
         raise ConfigurationError(
             f"engine {spec.name!r} does not support collision detection"
         )
-    if step_hooks is not None and not spec.step_hooks:
-        raise ConfigurationError(f"engine {spec.name!r} does not support step hooks")
     if spec.needs_adjacency and hasattr(network, "to_radio_network"):
         network = network.to_radio_network()
     if max_steps is None:
@@ -197,10 +185,12 @@ def simulate(
     if max_steps < 0:
         raise ConfigurationError(f"max_steps must be non-negative, got {max_steps}")
     seeds = [int(seed) for seed in seeds]
+    if not seeds:
+        raise ConfigurationError("need at least one trial seed")
     groups = _seed_groups(spec, network.n, seeds)
     check_memory_budget(
         network.n, max_steps, trace_level,
-        trials=max(map(len, groups), default=1),
+        trials=max(map(len, groups)),
         dense_metrics=metrics is not None, allow_large=allow_large,
     )
     if timings is None and (metrics is not None or spans is not None):
@@ -209,8 +199,6 @@ def simulate(
                   trace_level=trace_level)
     if spec.collision_detection:
         kwargs["collision_detection"] = collision_detection
-    if spec.step_hooks:
-        kwargs["step_hooks"] = step_hooks
     results: list[BroadcastResult] = []
     for run_seeds in groups:
         if spec.batch:
@@ -249,16 +237,14 @@ def simulate(
 
 def _seed_groups(spec: EngineSpec, n: int, seeds: list[int]) -> list[list[int]]:
     """The seeds of each engine instance: one per serial run, all of them
-    for the shared-clock event engine, and unions of at most
-    :data:`UNION_NODE_LIMIT` node copies (at least one seed) for the
-    oblivious array engine."""
+    for the event engine, and unions of at most :data:`UNION_NODE_LIMIT`
+    node copies (at least one seed) for the oblivious array engine."""
     if not spec.batch:
         return [[seed] for seed in seeds]
     if not spec.oblivious_only:
         return [seeds]
     per_union = max(1, UNION_NODE_LIMIT // n)
-    unions = [seeds[i:i + per_union] for i in range(0, len(seeds), per_union)]
-    return unions or [seeds]  # no seeds: the engine refuses them
+    return [seeds[i:i + per_union] for i in range(0, len(seeds), per_union)]
 
 
 # ----------------------------------------------------------------------
@@ -267,7 +253,7 @@ def _seed_groups(spec: EngineSpec, n: int, seeds: list[int]) -> list[list[int]]:
 
 
 class _SingleRun:
-    """A per-node single-run engine seen through the batch engines'
+    """The reference engine's single run seen through the batch engines'
     per-trial accessors, so :func:`_assemble_results` speaks one
     vocabulary."""
 

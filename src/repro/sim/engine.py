@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import random
 import time
-from typing import Callable
 
 from ..obs.metrics import COUNT_BUCKETS, MetricsRegistry
 from ..obs.timings import Timings
@@ -49,8 +48,6 @@ class SynchronousEngine:
             ``random.Random(f"{seed}:{v}")`` so runs are reproducible and
             node randomness is independent of activation order.
         trace_level: How much channel detail to record.
-        step_hook: Optional callback ``(step, transmitters)`` invoked after
-            each slot; used by tests and the adversary verifier.
         collision_detection: Model *variant* (not the paper's model): when
             True, awake listeners observe
             :data:`~repro.sim.messages.COLLISION_MARKER` on a collision
@@ -77,7 +74,6 @@ class SynchronousEngine:
         algorithm: BroadcastAlgorithm,
         seed: int = 0,
         trace_level: TraceLevel = TraceLevel.NONE,
-        step_hook: Callable[[int, tuple[int, ...]], None] | None = None,
         collision_detection: bool = False,
         faults: FaultPlan | None = None,
         metrics: MetricsRegistry | None = None,
@@ -88,7 +84,6 @@ class SynchronousEngine:
         self.seed = seed
         self.trace = Trace(level=trace_level)
         self.trace.mark_initially_informed(network.source)
-        self.step_hook = step_hook
         self.collision_detection = collision_detection
         self.step = 0
         self.timings = timings
@@ -308,8 +303,6 @@ class SynchronousEngine:
                 woken=tuple(sorted(woken)),
                 informed=self.informed_count,
             )
-        if self.step_hook is not None:
-            self.step_hook(step, transmitter_labels)
         self.step += 1
         return transmitter_labels
 

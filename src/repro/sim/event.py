@@ -25,16 +25,18 @@ structural facts:
    the next scheduled fault event (crash, jam, wake-delay expiry; see
    :meth:`~repro.sim.faults.FaultPlan.event_slots`) so fault bookkeeping
    lands on exactly the slots it would have — while synthesizing the
-   skipped silent slots into the trace, metrics, and ``step_hook`` stream
-   so instrumented output stays identical.
+   skipped silent slots into the trace and metrics so instrumented
+   output stays identical.
 
 Channel resolution uses the precompiled CSR + ``np.bincount`` kernel of
 :mod:`repro.sim.channel`, shared with the vectorised oblivious engines in
 :mod:`repro.sim.fast`.
 
-Select via ``run_broadcast(..., engine="event")``; the contract protocols
-must honour is specified in ``docs/MODEL.md``, and
-``docs/PERFORMANCE.md`` discusses when compression actually fires.
+The registered ``event`` engine
+(:class:`~repro.sim.batched_event.BatchedEventEngine`) runs one of these
+per execution class of a call's seeds; the contract protocols must
+honour is specified in ``docs/MODEL.md``, and ``docs/PERFORMANCE.md``
+discusses when compression actually fires.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from bisect import bisect_left
 from heapq import heappop, heappush
 from itertools import repeat
 from time import perf_counter
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -77,11 +79,11 @@ class EventDrivenEngine(SynchronousEngine):
 
     ``kernel`` lets a caller share one precompiled
     :class:`~repro.sim.channel.ChannelKernel` across several engines on
-    the same topology — the batched engine
-    (:class:`~repro.sim.batched_event.BatchedEventEngine`) compiles the
-    CSR arrays once per batch, not once per trial.  Sharing is safe for
-    engines stepped *sequentially* (the kernel keeps per-resolve scratch
-    buffers), which is how the batch steps its trials.
+    the same topology — :class:`~repro.sim.batched_event.BatchedEventEngine`
+    compiles the CSR arrays once per call, not once per trial.  Sharing
+    is safe for engines run *one after another* (the kernel keeps
+    per-resolve scratch buffers), which is how that engine runs its
+    execution classes.
     """
 
     def __init__(
@@ -90,7 +92,6 @@ class EventDrivenEngine(SynchronousEngine):
         algorithm: BroadcastAlgorithm,
         seed: int = 0,
         trace_level: TraceLevel = TraceLevel.NONE,
-        step_hook: Callable[[int, tuple[int, ...]], None] | None = None,
         collision_detection: bool = False,
         faults: FaultPlan | None = None,
         metrics: MetricsRegistry | None = None,
@@ -102,7 +103,6 @@ class EventDrivenEngine(SynchronousEngine):
             algorithm,
             seed=seed,
             trace_level=trace_level,
-            step_hook=step_hook,
             collision_detection=collision_detection,
             faults=faults,
             metrics=metrics,
@@ -344,8 +344,6 @@ class EventDrivenEngine(SynchronousEngine):
                 woken=tuple(sorted(woken)),
                 informed=self.informed_count,
             )
-        if self.step_hook is not None:
-            self.step_hook(step, transmitter_labels)
         self.step += 1
         return transmitter_labels
 
@@ -374,10 +372,6 @@ class EventDrivenEngine(SynchronousEngine):
                     step=t, transmitters=(), deliveries={}, collisions=(),
                     woken=(), informed=informed,
                 )
-        if self.step_hook is not None:
-            hook = self.step_hook
-            for t in range(step, step + count):
-                hook(t, ())
         self.step = step + count
         if timings is not None:
             elapsed = perf_counter() - t_start

@@ -220,7 +220,6 @@ def run_broadcast_batch(
     engine: str = "auto",
     trace_level: TraceLevel = TraceLevel.NONE,
     collision_detection: bool = False,
-    step_hooks=None,
     allow_large: bool = False,
 ) -> list[BroadcastResult]:
     """Run many Monte-Carlo trials of one broadcast as a single batch.
@@ -231,9 +230,9 @@ def run_broadcast_batch(
     execution strategy, not a semantic variant.  ``engine="auto"`` (the
     default) picks ``"macro"`` (unions of trials on
     :class:`~repro.sim.macro.MacroStepEngine`, oblivious algorithms only)
-    when the algorithm is vectorisable and ``"batched_event"`` (the shared-clock
-    :class:`~repro.sim.batched_event.BatchedEventEngine`, any protocol;
-    collision detection and step hooks too) otherwise.
+    when the algorithm is vectorisable and ``"event"``
+    (:class:`~repro.sim.batched_event.BatchedEventEngine`, any protocol;
+    collision detection too) otherwise.
 
     ``seeds`` gives the per-trial master seeds explicitly; alternatively
     ``trials`` derives ``derive_trial_seeds(base_seed, trials)``
@@ -258,5 +257,5 @@ def run_broadcast_batch(
         network, algorithm, seeds, engine=engine, max_steps=max_steps,
         trace_level=trace_level, collision_detection=collision_detection,
         faults=faults, metrics=metrics, timings=timings, spans=spans,
-        step_hooks=step_hooks, allow_large=allow_large,
+        allow_large=allow_large,
     )

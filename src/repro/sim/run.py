@@ -130,7 +130,8 @@ def run_broadcast(
     registered name (:data:`~repro.sim.driver.ENGINES`): ``"reference"``
     (the per-node :class:`~repro.sim.engine.SynchronousEngine`, the
     default), ``"event"`` (skips provably silent slots using protocols'
-    :meth:`~repro.sim.protocol.Protocol.quiet_until` hints), or, for
+    :meth:`~repro.sim.protocol.Protocol.quiet_until` hints; the same
+    engine that runs a call's many seeds), or, for
     oblivious algorithms, ``"macro"`` (the sparse macro-step engine).  All
     produce bit-identical results.
 
@@ -173,8 +174,8 @@ def repeat_broadcast(
     ``derive_trial_seeds(base_seed, runs)``.  The default ``engine="auto"``
     runs the trials as batches: oblivious algorithms (anything
     implementing :class:`~repro.sim.fast.VectorizedAlgorithm`) as macro
-    unions of network copies, every other algorithm on the shared-clock
-    :class:`~repro.sim.batched_event.BatchedEventEngine`.
+    unions of network copies, every other algorithm on the ``event``
+    engine (:class:`~repro.sim.batched_event.BatchedEventEngine`).
     Any registered engine name forces that engine (e.g. ``"reference"``
     to benchmark the batch paths against the serial per-node engine);
     per-trial results are identical either way.

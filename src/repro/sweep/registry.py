@@ -38,7 +38,7 @@ TOPOLOGIES: dict[str, Callable[..., RadioNetwork]] = {
 
 #: Algorithm name -> factory taking the network plus keyword parameters.
 #: All entries are oblivious (vectorisable), so sweep points run as macro
-#: unions; `repeat_broadcast` falls back to the batched event engine
+#: unions; `repeat_broadcast` falls back to the event engine
 #: automatically if a non-vectorised factory is ever registered.
 ALGORITHMS: dict[str, Callable[..., Any]] = {
     "kp-known-d": lambda net, d=None, stage_constant=4660, extra_step="universal": KnownRadiusKP(

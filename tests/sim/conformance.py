@@ -1,12 +1,12 @@
-"""Cross-engine conformance harness: one semantics, four execution strategies.
+"""Cross-engine conformance harness: one semantics, three execution strategies.
 
 Every engine in :data:`repro.sim.ENGINES` — the per-node reference
-:class:`~repro.sim.engine.SynchronousEngine`, the adaptive serial
-:class:`~repro.sim.event.EventDrivenEngine`, the sparse
-:class:`~repro.sim.macro.MacroStepEngine` (all of a cell's seeds as one
-union), and the adaptive batched
-:class:`~repro.sim.batched_event.BatchedEventEngine` — is a pure
-execution strategy over the same synchronous radio semantics.  This
+:class:`~repro.sim.engine.SynchronousEngine`, the adaptive ``event``
+engine :class:`~repro.sim.batched_event.BatchedEventEngine` (all of a
+cell's seeds as one call, one event loop per execution class), and the
+sparse :class:`~repro.sim.macro.MacroStepEngine` (all of a cell's seeds
+as one union) — is a pure execution strategy over the same synchronous
+radio semantics.  This
 module is the shared substrate the conformance tests are built from:
 
 * the canonical **matrices** (oblivious algorithms, adaptive protocol
@@ -179,9 +179,9 @@ ADAPTIVE_PLANS = {"none": lambda net: None, "crash-jam-delay": crash_jam_delay_p
 # ----------------------------------------------------------------------
 
 #: Engines the matrix holds to metrics identity with the reference
-#: engine: every registered one.  The ``macro`` cells run the seeds as
-#: one union, so they also pin batch counter parity.
-METRICS_COMPARABLE = {"reference", "event", "batched_event", "macro"}
+#: engine: every registered one.  The ``event`` and ``macro`` cells run
+#: the seeds as one call, so they also pin batch counter parity.
+METRICS_COMPARABLE = {"reference", "event", "macro"}
 
 
 def engine_spec(name: str) -> EngineSpec:
@@ -212,9 +212,9 @@ def run_engine(engine, net, make_algo, seeds, faults=None, max_steps=4000,
                trace_level=TraceLevel.NONE, collision_detection=False,
                with_metrics=False) -> Outcome:
     """One independent run per seed on a registered engine, through
-    :func:`~repro.sim.simulate` — serial engines loop over the seeds,
-    batch engines run them at once, one shared metrics registry either
-    way."""
+    :func:`~repro.sim.simulate` — the reference engine loops over the
+    seeds, batch engines run them at once, one shared metrics registry
+    either way."""
     metrics = MetricsRegistry() if with_metrics else None
     try:
         results = simulate(
@@ -240,24 +240,6 @@ def all_engines() -> list[str]:
 # ----------------------------------------------------------------------
 # Comparison helpers
 # ----------------------------------------------------------------------
-
-
-def comparable_metrics(snapshot: dict | None) -> dict | None:
-    """Strip batch-only bookkeeping from a metrics snapshot.
-
-    ``batch_active_trials`` is recorded only by the batch engines (there
-    is no serial counterpart); everything else must match the aggregate
-    of the serial runs exactly.
-    """
-    if snapshot is None:
-        return None
-    pruned = dict(snapshot)
-    pruned["gauges"] = {
-        name: value
-        for name, value in snapshot.get("gauges", {}).items()
-        if name != "batch_active_trials"
-    }
-    return pruned
 
 
 def assert_results_match(candidate, reference, key, compare_traces=False):
@@ -307,9 +289,7 @@ def assert_outcomes_match(candidate: Outcome, reference: Outcome, key,
     for i, (mine, theirs) in enumerate(zip(candidate.results, reference.results)):
         assert_results_match(mine, theirs, (*key, "trial", i), compare_traces)
     if compare_metrics:
-        assert comparable_metrics(candidate.metrics) == comparable_metrics(
-            reference.metrics
-        ), key
+        assert candidate.metrics == reference.metrics, key
 
 
 # ----------------------------------------------------------------------

@@ -1,20 +1,21 @@
-"""Batched event engine: property tests and degenerate batch shapes.
+"""The ``event`` engine's batches: property tests and degenerate shapes.
 
 The conformance matrix (``test_conformance.py``) pins trial-for-trial
-identity with the serial event engine on the curated cases; this module
+identity with the reference engine on the curated cases; this module
 adds what the matrix cannot express:
 
 * **hint honesty under batching** — across randomly drawn topologies and
   fault plans, no ``quiet_until`` promise may hide an action in *any*
   trial of a batch (every class engine polls through the checking
-  wrapper), and the batch still reproduces the serial runs exactly;
+  wrapper), and the batch still reproduces serial reference runs exactly;
 * **trial independence** — permuting the trial seeds permutes the
   results and nothing else: a trial's outcome depends only on its seed,
-  never on its batch position or companions;
+  never on its batch position or companions; a class aborted by a
+  protocol violation does not stop the others;
 * **degenerate shapes** — one-trial batches, single-node networks,
   batches settled before the first slot, batches settling *on* the
-  first slot, and a zero step budget, all in exact parity with the
-  serial engine.
+  first slot, and a zero step budget, all in exact parity with serial
+  reference runs.
 """
 
 from __future__ import annotations
@@ -25,7 +26,14 @@ from hypothesis import strategies as st
 
 from repro.core import KnownRadiusKP, SelectAndSend
 from repro.baselines import RoundRobinBroadcast
-from repro.sim import BatchedEventEngine, FaultPlan, run_broadcast
+from repro.sim import (
+    SOURCE_PAYLOAD,
+    BatchedEventEngine,
+    BroadcastAlgorithm,
+    FaultPlan,
+    Protocol,
+    run_broadcast,
+)
 from repro.sim.errors import ConfigurationError, ProtocolViolationError
 from repro.sim.fast import run_broadcast_batch
 from repro.sim.trace import TraceLevel
@@ -41,7 +49,7 @@ from .conformance import (
 def _serial_results(net, algorithm, seeds, **kwargs):
     return [
         run_broadcast(
-            net, algorithm, seed=seed, engine="event",
+            net, algorithm, seed=seed, engine="reference",
             require_completion=False, **kwargs,
         )
         for seed in seeds
@@ -51,7 +59,7 @@ def _serial_results(net, algorithm, seeds, **kwargs):
 def _assert_batch_matches_serial(net, algorithm, seeds, **kwargs):
     serial = _serial_results(net, algorithm, seeds, **kwargs)
     batched = run_broadcast_batch(
-        net, algorithm, seeds=seeds, engine="batched_event", **kwargs,
+        net, algorithm, seeds=seeds, engine="event", **kwargs,
     )
     assert len(batched) == len(serial)
     for i, (from_batch, reference) in enumerate(zip(batched, serial)):
@@ -105,12 +113,11 @@ def test_permuting_trial_seeds_permutes_results(topo_seed, base_seed, permutatio
     seeds = [base_seed + i for i in range(4)]
 
     straight = run_broadcast_batch(
-        net, algorithm, seeds=seeds, engine="batched_event", max_steps=4000,
+        net, algorithm, seeds=seeds, engine="event", max_steps=4000,
     )
     permuted_seeds = [seeds[i] for i in permutation]
     permuted = run_broadcast_batch(
-        net, algorithm, seeds=permuted_seeds, engine="batched_event",
-        max_steps=4000,
+        net, algorithm, seeds=permuted_seeds, engine="event", max_steps=4000,
     )
     by_seed = {result.seed: result for result in straight}
     for result in permuted:
@@ -118,6 +125,56 @@ def test_permuting_trial_seeds_permutes_results(topo_seed, base_seed, permutatio
         assert result.wake_times == reference.wake_times, result.seed
         assert result.time == reference.time, result.seed
         assert result.completed == reference.completed, result.seed
+
+
+class _FlakySource(Protocol):
+    """Transmits every slot once awake; the source draws a coin at wake
+    and, when it lands below one half, aborts in slot 1 with a violation
+    naming the coin (so each seed's error is distinguishable)."""
+
+    def on_wake(self, step, message):
+        self.fail_coin = self.rng.random() if step < 0 else 1.0
+
+    def next_action(self, step):
+        if step == 1 and self.fail_coin < 0.5:
+            raise ProtocolViolationError(f"coin {self.fail_coin!r}")
+        return SOURCE_PAYLOAD
+
+
+class _FlakySourceAlgorithm(BroadcastAlgorithm):
+    name = "flaky-source"
+
+    def create(self, label, r, rng):
+        return _FlakySource(label, r, rng)
+
+
+def test_violation_aborts_only_its_class():
+    """A class that raises does not stop the later classes; the batch
+    re-raises the violation of the lowest aborted trial afterwards."""
+    net = path(6)
+    algorithm = _FlakySourceAlgorithm()
+    errors, completed = {}, {}
+    for seed in range(40):
+        try:
+            completed[seed] = run_broadcast(
+                net, algorithm, seed=seed, max_steps=100, require_completion=True,
+            )
+        except ProtocolViolationError as exc:
+            errors[seed] = str(exc)
+    first, later = sorted(errors)[:2]
+    ok = min(completed)
+    seeds = [first, ok, later]
+
+    engine = BatchedEventEngine(net, algorithm, seeds)
+    assert engine.execution_classes == 3
+    with pytest.raises(ProtocolViolationError) as raised:
+        engine.run(100)
+    assert str(raised.value) == errors[first]
+    # The clean class ran to completion after the first class aborted,
+    # and the last class ran up to its own violation.
+    assert engine.completion_times()[1] == completed[ok].time
+    assert engine.wake_times(1) == completed[ok].wake_times
+    assert engine.trial_steps(2) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +209,7 @@ def test_batch_settled_before_first_slot():
         crashes=tuple((label, 0) for label in set(net.nodes) - {net.source}),
     )
     engine = BatchedEventEngine(net, SelectAndSend(), seeds=[0, 1], faults=plan)
-    executed = engine.run(100)
-    assert executed == 0 or engine.all_settled
+    assert engine.run(100) == 0
     _assert_batch_matches_serial(
         net, SelectAndSend(), [0, 1], faults=plan, max_steps=100,
     )
@@ -192,13 +248,6 @@ def test_zero_step_budget():
 def test_rejects_empty_seed_list():
     with pytest.raises(ConfigurationError):
         BatchedEventEngine(path(4), SelectAndSend(), seeds=[])
-
-
-def test_rejects_mismatched_step_hooks():
-    with pytest.raises(ConfigurationError):
-        BatchedEventEngine(
-            path(4), SelectAndSend(), seeds=[0, 1], step_hooks=[None],
-        )
 
 
 def test_rejects_negative_budget():

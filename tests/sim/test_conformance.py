@@ -220,22 +220,27 @@ def test_public_entry_points_agree(networks, topo, algo_name):
 
 @pytest.mark.parametrize("engine", sorted(ENGINES))
 def test_negative_max_steps_rejected_on_every_engine(engine):
-    """The driver validates the step limit once, so no engine can turn
-    ``max_steps=-1`` into a silent 0-slot result."""
+    """The driver validates the step limit and the seed list once, so no
+    engine can turn ``max_steps=-1`` into a silent 0-slot result, or an
+    empty seed list into an empty result list."""
     net = path(6)
     with pytest.raises(ConfigurationError, match="max_steps"):
         simulate(net, RoundRobinBroadcast(net.r), [0], engine=engine, max_steps=-1)
+    with pytest.raises(ConfigurationError, match="seed"):
+        simulate(net, RoundRobinBroadcast(net.r), [], engine=engine)
+    with pytest.raises(ConfigurationError, match="seed"):
+        run_broadcast_batch(net, RoundRobinBroadcast(net.r), seeds=[], engine=engine)
 
 
 def test_csr_topologies_run_on_per_node_engines():
-    """CSR-native topologies run on every single-run engine: the driver
-    converts them for the engines that need per-node adjacency."""
+    """CSR-native topologies run on every engine: the driver converts
+    them for the engines that need per-node adjacency."""
     net = gnp_random_csr(200, 8 / 200, seed=1)
     results = {
         engine: run_broadcast(
             net, KnownRadiusKP(net.r, net.radius), seed=3, engine=engine
         )
-        for engine in ("reference", "event", "macro")
+        for engine in ENGINES
     }
     reference = results.pop("reference")
     assert reference.completed

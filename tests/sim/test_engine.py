@@ -192,17 +192,19 @@ def test_trace_progress_level_skips_step_records():
         engine.trace.total_transmissions()
 
 
-def test_step_hook_sees_transmitters():
-    seen = []
+def test_full_trace_records_transmitters():
     net = star4()
     engine = SynchronousEngine(
         net,
         ScriptedAlgorithm({0: {0}, 1: {1}}),
-        step_hook=lambda step, tx: seen.append((step, tx)),
+        trace_level=TraceLevel.FULL,
     )
     engine.run_step()
     engine.run_step()
-    assert seen == [(0, (0,)), (1, (1,))]
+    assert [(record.step, record.transmitters) for record in engine.trace.steps] == [
+        (0, (0,)),
+        (1, (1,)),
+    ]
 
 
 def test_rng_is_seed_and_label_deterministic():

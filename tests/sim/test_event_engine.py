@@ -39,9 +39,10 @@ from repro.topology import path, uniform_complete_layered
 from .conformance import HintCheckedAlgorithm, adaptive_faulty_networks
 
 
-def test_step_hook_sees_every_compressed_slot():
-    """The step-hook stream must contain one call per slot — including
-    the slots the event engine fast-forwarded over in a single jump."""
+def test_full_trace_records_every_compressed_slot():
+    """A FULL trace holds one record per slot, with its transmitters —
+    including the slots the event engine fast-forwarded over in a single
+    jump."""
     from repro.sim import SynchronousEngine
     from repro.sim.event import EventDrivenEngine
 
@@ -51,18 +52,18 @@ def test_step_hook_sees_every_compressed_slot():
         ("reference", SynchronousEngine),
         ("event", EventDrivenEngine),
     ):
-        hooked: list[tuple[int, tuple[int, ...]]] = []
-        engine = engine_cls(
-            net, SelectAndSend(),
-            step_hook=lambda step, tx: hooked.append((step, tx)),
-        )
+        engine = engine_cls(net, SelectAndSend(), trace_level=TraceLevel.FULL)
         engine.run(4000)
-        streams[name] = hooked
+        streams[name] = [
+            (record.step, record.transmitters) for record in engine.trace.steps
+        ]
     assert streams["event"] == streams["reference"]
-    # Sanity: the stream really is per-slot and gap-free.
+    # Sanity: the stream really is per-slot and gap-free, and has silent
+    # slots for the event engine to compress.
     assert [step for step, _ in streams["event"]] == list(
         range(len(streams["event"]))
     )
+    assert any(not tx for _, tx in streams["event"])
 
 
 # ---------------------------------------------------------------------------

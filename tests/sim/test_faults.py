@@ -191,10 +191,9 @@ def test_result_serialisation_round_trips_counters(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Crashed nodes never transmit — on the reference and batched event
-# engines via step hooks, on the macro engine via its FULL trace.
-# (The drawing strategy lives in the conformance harness so the batched
-# property suite shares it.)
+# Crashed nodes never transmit — on every engine, read from the FULL
+# trace's per-slot transmitters.  (The drawing strategy lives in the
+# conformance harness so the batched property suite shares it.)
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -208,43 +207,37 @@ SETTINGS = settings(max_examples=25, deadline=None)
 @given(case=faulty_cases(), seed=st.integers(0, 2**32))
 def test_crashed_node_never_transmits_after_crash_slot(case, seed):
     net, plan, crashed, crash_slot = case
-    violations = []
 
-    def hook(step, transmitters):
-        if step >= crash_slot and crashed in transmitters:
-            violations.append(step)
+    def assert_crash_clean(trace):
+        for record in trace.steps:
+            if record.step >= crash_slot:
+                assert crashed not in record.transmitters, (record.step, crashed)
 
     engine = SynchronousEngine(
-        net, BGIBroadcast(net.r), seed=seed, step_hook=hook, faults=plan
+        net, BGIBroadcast(net.r), seed=seed, faults=plan,
+        trace_level=TraceLevel.FULL,
     )
     engine.run(60)
-    assert not violations
+    assert_crash_clean(engine.trace)
 
     macro = MacroStepEngine(
         net, BGIBroadcast(net.r), seed=seed, faults=plan,
         trace_level=TraceLevel.FULL,
     )
     macro.run(60)
-    for record in macro.trace.steps:
-        if record.step >= crash_slot:
-            assert crashed not in record.transmitters, (record.step, crashed)
+    assert_crash_clean(macro.trace)
     # And a crashed-while-asleep node must still be asleep at the end.
     if crashed not in engine.wake_times:
         idx = {label: i for i, label in enumerate(macro.labels)}[crashed]
         assert macro.wake_steps[idx] == ASLEEP
 
-    # Batched event engine: every trial's hook stream is crash-clean too.
+    # Event engine: every trial's trace is crash-clean too.
     from repro.sim import BatchedEventEngine
 
-    batch_violations = []
-
-    def batch_hook(step, transmitters):
-        if step >= crash_slot and crashed in transmitters:
-            batch_violations.append(step)
-
     batched = BatchedEventEngine(
-        net, BGIBroadcast(net.r), seeds=[seed, seed + 1],
-        faults=plan, step_hooks=[batch_hook, batch_hook],
+        net, BGIBroadcast(net.r), seeds=[seed, seed + 1], faults=plan,
+        trace_level=TraceLevel.FULL,
     )
     batched.run(60)
-    assert not batch_violations
+    for trial in range(2):
+        assert_crash_clean(batched.trace_for(trial))

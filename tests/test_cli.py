@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from repro.cli import main
@@ -73,6 +75,23 @@ def test_single_run_commands_take_the_macro_engine(command, expected, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert expected in out
+
+
+@pytest.mark.parametrize(
+    "command, expected",
+    [(["run"], "informed: 12/12"), (["explain", "run"], "12 informed")],
+    ids=["run", "explain-run"],
+)
+def test_engine_choices_are_the_registry(command, expected, capsys):
+    """``--engine`` takes every registered engine — ``event`` included —
+    and nothing else."""
+    code = main([*command, "--topology", "path", "--n", "12", "--algorithm",
+                 "select-and-send", "--engine", "event"])
+    assert code == 0
+    assert expected in capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        main([*command, "--topology", "path", "--n", "12", "--algorithm",
+              "select-and-send", "--engine", "batched_event"])
 
 
 def test_unknown_topology_rejected():
@@ -290,7 +309,13 @@ def test_bench_quick_appends_valid_trajectory_records(tmp_path, capsys):
     assert records[0]["env"]["git_sha"]
 
 
-def test_bench_update_baseline_then_compare_ok(tmp_path, capsys):
+def test_bench_update_baseline_then_compare_ok(tmp_path, capsys, monkeypatch):
+    # A fake clock that advances by a fixed step per read gives both
+    # records the same min_s, so host noise cannot fail the comparison.
+    ticks = itertools.count()
+    monkeypatch.setattr(
+        "repro.obs.bench.time.perf_counter", lambda: next(ticks) * 1e-3
+    )
     code = main(["bench", "--quick", "--filter", "universal",
                  "--results-dir", str(tmp_path), "--update-baseline"])
     assert code == 0
