@@ -27,6 +27,7 @@ from repro.topology import gnp_connected, km_hard_layered
 REGISTRY_BENCHES = [
     "reference_engine",
     "macro_fallback_engine",
+    "decay_union_engine",
     "batched_engine",
     "topology_generation",
     "universal_sequence",

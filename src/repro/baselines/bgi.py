@@ -156,6 +156,25 @@ class BGIBroadcast(BroadcastAlgorithm):
             self._active_mask[:] = False
         return self._active_mask.copy()
 
+    def macro_plan(self, start: int, count: int, r: int):
+        """Decay as a macro plan: a phase opens with every node informed
+        before it (``probs = 1``), and each later slot chains from the
+        previous slot's transmitters with a fair coin — the stateful rule
+        of :meth:`transmit_mask`, with coins flipped only for the nodes
+        still in their run."""
+        from ..sim.macro import MacroPlan
+
+        steps = start + np.arange(count, dtype=np.int64)
+        offsets = steps % self.phase_len
+        chain = offsets > 0
+        return MacroPlan(
+            start=start,
+            probs=np.where(chain, 0.5, 1.0),
+            elig=steps - offsets,
+            single=np.full(count, -1, dtype=np.int64),
+            chain=chain,
+        )
+
     def max_steps_hint(self, n: int, r: int) -> int | None:
         # Expected time is O(D log n + log^2 n) <= O(n log n); leave slack.
         log_n = max(1, n.bit_length())

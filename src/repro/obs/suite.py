@@ -207,17 +207,34 @@ def _reference_engine(quick: bool):
     "macro_fallback_engine",
     tags=("engine", "macro"),
     description="Single-run macro engine on its per-slot fallback path "
-    "(BGI Decay has no macro plan) on km_hard_layered",
+    "(the selective-family schedule has no macro plan) on km_hard_layered",
 )
 def _macro_fallback_engine(quick: bool):
-    from ..baselines import BGIBroadcast
+    from ..baselines import SelectiveFamilyBroadcast
     from ..sim import run_broadcast
     from ..topology import km_hard_layered
 
-    n, depth = (256, 32) if quick else (1024, 64)
+    n, depth = (1024, 64) if quick else (2048, 128)
     net = km_hard_layered(n, depth, seed=3)
-    algorithm = BGIBroadcast(net.r)
+    algorithm = SelectiveFamilyBroadcast(net.r)
     return lambda: run_broadcast(net, algorithm, seed=1, engine="macro")
+
+
+@register(
+    "decay_union_engine",
+    tags=("engine", "macro", "batch"),
+    description="Macro engine, BGI's chained Decay plan as one 16-seed "
+    "union on e1's km_hard_layered",
+)
+def _decay_union_engine(quick: bool):
+    from ..baselines import BGIBroadcast
+    from ..sim import run_broadcast_batch
+    from ..topology import km_hard_layered
+
+    n, depth = (256, 64) if quick else (1024, 256)
+    net = km_hard_layered(n, depth, seed=17)
+    algorithm = BGIBroadcast(net.r)
+    return lambda: run_broadcast_batch(net, algorithm, trials=16, engine="macro")
 
 
 @register(

@@ -1,4 +1,5 @@
-"""Up-front memory estimates for instrumentation that scales with n·steps.
+"""Up-front memory estimates for instrumentation that scales with n·steps,
+and for topologies whose edge count outgrows n.
 
 A ``TraceLevel.FULL`` trace stores per-slot Python records whose size is
 proportional to the number of (node, slot) events; dense per-node metric
@@ -7,10 +8,13 @@ fine, but at the million-node scale the macro-step path unlocks they OOM
 the process long after the run started — the worst possible failure mode.
 These checks run in the drivers *before* any engine state is allocated and
 raise a :class:`~repro.sim.errors.ConfigurationError` naming the estimated
-footprint and the override, instead of dying mid-run.
+footprint and the override, instead of dying mid-run.  A complete layered
+CSR topology knows its edge count before it allocates, and is checked the
+same way by its builder (:func:`check_edge_budget`).
 
 Overrides: pass ``allow_large=True`` to the driver, or set the environment
-variable ``REPRO_ALLOW_LARGE_MEMORY=1`` (useful for CLI runs on big boxes).
+variable ``REPRO_ALLOW_LARGE_MEMORY=1`` (useful for CLI runs on big boxes);
+the topology builders take only the environment variable.
 """
 
 from __future__ import annotations
@@ -22,8 +26,10 @@ from .trace import TraceLevel
 
 __all__ = [
     "ALLOW_LARGE_ENV",
+    "CSR_EDGE_LIMIT",
     "FULL_TRACE_CELL_LIMIT",
     "DENSE_METRICS_CELL_LIMIT",
+    "check_edge_budget",
     "check_memory_budget",
 ]
 
@@ -46,6 +52,12 @@ DENSE_METRICS_CELL_LIMIT = 1 << 28
 _TRACE_BYTES_PER_CELL = 8
 
 _METRICS_BYTES_PER_CELL = 8  # one int64 tally per (trial, node)
+
+#: Maximum undirected edges a CSR topology builder allocates; 2^27 edges
+#: are 2 GiB of ``indices``.
+CSR_EDGE_LIMIT = 1 << 27
+
+_CSR_BYTES_PER_EDGE = 16  # one int64 ``indices`` entry per direction
 
 
 def _override_active() -> bool:
@@ -104,3 +116,27 @@ def check_memory_budget(
                 f"Run without a metrics registry, batch fewer trials, or "
                 f"override with allow_large=True (or {ALLOW_LARGE_ENV}=1)."
             )
+
+
+def check_edge_budget(edges: int, what: str) -> None:
+    """Refuse a CSR topology of ``edges`` undirected edges past
+    :data:`CSR_EDGE_LIMIT`, before any of it is allocated.
+
+    Args:
+        edges: The exact or estimated undirected edge count.
+        what: The instance, for the message (e.g. ``"complete layered
+            network with 17 layers"``).
+
+    Raises:
+        ConfigurationError: With the estimated bytes and the environment
+            override named, when the limit is exceeded and
+            ``REPRO_ALLOW_LARGE_MEMORY`` is not set.
+    """
+    if edges <= CSR_EDGE_LIMIT or _override_active():
+        return
+    est = edges * _CSR_BYTES_PER_EDGE
+    raise ConfigurationError(
+        f"{what} has {edges:,} undirected edges, an estimated {est:,} bytes "
+        f"of CSR indices (limit {CSR_EDGE_LIMIT:,} edges). Use a smaller "
+        f"instance, or override with {ALLOW_LARGE_ENV}=1."
+    )

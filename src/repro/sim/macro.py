@@ -9,18 +9,22 @@ slots where three nodes transmit.  This module removes both:
   ``(step, label, wake slot, coins)``.  For the schedules in this repo
   the dependence is even simpler — each slot is a *probability* plus a
   *wake-eligibility threshold* (KP stages: "informed before the stage
-  began"), or a single deterministic label (round-robin, the source
-  slot).  :class:`MacroPlan` encodes ``K`` slots of that structure at
-  once; algorithms expose it via an optional ``macro_plan(start, count,
-  r)`` hook (see :class:`~repro.core.randomized.KnownRadiusKP`,
-  :class:`~repro.baselines.round_robin.RoundRobinBroadcast`).  Algorithms
-  without the hook fall back to per-slot ``transmit_mask`` — same
-  results, just without the batch decode.
+  began"), a single deterministic label (round-robin, the source slot),
+  or a probability applied to the previous slot's transmitters (BGI's
+  Decay runs: a node keeps transmitting while its coins come up heads).
+  :class:`MacroPlan` encodes ``K`` slots of that structure at once;
+  algorithms expose it via an optional ``macro_plan(start, count, r)``
+  hook (see :class:`~repro.core.randomized.KnownRadiusKP`,
+  :class:`~repro.baselines.round_robin.RoundRobinBroadcast`,
+  :class:`~repro.baselines.bgi.BGIBroadcast`).  Algorithms without the
+  hook fall back to per-slot ``transmit_mask`` — same results, just
+  without the batch decode.
 
 * **Sparse channel resolution.**  Instead of a dense mask and an O(E)
   product, the engine keeps the awake set as a wake-ordered index list:
   the eligible set of a slot is a binary-searched *prefix*, coins are
-  flipped only for eligible nodes
+  flipped only for eligible nodes, or for a chained slot only for the
+  previous slot's transmitters
   (:meth:`~repro.sim.coins.CoinSource.below` — bit-identical to the
   dense flips), and the channel is resolved by gathering only the
   transmitters' CSR neighbour lists (O(sum deg(tx)) instead of O(E)), or
@@ -84,27 +88,38 @@ _EMPTY = np.empty(0, dtype=np.int64)
 class MacroPlan:
     """``count`` precomputed slots of an oblivious schedule.
 
-    Slot ``j`` (global step ``start + j``) is one of three shapes,
+    Slot ``j`` (global step ``start + j``) is one of four shapes,
     checked in order:
 
     * ``single[j] >= 0`` — only the node with that *label* transmits,
       and only if its wake slot is below ``elig[j]`` (deterministic solo
       slots: round-robin, the KP source slot).
+    * ``chain[j]`` — a *chained* slot: the candidates are the previous
+      slot's transmitters, not an eligible prefix, and each transmits
+      when its slot coin is below ``probs[j]`` (BGI's Decay runs;
+      ``elig[j]`` is unused).
     * ``probs[j] < 0`` — silence.
     * otherwise — every node with ``wake < elig[j]`` transmits when its
       slot coin is below ``probs[j]`` (``probs[j] >= 1``: always).
 
-    ``elig[j]`` is the only wake-dependent part of a slot's decision,
-    which is what makes precomputing ``K`` slots sound: probabilities and
-    labels never depend on the state evolving inside the block, and the
-    engine applies the threshold per slot against the live wake array.
-    Use :data:`ELIGIBLE_ANY_AWAKE` when any awake node qualifies.
+    ``elig[j]`` and a chain are the only state-dependent parts of a
+    slot's decision, which is what makes precomputing ``K`` slots sound:
+    probabilities and labels never depend on the state evolving inside
+    the block, and the engine applies the threshold per slot against the
+    live wake array and keeps the previous slot's transmitters across
+    slots and blocks.  Use :data:`ELIGIBLE_ANY_AWAKE` when any awake
+    node qualifies.  ``chain`` is ``None`` for plans that never chain;
+    an algorithm whose slots chain passes it in every plan, since only
+    then does the engine keep each slot's transmitters listed (a coin
+    slot of a chain-less plan may resolve on the sleepers' side, which
+    lists none).
     """
 
     start: int
     probs: np.ndarray
     elig: np.ndarray
     single: np.ndarray
+    chain: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.probs)
@@ -246,6 +261,10 @@ class MacroStepEngine:
         # gather amortises across the stage's slots.  Appends never touch
         # a prefix; retiring a trial invalidates it.
         self._prefix: tuple | None = None
+        # The previous slot's transmitters, the candidates of a chained
+        # slot (``None`` after a coin slot resolved on the sleepers'
+        # side, which lists no transmitters).
+        self._last_tx: np.ndarray | None = _EMPTY
         # Per-trial state: informed counts, which trials still run, and
         # the executed-slot count of each retired one.
         self._informed = np.ones(trials, dtype=np.int64)
@@ -402,6 +421,11 @@ class MacroStepEngine:
         self._steps[done] = self.step
         self._live = int(np.count_nonzero(self._running))
         if self._live:
+            # Retire first: the chain may be a view of the awake prefix,
+            # which the compaction below rewrites in place.
+            last = self._last_tx
+            if last is not None and last.size:
+                self._last_tx = last[self._running[last // n]]
             count = self._awake_count
             keep = self._running[self._awake_idx[:count] // n]
             kept = int(np.count_nonzero(keep))
@@ -432,7 +456,9 @@ class MacroStepEngine:
         timings = self.timings
         observed = self._observed
         if plan is not None:
-            probs, elig, single = plan.probs, plan.elig, plan.single
+            probs, elig, single, chain = (
+                plan.probs, plan.elig, plan.single, plan.chain
+            )
         t_start = 0.0
         executed = 0
         for j in range(count):
@@ -463,6 +489,13 @@ class MacroStepEngine:
                 else:
                     cand = self._offsets + idx
                     tx = cand[(wake[cand] < elig[j]) & self._running]
+            elif chain is not None and chain[j]:
+                # Only the previous slot's transmitters are candidates, so
+                # coins are flipped for the surviving chain alone.
+                prev = self._last_tx
+                tx = prev if probs[j] >= 1.0 else prev[
+                    self.coins.below(step, probs[j], self._keys[prev])
+                ]
             elif probs[j] >= 0.0:
                 p = probs[j]
                 k = int(
@@ -481,7 +514,7 @@ class MacroStepEngine:
                 est_rx = 3.0 * self._asleep * self._avg_deg
                 if k == 0:
                     pass
-                elif self._rx_ok and est_rx < est_tx:
+                elif self._rx_ok and est_rx < est_tx and (p >= 1.0 or chain is None):
                     rx = (p, int(elig[j]))
                 else:
                     prefix = self._prefix
@@ -491,11 +524,19 @@ class MacroStepEngine:
                     _, cand, keys = prefix
                     tx = cand if p >= 1.0 else cand[self.coins.below(step, p, keys)]
             if observed:
-                self._observe_slot(step, tx, rx, t_start)
+                tx = self._observe_slot(step, tx, rx, t_start)
             elif rx is not None:
                 self._resolve_receiver_side(*rx, step)
             elif tx is not None and tx.size:
                 self._resolve_and_wake(tx, step)
+            if rx is not None:
+                # The sleepers' side lists no transmitters: at p >= 1 they
+                # are the eligible prefix, and p < 1 slots resolve there
+                # only in plans without chained slots.
+                tx = self._awake_idx[:k] if rx[0] >= 1.0 else None
+            elif tx is None:
+                tx = _EMPTY
+            self._last_tx = tx
         return executed
 
     # -- instrumented slots ------------------------------------------------
@@ -506,10 +547,11 @@ class MacroStepEngine:
             return np.array([idx.size])
         return np.bincount(idx // self.n, minlength=self.trials)
 
-    def _observe_slot(self, step: int, tx, rx, t_start: float) -> None:
+    def _observe_slot(self, step: int, tx, rx, t_start: float):
         """Resolve one slot with its bookkeeping: fault tallies, metrics,
         timings and each running trial's trace record (silent slots
-        included)."""
+        included).  Returns the transmitters that were not crashed, or
+        ``None`` when there were none."""
         timings, cf = self.timings, self._cf
         running = self._running
         if cf is not None:
@@ -549,6 +591,7 @@ class MacroStepEngine:
             if cf is not None and cf.has_crashes:
                 colliding = colliding[self._crash_slots[colliding] > step]
             self._record(step, tx, newly, colliding, heard)
+        return tx
 
     def _by_trial(self, idx) -> list[np.ndarray]:
         """Sorted union indices split per trial, as node indices."""

@@ -34,6 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from ..sim.errors import ConfigurationError
+from ..sim.guard import check_edge_budget
 from ..sim.network import RadioNetwork
 
 __all__ = [
@@ -435,12 +436,20 @@ def complete_layered_csr(
 
     Same layer structure, same ``relabel_seed`` permutation (the exact
     ``random.Random(relabel_seed).shuffle`` draw), so the generated
-    network equals the networkx-path builder's node for node.
+    network equals the networkx-path builder's node for node.  The edge
+    count, ``sum(sizes[j] * sizes[j + 1])``, is checked against the
+    memory guard (:func:`~repro.sim.guard.check_edge_budget`) before
+    anything is allocated.
     """
     if not layer_sizes or layer_sizes[0] != 1:
         raise ConfigurationError("layer_sizes[0] must be 1 (the source layer)")
     if any(size < 1 for size in layer_sizes):
         raise ConfigurationError("every layer must be non-empty")
+    check_edge_budget(
+        sum(int(a) * int(b) for a, b in zip(layer_sizes, layer_sizes[1:])),
+        f"complete layered network of {int(sum(layer_sizes)):,} nodes in "
+        f"{len(layer_sizes)} layers",
+    )
     n = int(sum(layer_sizes))
     labels = list(range(n))
     if relabel_seed is not None:

@@ -168,6 +168,31 @@ def full_fault_plan(net) -> FaultPlan:
     )
 
 
+def decay_crash_plan(net) -> tuple[FaultPlan, tuple[int, int]]:
+    """:func:`full_fault_plan` plus a crash inside a BGI Decay run.
+
+    In the reference run of ``SEEDS[0]`` under the full plan, the first
+    node (neither the source nor already crashing) that transmits in two
+    consecutive slots of one phase crashes at the second: the run is
+    unchanged up to that slot, where the node would have stayed in its
+    chain.  Returns the plan and that ``(label, crash slot)``.
+    """
+    plan = full_fault_plan(net)
+    skip = {net.source, *(label for label, _ in plan.crashes)}
+    algo = BGIBroadcast(net.r)
+    (result,) = simulate(net, algo, SEEDS[:1], engine="reference", faults=plan,
+                         max_steps=120, trace_level=TraceLevel.FULL)
+    previous: tuple = ()
+    for record in result.trace.steps:
+        if record.step % algo.phase_len:
+            for label in record.transmitters:
+                if label not in skip and label in previous:
+                    crash = (label, record.step)
+                    return replace(plan, crashes=(*plan.crashes, crash)), crash
+        previous = record.transmitters
+    raise AssertionError("no Decay run lasts two slots on this network")
+
+
 #: Fault-plan axes.  The oblivious algorithms tolerate loss, the token
 #: protocols do not (their loss behaviour is pinned as identical failure).
 OBLIVIOUS_PLANS = {"none": lambda net: None, "faulty": full_fault_plan}

@@ -36,6 +36,7 @@ from .conformance import (
     adaptive_engines,
     all_engines,
     assert_outcomes_match,
+    decay_crash_plan,
     full_fault_plan,
     run_engine,
 )
@@ -120,6 +121,41 @@ def test_all_engines_record_identical_full_traces(
             candidate, reference, key=(name, algo_name, topo, plan_name),
             compare_traces=True,
         )
+
+
+@pytest.mark.parametrize("topo", sorted(OBLIVIOUS_TOPOLOGIES))
+def test_bgi_crash_inside_decay_run(networks, topo):
+    """BGI under jam, loss and delay plus a crash that lands inside a
+    Decay run (:func:`decay_crash_plan`): every engine, once with metrics
+    and once with a FULL trace, against the reference.  On the macro
+    engine that crash cuts a chain of transmitters mid-phase; the node
+    must leave it for good."""
+    net = networks[topo]
+    make = OBLIVIOUS_ALGORITHMS["bgi"]
+    plan, (crashed, crash_slot) = decay_crash_plan(net)
+    reference = run_engine(
+        "reference", net, make, SEEDS, faults=plan, max_steps=120,
+        trace_level=TraceLevel.FULL, with_metrics=True,
+    )
+    for result in reference.results:
+        assert all(
+            crashed not in record.transmitters
+            for record in result.trace.steps if record.step >= crash_slot
+        ), topo
+    for name in all_engines():
+        if name == "reference":
+            continue
+        for level in (TraceLevel.NONE, TraceLevel.FULL):
+            traced = level is TraceLevel.FULL
+            candidate = run_engine(
+                name, net, make, SEEDS, faults=plan, max_steps=120,
+                trace_level=level, with_metrics=not traced,
+            )
+            assert_outcomes_match(
+                candidate, reference, key=(name, topo, level.name),
+                compare_traces=traced,
+                compare_metrics=not traced and name in METRICS_COMPARABLE,
+            )
 
 
 @pytest.mark.parametrize("plan_name", sorted(ADAPTIVE_PLANS))

@@ -25,6 +25,7 @@ from types import SimpleNamespace
 
 import repro.sim.driver as driver
 import repro.sim.guard as guard
+from repro.baselines.bgi import BGIBroadcast
 from repro.baselines.round_robin import RoundRobinBroadcast
 from repro.core.randomized import KnownRadiusKP
 from repro.obs.metrics import COUNT_BUCKETS, SLOT_BUCKETS, MetricsRegistry
@@ -323,6 +324,109 @@ class TestReceiverSide:
         assert used_rx
         assert engine.completion_times() == [reference.time]
         assert engine.wake_times() == reference.wake_times
+
+
+class _MaskOnly:
+    """An oblivious algorithm with its macro plan hidden, so the engine
+    asks ``transmit_mask`` slot by slot: the oracle for a plan."""
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    def __getattr__(self, name):
+        if name == "macro_plan":
+            raise AttributeError(name)
+        return getattr(self._inner, name)
+
+
+#: Networks for the Decay plan against its mask: a RadioNetwork and a
+#: CSR network (both resolved from the transmitter side), and a sparse
+#: CSR G(n, p) whose late phase starts resolve from the sleepers' side.
+DECAY_NETWORKS = {
+    "km_layered": km_hard_layered(60, 4, seed=3),
+    "km_layered_csr": km_hard_layered_csr(60, 4, seed=3),
+    "gnp_csr": gnp_random_csr(120, 6 / 120, seed=2),
+}
+
+
+def _decay_pair(net, phase_len, seed, block_size, max_steps):
+    """BGI run with its Decay plan and with the plan hidden."""
+    engines = []
+    for algo in (BGIBroadcast(net.r, phase_len),
+                 _MaskOnly(BGIBroadcast(net.r, phase_len))):
+        engine = MacroStepEngine(net, algo, seed=seed, block_size=block_size)
+        engine.run(max_steps)
+        engines.append(engine)
+    return engines
+
+
+def _assert_same_run(plan, oracle):
+    assert np.array_equal(plan.wake_steps, oracle.wake_steps)
+    assert plan.completion_times() == oracle.completion_times()
+    assert plan.step == oracle.step
+    assert [plan.trial_steps(t) for t in range(plan.trials)] == [
+        oracle.trial_steps(t) for t in range(oracle.trials)
+    ]
+
+
+class TestDecayPlan:
+    """BGI's chained Decay plan against the same algorithm on per-slot
+    ``transmit_mask``: a phase opens with the eligible prefix and each
+    later slot flips coins for the previous slot's transmitters only."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        topo=st.sampled_from(sorted(DECAY_NETWORKS)),
+        phase_len=st.sampled_from([1, 2, 3, None]),
+        block_size=st.integers(min_value=1, max_value=80),
+        seeds=st.one_of(
+            st.integers(min_value=0, max_value=63),
+            st.lists(st.integers(min_value=0, max_value=63),
+                     min_size=2, max_size=5),
+        ),
+    )
+    def test_plan_matches_mask(self, topo, phase_len, block_size, seeds):
+        """Blocks split phases at every ``block_size``; unions retire
+        trials mid-phase; ``phase_len`` 1 and 2 may never complete, so
+        the budget also checks partial runs."""
+        plan, oracle = _decay_pair(
+            DECAY_NETWORKS[topo], phase_len, seeds, block_size, max_steps=400
+        )
+        _assert_same_run(plan, oracle)
+
+    def test_union_retires_trials_mid_phase(self):
+        net = DECAY_NETWORKS["km_layered"]
+        phase_len = 3
+        plan, oracle = _decay_pair(net, phase_len, [0, 1, 2], 7, 400)
+        _assert_same_run(plan, oracle)
+        times = plan.completion_times()
+        assert len(set(times)) == 3
+        assert any(time % phase_len for time in times)
+
+    def test_sleepers_side_carries_the_phase_start(self):
+        """A phase start resolved from the sleepers' side lists no
+        transmitters; the chain after it starts from the eligible
+        prefix."""
+        net = DECAY_NETWORKS["gnp_csr"]
+        for seed in (0, [0, 1, 2]):
+            plan, oracle = _decay_pair(net, None, seed, 13, 400)
+            assert plan._sl_idx is not None
+            assert plan.all_informed
+            _assert_same_run(plan, oracle)
+
+    def test_chain_survives_awake_list_compaction(self):
+        """Regression: a phase start's transmitters are a view of the
+        awake prefix, which retiring a trial compacts in place.  The
+        chain must drop the retired trial's entries before that, or the
+        union runs on corrupted candidates (7,101 slots, not 7,061, on
+        e1's deepest instance)."""
+        net = km_hard_layered(1024, 256, seed=17)
+        plan, oracle = _decay_pair(
+            net, None, list(range(16)), 64,
+            default_max_steps(net, BGIBroadcast(net.r)),
+        )
+        assert plan.step == 7061
+        _assert_same_run(plan, oracle)
 
 
 class TestMemoryGuard:

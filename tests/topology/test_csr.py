@@ -5,6 +5,8 @@ equivalence with the legacy (dict-of-sets) layered builders."""
 from __future__ import annotations
 
 import hashlib
+import time
+import tracemalloc
 
 import networkx as nx
 import numpy as np
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.sim.guard as guard
 from repro.core.randomized import KnownRadiusKP
 from repro.sim import run_broadcast
 from repro.sim.channel import ChannelKernel
@@ -129,6 +132,42 @@ class TestLegacyEquivalence:
         net = csr.to_radio_network()
         assert _edge_set(net) == _csr_edge_set(csr)
         assert net.r == csr.r and net.source == 0
+
+
+class TestEdgeBudget:
+    """Complete layered CSR builders refuse, before allocating, an
+    instance whose exact edge count is past the memory guard's budget."""
+
+    def test_million_node_instance_fails_fast(self, monkeypatch):
+        monkeypatch.delenv(guard.ALLOW_LARGE_ENV, raising=False)
+        tracemalloc.start()
+        start = time.perf_counter()
+        with pytest.raises(ConfigurationError) as excinfo:
+            km_hard_layered_csr(10**6, 16)
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        message = str(excinfo.value)
+        assert "496,399,232 undirected edges" in message
+        assert guard.ALLOW_LARGE_ENV in message
+        assert elapsed < 1.0
+        assert peak < 1 << 20
+
+    def test_ten_thousand_nodes_still_build(self, monkeypatch):
+        monkeypatch.delenv(guard.ALLOW_LARGE_ENV, raising=False)
+        net = km_hard_layered_csr(10**4, 16)
+        assert net.n == 10**4
+
+    def test_budget_counts_exact_edges_and_env_overrides(self, monkeypatch):
+        sizes = [1, 4, 9, 2]  # 4 + 36 + 18 edges
+        monkeypatch.delenv(guard.ALLOW_LARGE_ENV, raising=False)
+        monkeypatch.setattr(guard, "CSR_EDGE_LIMIT", 58)
+        assert complete_layered_csr(sizes).num_edges == 58
+        monkeypatch.setattr(guard, "CSR_EDGE_LIMIT", 57)
+        with pytest.raises(ConfigurationError, match="58 undirected edges"):
+            complete_layered_csr(sizes)
+        monkeypatch.setenv(guard.ALLOW_LARGE_ENV, "1")
+        assert complete_layered_csr(sizes).num_edges == 58
 
 
 class TestEngineAdoption:
