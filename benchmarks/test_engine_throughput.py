@@ -26,7 +26,7 @@ from repro.topology import gnp_connected, km_hard_layered
 #: the full workloads belong to ``repro bench``).
 REGISTRY_BENCHES = [
     "reference_engine",
-    "macro_fallback_engine",
+    "selective_union_engine",
     "decay_union_engine",
     "batched_engine",
     "topology_generation",

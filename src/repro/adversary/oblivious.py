@@ -32,6 +32,7 @@ import numpy as np
 from ..sim.engine import SynchronousEngine
 from ..sim.errors import ConfigurationError, SimulationError
 from ..sim.fast import VectorizedAlgorithm
+from ..sim.macro import plan_slot_mask
 from ..sim.network import RadioNetwork
 from ..sim.protocol import BroadcastAlgorithm
 
@@ -63,7 +64,7 @@ class ObliviousLayerAdversary:
 
     Args:
         algorithm: A deterministic algorithm implementing the vectorised
-            interface (its ``transmit_mask`` *is* the schedule).
+            interface (its ``macro_plan`` *is* the schedule).
         n: Number of nodes; labels ``{0..n-1}``, ``r = n - 1``.
         depth: Number of pair layers to build (radius is ``depth + 1``
             including the final absorbing layer).
@@ -110,21 +111,21 @@ class ObliviousLayerAdversary:
     ) -> np.ndarray:
         """Schedule rows for several nodes all woken at ``wake``.
 
-        One vectorised ``transmit_mask`` query per slot covers every
-        candidate at once — the schedules under attack are elementwise in
-        the label, so batching does not change any row.
+        The schedule's macro plans, one block of 64 slots at a time,
+        evaluated slot by slot for every candidate at once — the
+        schedules under attack are elementwise in the label, so batching
+        does not change any row.  Deterministic schedules need no coins.
         """
         label_array = np.asarray(labels, dtype=np.int64)
         wakes = np.full(label_array.shape, wake, dtype=np.int64)
-        rng = np.random.default_rng(0)  # deterministic schedules ignore it
-        reset = getattr(self.algorithm, "reset_run", None)
-        if reset is not None:
-            reset(len(labels))
         matrix = np.zeros((len(labels), end - start), dtype=bool)
-        for t in range(start, end):
-            matrix[:, t - start] = self.algorithm.transmit_mask(
-                t, label_array, wakes, self.r, rng
-            )
+        prev = None
+        for first in range(start, end, 64):
+            plan = self.algorithm.macro_plan(first, min(64, end - first), self.r)
+            for j in range(len(plan)):
+                prev = matrix[:, first - start + j] = plan_slot_mask(
+                    plan, j, label_array, wakes, prev=prev
+                )
         return matrix
 
     def _transmits(self, label: int, wake: int, start: int, horizon: int) -> np.ndarray:

@@ -24,6 +24,7 @@ import random
 import numpy as np
 
 from ..sim.errors import ConfigurationError
+from ..sim.macro import MacroPlan
 from ..sim.protocol import BroadcastAlgorithm, ObliviousTransmitter, Protocol
 
 __all__ = ["BGIBroadcast", "default_phase_length"]
@@ -111,9 +112,6 @@ class BGIBroadcast(BroadcastAlgorithm):
             raise ConfigurationError(f"phase_len must be positive, got {phase_len}")
         self.phase_len = phase_len
         self.name = f"bgi-decay(L={phase_len})"
-        # Array-engine per-run state (reset by the engine via reset_run).
-        self._active_mask: np.ndarray | None = None
-        self._active_phase: int = -1
 
     # -- reference engine -------------------------------------------------
 
@@ -122,48 +120,12 @@ class BGIBroadcast(BroadcastAlgorithm):
 
     # -- array engines ------------------------------------------------------
 
-    def reset_run(self, shape: int | tuple[int, int]) -> None:
-        """Called by the array engine before a run.
-
-        ``shape`` is the shape of the engine's wake array: ``(n,)`` for
-        one :class:`~repro.sim.macro.MacroStepEngine` run, ``(trials, n)``
-        for a union of trials.
-        """
-        self._active_mask = np.zeros(shape, dtype=bool)
-        self._active_phase = -1
-
-    def transmit_mask(
-        self,
-        step: int,
-        labels: np.ndarray,
-        wake_steps: np.ndarray,
-        r: int,
-        coins,
-    ) -> np.ndarray:
-        phase, offset = divmod(step, self.phase_len)
-        phase_start = phase * self.phase_len
-        eligible = wake_steps < phase_start
-        if self._active_mask is None or self._active_mask.shape != wake_steps.shape:
-            self._active_mask = np.zeros(wake_steps.shape, dtype=bool)
-        if offset == 0:
-            self._active_phase = phase
-            self._active_mask = eligible.copy()
-        elif self._active_phase == phase:
-            # Slot-indexed coins: ANDing into already-inactive rows is a
-            # no-op, so this matches the per-node stateful Decay exactly.
-            self._active_mask &= coins.below(step, 0.5)
-        else:  # run started mid-phase (step offset != 0): stay silent
-            self._active_mask[:] = False
-        return self._active_mask.copy()
-
     def macro_plan(self, start: int, count: int, r: int):
         """Decay as a macro plan: a phase opens with every node informed
         before it (``probs = 1``), and each later slot chains from the
         previous slot's transmitters with a fair coin — the stateful rule
-        of :meth:`transmit_mask`, with coins flipped only for the nodes
+        of :class:`_DecayProtocol`, with coins flipped only for the nodes
         still in their run."""
-        from ..sim.macro import MacroPlan
-
         steps = start + np.arange(count, dtype=np.int64)
         offsets = steps % self.phase_len
         chain = offsets > 0
@@ -171,7 +133,6 @@ class BGIBroadcast(BroadcastAlgorithm):
             start=start,
             probs=np.where(chain, 0.5, 1.0),
             elig=steps - offsets,
-            single=np.full(count, -1, dtype=np.int64),
             chain=chain,
         )
 

@@ -22,6 +22,7 @@ import random
 import numpy as np
 
 from ..sim.errors import ConfigurationError
+from ..sim.macro import label_set_plan, label_table
 from ..sim.network import RadioNetwork
 from ..sim.protocol import BroadcastAlgorithm, ObliviousTransmitter, Protocol
 
@@ -128,36 +129,19 @@ class CentralizedGreedySchedule(BroadcastAlgorithm):
         self._schedule = greedy_broadcast_schedule(network)
         self.schedule_length = len(self._schedule)
         self.name = f"centralized-greedy(T={self.schedule_length})"
-        self._labels_cache: np.ndarray | None = None
-        self._matrix: np.ndarray | None = None
+        # The schedule's rows plus one empty row: the silence past its end.
+        self._members, self._offsets = label_table([*self._schedule, ()])
 
     def create(self, label: int, r: int, rng: random.Random) -> Protocol:
         slots = [label in s for s in self._schedule]
         return _CentralizedProtocol(label, r, rng, slots)
 
-    def transmit_mask(
-        self,
-        step: int,
-        labels: np.ndarray,
-        wake_steps: np.ndarray,
-        r: int,
-        coins=None,
-    ) -> np.ndarray:
-        if step >= self.schedule_length:
-            return np.zeros(labels.shape, dtype=bool)
-        # Cache keyed on the exact label array; length alone would let two
-        # different label sets share stale rows.
-        if self._labels_cache is None or not np.array_equal(self._labels_cache, labels):
-            self._labels_cache = labels.copy()
-            self._matrix = None
-        if self._matrix is None:
-            matrix = np.zeros((labels.shape[0], self.schedule_length), dtype=bool)
-            index_of = {int(lab): i for i, lab in enumerate(labels)}
-            for slot, member in enumerate(self._schedule):
-                for lab in member:
-                    matrix[index_of[lab], slot] = True
-            self._matrix = matrix
-        return self._matrix[:, step].copy()
+    def macro_plan(self, start: int, count: int, r: int):
+        """Macro-step form: the schedule's rows as label-set slots, then
+        silence."""
+        steps = start + np.arange(count, dtype=np.int64)
+        rows = np.minimum(steps, self.schedule_length)
+        return label_set_plan(start, self._members, self._offsets, rows)
 
     def max_steps_hint(self, n: int, r: int) -> int | None:
         return self.schedule_length + 1

@@ -18,6 +18,7 @@ import random
 
 import numpy as np
 
+from ..sim.macro import label_set_plan
 from ..sim.protocol import BroadcastAlgorithm, ObliviousTransmitter, Protocol
 
 __all__ = ["RoundRobinBroadcast"]
@@ -52,26 +53,10 @@ class RoundRobinBroadcast(BroadcastAlgorithm):
     def create(self, label: int, r: int, rng: random.Random) -> Protocol:
         return _RoundRobinProtocol(label, r, rng, self.period)
 
-    def transmit_mask(
-        self,
-        step: int,
-        labels: np.ndarray,
-        wake_steps: np.ndarray,
-        r: int,
-        coins=None,
-    ) -> np.ndarray:
-        return labels == (step % self.period)
-
     def macro_plan(self, start: int, count: int, r: int):
-        """Macro-step form: every slot is a solo slot for one label."""
-        from ..sim.macro import ELIGIBLE_ANY_AWAKE, MacroPlan
-
-        return MacroPlan(
-            start=start,
-            probs=np.full(count, -1.0, dtype=np.float64),
-            elig=np.full(count, ELIGIBLE_ANY_AWAKE, dtype=np.int64),
-            single=(start + np.arange(count, dtype=np.int64)) % self.period,
-        )
+        """Macro-step form: slot ``t`` is the label set ``{t mod period}``."""
+        steps = start + np.arange(count, dtype=np.int64)
+        return label_set_plan(start, steps % self.period, np.arange(count + 1))
 
     def max_steps_hint(self, n: int, r: int) -> int | None:
         # One layer per period, at most n - 1 layers.

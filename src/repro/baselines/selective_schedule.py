@@ -28,6 +28,7 @@ import numpy as np
 
 from ..combinatorics.selective import greedy_selective_family, kautz_singleton_family
 from ..sim.errors import ConfigurationError
+from ..sim.macro import label_set_plan, label_table
 from ..sim.protocol import BroadcastAlgorithm, ObliviousTransmitter, Protocol
 
 __all__ = ["SelectiveFamilyBroadcast"]
@@ -97,12 +98,9 @@ class SelectiveFamilyBroadcast(BroadcastAlgorithm):
         self._sets = sets
         self.cycle_length = len(sets)
         self.name = f"selective-family({family_kind}, cycle={self.cycle_length})"
-        # label -> boolean membership vector over the cycle (built lazily
-        # per label for the reference engine; as a matrix for fast runs).
-        # The cache is keyed on the exact label array — length alone is not
-        # enough (two different single-label queries must not share rows).
-        self._matrix: np.ndarray | None = None
-        self._matrix_labels: np.ndarray | None = None
+        # The family once more as label rows (row i: cycle position i),
+        # for the macro plan.
+        self._members, self._offsets = label_table(sets)
 
     # -- reference engine -------------------------------------------------
 
@@ -112,30 +110,13 @@ class SelectiveFamilyBroadcast(BroadcastAlgorithm):
 
     # -- array engines ------------------------------------------------------
 
-    def _membership_matrix(self, labels: np.ndarray) -> np.ndarray:
-        if self._matrix_labels is None or not np.array_equal(self._matrix_labels, labels):
-            self._matrix_labels = labels.copy()
-            self._matrix = None
-        if self._matrix is None:
-            matrix = np.zeros((labels.shape[0], self.cycle_length), dtype=bool)
-            index_of = {int(lab): i for i, lab in enumerate(labels)}
-            for slot, member in enumerate(self._sets):
-                for lab in member:
-                    row = index_of.get(lab)
-                    if row is not None:
-                        matrix[row, slot] = True
-            self._matrix = matrix
-        return self._matrix
-
-    def transmit_mask(
-        self,
-        step: int,
-        labels: np.ndarray,
-        wake_steps: np.ndarray,
-        r: int,
-        coins=None,
-    ) -> np.ndarray:
-        return self._membership_matrix(labels)[:, step % self.cycle_length].copy()
+    def macro_plan(self, start: int, count: int, r: int):
+        """Macro-step form: slot ``t`` is the family member at cycle
+        position ``t mod cycle_length``, as a label-set slot."""
+        steps = start + np.arange(count, dtype=np.int64)
+        return label_set_plan(
+            start, self._members, self._offsets, steps % self.cycle_length
+        )
 
     def max_steps_hint(self, n: int, r: int) -> int | None:
         # At least one layer per cycle in the worst case.

@@ -1110,7 +1110,14 @@ def main(argv: list[str] | None = None) -> int:
     p_uni.set_defaults(func=_cmd_universal)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    from .sim.errors import ConfigurationError
+
+    try:
+        return args.func(args)
+    except ConfigurationError as exc:
+        # A bad configuration is the caller's input, not a crash: one
+        # line on stderr and exit status 1.
+        raise SystemExit(f"repro {args.command}: error: {exc}")
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -39,6 +39,7 @@ import numpy as np
 
 from ..combinatorics.universal import UniversalSequence, build_universal_sequence
 from ..sim.errors import ConfigurationError
+from ..sim.macro import ELIGIBLE_ANY_AWAKE, MacroPlan
 from ..sim.protocol import BroadcastAlgorithm, ObliviousTransmitter, Protocol
 
 __all__ = [
@@ -211,41 +212,17 @@ class _PhasedAlgorithm(BroadcastAlgorithm):
 
     # -- array engines ------------------------------------------------------
 
-    def transmit_mask(
-        self,
-        step: int,
-        labels: np.ndarray,
-        wake_steps: np.ndarray,
-        r: int,
-        coins,
-    ) -> np.ndarray:
-        located = _locate_phase(self._phase_starts, step)
-        if located is None:
-            return np.zeros(wake_steps.shape, dtype=bool)
-        phase_index, offset = located
-        timetable = self._phases[phase_index]
-        decoded = timetable.slot(offset)
-        if decoded is None:
-            return np.broadcast_to(labels == 0, wake_steps.shape)
-        probability, stage_start = decoded
-        eligible = wake_steps < (self._phase_starts[phase_index] + stage_start)
-        if probability >= 1.0:
-            return eligible
-        return eligible & coins.below(step, probability)
-
     def macro_plan(self, start: int, count: int, r: int):
         """Decode ``count`` slots at once for the macro-step engine.
 
         Each slot is decoded by exactly the same ``_locate_phase`` +
-        ``StageTimetable.slot`` pair as :meth:`transmit_mask`, so the
-        plan is the batched form of the per-slot masks by construction
-        (the conformance suite asserts it stays that way).
+        ``StageTimetable.slot`` pair as :class:`_StageProtocol`, so the
+        plan is the batched form of the per-node decisions by
+        construction (the conformance suite asserts it stays that way).
         """
-        from ..sim.macro import ELIGIBLE_ANY_AWAKE, MacroPlan
-
         probs = np.full(count, -1.0, dtype=np.float64)
         elig = np.full(count, ELIGIBLE_ANY_AWAKE, dtype=np.int64)
-        single = np.full(count, -1, dtype=np.int64)
+        source = np.zeros(count, dtype=bool)
         for j in range(count):
             located = _locate_phase(self._phase_starts, start + j)
             if located is None:
@@ -253,12 +230,16 @@ class _PhasedAlgorithm(BroadcastAlgorithm):
             phase_index, offset = located
             decoded = self._phases[phase_index].slot(offset)
             if decoded is None:
-                single[j] = 0  # the source's solo slot
+                source[j] = True  # the source's solo slot: label set {0}
                 continue
             probability, stage_start = decoded
             probs[j] = probability
             elig[j] = self._phase_starts[phase_index] + stage_start
-        return MacroPlan(start=start, probs=probs, elig=elig, single=single)
+        return MacroPlan(
+            start=start, probs=probs, elig=elig,
+            members=np.zeros(np.count_nonzero(source), dtype=np.int64),
+            bounds=np.concatenate(([0], np.cumsum(source))),
+        )
 
     def max_steps_hint(self, n: int, r: int) -> int | None:
         return self._total_duration
@@ -339,11 +320,10 @@ class OptimalRandomizedBroadcasting(_PhasedAlgorithm):
         top = r2 if max_d is None else min(r2, next_power_of_two(max_d))
         phases = []
         d_guess = 2
-        while d_guess <= top:
+        # At least one phase: r = 1 (or max_d = 1) rounds below D = 2.
+        while d_guess <= max(2, top):
             phases.append(StageTimetable.build(r2, d_guess, stage_constant))
             d_guess *= 2
-        if not phases:
-            raise ConfigurationError(f"no phases for r={r}, max_d={max_d}")
         super().__init__(phases)
         self.name = f"kp-optimal(c={stage_constant})"
         self.stage_constant = stage_constant

@@ -204,20 +204,20 @@ def _reference_engine(quick: bool):
 
 
 @register(
-    "macro_fallback_engine",
-    tags=("engine", "macro"),
-    description="Single-run macro engine on its per-slot fallback path "
-    "(the selective-family schedule has no macro plan) on km_hard_layered",
+    "selective_union_engine",
+    tags=("engine", "macro", "batch"),
+    description="Macro engine, the selective-family schedule's label-set "
+    "plan as one 16-seed union on km_hard_layered",
 )
-def _macro_fallback_engine(quick: bool):
+def _selective_union_engine(quick: bool):
     from ..baselines import SelectiveFamilyBroadcast
-    from ..sim import run_broadcast
+    from ..sim import run_broadcast_batch
     from ..topology import km_hard_layered
 
     n, depth = (1024, 64) if quick else (2048, 128)
     net = km_hard_layered(n, depth, seed=3)
     algorithm = SelectiveFamilyBroadcast(net.r)
-    return lambda: run_broadcast(net, algorithm, seed=1, engine="macro")
+    return lambda: run_broadcast_batch(net, algorithm, trials=16, engine="macro")
 
 
 @register(

@@ -10,9 +10,10 @@ which makes the large parameter sweeps of EXPERIMENTS.md feasible in pure
 Python.
 
 This module holds what that engine and its callers share: the vectorised
-interface (:class:`VectorizedAlgorithm`), the read-only wake-slot mapping
-its results carry (:class:`WakeTimes`), and :func:`run_broadcast_batch`,
-the Monte-Carlo driver alias.
+interface (:class:`VectorizedAlgorithm`, a single ``macro_plan`` hook
+that emits :class:`~repro.sim.macro.MacroPlan` blocks), the read-only
+wake-slot mapping its results carry (:class:`WakeTimes`), and
+:func:`run_broadcast_batch`, the Monte-Carlo driver alias.
 
 *Adaptive* algorithms — the paper's token algorithms, whose decisions do
 depend on message contents — cannot be vectorised this way, but they have
@@ -41,7 +42,7 @@ import numpy as np
 from ..obs.metrics import MetricsRegistry
 from ..obs.spans import SpanRecorder
 from ..obs.timings import Timings
-from .coins import CoinSource, derive_trial_seeds
+from .coins import derive_trial_seeds
 from .errors import ConfigurationError
 from .faults import FaultPlan
 from .network import RadioNetwork
@@ -63,44 +64,24 @@ ASLEEP: int = np.iinfo(np.int64).max
 class VectorizedAlgorithm(TypingProtocol):
     """Structural interface for algorithms runnable on the vector engines.
 
-    Implementors also subclass
-    :class:`~repro.sim.protocol.BroadcastAlgorithm` so the same object runs
-    on either engine.
+    An oblivious algorithm describes its schedule once per block as a
+    :class:`~repro.sim.macro.MacroPlan`.  Implementors also subclass
+    :class:`~repro.sim.protocol.BroadcastAlgorithm`: the per-node
+    protocols of ``create()`` run on the other engines and are the
+    fidelity oracle every plan is held to.
     """
 
     name: str
     deterministic: bool
 
-    def transmit_mask(
-        self,
-        step: int,
-        labels: np.ndarray,
-        wake_steps: np.ndarray,
-        r: int,
-        coins: CoinSource,
-    ) -> np.ndarray:
-        """Transmit decisions for slot ``step``.
+    def macro_plan(self, start: int, count: int, r: int):
+        """The schedule's slots ``start .. start + count - 1`` as one
+        :class:`~repro.sim.macro.MacroPlan`.
 
-        Args:
-            step: Global slot number.
-            labels: ``int64`` array of node labels (fixed across steps),
-                always of shape ``(n,)``.
-            wake_steps: ``int64`` array; ``ASLEEP`` for uninformed nodes.
-                Shape ``(n,)`` for a single run, ``(trials, n)`` for a
-                union of trials on
-                :class:`~repro.sim.macro.MacroStepEngine`.
-                Implementations may ignore sleepers — the engine masks
-                them out — but must not let them influence other nodes.
-            r: Public label bound.
-            coins: Slot-indexed coin flips; ``coins.uniform(step)`` has
-                the same shape as ``wake_steps``, and
-                ``coins.below(step, p)`` is the transmit test
-                ``uniform(step) < p`` without the float conversion.
-                Deterministic schedules never touch it.
-
-        Returns:
-            Boolean array broadcastable to ``wake_steps.shape``: True where
-            the node transmits.
+        The plan is the algorithm's only array-side description: it may
+        depend on the steps and ``r`` (the public label bound) but on no
+        run state, so the engine can ask for any block in any order and
+        a union of trials shares it.
         """
         ...  # pragma: no cover - protocol definition
 

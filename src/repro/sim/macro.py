@@ -9,16 +9,17 @@ slots where three nodes transmit.  This module removes both:
   ``(step, label, wake slot, coins)``.  For the schedules in this repo
   the dependence is even simpler — each slot is a *probability* plus a
   *wake-eligibility threshold* (KP stages: "informed before the stage
-  began"), a single deterministic label (round-robin, the source slot),
-  or a probability applied to the previous slot's transmitters (BGI's
-  Decay runs: a node keeps transmitting while its coins come up heads).
-  :class:`MacroPlan` encodes ``K`` slots of that structure at once;
-  algorithms expose it via an optional ``macro_plan(start, count, r)``
-  hook (see :class:`~repro.core.randomized.KnownRadiusKP`,
-  :class:`~repro.baselines.round_robin.RoundRobinBroadcast`,
-  :class:`~repro.baselines.bgi.BGIBroadcast`).  Algorithms without the
-  hook fall back to per-slot ``transmit_mask`` — same results, just
-  without the batch decode.
+  began"), a *set of labels* (round-robin, selective families, the
+  centralized schedule, the KP source slot), or a probability applied to
+  the previous slot's transmitters (BGI's Decay runs: a node keeps
+  transmitting while its coins come up heads).  :class:`MacroPlan`
+  encodes ``K`` slots of that structure at once, and every oblivious
+  algorithm describes itself through one hook, ``macro_plan(start,
+  count, r)`` (see :class:`~repro.core.randomized.KnownRadiusKP`,
+  :class:`~repro.baselines.bgi.BGIBroadcast`,
+  :class:`~repro.baselines.selective_schedule.SelectiveFamilyBroadcast`).
+  :func:`plan_slot_mask` evaluates one plan slot densely — the form the
+  E11 adversary and the test oracles read.
 
 * **Sparse channel resolution.**  Instead of a dense mask and an O(E)
   product, the engine keeps the awake set as a wake-ordered index list:
@@ -72,6 +73,9 @@ __all__ = [
     "ELIGIBLE_ANY_AWAKE",
     "MacroPlan",
     "MacroStepEngine",
+    "label_set_plan",
+    "label_table",
+    "plan_slot_mask",
     "run_broadcast_macro",
     "resolve_macro_backend",
 ]
@@ -91,9 +95,11 @@ class MacroPlan:
     Slot ``j`` (global step ``start + j``) is one of four shapes,
     checked in order:
 
-    * ``single[j] >= 0`` — only the node with that *label* transmits,
-      and only if its wake slot is below ``elig[j]`` (deterministic solo
-      slots: round-robin, the KP source slot).
+    * a *label-set* slot, when its row ``members[bounds[j]:bounds[j + 1]]``
+      is non-empty — each node whose label is in the row transmits if its
+      wake slot is below ``elig[j]`` (deterministic schedules:
+      round-robin, selective families, the centralized schedule, the KP
+      source slot).  Labels outside the network are ignored.
     * ``chain[j]`` — a *chained* slot: the candidates are the previous
       slot's transmitters, not an eligible prefix, and each transmits
       when its slot coin is below ``probs[j]`` (BGI's Decay runs;
@@ -104,11 +110,13 @@ class MacroPlan:
 
     ``elig[j]`` and a chain are the only state-dependent parts of a
     slot's decision, which is what makes precomputing ``K`` slots sound:
-    probabilities and labels never depend on the state evolving inside
-    the block, and the engine applies the threshold per slot against the
-    live wake array and keeps the previous slot's transmitters across
-    slots and blocks.  Use :data:`ELIGIBLE_ANY_AWAKE` when any awake
-    node qualifies.  ``chain`` is ``None`` for plans that never chain;
+    probabilities and label rows never depend on the state evolving
+    inside the block, and the engine applies the threshold per slot
+    against the live wake array and keeps the previous slot's
+    transmitters across slots and blocks.  Use :data:`ELIGIBLE_ANY_AWAKE`
+    when any awake node qualifies.  ``members`` and ``bounds`` (``count +
+    1`` offsets into ``members``) are ``None`` for plans without
+    label-set slots.  ``chain`` is ``None`` for plans that never chain;
     an algorithm whose slots chain passes it in every plan, since only
     then does the engine keep each slot's transmitters listed (a coin
     slot of a chain-less plan may resolve on the sleepers' side, which
@@ -118,11 +126,96 @@ class MacroPlan:
     start: int
     probs: np.ndarray
     elig: np.ndarray
-    single: np.ndarray
+    members: np.ndarray | None = None
+    bounds: np.ndarray | None = None
     chain: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.probs)
+
+
+def _ragged_positions(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Positions of the ranges ``starts[i] .. starts[i] + lengths[i]``,
+    concatenated."""
+    cum = np.cumsum(lengths) - lengths
+    return np.arange(int(lengths.sum()), dtype=np.int64) + np.repeat(
+        starts - cum, lengths
+    )
+
+
+def label_table(sets) -> tuple[np.ndarray, np.ndarray]:
+    """Label sets as a ragged table ``(members, offsets)``: row ``i``,
+    ``members[offsets[i]:offsets[i + 1]]``, lists ``sets[i]`` in
+    increasing order."""
+    rows = [sorted(labels) for labels in sets]
+    members = np.array([label for row in rows for label in row], dtype=np.int64)
+    return members, np.cumsum([0] + [len(row) for row in rows])
+
+
+def label_set_plan(
+    start: int,
+    members: np.ndarray,
+    offsets: np.ndarray,
+    rows: np.ndarray | None = None,
+) -> MacroPlan:
+    """A plan of label-set slots in which any awake member transmits.
+
+    ``(members, offsets)`` is a ragged label table: row ``i`` is
+    ``members[offsets[i]:offsets[i + 1]]``.  Slot ``j`` is row
+    ``rows[j]``, or row ``j`` when ``rows`` is ``None``; an empty row is a
+    silent slot.
+    """
+    if rows is not None:
+        starts = offsets[rows]
+        lengths = offsets[rows + 1] - starts
+        members = members[_ragged_positions(starts, lengths)]
+        offsets = np.concatenate(([0], np.cumsum(lengths)))
+    count = len(offsets) - 1
+    return MacroPlan(
+        start=start,
+        probs=np.full(count, -1.0),
+        elig=np.full(count, ELIGIBLE_ANY_AWAKE, dtype=np.int64),
+        members=members,
+        bounds=offsets,
+    )
+
+
+def plan_slot_mask(
+    plan: MacroPlan,
+    j: int,
+    labels: np.ndarray,
+    wake: np.ndarray,
+    coins: CoinSource | None = None,
+    prev: np.ndarray | None = None,
+) -> np.ndarray:
+    """The dense transmit decisions of plan slot ``j``.
+
+    Args:
+        plan: The plan holding the slot (global step ``plan.start + j``).
+        j: Slot index within the plan.
+        labels: ``(n,)`` node labels.
+        wake: Wake slots before the slot, ``ASLEEP`` for sleepers;
+            ``(n,)`` for one run or ``(trials, n)`` for several.
+        coins: Coins shaped like ``wake``; read only by probability and
+            chained slots with ``probs[j] < 1``.
+        prev: The previous slot's decisions, shaped like ``wake``; read
+            only by chained slots (``None``: nobody transmitted).
+
+    Returns:
+        A boolean array shaped like ``wake``, true where the node
+        transmits; sleepers never do.
+    """
+    p, bounds = plan.probs[j], plan.bounds
+    eligible = wake < plan.elig[j]
+    if bounds is not None and bounds[j + 1] > bounds[j]:
+        row = np.sort(plan.members[bounds[j]:bounds[j + 1]])
+        pos = np.minimum(row.searchsorted(labels), row.size - 1)
+        return eligible & (row[pos] == labels)
+    if plan.chain is not None and plan.chain[j]:
+        eligible = np.zeros(wake.shape, dtype=bool) if prev is None else prev
+    elif p < 0.0:
+        return np.zeros(wake.shape, dtype=bool)
+    return eligible.copy() if p >= 1.0 else eligible & coins.below(plan.start + j, p)
 
 
 def resolve_macro_backend(backend: str = "auto") -> str:
@@ -154,8 +247,8 @@ class MacroStepEngine:
     """Sparse macro-step engine: the array engine for oblivious
     algorithms, one trial or many.
 
-    Executes ``block_size`` slots per macro step with no per-slot Python
-    dispatch into the algorithm (when it provides ``macro_plan``),
+    Executes ``block_size`` slots per macro step from one ``macro_plan``
+    call, with no per-slot Python dispatch into the algorithm,
     settle-checks inside the block, and resolves each slot from whichever
     side of the channel is cheaper.  Fault plans, metrics, timings and
     traces run on the same block loop: they add per-slot bookkeeping, and
@@ -236,10 +329,9 @@ class MacroStepEngine:
         size = n * trials
         self.n, self.trials, self._size = n, trials, size
         shape = (trials, n) if union else (n,)
-        keys = CoinSource.for_batch(self.seeds, self.labels)._keys
-        # transmit_mask sees the (T, n) view; the union reads flat keys.
-        self.coins = CoinSource(keys.reshape(shape))
-        self._keys = keys.reshape(-1)
+        keys = CoinSource.for_batch(self.seeds, self.labels)._keys.reshape(-1)
+        self.coins = CoinSource(keys)
+        self._keys = keys
         self._offsets = n * np.arange(trials, dtype=np.int64)
         self._wake = np.full(size, ASLEEP, dtype=np.int64)
         self.wake_steps = self._wake.reshape(shape)
@@ -279,7 +371,6 @@ class MacroStepEngine:
         self._el_for: tuple[int, int] | None = None
         self._avg_deg = kernel.indices.size / max(1, n)
         self.step = 0
-        self._plan_hook = getattr(algorithm, "macro_plan", None)
         self._traces = [Trace(level=trace_level) for _ in self.seeds]
         for trace in self._traces:
             trace.mark_initially_informed(network.source)
@@ -334,9 +425,6 @@ class MacroStepEngine:
             and not self._hits_needed
         )
         self._observed = self._hits_needed or timings is not None or self._tracing
-        reset = getattr(algorithm, "reset_run", None)
-        if reset is not None:
-            reset(shape)
 
     # -- result surface ----------------------------------------------------
 
@@ -440,25 +528,32 @@ class MacroStepEngine:
         executed = 0
         while executed < max_steps and not self._settled():
             count = min(self.block_size, max_steps - executed)
-            plan = (
-                self._plan_hook(self.step, count, self.network.r)
-                if self._plan_hook is not None
-                else None
-            )
+            plan = self.algorithm.macro_plan(self.step, count, self.network.r)
             executed += self._run_block(plan, count)
         return executed
 
-    def _run_block(self, plan: MacroPlan | None, count: int) -> int:
-        """Up to ``count`` slots: decisions from the macro plan, or
-        per-slot ``transmit_mask`` for algorithms without one (dense
-        decisions, sparse channel)."""
+    def _label_rows(self, plan: MacroPlan) -> tuple[np.ndarray, list, list]:
+        """A plan's label rows as node indices, with one vectorised
+        lookup: ``(rows, slot_bounds, row_bounds)``, where slot ``j`` is a
+        label-set slot iff ``slot_bounds[j + 1] > slot_bounds[j]`` and its
+        nodes are ``rows[row_bounds[j]:row_bounds[j + 1]]`` (labels not in
+        the network dropped)."""
+        if plan.bounds is None:
+            zeros = [0] * (len(plan) + 1)
+            return _EMPTY, zeros, zeros
+        labels, members = self.labels, plan.members
+        pos = np.searchsorted(labels, members).clip(max=self.n - 1)
+        found = labels[pos] == members
+        kept = np.concatenate(([0], np.cumsum(found)))
+        return pos[found], plan.bounds.tolist(), kept[plan.bounds].tolist()
+
+    def _run_block(self, plan: MacroPlan, count: int) -> int:
+        """Up to ``count`` slots, decided by the macro plan."""
         wake = self._wake
         timings = self.timings
         observed = self._observed
-        if plan is not None:
-            probs, elig, single, chain = (
-                plan.probs, plan.elig, plan.single, plan.chain
-            )
+        probs, elig, chain = plan.probs, plan.elig, plan.chain
+        rows, slot_bounds, row_bounds = self._label_rows(plan)
         t_start = 0.0
         executed = 0
         for j in range(count):
@@ -470,25 +565,11 @@ class MacroStepEngine:
             if timings is not None:
                 t_start = perf_counter()
             tx = rx = None
-            if plan is None:
-                mask = self.algorithm.transmit_mask(
-                    step, self.labels, self.wake_steps, self.network.r, self.coins
-                )
-                mask = np.broadcast_to(np.asarray(mask, dtype=bool),
-                                       self.wake_steps.shape).reshape(-1)
-                awake = self._awake_idx[: self._awake_count]
-                tx = awake[mask[awake]]
-            elif single[j] >= 0:
-                idx = self._index.get(int(single[j]))
-                if idx is None:
-                    pass
-                elif self.trials == 1:
-                    # One run: a scalar compare, no candidate arrays.
-                    if wake[idx] < elig[j]:
-                        tx = np.array([idx], dtype=np.int64)
-                else:
-                    cand = self._offsets + idx
-                    tx = cand[(wake[cand] < elig[j]) & self._running]
+            if slot_bounds[j + 1] > slot_bounds[j]:
+                cand = rows[row_bounds[j]:row_bounds[j + 1]]
+                if self.trials > 1:
+                    cand = (self._offsets[self._running, None] + cand).ravel()
+                tx = cand[wake[cand] < elig[j]]
             elif chain is not None and chain[j]:
                 # Only the previous slot's transmitters are candidates, so
                 # coins are flipped for the surviving chain alone.
@@ -695,11 +776,7 @@ class MacroStepEngine:
         indptr = self.kernel.indptr
         starts = indptr[nodes]
         lengths = indptr[nodes + 1] - starts
-        cum = np.cumsum(lengths) - lengths
-        pos = np.arange(int(lengths.sum()), dtype=np.int64) + np.repeat(
-            starts - cum, lengths
-        )
-        cat = self.kernel.indices[pos]
+        cat = self.kernel.indices[_ragged_positions(starts, lengths)]
         if self.trials > 1:
             cat = cat + np.repeat(rows - nodes, lengths)
         return cat, lengths

@@ -201,9 +201,12 @@ class ObliviousTransmitter(Protocol):
     An oblivious protocol's transmission decisions depend only on the global
     step number, its label, and its wake step — never on message contents or
     on what it heard after waking.  Both randomized algorithms in the paper
-    (Kowalski–Pelc stages and BGI Decay) and the round-robin baseline are
-    oblivious, which lets the vectorised engine (:mod:`repro.sim.fast`)
-    execute them over numpy arrays.
+    (Kowalski–Pelc stages and BGI Decay) and the deterministic baselines
+    (round-robin, selective families, the centralized schedule) are
+    oblivious: each also describes its schedule as
+    :class:`~repro.sim.macro.MacroPlan` blocks, which the macro engine
+    executes over numpy arrays.  These per-node protocols are the
+    fidelity oracle for those plans.
 
     Subclasses implement :meth:`wants_to_transmit`; the source message is
     the only payload ever sent.

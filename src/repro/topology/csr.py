@@ -360,6 +360,10 @@ def gnp_random_csr(
             only sensible above the connectivity threshold).
         max_attempts: Retry budget for ``connect="resample"``.
         r: Label bound; defaults to ``n - 1``.
+
+    The expected edge count, ``p * n(n-1)/2``, is checked against the
+    memory guard (:func:`~repro.sim.guard.check_edge_budget`) before any
+    edge is drawn.
     """
     if n < 1:
         raise ConfigurationError(f"need n >= 1, got {n}")
@@ -370,6 +374,7 @@ def gnp_random_csr(
             f"unknown connect mode {connect!r}; expected 'augment' or 'resample'"
         )
     num_pairs = n * (n - 1) // 2
+    check_edge_budget(round(p * num_pairs), f"G({n:,}, {p:g}), in expectation,")
     attempts = max_attempts if connect == "resample" else 1
     for attempt in range(attempts):
         rng = np.random.default_rng(seed + attempt)

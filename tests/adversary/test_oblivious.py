@@ -8,6 +8,7 @@ import pytest
 from repro.adversary.oblivious import ObliviousLayerAdversary, verify_oblivious
 from repro.baselines import BGIBroadcast, RoundRobinBroadcast, SelectiveFamilyBroadcast
 from repro.sim.errors import ConfigurationError, SimulationError
+from repro.sim.macro import label_set_plan
 
 
 def test_rejects_randomized():
@@ -78,8 +79,11 @@ def test_never_separating_schedule_detected():
         name = "always-all"
         deterministic = True
 
-        def transmit_mask(self, step, labels, wake_steps, r, rng):
-            return np.ones(labels.shape, dtype=bool)
+        def macro_plan(self, start, count, r):
+            everyone = np.arange(r + 1)
+            return label_set_plan(
+                start, np.tile(everyone, count), everyone.size * np.arange(count + 1)
+            )
 
         def create(self, label, r, rng):  # pragma: no cover - not used
             raise NotImplementedError
@@ -99,3 +103,44 @@ def test_pairs_are_disjoint_across_layers():
         assert not (set(layer) & seen)
         seen |= set(layer)
     assert seen == set(range(64))
+
+
+#: E11's adversary output, pinned: ``(pair layers, layer_delays,
+#: predicted_floor)`` per schedule of ``_schedules(128)`` at depth 6, and
+#: a Kautz–Singleton family at ``(64, 4)``.  The absorbing final layer is
+#: every label left over.
+E11_PINS = {
+    "round-robin": (
+        ((116, 127), (103, 114), (95, 98), (85, 86), (76, 81), (66, 71)),
+        (1, 116, 115, 120, 118, 119, 118),
+        707,
+    ),
+    "selective-family": (
+        ((78, 120), (13, 74), (10, 17), (19, 42), (34, 107), (16, 95)),
+        (1, 72, 10, 10, 41, 8, 5),
+        147,
+    ),
+    "kautz-singleton": (
+        ((3, 28), (6, 17), (39, 44), (4, 49)),
+        (1, 12, 11, 13, 11),
+        48,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(E11_PINS))
+def test_e11_adversary_output_is_pinned(name):
+    from repro.experiments.e11_oblivious_adversary import _schedules
+
+    if name == "kautz-singleton":
+        n, depth = 64, 4
+        algo = SelectiveFamilyBroadcast(n - 1, "kautz-singleton", max_scale=4)
+    else:
+        n, depth = 128, 6
+        algo = _schedules(n)[name]()
+    result = ObliviousLayerAdversary(algo, n, depth).build()
+    pairs, delays, floor = E11_PINS[name]
+    used = {0}.union(*map(set, pairs))
+    assert result.layers == ((0,), *pairs, tuple(sorted(set(range(n)) - used)))
+    assert result.layer_delays == delays
+    assert result.predicted_floor == floor

@@ -13,6 +13,7 @@ from repro.core.randomized import (
 )
 from repro.sim import run_broadcast
 from repro.sim.errors import ConfigurationError
+from repro.sim.macro import plan_slot_mask
 from repro.topology import (
     gnp_connected,
     km_hard_layered,
@@ -125,6 +126,18 @@ class TestOptimalRandomized:
             result = run_broadcast(net, algo, seed=2)
             assert result.completed, name
 
+    def test_label_bound_one_builds_one_phase(self):
+        """r = 1 rounds to r2 = 1, below the first guess D = 2; the
+        doubling still runs that one phase and broadcasts on a 2-path."""
+        algo = OptimalRandomizedBroadcasting(1, stage_constant=2)
+        assert [tt.d2 for tt in algo._phases] == [2]
+        assert run_broadcast(path(2), algo, seed=0).completed
+
+    def test_phases_for_larger_bounds_unchanged(self):
+        for r, d2s in ((2, [2]), (3, [2, 4]), (4, [2, 4]), (5, [2, 4, 8])):
+            algo = OptimalRandomizedBroadcasting(r, stage_constant=2)
+            assert [tt.d2 for tt in algo._phases] == d2s
+
     def test_max_d_caps_phases(self):
         algo = OptimalRandomizedBroadcasting(255, stage_constant=2, max_d=8)
         assert [tt.d2 for tt in algo._phases] == [2, 4, 8]
@@ -147,7 +160,7 @@ class TestOptimalRandomized:
         algo = OptimalRandomizedBroadcasting(31, stage_constant=2)
         labels = np.arange(8)
         wake = np.zeros(8, dtype=np.int64)
-        mask = algo.transmit_mask(0, labels, wake, 31, np.random.default_rng(0))
+        mask = plan_slot_mask(algo.macro_plan(0, 1, 31), 0, labels, wake)
         assert mask.dtype == bool and mask.shape == (8,)
         assert mask[0] and not mask[1:].any()  # slot 0: source only
 

@@ -2,7 +2,8 @@
 
 The Section 2 analysis hinges on nodes transmitting with *exactly* the
 prescribed probabilities.  These tests estimate empirical transmission
-frequencies from many runs of the vectorised schedule and check them
+frequencies from many runs of the macro plan (each slot evaluated
+densely by :func:`~repro.sim.macro.plan_slot_mask`) and check them
 against the timetable, slot class by slot class — a bug in eligibility or
 probability indexing would shift these frequencies far outside the bands.
 """
@@ -13,6 +14,7 @@ import numpy as np
 
 from repro.core.randomized import KnownRadiusKP, StageTimetable
 from repro.sim.coins import CoinSource, derive_trial_seeds
+from repro.sim.macro import plan_slot_mask
 
 
 def _empirical_rate(algo, slot: int, eligible_wake: int, trials: int = 4000) -> float:
@@ -25,8 +27,8 @@ def _empirical_rate(algo, slot: int, eligible_wake: int, trials: int = 4000) -> 
     labels = np.arange(1, 2)  # a single non-source node
     wake = np.tile(np.array([eligible_wake], dtype=np.int64), (trials, 1))
     coins = CoinSource.for_batch(derive_trial_seeds(123, trials), labels)
-    mask = algo.transmit_mask(slot, labels, wake, algo._phases[0].r2 - 1, coins)
-    mask = np.broadcast_to(mask, wake.shape)
+    plan = algo.macro_plan(slot, 1, algo._phases[0].r2 - 1)
+    mask = plan_slot_mask(plan, 0, labels, wake, coins)
     return float(mask[:, 0].mean())
 
 
@@ -76,7 +78,7 @@ def test_source_solo_slot():
     algo = KnownRadiusKP(255, 16, stage_constant=4)
     labels = np.array([0, 5])
     wake = np.array([-1, -1], dtype=np.int64)
-    mask = algo.transmit_mask(0, labels, wake, 255, np.random.default_rng(0))
+    mask = plan_slot_mask(algo.macro_plan(0, 1, 255), 0, labels, wake)
     assert mask[0] and not mask[1]
 
 

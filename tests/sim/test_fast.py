@@ -6,7 +6,6 @@ FULL-trace step records.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,25 +14,27 @@ from repro.baselines.round_robin import RoundRobinBroadcast
 from repro.baselines.selective_schedule import SelectiveFamilyBroadcast
 from repro.sim.errors import ConfigurationError
 from repro.sim.fast import ASLEEP
-from repro.sim.macro import MacroStepEngine
+from repro.sim.macro import MacroStepEngine, label_set_plan, label_table
 from repro.sim.network import RadioNetwork
 from repro.sim.run import run_broadcast
 from repro.sim.trace import TraceLevel
 from repro.topology import gnp_connected, grid, path, star, uniform_complete_layered
 
 
-class _MaskSchedule:
-    """Deterministic vector schedule from per-step label sets."""
+class _LabelSetSchedule:
+    """Deterministic vector schedule from per-step label sets: one
+    label-set slot per step (any awake member transmits)."""
 
-    name = "mask-schedule"
+    name = "label-set-schedule"
     deterministic = True
 
     def __init__(self, slots: dict[int, set[int]]):
         self.slots = slots
 
-    def transmit_mask(self, step, labels, wake_steps, r, rng):
-        wanted = self.slots.get(step, set())
-        return np.isin(labels, list(wanted)) if wanted else np.zeros(len(labels), bool)
+    def macro_plan(self, start, count, r):
+        steps = range(start, start + count)
+        members, offsets = label_table(self.slots.get(t, ()) for t in steps)
+        return label_set_plan(start, members, offsets)
 
 
 def _traced(net, schedule, max_steps=10):
@@ -61,7 +62,7 @@ def test_rejects_non_vectorized_algorithm():
 
 def test_exactly_one_rule_and_wake_progression():
     net = star(4)
-    engine = _traced(net, _MaskSchedule({0: {0}}), max_steps=1)
+    engine = _traced(net, _LabelSetSchedule({0: {0}}), max_steps=1)
     assert engine.all_informed
     assert engine.completion_times() == [1]
     (record,) = engine.trace.steps
@@ -71,7 +72,7 @@ def test_exactly_one_rule_and_wake_progression():
 def test_collision_blocks_wake():
     # Nodes 1, 2 adjacent to 3; both transmit at step 1 -> 3 not woken.
     net = RadioNetwork.undirected(range(4), [(0, 1), (0, 2), (1, 3), (2, 3)])
-    engine = _traced(net, _MaskSchedule({0: {0}, 1: {1, 2}}), max_steps=2)
+    engine = _traced(net, _LabelSetSchedule({0: {0}, 1: {1, 2}}), max_steps=2)
     assert not engine.all_informed
     assert len(engine.wake_times()) == 3
     assert engine.trace.steps[1].collisions == (0, 3)  # the source hears both
@@ -81,21 +82,21 @@ def test_collision_blocks_wake():
 def test_no_spontaneous_transmission_in_fast_engine():
     # Schedule says node 2 transmits at step 0, but it is asleep.
     net = path(3)
-    engine = _traced(net, _MaskSchedule({0: {2}}), max_steps=1)
+    engine = _traced(net, _LabelSetSchedule({0: {2}}), max_steps=1)
     assert _transmitters(engine) == [()]
 
 
 def test_wake_this_step_cannot_transmit_same_step():
     # Node 1 woken at step 0 by the source; schedule wants 1 at step 0 too.
     net = path(3)
-    engine = _traced(net, _MaskSchedule({0: {0, 1}, 1: {1}}), max_steps=2)
+    engine = _traced(net, _LabelSetSchedule({0: {0, 1}, 1: {1}}), max_steps=2)
     assert _transmitters(engine) == [(0,), (1,)]
     assert engine.completion_times() == [2]
 
 
 def test_asleep_sentinel_and_wake_times():
     net = path(3)
-    engine = MacroStepEngine(net, _MaskSchedule({0: {0}}))
+    engine = MacroStepEngine(net, _LabelSetSchedule({0: {0}}))
     assert engine.wake_steps[2] == ASLEEP
     engine.run(1)
     assert engine.wake_times() == {0: -1, 1: 0}
@@ -133,7 +134,7 @@ def test_cross_engine_equivalence_selective_family():
 
 def test_directed_network_fast_engine():
     net = RadioNetwork.directed([0, 1, 2], [(0, 1), (1, 2)])
-    engine = _traced(net, _MaskSchedule({0: {0}, 1: {1}}))
+    engine = _traced(net, _LabelSetSchedule({0: {0}, 1: {1}}))
     assert engine.all_informed
     assert engine.completion_times() == [2]
     assert _transmitters(engine) == [(0,), (1,)]
@@ -141,7 +142,7 @@ def test_directed_network_fast_engine():
 
 def test_run_broadcast_fast_incomplete_result():
     net = path(5)
-    result = run_broadcast(net, _MaskSchedule({}), max_steps=3, engine="macro")
+    result = run_broadcast(net, _LabelSetSchedule({}), max_steps=3, engine="macro")
     assert not result.completed
     assert result.informed == 1
     assert result.time == 3

@@ -26,7 +26,9 @@ from types import SimpleNamespace
 import repro.sim.driver as driver
 import repro.sim.guard as guard
 from repro.baselines.bgi import BGIBroadcast
+from repro.baselines.centralized import CentralizedGreedySchedule
 from repro.baselines.round_robin import RoundRobinBroadcast
+from repro.baselines.selective_schedule import SelectiveFamilyBroadcast
 from repro.core.randomized import KnownRadiusKP
 from repro.obs.metrics import COUNT_BUCKETS, SLOT_BUCKETS, MetricsRegistry
 from repro.obs.spans import SpanRecorder
@@ -51,9 +53,11 @@ from repro.sim.macro import (
     ELIGIBLE_ANY_AWAKE,
     MacroPlan,
     MacroStepEngine,
+    plan_slot_mask,
     resolve_macro_backend,
     run_broadcast_macro,
 )
+from repro.sim.network import RadioNetwork
 from repro.sim.protocol import BroadcastAlgorithm, ObliviousTransmitter
 from repro.topology import (
     gnp_random_csr,
@@ -74,13 +78,15 @@ _EMPTY = np.empty(0, dtype=np.int64)
 def _dense(net, algo, seed, max_steps=None, faults=None):
     """The dense oracle: one trial as a per-slot numpy program.
 
-    Every node's transmit decision (``transmit_mask``) is evaluated in
-    every slot, the hits are a ``bincount`` of the transmitters' CSR
-    rows, and the fault pipeline (crash -> jam -> loss -> wake-delay)
-    runs on full-length arrays: no plan, no eligible prefix, no union
-    and no receiver side.  It shares only the coins and the CSR arrays
-    with the macro engine.  ``steps`` holds one FULL-trace
-    :class:`StepRecord` per executed slot, with the reference engine's
+    Every node's transmit decision is evaluated in every slot, from a
+    one-slot macro plan through :func:`plan_slot_mask` (its chained
+    slots read the previous slot's transmitters), the hits are a
+    ``bincount`` of the transmitters' CSR rows, and the fault pipeline
+    (crash -> jam -> loss -> wake-delay) runs on full-length arrays: no
+    blocks, no eligible prefix, no union and no receiver side.  It shares
+    only the plans, the coins and the CSR arrays with the macro engine.
+    ``steps`` holds one FULL-trace :class:`StepRecord` per executed slot,
+    with the reference engine's
     definitions: deliveries to every live, non-transmitting node that
     hears exactly one sender and is not jammed, lost or wake-delayed;
     collisions at live, non-transmitting nodes with two or more
@@ -107,12 +113,11 @@ def _dense(net, algo, seed, max_steps=None, faults=None):
         loss_coins = CoinSource.for_run(derive_fault_seed(faults.seed, seed), labels)
     if max_steps is None:
         max_steps = default_max_steps(net, algo)
-    if hasattr(algo, "reset_run"):
-        algo.reset_run(n)
     tallies = np.zeros(4, dtype=np.int64)  # crashed, jammed, lost, delayed
     transmissions = np.zeros(n, dtype=np.int64)
     sender = np.zeros(n, dtype=np.int64)
     steps, collisions, informed_counts = [], [], []
+    mask = None
 
     def sorted_labels(where):
         return tuple(sorted(labels[where].tolist()))
@@ -124,7 +129,8 @@ def _dense(net, algo, seed, max_steps=None, faults=None):
         tallies[0] += np.count_nonzero(crash == step)
         tallies[1] += len(jams.get(step, ()))
         alive = crash > step
-        mask = algo.transmit_mask(step, labels, wake, net.r, coins) & awake & alive
+        plan = algo.macro_plan(step, 1, net.r)
+        mask = plan_slot_mask(plan, 0, labels, wake, coins, mask) & alive
         tx = np.flatnonzero(mask)
         transmissions[tx] += 1
         rows = [kernel.indices[indptr[v]:indptr[v + 1]] for v in tx]
@@ -204,17 +210,12 @@ class AnyAwakeSweep(BroadcastAlgorithm):
     def create(self, label, r, rng):
         return _AnyAwakeProtocol(label, r, rng, self.PROBS)
 
-    def transmit_mask(self, step, labels, wake_steps, r, coins):
-        p = self.PROBS[step % len(self.PROBS)]
-        return (wake_steps != ASLEEP) & coins.below(step, p)
-
     def macro_plan(self, start: int, count: int, r: int) -> MacroPlan:
         steps = start + np.arange(count)
         return MacroPlan(
             start=start,
             probs=np.asarray(self.PROBS)[steps % len(self.PROBS)],
             elig=np.full(count, ELIGIBLE_ANY_AWAKE, dtype=np.int64),
-            single=np.full(count, -1, dtype=np.int64),
         )
 
 
@@ -326,22 +327,10 @@ class TestReceiverSide:
         assert engine.wake_times() == reference.wake_times
 
 
-class _MaskOnly:
-    """An oblivious algorithm with its macro plan hidden, so the engine
-    asks ``transmit_mask`` slot by slot: the oracle for a plan."""
-
-    def __init__(self, inner):
-        self._inner = inner
-
-    def __getattr__(self, name):
-        if name == "macro_plan":
-            raise AttributeError(name)
-        return getattr(self._inner, name)
-
-
-#: Networks for the Decay plan against its mask: a RadioNetwork and a
-#: CSR network (both resolved from the transmitter side), and a sparse
-#: CSR G(n, p) whose late phase starts resolve from the sleepers' side.
+#: Networks for the Decay plan against the reference engine: a
+#: RadioNetwork and a CSR network (both resolved from the transmitter
+#: side), and a sparse CSR G(n, p) whose late phase starts resolve from
+#: the sleepers' side.
 DECAY_NETWORKS = {
     "km_layered": km_hard_layered(60, 4, seed=3),
     "km_layered_csr": km_hard_layered_csr(60, 4, seed=3),
@@ -349,29 +338,37 @@ DECAY_NETWORKS = {
 }
 
 
-def _decay_pair(net, phase_len, seed, block_size, max_steps):
-    """BGI run with its Decay plan and with the plan hidden."""
-    engines = []
-    for algo in (BGIBroadcast(net.r, phase_len),
-                 _MaskOnly(BGIBroadcast(net.r, phase_len))):
-        engine = MacroStepEngine(net, algo, seed=seed, block_size=block_size)
-        engine.run(max_steps)
-        engines.append(engine)
-    return engines
+def _plan_and_oracle(net, make, seeds, block_size, max_steps, **options):
+    """A macro run of ``seeds`` (one seed, or a union's seed list) and,
+    per seed, the reference engine's run of the algorithm's per-node
+    protocols; ``options`` (faults, trace level) go to both."""
+    engine = MacroStepEngine(net, make(), seed=seeds, block_size=block_size,
+                             **options)
+    engine.run(max_steps)
+    results = simulate(net, make(), np.atleast_1d(seeds).tolist(),
+                       engine="reference", max_steps=max_steps, **options)
+    return engine, results
 
 
-def _assert_same_run(plan, oracle):
-    assert np.array_equal(plan.wake_steps, oracle.wake_steps)
-    assert plan.completion_times() == oracle.completion_times()
-    assert plan.step == oracle.step
-    assert [plan.trial_steps(t) for t in range(plan.trials)] == [
-        oracle.trial_steps(t) for t in range(oracle.trials)
+def _assert_same_run(engine, results, trials=None):
+    """The union's trials (``trials``: a subset) against per-seed runs:
+    wake slots, completion, and the slots each trial and the union
+    executed (a trial settles at its completion time, or runs to the
+    limit)."""
+    trials = range(engine.trials) if trials is None else trials
+    assert [engine.wake_times(t) for t in trials] == [r.wake_times for r in results]
+    times = engine.completion_times()
+    assert [times[t] for t in trials] == [
+        r.time if r.completed else None for r in results
     ]
+    assert [engine.trial_steps(t) for t in trials] == [r.time for r in results]
+    if len(results) == engine.trials:
+        assert engine.step == max(r.time for r in results)
 
 
 class TestDecayPlan:
-    """BGI's chained Decay plan against the same algorithm on per-slot
-    ``transmit_mask``: a phase opens with the eligible prefix and each
+    """BGI's chained Decay plan against the reference engine's per-node
+    Decay protocols: a phase opens with the eligible prefix and each
     later slot flips coins for the previous slot's transmitters only."""
 
     @settings(max_examples=60, deadline=None)
@@ -385,21 +382,24 @@ class TestDecayPlan:
                      min_size=2, max_size=5),
         ),
     )
-    def test_plan_matches_mask(self, topo, phase_len, block_size, seeds):
+    def test_plan_matches_reference(self, topo, phase_len, block_size, seeds):
         """Blocks split phases at every ``block_size``; unions retire
         trials mid-phase; ``phase_len`` 1 and 2 may never complete, so
         the budget also checks partial runs."""
-        plan, oracle = _decay_pair(
-            DECAY_NETWORKS[topo], phase_len, seeds, block_size, max_steps=400
+        net = DECAY_NETWORKS[topo]
+        engine, results = _plan_and_oracle(
+            net, lambda: BGIBroadcast(net.r, phase_len), seeds, block_size, 400
         )
-        _assert_same_run(plan, oracle)
+        _assert_same_run(engine, results)
 
     def test_union_retires_trials_mid_phase(self):
         net = DECAY_NETWORKS["km_layered"]
         phase_len = 3
-        plan, oracle = _decay_pair(net, phase_len, [0, 1, 2], 7, 400)
-        _assert_same_run(plan, oracle)
-        times = plan.completion_times()
+        engine, results = _plan_and_oracle(
+            net, lambda: BGIBroadcast(net.r, phase_len), [0, 1, 2], 7, 400
+        )
+        _assert_same_run(engine, results)
+        times = engine.completion_times()
         assert len(set(times)) == 3
         assert any(time % phase_len for time in times)
 
@@ -408,25 +408,125 @@ class TestDecayPlan:
         transmitters; the chain after it starts from the eligible
         prefix."""
         net = DECAY_NETWORKS["gnp_csr"]
-        for seed in (0, [0, 1, 2]):
-            plan, oracle = _decay_pair(net, None, seed, 13, 400)
-            assert plan._sl_idx is not None
-            assert plan.all_informed
-            _assert_same_run(plan, oracle)
+        for seeds in (0, [0, 1, 2]):
+            engine, results = _plan_and_oracle(
+                net, lambda: BGIBroadcast(net.r), seeds, 13, 400
+            )
+            assert engine._sl_idx is not None
+            assert engine.all_informed
+            _assert_same_run(engine, results)
 
     def test_chain_survives_awake_list_compaction(self):
         """Regression: a phase start's transmitters are a view of the
         awake prefix, which retiring a trial compacts in place.  The
         chain must drop the retired trial's entries before that, or the
         union runs on corrupted candidates (7,101 slots, not 7,061, on
-        e1's deepest instance)."""
+        e1's deepest instance).  The trials that retire last ran through
+        every earlier retirement; their wake rows are checked against
+        single event-engine runs."""
         net = km_hard_layered(1024, 256, seed=17)
-        plan, oracle = _decay_pair(
-            net, None, list(range(16)), 64,
-            default_max_steps(net, BGIBroadcast(net.r)),
+        seeds = list(range(16))
+        engine = MacroStepEngine(net, BGIBroadcast(net.r), seed=seeds)
+        engine.run(default_max_steps(net, BGIBroadcast(net.r)))
+        assert engine.step == 7061
+        assert engine.all_informed
+        steps = [engine.trial_steps(t) for t in range(engine.trials)]
+        last = sorted(range(engine.trials), key=steps.__getitem__)[-2:]
+        results = simulate(net, BGIBroadcast(net.r), [seeds[t] for t in last],
+                           engine="event")
+        _assert_same_run(engine, results, trials=last)
+        assert max(r.time for r in results) == 7061
+
+
+#: The label-set schedules and a RadioNetwork / CSR pair holding the same
+#: graph (the centralized schedule is computed on the RadioNetwork and
+#: replayed on either).
+_LAYERED = km_hard_layered(40, 4, seed=3)
+LABEL_SET_NETWORKS = {
+    "km_layered": _LAYERED,
+    "km_layered_csr": km_hard_layered_csr(40, 4, seed=3),
+}
+LABEL_SET_SCHEDULES = {
+    "round-robin": lambda r: RoundRobinBroadcast(r),
+    "selective-random": lambda r: SelectiveFamilyBroadcast(r, "random", seed=2),
+    "selective-kautz-singleton": lambda r: SelectiveFamilyBroadcast(
+        r, "kautz-singleton"
+    ),
+    "centralized": lambda r: CentralizedGreedySchedule(_LAYERED),
+}
+
+
+def _label_set_runs(topo, schedule, seeds, block_size, loss, max_steps=300):
+    """A FULL-traced macro run of a label-set schedule and the reference
+    runs of its per-node protocols.  A loss plan makes the otherwise
+    identical trials of a union differ, so they retire at different
+    slots."""
+    net = LABEL_SET_NETWORKS[topo]
+    engine, results = _plan_and_oracle(
+        net, lambda: LABEL_SET_SCHEDULES[schedule](net.r), seeds, block_size,
+        max_steps, trace_level=TraceLevel.FULL,
+        faults=FaultPlan(loss_probability=loss, seed=5) if loss else None,
+    )
+    _assert_same_run(engine, results)
+    for t, result in enumerate(results):
+        assert engine.trace_for(t).steps == result.trace.steps
+        assert engine.fault_counters_for(t) == result.fault_counters
+    return engine, results
+
+
+class TestLabelSetPlans:
+    """Round-robin, the selective families and the centralized schedule
+    as label-set plans against the reference engine's per-node
+    protocols: wake slots, completion, executed slots and FULL traces."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        topo=st.sampled_from(sorted(LABEL_SET_NETWORKS)),
+        schedule=st.sampled_from(sorted(LABEL_SET_SCHEDULES)),
+        block_size=st.integers(min_value=1, max_value=80),
+        seeds=st.one_of(
+            st.integers(min_value=0, max_value=63),
+            st.lists(st.integers(min_value=0, max_value=63),
+                     min_size=2, max_size=4),
+        ),
+        loss=st.sampled_from([0.0, 0.3]),
+    )
+    def test_plan_matches_reference(self, topo, schedule, block_size, seeds, loss):
+        """Blocks split cycles (and the centralized schedule's end) at
+        every ``block_size``; the 300-slot budget also checks partial
+        runs."""
+        _label_set_runs(topo, schedule, seeds, block_size, loss)
+
+    @pytest.mark.parametrize("topo", sorted(LABEL_SET_NETWORKS))
+    def test_union_retires_trials_mid_cycle(self, topo):
+        engine, _ = _label_set_runs(
+            topo, "selective-random", [0, 1, 2, 3], 37, loss=0.3, max_steps=2_000
         )
-        assert plan.step == 7061
-        _assert_same_run(plan, oracle)
+        times = engine.completion_times()
+        assert None not in times and len(set(times)) == 4
+        assert all(time % engine.algorithm.cycle_length for time in times)
+
+    def test_labels_outside_the_network_are_dropped(self):
+        """Schedules over labels ``0..r`` on networks holding only some of
+        them — the top of the range (contiguous labels) or every odd
+        label (a sparse label set): the missing members are ignored, as
+        the reference engine never asks them."""
+        base = km_hard_layered(30, 3, seed=1)
+        sparse = RadioNetwork.undirected(
+            [2 * v for v in base.nodes],
+            [(2 * u, 2 * v) for u in base.nodes for v in base.out_neighbors[u]],
+        )
+        for net in (base, sparse):
+            r = 2 * net.r + 1
+            for make in (lambda: SelectiveFamilyBroadcast(r),
+                         lambda: RoundRobinBroadcast(r)):
+                (reference,) = simulate(net, make(), [0], engine="reference",
+                                        trace_level=TraceLevel.FULL)
+                (macro,) = simulate(net, make(), [0], engine="macro",
+                                    trace_level=TraceLevel.FULL)
+                assert reference.completed
+                assert _summary(macro) == _summary(reference)
+                assert macro.trace.steps == reference.trace.steps
 
 
 class TestMemoryGuard:

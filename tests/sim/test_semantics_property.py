@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import random
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.engine import SynchronousEngine
-from repro.sim.macro import MacroStepEngine
+from repro.sim.macro import MacroStepEngine, label_set_plan, label_table
 from repro.sim.network import RadioNetwork
 from repro.sim.protocol import BroadcastAlgorithm, ObliviousTransmitter
 
@@ -46,12 +45,19 @@ class _ScriptedAlgorithm(BroadcastAlgorithm):
 
     def __init__(self, script: frozenset[tuple[int, int]]):
         self.script = script
+        self._by_step: dict[int, set[int]] = {}
+        for label, step in script:
+            self._by_step.setdefault(step, set()).add(label)
 
     def create(self, label, r, rng):
         return _ScriptedOblivious(label, r, rng, self.script)
 
-    def transmit_mask(self, step, labels, wake_steps, r, rng):
-        return np.array([(int(lab), step) in self.script for lab in labels])
+    def macro_plan(self, start, count, r):
+        """The script as label-set slots: slot ``t`` lists ``{v : (v, t)
+        in script}``, of which the awake labels transmit."""
+        steps = range(start, start + count)
+        members, offsets = label_table(self._by_step.get(t, ()) for t in steps)
+        return label_set_plan(start, members, offsets)
 
 
 def _brute_force_wake_times(

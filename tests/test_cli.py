@@ -43,6 +43,21 @@ def test_adversary_subcommand(capsys):
     assert "Lemma 9 histories match: True" in out
 
 
+def test_run_kp_with_label_bound_one(capsys):
+    """A 2-node path has r = 1, below the doubling's first guess D = 2."""
+    code = main(["run", "--topology", "path", "--n", "2", "--algorithm", "kp"])
+    assert code == 0
+    assert "completed: True" in capsys.readouterr().out
+
+
+def test_configuration_error_is_one_line_and_nonzero():
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", "--topology", "km-layered", "--n", "4", "--depth", "10"])
+    message = excinfo.value.code
+    assert message == "repro run: error: need n >= depth + 1, got n=4, depth=10"
+    assert "\n" not in message
+
+
 def test_adversary_rejects_randomized():
     with pytest.raises(SystemExit):
         main(["adversary", "--algorithm", "bgi", "--n", "256", "--depth", "8"])

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.sim.guard as guard
+import repro.topology.csr as csr_module
 from repro.core.randomized import KnownRadiusKP
 from repro.sim import run_broadcast
 from repro.sim.channel import ChannelKernel
@@ -168,6 +169,55 @@ class TestEdgeBudget:
             complete_layered_csr(sizes)
         monkeypatch.setenv(guard.ALLOW_LARGE_ENV, "1")
         assert complete_layered_csr(sizes).num_edges == 58
+
+
+class TestGnpEdgeBudget:
+    """``gnp_random_csr`` checks its expected edge count, ``p n(n-1)/2``,
+    against the same guard before it draws an edge."""
+
+    def test_dense_million_node_draw_fails_fast(self, monkeypatch):
+        monkeypatch.delenv(guard.ALLOW_LARGE_ENV, raising=False)
+        tracemalloc.start()
+        start = time.perf_counter()
+        with pytest.raises(ConfigurationError) as excinfo:
+            gnp_random_csr(10**6, 0.5)
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        message = str(excinfo.value)
+        assert "249,999,750,000 undirected edges" in message
+        assert guard.ALLOW_LARGE_ENV in message
+        assert elapsed < 1.0
+        assert peak < 1 << 20
+
+    def test_sparse_million_node_draw_is_within_budget(self, monkeypatch):
+        """G(10^6, 12/n) passes the guard; the spy stops the build
+        before the (seconds-long) draw."""
+        monkeypatch.delenv(guard.ALLOW_LARGE_ENV, raising=False)
+        checked = []
+
+        class Checked(Exception):
+            pass
+
+        def spy(edges, what):
+            guard.check_edge_budget(edges, what)
+            checked.append(edges)
+            raise Checked
+
+        monkeypatch.setattr(csr_module, "check_edge_budget", spy)
+        with pytest.raises(Checked):
+            gnp_random_csr(10**6, 12 / 10**6)
+        assert checked == [5_999_994]
+
+    def test_budget_is_the_expected_count(self, monkeypatch):
+        monkeypatch.delenv(guard.ALLOW_LARGE_ENV, raising=False)
+        monkeypatch.setattr(guard, "CSR_EDGE_LIMIT", 495)  # 0.1 * 100 * 99 / 2
+        assert gnp_random_csr(100, 0.1, seed=1).n == 100
+        monkeypatch.setattr(guard, "CSR_EDGE_LIMIT", 494)
+        with pytest.raises(ConfigurationError, match="495 undirected edges"):
+            gnp_random_csr(100, 0.1, seed=1)
+        monkeypatch.setenv(guard.ALLOW_LARGE_ENV, "1")
+        assert gnp_random_csr(100, 0.1, seed=1).n == 100
 
 
 class TestEngineAdoption:
