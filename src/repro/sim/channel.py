@@ -14,6 +14,10 @@ flat CSR arrays so the fast engines share one kernel:
   (or the sleepers') neighbour lists from the same CSR arrays directly,
   for one trial or a union of trials.
 
+:func:`ragged_positions` is the one vectorised row gather every CSR
+consumer shares: the macro engine, the label-set plans and the CSR
+topology builders (:mod:`repro.topology.csr`).
+
 Node *indices* are positions in the sorted label array
 (:attr:`ChannelKernel.labels`).
 """
@@ -25,6 +29,21 @@ import numpy as np
 from .network import RadioNetwork
 
 __all__ = ["ChannelKernel"]
+
+
+def ragged_positions(
+    starts: np.ndarray, lengths: np.ndarray, total: int | None = None
+) -> np.ndarray:
+    """Positions of the ranges ``starts[i] .. starts[i] + lengths[i]``,
+    concatenated: ``values[ragged_positions(indptr[rows], lengths)]`` is
+    the CSR rows ``rows`` of ``values``, one after another.
+
+    ``total`` is ``lengths.sum()`` when the caller already has it.
+    """
+    if total is None:
+        total = int(lengths.sum())
+    cum = np.cumsum(lengths) - lengths
+    return np.arange(total, dtype=np.int64) + np.repeat(starts - cum, lengths)
 
 
 class _IdentityIndex:

@@ -53,7 +53,7 @@ import numpy as np
 from ..obs.metrics import COUNT_BUCKETS, MetricsRegistry
 from ..obs.spans import SpanRecorder
 from ..obs.timings import Timings
-from .channel import ChannelKernel
+from .channel import ChannelKernel, ragged_positions
 from .coins import CoinSource
 from .errors import ConfigurationError
 from .fast import ASLEEP, VectorizedAlgorithm, WakeTimes, _check_vectorized
@@ -134,15 +134,6 @@ class MacroPlan:
         return len(self.probs)
 
 
-def _ragged_positions(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Positions of the ranges ``starts[i] .. starts[i] + lengths[i]``,
-    concatenated."""
-    cum = np.cumsum(lengths) - lengths
-    return np.arange(int(lengths.sum()), dtype=np.int64) + np.repeat(
-        starts - cum, lengths
-    )
-
-
 def label_table(sets) -> tuple[np.ndarray, np.ndarray]:
     """Label sets as a ragged table ``(members, offsets)``: row ``i``,
     ``members[offsets[i]:offsets[i + 1]]``, lists ``sets[i]`` in
@@ -168,7 +159,7 @@ def label_set_plan(
     if rows is not None:
         starts = offsets[rows]
         lengths = offsets[rows + 1] - starts
-        members = members[_ragged_positions(starts, lengths)]
+        members = members[ragged_positions(starts, lengths)]
         offsets = np.concatenate(([0], np.cumsum(lengths)))
     count = len(offsets) - 1
     return MacroPlan(
@@ -776,7 +767,7 @@ class MacroStepEngine:
         indptr = self.kernel.indptr
         starts = indptr[nodes]
         lengths = indptr[nodes + 1] - starts
-        cat = self.kernel.indices[_ragged_positions(starts, lengths)]
+        cat = self.kernel.indices[ragged_positions(starts, lengths)]
         if self.trials > 1:
             cat = cat + np.repeat(rows - nodes, lengths)
         return cat, lengths

@@ -27,12 +27,14 @@ of builder is purely an execution strategy.
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 from typing import Sequence
 
 import numpy as np
 
+from ..sim.channel import ragged_positions
 from ..sim.errors import ConfigurationError
 from ..sim.guard import check_edge_budget
 from ..sim.network import RadioNetwork
@@ -46,46 +48,104 @@ __all__ = [
 ]
 
 
-def _gather_rows(
-    indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray
-) -> np.ndarray:
-    """Concatenate the CSR neighbour lists of ``rows`` (vectorised)."""
-    starts = indptr[rows]
-    lengths = indptr[rows + 1] - starts
-    total = int(lengths.sum())
-    if total == 0:
-        return np.empty(0, dtype=indices.dtype)
-    cum = np.cumsum(lengths) - lengths  # exclusive prefix sum
-    pos = np.arange(total, dtype=np.int64) + np.repeat(starts - cum, lengths)
-    return indices[pos]
+_EMPTY = np.empty(0, dtype=np.int64)
 
 
 def _bfs_depths(
     n: int, indptr: np.ndarray, indices: np.ndarray, source: int = 0
 ) -> np.ndarray:
-    """Frontier BFS over CSR arrays; unreachable nodes keep depth -1.
-
-    Each frontier is deduplicated in O(|frontier|) by a last-writer-wins
-    ``owner`` array instead of a sort: a node survives at the one slot
-    that wrote it last.  Frontiers come out unsorted, but depths depend
-    only on the frontier *sets*.
-    """
+    """BFS depths from ``source`` over symmetric CSR arrays; unreachable
+    nodes keep depth -1."""
     depths = np.full(n, -1, dtype=np.int64)
-    depths[source] = 0
-    owner = np.empty(n, dtype=np.int64)
-    frontier = np.array([source], dtype=np.int64)
-    depth = 0
-    while frontier.size:
-        nbrs = _gather_rows(indptr, indices, frontier)
-        nbrs = nbrs[depths[nbrs] < 0]
-        if nbrs.size == 0:
-            break
-        slots = np.arange(nbrs.size, dtype=np.int64)
-        owner[nbrs] = slots
-        frontier = nbrs[owner[nbrs] == slots]
-        depth += 1
-        depths[frontier] = depth
+    seed = np.array([source], dtype=np.int64)
+    _bfs_fill(indptr, indices, depths, seed, [0], len(indices))
     return depths
+
+
+def _bfs_fill(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    depths: np.ndarray,
+    seeds: np.ndarray,
+    seed_depths: Sequence[int],
+    unvisited_edges: int,
+) -> int:
+    """Level-synchronous BFS over symmetric CSR arrays, filling ``depths``
+    in place; returns the row-length sum of the nodes left at -1.
+
+    Nodes with ``depths >= 0`` on entry must have no neighbour at -1 (a
+    finished BFS's reached set); they are left as they are.  The distinct
+    ``seeds``, sorted by ``seed_depths``, join the frontier at their start
+    depth unless reached earlier, so a reached node ends at the least
+    start depth plus distance over all seeds.  ``unvisited_edges`` is the
+    row-length sum of the nodes at -1 on entry.
+
+    Each level runs in whichever direction gathers fewer entries:
+
+    * top-down gathers the frontier's rows and deduplicates the unvisited
+      neighbours in ``O(|frontier|)`` by a last-writer-wins ``owner``
+      array instead of a sort (a node survives at the one slot that wrote
+      it last);
+    * bottom-up, once the frontier's rows outweigh the unvisited nodes'
+      rows, gathers every unvisited node's own row — symmetric, so it
+      lists the node's in-neighbours — and lets the node join if any
+      entry sits at the current depth.
+
+    A one-node frontier reads its row as a slice.  Frontiers come out
+    unsorted, but depths depend only on the frontier *sets*, so the
+    direction never changes a depth.
+    """
+    owner = np.empty(len(depths), dtype=np.int64)
+    unvisited = None  # the nodes at -1, listed at the first bottom-up level
+    num_seeds = len(seeds)
+    next_seed = 0
+    depth = int(seed_depths[0]) if num_seeds else 0
+    frontier = _EMPTY
+    while True:
+        if next_seed < num_seeds and seed_depths[next_seed] == depth:
+            end = bisect.bisect_right(seed_depths, depth, next_seed)
+            joined = seeds[next_seed:end]
+            joined = joined[depths[joined] < 0]
+            depths[joined] = depth
+            frontier = np.concatenate((frontier, joined))
+            next_seed = end
+        if not frontier.size:
+            if next_seed == num_seeds:
+                return unvisited_edges
+            depth = int(seed_depths[next_seed])
+            continue
+        if frontier.size == 1:
+            v = int(frontier[0])
+            row = indices[indptr[v]:indptr[v + 1]]
+            frontier_edges = row.size
+        else:
+            starts = indptr[frontier]
+            lengths = indptr[frontier + 1] - starts
+            frontier_edges = int(lengths.sum())
+        unvisited_edges -= frontier_edges
+        if frontier_edges > unvisited_edges:
+            if unvisited is None:
+                unvisited = np.flatnonzero(depths < 0)
+            else:
+                unvisited = unvisited[depths[unvisited] < 0]
+            starts = indptr[unvisited]
+            lengths = indptr[unvisited + 1] - starts
+            nbrs = indices[ragged_positions(starts, lengths)]
+            depths[np.repeat(unvisited, lengths)[depths[nbrs] == depth]] = depth + 1
+            frontier = unvisited[depths[unvisited] > depth]
+        elif frontier.size == 1:
+            # One strictly increasing row (deep, thin graphs): nothing to
+            # deduplicate and no gather.
+            frontier = row[depths[row] < 0]
+            depths[frontier] = depth + 1
+        else:
+            nbrs = indices[ragged_positions(starts, lengths, frontier_edges)]
+            nbrs = nbrs[depths[nbrs] < 0]
+            slots = np.arange(nbrs.size, dtype=np.int64)
+            owner[nbrs] = slots
+            frontier = nbrs[owner[nbrs] == slots]
+            depths[frontier] = depth + 1
+        depth += 1
 
 
 class CSRNetwork:
@@ -106,7 +166,11 @@ class CSRNetwork:
     Args:
         indptr: ``int64`` array of shape ``(n + 1,)``.
         indices: ``int64`` flat neighbour array (symmetric: ``(u, v)``
-            present iff ``(v, u)`` is).
+            present iff ``(v, u)`` is).  Rows that are not symmetric,
+            not strictly increasing, out of range or hold a self-loop are
+            refused with a :class:`~repro.sim.errors.ConfigurationError`:
+            the array engine reads a row as the node's in-neighbours,
+            the per-node engines as its out-neighbours.
         r: Public label bound; defaults to ``n - 1``.
         depths: Optional precomputed BFS depths from the source (layered
             builders know them by construction); computed on demand
@@ -125,11 +189,21 @@ class CSRNetwork:
     ):
         indptr = np.ascontiguousarray(indptr, dtype=np.int64)
         indices = np.ascontiguousarray(indices, dtype=np.int64)
+        _check_rows(indptr, indices)
+        self._adopt(indptr, indices, r, depths, validate)
+
+    @classmethod
+    def _from_valid_rows(
+        cls, indptr: np.ndarray, indices: np.ndarray, r: int | None, depths: np.ndarray
+    ) -> "CSRNetwork":
+        """Wrap ``int64`` arrays this module built in the canonical form by
+        construction, skipping :func:`_check_rows`."""
+        net = cls.__new__(cls)
+        net._adopt(indptr, indices, r, depths, validate=True)
+        return net
+
+    def _adopt(self, indptr, indices, r, depths, validate) -> None:
         n = len(indptr) - 1
-        if n < 1:
-            raise ConfigurationError("CSRNetwork needs at least the source node")
-        if int(indptr[0]) != 0 or int(indptr[-1]) != len(indices):
-            raise ConfigurationError("malformed CSR indptr")
         self.n = n
         self.r = n - 1 if r is None else int(r)
         if self.r < n - 1:
@@ -233,6 +307,41 @@ class CSRNetwork:
         return f"CSRNetwork(n={self.n}, edges={self.num_edges}, r={self.r})"
 
 
+def _check_rows(indptr: np.ndarray, indices: np.ndarray) -> None:
+    """Refuse CSR arrays outside the canonical form the engines assume:
+    ``n >= 1`` rows, each strictly increasing over ``[0, n)`` without its
+    own node, and symmetric.
+
+    Row-major keys ``row * n + col`` strictly increase iff every row is
+    strictly increasing; the rows are symmetric iff the sorted transposed
+    keys ``col * n + row`` equal them — one sort and one key comparison.
+    """
+    n = len(indptr) - 1
+    if n < 1:
+        raise ConfigurationError("CSRNetwork needs at least the source node")
+    lengths = np.diff(indptr)
+    if int(indptr[0]) != 0 or int(indptr[-1]) != len(indices) or (lengths < 0).any():
+        raise ConfigurationError("malformed CSR indptr")
+    if indices.size and (int(indices.min()) < 0 or int(indices.max()) >= n):
+        raise ConfigurationError(f"CSR neighbour label outside [0, {n})")
+    rows = np.repeat(np.arange(n, dtype=np.int64), lengths)
+    if (rows == indices).any():
+        raise ConfigurationError("CSR rows hold a self-loop")
+    keys = rows * n + indices
+    if (keys[1:] <= keys[:-1]).any():
+        raise ConfigurationError(
+            "CSR rows must be strictly increasing (sorted, no repeated neighbour)"
+        )
+    transposed = indices * n + rows
+    transposed.sort()
+    if not np.array_equal(transposed, keys):
+        u, v = divmod(int(np.setdiff1d(keys, transposed)[0]), n)
+        raise ConfigurationError(
+            f"CSR rows are not symmetric: {v} is in row {u} but {u} is not "
+            f"in row {v}"
+        )
+
+
 # ----------------------------------------------------------------------
 # Edge-list -> CSR assembly
 # ----------------------------------------------------------------------
@@ -266,10 +375,11 @@ def _insert_edges(n, indptr, indices, src, dst):
     add_indptr, cols = _csr_from_edges(n, src, dst)
     rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(add_indptr))
     # Offset of each new entry inside its row: the count of smaller columns.
-    row_lengths = indptr[rows + 1] - indptr[rows]
+    starts = indptr[rows]
+    row_lengths = indptr[rows + 1] - starts
     entry = np.repeat(np.arange(cols.size, dtype=np.int64), row_lengths)
-    smaller = _gather_rows(indptr, indices, rows) < cols[entry]
-    at = indptr[rows] + np.bincount(entry[smaller], minlength=cols.size)
+    smaller = indices[ragged_positions(starts, row_lengths)] < cols[entry]
+    at = starts + np.bincount(entry[smaller], minlength=cols.size)
     return indptr + add_indptr, np.insert(indices, at, cols)
 
 
@@ -305,28 +415,21 @@ def _sample_pair_positions(num_pairs: int, p: float, rng) -> np.ndarray:
 
 
 def _decode_pair_positions(pos: np.ndarray, n: int):
-    """Map linear pair positions to ``(i, j)`` with ``0 <= i < j < n``.
+    """Map increasing linear pair positions to ``(i, j)`` with
+    ``0 <= i < j < n``.
 
     Pairs are in lexicographic order: position 0 is ``(0, 1)``, the last
-    is ``(n-2, n-1)``.  Row ``i`` starts at ``f(i) = i(2n-1-i)/2``; the
-    float64 root is exact to an ulp for any ``n(n-1)/2 < 2^53`` and the
-    integer correction passes absorb the rounding.
+    is ``(n-2, n-1)``, and row ``i`` starts at ``f(i) = i(2n-1-i)/2``.
+    Since ``pos`` is sorted (as :func:`_sample_pair_positions` returns
+    it), one ``searchsorted`` of the ``n - 1`` row starts into it counts
+    the positions of every row, and a ``repeat`` spreads the rows over
+    them — integer arithmetic throughout, exact for every ``n``.
     """
-    b = 2 * n - 1
-
-    def row_start(i: np.ndarray) -> np.ndarray:
-        return i * (b - i) // 2
-
-    i = np.floor((b - np.sqrt(b * b - 8.0 * pos.astype(np.float64))) / 2.0)
-    i = i.astype(np.int64)
-    np.clip(i, 0, n - 2, out=i)
-    while True:  # converges in <= 2 passes; sqrt error is < 1 row
-        too_big = row_start(i) > pos
-        too_small = row_start(i + 1) <= pos
-        if not (too_big.any() or too_small.any()):
-            break
-        i = i - too_big.astype(np.int64) + too_small.astype(np.int64)
-    j = pos - row_start(i) + i + 1
+    rows = np.arange(max(n - 1, 0), dtype=np.int64)
+    row_start = rows * (2 * n - 1 - rows) // 2
+    counts = np.diff(np.searchsorted(pos, row_start), append=pos.size)
+    i = np.repeat(rows, counts)
+    j = pos - np.repeat(row_start - rows - 1, counts)
     return i, j
 
 
@@ -379,18 +482,24 @@ def gnp_random_csr(
     for attempt in range(attempts):
         rng = np.random.default_rng(seed + attempt)
         pos = _sample_pair_positions(num_pairs, p, rng)
-        src, dst = _decode_pair_positions(pos, n) if pos.size else (
-            np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        )
-        indptr, indices = _csr_from_edges(n, src, dst)
-        depths = _bfs_depths(n, indptr, indices)
+        indptr, indices = _csr_from_edges(n, *_decode_pair_positions(pos, n))
+        depths = np.full(n, -1, dtype=np.int64)
+        source = np.zeros(1, dtype=np.int64)
+        stray_edges = _bfs_fill(indptr, indices, depths, source, [0], len(indices))
         if int(depths.min()) >= 0:
-            return CSRNetwork(indptr, indices, r=r, depths=depths)
+            return CSRNetwork._from_valid_rows(indptr, indices, r, depths)
         if connect == "augment":
             extra_src, extra_dst = _augment_to_connected(indptr, indices, depths, rng)
+            # Each stray component hangs off the source component by its one
+            # new edge (u, w): no reached depth changes, and a stray node
+            # sits at depth[w] + 1 plus its distance from u in its own
+            # component — one multi-source BFS over the old arrays.
+            start = depths[extra_dst] + 1
+            order = np.argsort(start, kind="stable")
+            _bfs_fill(indptr, indices, depths, extra_src[order],
+                      start[order].tolist(), stray_edges)
             indptr, indices = _insert_edges(n, indptr, indices, extra_src, extra_dst)
-            depths = _bfs_depths(n, indptr, indices)
-            return CSRNetwork(indptr, indices, r=r, depths=depths)
+            return CSRNetwork._from_valid_rows(indptr, indices, r, depths)
     raise ConfigurationError(
         f"no connected G({n}, {p}) instance found in {max_attempts} attempts"
     )
@@ -416,7 +525,9 @@ def _augment_to_connected(indptr, indices, depths, rng):
         visited[v] = True
         frontier = np.array([v], dtype=np.int64)
         while frontier.size:
-            nbrs = _gather_rows(indptr, indices, frontier)
+            starts = indptr[frontier]
+            lengths = indptr[frontier + 1] - starts
+            nbrs = indices[ragged_positions(starts, lengths)]
             nbrs = np.unique(nbrs[~visited[nbrs]])
             visited[nbrs] = True
             comp.extend(nbrs.tolist())
@@ -494,7 +605,7 @@ def complete_layered_csr(
             starts[:, None] + np.arange(row.size, dtype=np.int64)[None, :]
         ).ravel()
         indices[pos] = np.tile(row, members.size)
-    return CSRNetwork(indptr, indices, r=r, depths=depths)
+    return CSRNetwork._from_valid_rows(indptr, indices, r, depths)
 
 
 def uniform_complete_layered_csr(

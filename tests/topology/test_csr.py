@@ -5,6 +5,7 @@ equivalence with the legacy (dict-of-sets) layered builders."""
 from __future__ import annotations
 
 import hashlib
+import re
 import time
 import tracemalloc
 
@@ -30,7 +31,13 @@ from repro.topology import (
     uniform_complete_layered,
     uniform_complete_layered_csr,
 )
-from repro.topology.csr import _bfs_depths, _csr_from_edges, _insert_edges
+from repro.topology.csr import (
+    _bfs_depths,
+    _bfs_fill,
+    _csr_from_edges,
+    _decode_pair_positions,
+    _insert_edges,
+)
 
 
 def _assert_canonical(net: CSRNetwork) -> None:
@@ -105,6 +112,80 @@ class TestCSRNetworkStructure:
         assert net.radius == int(depths.max())
         for d, layer in enumerate(net.layers()):
             assert sorted(layer) == np.flatnonzero(depths == d).tolist()
+
+
+def _rows_of(n, rows):
+    """CSR arrays from a list of ``n`` neighbour lists, taken as given."""
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum([len(row) for row in rows], out=indptr[1:])
+    return indptr, np.array([v for row in rows for v in row], dtype=np.int64)
+
+
+class TestCSRNetworkValidation:
+    """The public constructor refuses arrays outside the canonical form
+    the engines read; the in-module builders skip the check."""
+
+    def test_asymmetric_rows_are_refused(self):
+        # Regression: an asymmetric 40-node network used to be accepted,
+        # and the reference and macro engines then disagreed on it (the
+        # macro engine reads a row as in-neighbours, to_radio_network()
+        # symmetrised).
+        rng = np.random.default_rng(0)
+        n = 40
+        for _ in range(20):
+            src, dst = rng.integers(0, n, size=(2, 120))
+            keys = np.unique((src * n + dst)[src != dst])
+            if np.array_equal(np.sort(keys % n * n + keys // n), keys):
+                continue  # symmetric by chance
+            indptr = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+            with pytest.raises(ConfigurationError, match="not symmetric"):
+                CSRNetwork(indptr, keys % n, validate=False)
+
+    def test_one_missing_reverse_entry_is_named(self):
+        indptr, indices = _rows_of(3, [[1, 2], [0], [1]])
+        with pytest.raises(
+            ConfigurationError, match="2 is in row 0 but 0 is not in row 2"
+        ):
+            CSRNetwork(indptr, indices)
+
+    @pytest.mark.parametrize(
+        "rows, match",
+        [
+            ([[2, 1], [0], [0]], "strictly increasing"),  # unsorted row
+            ([[1, 1], [0, 0]], "strictly increasing"),  # repeated edge
+            ([[0, 1], [0]], "self-loop"),
+            ([[1], [0, 2]], r"outside \[0, 2\)"),
+            ([[-1], [0]], r"outside \[0, 2\)"),
+        ],
+        ids=["unsorted", "repeated", "self-loop", "too-large", "negative"],
+    )
+    def test_malformed_rows_are_refused(self, rows, match):
+        indptr, indices = _rows_of(len(rows), rows)
+        with pytest.raises(ConfigurationError, match=match):
+            CSRNetwork(indptr, indices, validate=False)
+
+    def test_malformed_indptr_is_refused(self):
+        with pytest.raises(ConfigurationError, match="malformed CSR indptr"):
+            CSRNetwork(np.array([0, 2, 1, 2]), np.array([1, 2]))
+        with pytest.raises(ConfigurationError, match="at least the source"):
+            CSRNetwork(np.array([0]), np.array([], dtype=np.int64))
+
+    def test_builders_output_passes_the_public_check(self):
+        for net in (
+            gnp_random_csr(500, 1.5 / 500, seed=2),
+            gnp_random_csr(300, 10 / 300, seed=9),
+            km_hard_layered_csr(97, 6, seed=3),
+            uniform_complete_layered_csr(80, 4, relabel_seed=7),
+        ):
+            again = CSRNetwork(net.indptr.copy(), net.indices.copy(), r=net.r)
+            assert np.array_equal(again.depths_array(), net.depths_array())
+
+    def test_unreachable_nodes_still_refused_after_the_row_check(self):
+        indptr, indices = _rows_of(4, [[1], [0], [3], [2]])
+        with pytest.raises(ConfigurationError, match="2 of 4 nodes unreachable"):
+            CSRNetwork(indptr, indices)
+        assert CSRNetwork(indptr, indices, validate=False).n == 4
 
 
 class TestLegacyEquivalence:
@@ -323,6 +404,16 @@ def _lexsort_csr(n, src, dst):
     return indptr, all_dst[order]
 
 
+def _networkx_depths(n, src, dst, source=0) -> np.ndarray:
+    g = nx.Graph()
+    g.add_nodes_from(range(n))
+    g.add_edges_from(zip(src.tolist(), dst.tolist()))
+    want = np.full(n, -1, dtype=np.int64)
+    for v, d in nx.single_source_shortest_path_length(g, source).items():
+        want[v] = d
+    return want
+
+
 class TestAssemblyProperties:
     @settings(max_examples=60, deadline=None)
     @given(_edge_lists())
@@ -353,13 +444,7 @@ class TestAssemblyProperties:
         n, src, dst = graph
         source = data.draw(st.integers(0, n - 1))
         depths = _bfs_depths(n, *_csr_from_edges(n, src, dst), source=source)
-        g = nx.Graph()
-        g.add_nodes_from(range(n))
-        g.add_edges_from(zip(src.tolist(), dst.tolist()))
-        want = np.full(n, -1, dtype=np.int64)
-        for v, d in nx.single_source_shortest_path_length(g, source).items():
-            want[v] = d
-        assert np.array_equal(depths, want)
+        assert np.array_equal(depths, _networkx_depths(n, src, dst, source))
 
     def test_bfs_depths_on_a_long_path(self):
         # Depth far above every frontier size (one node per level), with
@@ -371,3 +456,192 @@ class TestAssemblyProperties:
         want = np.empty(n, dtype=np.int64)
         want[order] = np.arange(n)
         assert np.array_equal(depths, want)
+
+
+@st.composite
+def _shaped_graphs(draw):
+    """``(n, src, dst)`` of a graph whose BFS forces one direction, with
+    optional disconnected extras: stars, complete graphs and dense
+    G(n, p) reach a level whose rows outweigh the unvisited ones
+    (bottom-up); paths and random trees keep every level small
+    (top-down)."""
+    shape = draw(st.sampled_from(["star", "complete", "dense", "path", "tree"]))
+    k = draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if shape == "star":
+        src, dst = np.zeros(k - 1, dtype=np.int64), np.arange(1, k)
+    elif shape in ("complete", "dense"):
+        i, j = np.triu_indices(k, 1)
+        keep = np.ones(i.size, bool) if shape == "complete" else rng.random(i.size) < 0.6
+        src, dst = i[keep], j[keep]
+    elif shape == "path":
+        src, dst = np.arange(k - 1), np.arange(1, k)
+    else:
+        src = np.array([rng.integers(v) for v in range(1, k)], dtype=np.int64)
+        dst = np.arange(1, k)
+    # Disconnected extras: one isolated node, or a path of up to six.
+    extra = draw(st.integers(0, 6))
+    tail = np.arange(k + 1, k + extra) if extra > 1 else np.empty(0, np.int64)
+    src = np.concatenate([src, tail - 1]).astype(np.int64)
+    dst = np.concatenate([dst, tail]).astype(np.int64)
+    n = k + extra
+    perm = rng.permutation(n)  # shuffle labels so the hub is anywhere
+    return n, perm[src], perm[dst]
+
+
+def _float_decode(pos: np.ndarray, n: int):
+    """The float decode the integer one replaced: invert the row start
+    ``i(2n-1-i)/2`` with a float64 square root, then correct by one row
+    where rounding misplaced a position."""
+    b = 2 * n - 1
+
+    def row_start(i):
+        return i * (b - i) // 2
+
+    i = np.floor((b - np.sqrt(b * b - 8.0 * pos.astype(np.float64))) / 2.0)
+    i = np.clip(i.astype(np.int64), 0, n - 2)
+    while True:
+        too_big = row_start(i) > pos
+        too_small = row_start(i + 1) <= pos
+        if not (too_big.any() or too_small.any()):
+            return i, pos - row_start(i) + i + 1
+        i = i - too_big.astype(np.int64) + too_small.astype(np.int64)
+
+
+class TestDirectionOptimizingBFS:
+    @settings(max_examples=150, deadline=None)
+    @given(_shaped_graphs(), st.data())
+    def test_depths_match_networkx_on_shaped_graphs(self, graph, data):
+        n, src, dst = graph
+        source = data.draw(st.integers(0, n - 1))
+        depths = _bfs_depths(n, *_csr_from_edges(n, src, dst), source=source)
+        assert np.array_equal(depths, _networkx_depths(n, src, dst, source))
+
+    def test_dense_gnp_and_unreached_nodes(self):
+        # A dense graph plus isolated nodes that stay in the unvisited set
+        # of every bottom-up level and must end at -1.
+        rng = np.random.default_rng(3)
+        i, j = np.triu_indices(300, 1)
+        keep = rng.random(i.size) < 0.2
+        n = 310
+        depths = _bfs_depths(n, *_csr_from_edges(n, i[keep], j[keep]), source=5)
+        assert np.array_equal(depths, _networkx_depths(n, i[keep], j[keep], 5))
+        assert np.all(depths[300:] == -1)
+
+    @settings(max_examples=80, deadline=None)
+    @given(_edge_lists(max_n=30), st.data())
+    def test_seeds_join_at_their_start_depths(self, graph, data):
+        # Several seeds, possibly in one component and at equal start
+        # depths: a node ends at the least start depth plus distance.
+        n, src, dst = graph
+        seeds = data.draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                   max_size=4, unique=True))
+        starts = data.draw(st.lists(st.integers(0, 4), min_size=len(seeds),
+                                    max_size=len(seeds)))
+        order = np.argsort(starts, kind="stable")
+        indptr, indices = _csr_from_edges(n, src, dst)
+        depths = np.full(n, -1, dtype=np.int64)
+        left = _bfs_fill(indptr, indices, depths,
+                         np.array(seeds, dtype=np.int64)[order],
+                         [starts[k] for k in order], len(indices))
+        g = nx.Graph()
+        g.add_nodes_from(range(n))
+        g.add_edges_from(zip(src.tolist(), dst.tolist()))
+        want = np.full(n, -1, dtype=np.int64)
+        for seed, start in zip(seeds, starts):
+            for v, d in nx.single_source_shortest_path_length(g, seed).items():
+                if want[v] < 0 or start + d < want[v]:
+                    want[v] = start + d
+        assert np.array_equal(depths, want)
+        assert left == int(np.diff(indptr)[depths < 0].sum())
+
+
+class TestGnpDepths:
+    """The depths ``gnp_random_csr`` returns — the first BFS, then only
+    the stray components' depths after augmentation — equal a fresh BFS
+    of the returned arrays."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 3000),
+        st.sampled_from([0.3, 1.0, 3.0, 12.0]),
+        st.integers(0, 2**16),
+    )
+    def test_returned_depths_equal_a_fresh_bfs(self, n, c, seed):
+        net = gnp_random_csr(n, min(1.0, c / n), seed=seed)
+        fresh = _bfs_depths(n, net.indptr, net.indices)
+        assert np.array_equal(net.depths_array(), fresh)
+
+    def test_hundreds_of_stray_components(self):
+        net = gnp_random_csr(3000, 0.3 / 3000, seed=4)
+        assert net.num_edges > 2000  # mostly augmentation edges
+        fresh = _bfs_depths(net.n, net.indptr, net.indices)
+        assert np.array_equal(net.depths_array(), fresh)
+        _assert_canonical(net)
+
+
+class TestPairDecode:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 10**6), st.data())
+    def test_integer_decode_equals_float_decode(self, n, data):
+        num_pairs = n * (n - 1) // 2
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        size = min(num_pairs, data.draw(st.integers(0, 500)))
+        pos = rng.choice(num_pairs, size=size, replace=False).astype(np.int64)
+        pos = np.unique(np.concatenate([pos, [0, num_pairs - 1]]))
+        got_i, got_j = _decode_pair_positions(pos, n)
+        want_i, want_j = _float_decode(pos, n)
+        assert np.array_equal(got_i, want_i) and np.array_equal(got_j, want_j)
+        assert np.all((0 <= got_i) & (got_i < got_j) & (got_j < n))
+
+    def test_every_pair_in_order(self):
+        n = 9
+        i, j = _decode_pair_positions(np.arange(n * (n - 1) // 2), n)
+        assert list(zip(i.tolist(), j.tolist())) == [
+            (a, b) for a in range(n) for b in range(a + 1, n)
+        ]
+
+    def test_no_positions(self):
+        for n in (1, 2, 50):
+            i, j = _decode_pair_positions(np.empty(0, dtype=np.int64), n)
+            assert i.size == 0 and j.size == 0
+
+
+class TestGnpDegenerateInputs:
+    """``n`` in {1, 2, 3} x ``p`` in {1e-9, 1} x both connect modes:
+    each case returns the arrays and depths pinned on the builder before
+    the direction-optimizing BFS and integer decode, or raises the same
+    ``ConfigurationError``."""
+
+    PATH = ([0, 1, 2], [1, 0], [0, 1])
+    STAR = ([0, 2, 3, 4], [1, 2, 0, 0], [0, 1, 1])
+    TRIANGLE = ([0, 2, 4, 6], [1, 2, 0, 2, 0, 1], [0, 1, 1])
+    SINGLE = ([0, 0], [], [0])
+
+    @pytest.mark.parametrize(
+        "n, p, connect, want",
+        [
+            (1, 1e-9, "augment", SINGLE),
+            (1, 1e-9, "resample", SINGLE),
+            (1, 1.0, "augment", SINGLE),
+            (1, 1.0, "resample", SINGLE),
+            (2, 1e-9, "augment", PATH),
+            (2, 1e-9, "resample", "no connected G(2, 1e-09) instance found in 200"),
+            (2, 1.0, "augment", PATH),
+            (2, 1.0, "resample", PATH),
+            (3, 1e-9, "augment", STAR),
+            (3, 1e-9, "resample", "no connected G(3, 1e-09) instance found in 200"),
+            (3, 1.0, "augment", TRIANGLE),
+            (3, 1.0, "resample", TRIANGLE),
+        ],
+        ids=lambda value: value if isinstance(value, (int, float)) else None,
+    )
+    def test_pinned(self, n, p, connect, want):
+        if isinstance(want, str):
+            with pytest.raises(ConfigurationError, match=re.escape(want)):
+                gnp_random_csr(n, p, connect=connect)
+            return
+        net = gnp_random_csr(n, p, connect=connect)
+        assert net.indptr.tolist() == want[0]
+        assert net.indices.tolist() == want[1]
+        assert net.depths_array().tolist() == want[2]
