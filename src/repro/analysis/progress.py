@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..sim.run import BroadcastResult
 from ..sim.trace import Trace, TraceLevel
 
@@ -112,14 +114,12 @@ def front_speed(result: BroadcastResult) -> float | None:
 
 
 def transmissions_per_node(trace: Trace) -> dict[int, int]:
-    """How often each node transmitted (energy proxy; needs a FULL trace)."""
+    """How often each node that transmitted did so, in label order (energy
+    proxy; needs a FULL trace)."""
     if trace.level is not TraceLevel.FULL:
         raise ValueError("transmission accounting requires TraceLevel.FULL")
-    counts: dict[int, int] = {}
-    for record in trace.steps:
-        for label in record.transmitters:
-            counts[label] = counts.get(label, 0) + 1
-    return counts
+    labels, counts = np.unique(trace.columns().transmitters, return_counts=True)
+    return dict(zip(labels.tolist(), counts.tolist()))
 
 
 _SPARK_CHARS = " .:-=+*#%@"

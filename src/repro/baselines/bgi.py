@@ -143,6 +143,10 @@ class BGIBroadcast(BroadcastAlgorithm):
 
     # -- forensics ---------------------------------------------------------
 
-    def stage_hint(self, step: int, trace=None) -> str | None:
-        """Charge a slot to its Decay probability scale ``2^-offset``."""
-        return f"decay[p=2^-{step % self.phase_len}]"
+    def stage_hints(self, steps, trace=None) -> list[str | None]:
+        """Charge each slot to its Decay probability scale ``2^-offset``."""
+        names = np.array(
+            [f"decay[p=2^-{offset}]" for offset in range(self.phase_len)],
+            dtype=object,
+        )
+        return names[steps % self.phase_len].tolist()

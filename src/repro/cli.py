@@ -869,8 +869,8 @@ def main(argv: list[str] | None = None) -> int:
                             "macro is the multi-slot array path for "
                             "large n — see docs/PERFORMANCE.md)")
     p_run.add_argument("--allow-large", action="store_true",
-                       help="override the estimated-memory guard for FULL "
-                            "traces / dense metrics at very large n")
+                       help="override the memory guards: the FULL-trace "
+                            "byte budget and the dense-metrics estimate")
     p_run.add_argument("--trace", action="store_true", help="print the channel trace")
     p_run.add_argument("--trace-steps", type=int, default=60)
     p_run.add_argument("--load-network", metavar="FILE",

@@ -52,7 +52,7 @@ from .echo import (
     TokenAnnounce,
     TokenPass,
     classify_echo,
-    startup_boundary,
+    startup_stages,
 )
 
 __all__ = ["CompleteLayeredBroadcast"]
@@ -273,8 +273,6 @@ class CompleteLayeredBroadcast(BroadcastAlgorithm):
         """
         self.native_cd = native_cd
         self.name = "complete-layered" + ("+cd" if native_cd else "")
-        self._stage_cache_key: tuple[int, int] | None = None
-        self._stage_boundary: int | None = None
 
     def create(self, label: int, r: int, rng: random.Random) -> Protocol:
         return _CompleteLayeredProtocol(label, r, rng, native_cd=self.native_cd)
@@ -283,18 +281,7 @@ class CompleteLayeredBroadcast(BroadcastAlgorithm):
         log_r = max(1, (r + 1).bit_length())
         return 2 * r + 8 + (n + 2) * (6 * log_r + 30)
 
-    def stage_hint(self, step: int, trace=None) -> str | None:
+    def stage_hints(self, steps, trace=None) -> list[str | None]:
         """Split a recorded run at the source's ``InitStop`` (its second
         transmission): Part 1 startup vs the leader-chain phases."""
-        from ..sim.trace import TraceLevel
-
-        if trace is None or trace.level is not TraceLevel.FULL:
-            return None
-        key = (id(trace), len(trace.steps))
-        if self._stage_cache_key != key:
-            self._stage_cache_key = key
-            self._stage_boundary = startup_boundary(trace)
-        boundary = self._stage_boundary
-        if boundary is None or step < boundary:
-            return "startup"
-        return "leader-chain"
+        return startup_stages(steps, trace, "leader-chain")

@@ -32,6 +32,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..sim.errors import ProtocolViolationError
 from ..sim.protocol import QUIET_FOREVER
 
@@ -375,9 +377,9 @@ def startup_boundary(trace) -> int | None:
     transmits ``InitOrder`` (its first transmission), collects ``HereIAm``
     replies, and ends the round-robin with ``InitStop`` — its *second*
     transmission.  Everything after that slot is traversal (DFS token or
-    leader chain).  This reads only the recorded trace, so stage
-    attribution is a pure function of the trace and therefore identical
-    across engines whenever the traces are.
+    leader chain).  This reads only the recorded trace's transmitter
+    column, so stage attribution is a pure function of the trace and
+    therefore identical across engines whenever the traces are.
 
     Args:
         trace: A :class:`~repro.sim.trace.Trace` at ``TraceLevel.FULL``.
@@ -393,11 +395,24 @@ def startup_boundary(trace) -> int | None:
     roots = trace.initially_informed()
     if len(roots) != 1:
         return None
-    source = roots[0]
-    seen = 0
-    for record in trace.steps:
-        if source in record.transmitters:
-            seen += 1
-            if seen == 2:
-                return record.step + 1
-    return None
+    cols = trace.columns()
+    sent = np.flatnonzero(cols.transmitters == roots[0])
+    if sent.size < 2:
+        return None
+    # The slot owning transmitter entry ``sent[1]``.
+    slot = int(np.searchsorted(cols.tx_ptr, sent[1], side="right")) - 1
+    return int(cols.steps[slot]) + 1
+
+
+def startup_stages(steps, trace, later: str) -> list[str | None]:
+    """Stage names of a token algorithm's slots ``steps`` (an ``int64``
+    array): ``"startup"`` before :func:`startup_boundary`, ``later`` from
+    it on (all ``"startup"`` when the run never left startup), ``None``
+    for every slot when the trace is not ``FULL``."""
+    boundary = startup_boundary(trace)
+    if boundary is None:
+        from ..sim.trace import TraceLevel
+
+        full = trace is not None and trace.level is TraceLevel.FULL
+        return ["startup" if full else None] * len(steps)
+    return np.where(steps < boundary, "startup", later).tolist()

@@ -204,6 +204,26 @@ class _PhasedAlgorithm(BroadcastAlgorithm):
             cursor += timetable.duration
         self._phase_starts = starts
         self._total_duration = cursor
+        # Stage names for forensics: a None for slots before the first
+        # phase, then per phase its source slot and one stage's slots,
+        # with each phase's start slot, first index and stage length.
+        names: list[str | None] = [None]
+        bases, stage_lens = [], []
+        for timetable in phases:
+            prefix = f"D={timetable.d2}:" if len(phases) > 1 else ""
+            stage = [
+                f"{prefix}sweep[p=2^-{position}]"
+                for position in range(timetable.stage_len)
+            ]
+            if timetable.universal is not None:
+                stage[-1] = f"{prefix}universal"
+            bases.append(len(names))
+            stage_lens.append(timetable.stage_len)
+            names += [f"{prefix}source", *stage]
+        self._stage_table = (
+            np.array(names, dtype=object), np.array(starts),
+            np.array(bases), np.array(stage_lens),
+        )
 
     # -- reference engine -------------------------------------------------
 
@@ -246,21 +266,19 @@ class _PhasedAlgorithm(BroadcastAlgorithm):
 
     # -- forensics ---------------------------------------------------------
 
-    def stage_hint(self, step: int, trace=None) -> str | None:
-        """Charge a slot to its phase stage: source slot, sweep slot (by
-        probability scale), or the universal-sequence slot."""
-        located = _locate_phase(self._phase_starts, step)
-        if located is None:
-            return None
-        phase_index, offset = located
-        timetable = self._phases[phase_index]
-        prefix = f"D={timetable.d2}:" if len(self._phases) > 1 else ""
-        if offset == 0:
-            return f"{prefix}source"
-        position = (offset - 1) % timetable.stage_len
-        if timetable.universal is not None and position == timetable.stage_len - 1:
-            return f"{prefix}universal"
-        return f"{prefix}sweep[p=2^-{position}]"
+    def stage_hints(self, steps, trace=None) -> list[str | None]:
+        """Charge each slot to its phase stage — the source slot, a sweep
+        slot (by probability scale) or the universal-sequence slot — by
+        one lookup in the phases' name table."""
+        if not self._phases:
+            return [None] * len(steps)
+        names, starts, bases, stage_lens = self._stage_table
+        phase = starts.searchsorted(steps, side="right") - 1
+        known = phase >= 0
+        phase = np.maximum(phase, 0)
+        offset = steps - starts[phase]
+        position = np.where(offset == 0, 0, 1 + (offset - 1) % stage_lens[phase])
+        return names[np.where(known, bases[phase] + position, 0)].tolist()
 
 
 class KnownRadiusKP(_PhasedAlgorithm):

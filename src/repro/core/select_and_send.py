@@ -50,7 +50,7 @@ from .echo import (
     TokenAnnounce,
     TokenPass,
     classify_echo,
-    startup_boundary,
+    startup_stages,
 )
 
 __all__ = ["SelectAndSend"]
@@ -241,8 +241,6 @@ class SelectAndSend(BroadcastAlgorithm):
 
     def __init__(self) -> None:
         self.name = "select-and-send"
-        self._stage_cache_key: tuple[int, int] | None = None
-        self._stage_boundary: int | None = None
 
     def create(self, label: int, r: int, rng: random.Random) -> Protocol:
         return _SelectAndSendProtocol(label, r, rng)
@@ -251,18 +249,7 @@ class SelectAndSend(BroadcastAlgorithm):
         log_r = max(1, (r + 1).bit_length())
         return 2 * r + 8 + 2 * n * (6 * log_r + 30)
 
-    def stage_hint(self, step: int, trace=None) -> str | None:
+    def stage_hints(self, steps, trace=None) -> list[str | None]:
         """Split a recorded run at the source's ``InitStop`` (its second
         transmission): Part 1 round-robin vs the DFS token traversal."""
-        from ..sim.trace import TraceLevel
-
-        if trace is None or trace.level is not TraceLevel.FULL:
-            return None
-        key = (id(trace), len(trace.steps))
-        if self._stage_cache_key != key:
-            self._stage_cache_key = key
-            self._stage_boundary = startup_boundary(trace)
-        boundary = self._stage_boundary
-        if boundary is None or step < boundary:
-            return "startup"
-        return "dfs-traversal"
+        return startup_stages(steps, trace, "dfs-traversal")

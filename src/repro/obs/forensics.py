@@ -17,17 +17,21 @@ views that make an execution *arguable about*:
 * **stage attribution** — slots grouped by the algorithm's own schedule
   structure (Decay probability scales, Kowalski–Pelc stage sweeps,
   Select-and-Send's startup vs token traversal) via
-  :meth:`~repro.sim.protocol.BroadcastAlgorithm.stage_hint`.
+  :meth:`~repro.sim.protocol.BroadcastAlgorithm.stage_hints`.
 
 Everything here is a pure function of the recorded trace (plus the
 algorithm object for stage naming): no engine involvement, no randomness,
-no timestamps.  Traces from any of the five engines are bit-identical
+no timestamps.  Traces from any of the three engines are bit-identical
 (the conformance suite asserts it), so forensic output is too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import repeat
+
+import numpy as np
 
 from ..analysis.tables import render_table
 from ..sim.trace import Trace, TraceLevel
@@ -56,6 +60,20 @@ SLOT_CLASSES: tuple[str, ...] = (
 )
 
 
+_CLASS_NAMES = np.array(SLOT_CLASSES, dtype=object)
+
+
+def _tally(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct labels, sorted, and how often each occurs: a ``bincount``
+    when the labels are dense (node labels usually are; ~4x faster than a
+    sort on small traces), else ``np.unique``."""
+    if labels.size and int(labels.max()) < 4 * labels.size + 1024:
+        counts = np.bincount(labels)
+        distinct = counts.nonzero()[0]
+        return distinct, counts[distinct]
+    return np.unique(labels, return_counts=True)
+
+
 def classify_slot(record) -> str:
     """Charge one :class:`~repro.sim.trace.StepRecord` to its slot class."""
     if not record.transmitters:
@@ -67,48 +85,82 @@ def classify_slot(record) -> str:
     return "redundant"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PropagationDAG:
     """First-delivery tree of one run (a DAG with in-degree <= 1: a tree).
 
+    Stored as arrays over the informed nodes — the root first, then the
+    woken nodes in wake order (slot, then label).  The dict views are
+    built on first access, one ``dict(zip(...))`` each.
+
     Attributes:
         root: The initially informed node (wake time ``-1``).
-        parents: ``child -> parent`` over every node woken during the run;
-            the parent is the unique transmitter whose message woke the
-            child (collisions cannot wake, so the parent is well defined).
-        wake_slots: ``node -> wake slot``; ``-1`` for the root.
-        depths: ``node -> hop distance`` from the root along parent edges.
-        children: ``parent -> sorted children`` (inverse of ``parents``).
+        nodes: Informed labels, root first, then in wake order.
+        node_parents: Each node's first-delivery parent: the unique
+            transmitter whose message woke it (collisions cannot wake, so
+            the parent is well defined); ``-1`` for the root.
+        node_wake_slots: Each node's wake slot; ``-1`` for the root.
+        node_depths: Each node's hop distance from the root.
         critical_path: Root-to-leaf chain ending at the last-woken node
             (ties broken toward the lowest label) — the first-delivery
             chain whose length *is* the broadcast's depth cost.
     """
 
     root: int
-    parents: dict[int, int]
-    wake_slots: dict[int, int]
-    depths: dict[int, int]
-    children: dict[int, tuple[int, ...]]
+    nodes: np.ndarray
+    node_parents: np.ndarray
+    node_wake_slots: np.ndarray
+    node_depths: np.ndarray
     critical_path: tuple[int, ...]
+
+    @cached_property
+    def parents(self) -> dict[int, int]:
+        """``child -> parent`` over every node woken during the run."""
+        return dict(zip(self.nodes[1:].tolist(), self.node_parents[1:].tolist()))
+
+    @cached_property
+    def wake_slots(self) -> dict[int, int]:
+        """``node -> wake slot``; ``-1`` for the root."""
+        return dict(zip(self.nodes.tolist(), self.node_wake_slots.tolist()))
+
+    @cached_property
+    def depths(self) -> dict[int, int]:
+        """``node -> hop distance`` from the root along parent edges."""
+        return dict(zip(self.nodes.tolist(), self.node_depths.tolist()))
+
+    @cached_property
+    def children(self) -> dict[int, tuple[int, ...]]:
+        """``parent -> sorted children`` (inverse of :attr:`parents`)."""
+        order = np.lexsort((self.nodes[1:], self.node_parents[1:]))
+        kids = self.nodes[1:][order].tolist()
+        owners, first = np.unique(self.node_parents[1:][order], return_index=True)
+        bounds = [*first.tolist(), len(kids)]
+        rows = map(kids.__getitem__, map(slice, bounds, bounds[1:]))
+        return dict(zip(owners.tolist(), map(tuple, rows)))
 
     @property
     def depth(self) -> int:
         """Maximum hop depth (0 on a single-node network)."""
-        return max(self.depths.values())
+        return int(self.node_depths.max())
 
     @property
     def max_branching(self) -> int:
         """Largest number of children any node woke (0 when no wakes)."""
-        return max((len(c) for c in self.children.values()), default=0)
+        if self.nodes.size == 1:
+            return 0
+        return int(np.unique(self.node_parents[1:], return_counts=True)[1].max())
 
     def to_dict(self) -> dict:
+        order = np.argsort(self.nodes, kind="stable")
+        nodes = self.nodes[order].tolist()
+        woken = order[order > 0]
         return {
             "root": self.root,
-            "parents": {int(k): int(v) for k, v in sorted(self.parents.items())},
-            "wake_slots": {
-                int(k): int(v) for k, v in sorted(self.wake_slots.items())
-            },
-            "depths": {int(k): int(v) for k, v in sorted(self.depths.items())},
+            "parents": dict(zip(
+                self.nodes[woken].tolist(), self.node_parents[woken].tolist()
+            )),
+            "wake_slots": dict(zip(nodes, self.node_wake_slots[order].tolist())),
+            "depths": dict(zip(nodes, self.node_depths[order].tolist())),
             "depth": self.depth,
             "max_branching": self.max_branching,
             "critical_path": list(self.critical_path),
@@ -116,12 +168,17 @@ class PropagationDAG:
 
 
 def build_dag(trace: Trace) -> PropagationDAG:
-    """Derive the propagation DAG from a ``FULL`` trace.
+    """Derive the propagation DAG from a ``FULL`` trace's columns.
+
+    Each woken node's parent is the sender of the same slot's delivery
+    to it (one sorted-key lookup for all of them); depths come from
+    pointer jumping along the parent array, ``ceil(log2(depth))``
+    vectorised rounds.
 
     Raises:
         ValueError: If the trace is not ``FULL``, has no initially
             informed root, or has several (forensics assumes single-source
-            broadcast).
+            broadcast), or if a node woke without a recorded delivery.
     """
     trace._require_full("propagation DAG construction")
     roots = trace.initially_informed()
@@ -132,47 +189,62 @@ def build_dag(trace: Trace) -> PropagationDAG:
             f"the source marker existed cannot be analyzed"
         )
     root = roots[0]
-    parents: dict[int, int] = {}
-    for record in trace.steps:
-        for child in record.woken:
-            sender = record.deliveries.get(child)
-            if sender is None:
-                raise ValueError(
-                    f"malformed trace: node {child} woke in slot "
-                    f"{record.step} without a recorded delivery"
-                )
-            parents[child] = sender
-    wake_slots = {root: -1}
-    wake_slots.update(
-        (v, t) for v, t in trace.wake_times.items() if t >= 0 and v in parents
-    )
-    depths = {root: 0}
-    for node in parents:
-        chain = []
-        cursor = node
-        while cursor not in depths:
-            chain.append(cursor)
-            cursor = parents[cursor]
-        base = depths[cursor]
-        for offset, link in enumerate(reversed(chain), start=1):
-            depths[link] = base + offset
-    children: dict[int, list[int]] = {}
-    for child, parent in parents.items():
-        children.setdefault(parent, []).append(child)
-    last = root
-    if parents:
-        last_slot = max(wake_slots[v] for v in parents)
-        last = min(v for v in parents if wake_slots[v] == last_slot)
-    path = [last]
-    while path[-1] != root:
-        path.append(parents[path[-1]])
+    cols = trace.columns()
+    woken = cols.woken
+    slots = np.arange(len(cols))
+    woken_slot = slots.repeat(cols.woken_counts)
+    # (slot, receiver) keys: sorted, since each slot's receivers are.
+    width = 1 + int(max(root, woken.max(initial=0), cols.receivers.max(initial=0)))
+    delivered = slots.repeat(cols.delivery_counts) * width + cols.receivers
+    wanted = woken_slot * width + woken
+    at = np.minimum(delivered.searchsorted(wanted), max(0, delivered.size - 1))
+    found = delivered[at] == wanted if delivered.size else np.zeros(woken.size, bool)
+    if not found.all():
+        miss = int(np.argmin(found))
+        raise ValueError(
+            f"malformed trace: node {int(woken[miss])} woke in slot "
+            f"{int(cols.steps[woken_slot[miss]])} without a recorded delivery"
+        )
+    parents = cols.senders[at] if woken.size else woken
+    # Depths by pointer jumping over node positions (root 0, the i-th
+    # woken node i + 1): ``dist`` is the hop count to ``anc``, and each
+    # round doubles the jump, so ceil(log2(depth)) rounds reach the root.
+    nodes = np.concatenate(([root], woken))
+    by_label = nodes.argsort(kind="stable")
+    up = by_label[np.minimum(nodes[by_label].searchsorted(parents), nodes.size - 1)]
+    if not np.array_equal(nodes[up], parents):
+        miss = int(np.argmin(nodes[up] == parents))
+        raise ValueError(
+            f"malformed trace: node {int(woken[miss])} was woken by "
+            f"{int(parents[miss])}, which was never informed"
+        )
+    anc = np.concatenate(([0], up))
+    dist = np.ones(anc.size, dtype=np.int64)
+    dist[0] = 0
+    for _ in range(anc.size.bit_length()):
+        if not anc.any():
+            break
+        dist += dist[anc]
+        anc = anc[anc]
+    else:
+        if anc.any():
+            raise ValueError("malformed trace: the delivery parents form a cycle")
+    wake_slots = np.concatenate(([-1], cols.steps[woken_slot]))
+    path = [0]
+    if woken.size:
+        # The last-woken node with the lowest label: the first entry of
+        # the last wake slot (slots increase, each slot's woken sorted).
+        path = [int(wake_slots.searchsorted(wake_slots[-1]))]
+        parent_at = [0, *up.tolist()]
+        while path[-1]:
+            path.append(parent_at[path[-1]])
     return PropagationDAG(
         root=root,
-        parents=parents,
-        wake_slots=wake_slots,
-        depths=depths,
-        children={k: tuple(sorted(v)) for k, v in sorted(children.items())},
-        critical_path=tuple(reversed(path)),
+        nodes=nodes,
+        node_parents=np.concatenate(([-1], parents)),
+        node_wake_slots=wake_slots,
+        node_depths=dist,
+        critical_path=tuple(nodes[path[::-1]].tolist()),
     )
 
 
@@ -303,13 +375,17 @@ class ForensicsReport:
 def analyze(run, algorithm=None) -> ForensicsReport:
     """Build a :class:`ForensicsReport` from a run or a bare trace.
 
+    Reads the trace's columns: slot classes and stage sums come from the
+    per-slot count arrays, energy from one tally of the transmitter
+    column, stage names from one
+    :meth:`~repro.sim.protocol.BroadcastAlgorithm.stage_hints` call.
+
     Args:
         run: A :class:`~repro.sim.run.BroadcastResult` (its ``.trace`` is
             used) or a :class:`~repro.sim.trace.Trace`; must be recorded
             at ``TraceLevel.FULL``.
-        algorithm: Optional algorithm *object*; when given (or when the
-            result carries one), its
-            :meth:`~repro.sim.protocol.BroadcastAlgorithm.stage_hint`
+        algorithm: Optional algorithm *object*; when given, its
+            :meth:`~repro.sim.protocol.BroadcastAlgorithm.stage_hints`
             names the stage each slot is charged to.
     """
     trace = getattr(run, "trace", run)
@@ -318,44 +394,51 @@ def analyze(run, algorithm=None) -> ForensicsReport:
     trace._require_full("forensic analysis")
     name = getattr(algorithm, "name", None) or getattr(run, "algorithm", None)
     dag = build_dag(trace)
-    slot_labels = tuple(classify_slot(record) for record in trace.steps)
-    slot_classes = {cls: 0 for cls in SLOT_CLASSES}
-    for label in slot_labels:
-        slot_classes[label] += 1
-    energy: dict[int, int] = {}
-    collision_counts: list[tuple[int, int]] = []
-    for record in trace.steps:
-        for v in record.transmitters:
-            energy[v] = energy.get(v, 0) + 1
-        if record.collisions:
-            collision_counts.append((record.step, len(record.collisions)))
-    collision_counts.sort(key=lambda pair: (-pair[1], pair[0]))
+    cols = trace.columns()
+    tx, coll, woke = cols.tx_counts, cols.collision_counts, cols.woken_counts
+    # Class codes index SLOT_CLASSES, in its precedence order.
+    codes = np.where(
+        tx == 0, 3, np.where(woke > 0, 0, np.where(coll > 0, 1, 2))
+    )
+    slot_classes = dict(zip(SLOT_CLASSES, np.bincount(codes, minlength=4).tolist()))
+    senders, sends = _tally(cols.transmitters)
+    hot = coll.nonzero()[0]
+    hot = hot[np.lexsort((cols.steps[hot], -coll[hot]))[:5]]
     stages: dict[str, dict[str, int]] = {}
     stage_labels: list[str | None] = []
-    hint = getattr(algorithm, "stage_hint", None)
-    if hint is not None:
-        for record in trace.steps:
-            stage = hint(record.step, trace)
-            stage_labels.append(stage)
-            if stage is None:
-                continue
-            bucket = stages.setdefault(
-                stage,
-                {"slots": 0, "transmissions": 0, "collisions": 0, "wakes": 0},
-            )
-            bucket["slots"] += 1
-            bucket["transmissions"] += len(record.transmitters)
-            bucket["collisions"] += len(record.collisions)
-            bucket["wakes"] += len(record.woken)
+    hints = getattr(algorithm, "stage_hints", None)
+    if hints is not None:
+        stage_labels = hints(cols.steps, trace)
+        named_stages = dict.fromkeys(stage_labels)  # first-occurrence order
+        named_stages.pop(None, None)
+        index = {stage: code for code, stage in enumerate(named_stages)}
+        # Unnamed slots go to one extra bin, dropped from the sums.
+        stage_codes = np.fromiter(
+            map(index.get, stage_labels, repeat(len(index))),
+            dtype=np.int64, count=len(stage_labels),
+        )
+        sums = [
+            np.bincount(stage_codes, minlength=len(index) + 1)[:-1].tolist(),
+            *(
+                np.bincount(stage_codes, weights=counts, minlength=len(index) + 1)
+                [:-1].astype(np.int64).tolist()
+                for counts in (tx, coll, woke)
+            ),
+        ]
+        stages = {
+            stage: dict(zip(("slots", "transmissions", "collisions", "wakes"),
+                            totals))
+            for stage, totals in zip(index, zip(*sums))
+        }
     return ForensicsReport(
         algorithm=name,
-        slots=len(trace.steps),
+        slots=len(cols),
         informed=len(trace.wake_times),
         dag=dag,
-        slot_labels=slot_labels,
+        slot_labels=tuple(_CLASS_NAMES[codes].tolist()),
         slot_classes=slot_classes,
-        energy=dict(sorted(energy.items())),
-        hotspots=tuple(collision_counts[:5]),
+        energy=dict(zip(senders.tolist(), sends.tolist())),
+        hotspots=tuple(zip(cols.steps[hot].tolist(), coll[hot].tolist())),
         stages=stages,
         stage_labels=tuple(stage_labels) if stages else (),
     )
@@ -439,15 +522,16 @@ def forensic_span_events(report: ForensicsReport) -> list[dict]:
             add(f"{prefix}{current}", start, len(labels))
 
     add_runs(report.slot_labels, "slots.")
-    by_depth: dict[int, list[int]] = {}
-    for node, depth in report.dag.depths.items():
-        if depth > 0:
-            by_depth.setdefault(depth, []).append(report.dag.wake_slots[node])
-    for depth in sorted(by_depth):
-        slots = by_depth[depth]
+    dag = report.dag
+    woken = dag.node_depths > 0
+    depths, wakes = dag.node_depths[woken], dag.node_wake_slots[woken]
+    order = np.lexsort((wakes, depths))
+    depths, wakes = depths[order], wakes[order]
+    levels, first, sizes = np.unique(depths, return_index=True, return_counts=True)
+    for depth, lo, size in zip(levels.tolist(), first.tolist(), sizes.tolist()):
         add(
-            f"dag.depth[{depth}]", min(slots), max(slots) + 1,
-            nodes=len(slots),
+            f"dag.depth[{depth}]", int(wakes[lo]), int(wakes[lo + size - 1]) + 1,
+            nodes=size,
         )
     add_runs(report.stage_labels, "stage.")
     return events

@@ -330,9 +330,8 @@ def _telemetry_overhead(quick: bool):
 @register(
     "forensics_overhead",
     tags=("engine", "batch", "obs", "forensics"),
-    # FULL tracing + per-trial DAG/taxonomy analysis is a per-slot python
-    # loop by design (debug tooling, not a hot path); the bar that
-    # matters — the traces-off path staying flat — is the pytest gate.
+    # Columnar FULL traces + array analysis; the pytest gate also holds
+    # the enabled path to <= 3x the traces-off run (strict mode).
     tolerance=1.4,
     description="Batched run at TraceLevel.FULL + per-trial forensic analysis",
 )

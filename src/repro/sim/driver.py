@@ -33,7 +33,7 @@ from .engine import SynchronousEngine
 from .errors import BroadcastIncompleteError, ConfigurationError
 from .fast import ASLEEP, VectorizedAlgorithm, WakeTimes, _check_vectorized
 from .faults import FaultPlan
-from .guard import check_memory_budget
+from .guard import check_memory_budget, large_memory_allowed
 from .macro import MacroStepEngine
 from .run import BroadcastResult, default_max_steps
 from .trace import TraceLevel
@@ -165,8 +165,9 @@ def simulate(
             ``trial[seed]`` span per serial run, one ``batch[T]`` span per
             batch engine instance, each with synthetic ``engine.*`` stage
             children.
-        allow_large: Skip the memory-estimate guard
-            (:func:`~repro.sim.guard.check_memory_budget`).
+        allow_large: Skip the memory guards: the dense-metrics estimate
+            (:func:`~repro.sim.guard.check_memory_budget`) and the FULL
+            trace's byte budget (:class:`~repro.sim.guard.TraceBudget`).
 
     Returns:
         One :class:`~repro.sim.run.BroadcastResult` per seed, in order.
@@ -189,8 +190,7 @@ def simulate(
         raise ConfigurationError("need at least one trial seed")
     groups = _seed_groups(spec, network.n, seeds)
     check_memory_budget(
-        network.n, max_steps, trace_level,
-        trials=max(map(len, groups)),
+        network.n, trials=max(map(len, groups)),
         dense_metrics=metrics is not None, allow_large=allow_large,
     )
     if timings is None and (metrics is not None or spans is not None):
@@ -200,38 +200,40 @@ def simulate(
     if spec.collision_detection:
         kwargs["collision_detection"] = collision_detection
     results: list[BroadcastResult] = []
-    for run_seeds in groups:
-        if spec.batch:
-            engine_obj = spec.engine_cls(network, algorithm, run_seeds, **kwargs)
-            span_name = f"batch[{len(run_seeds)}]"
-            span_attrs = {"trials": len(run_seeds)}
-        else:
-            engine_obj = spec.engine_cls(
-                network, algorithm, seed=run_seeds[0], **kwargs
-            )
-            span_name = f"trial[{run_seeds[0]}]"
-            span_attrs = {"seed": run_seeds[0]}
-        with (
-            spans.trial_span(
-                span_name, timings, **span_attrs,
-                algorithm=algorithm.name, n=network.n,
-            )
-            if spans is not None
-            else nullcontext()
-        ) as span:
-            engine_obj.run(max_steps)
-            if span is not None:
-                span.attrs["completed"] = engine_obj.all_informed
-        view = engine_obj if spec.batch else _SingleRun(engine_obj)
-        for result in _assemble_results(network, algorithm, view, run_seeds,
-                                        timings, metrics):
-            if require_completion and not result.completed:
-                raise BroadcastIncompleteError(
-                    f"{algorithm.name} informed {result.informed}/{network.n} "
-                    f"nodes within {max_steps} steps (seed {result.seed})",
-                    result=result,
+    # The FULL-trace byte budget is charged inside the engines, as they run.
+    with large_memory_allowed(allow_large):
+        for run_seeds in groups:
+            if spec.batch:
+                engine_obj = spec.engine_cls(network, algorithm, run_seeds, **kwargs)
+                span_name = f"batch[{len(run_seeds)}]"
+                span_attrs = {"trials": len(run_seeds)}
+            else:
+                engine_obj = spec.engine_cls(
+                    network, algorithm, seed=run_seeds[0], **kwargs
                 )
-            results.append(result)
+                span_name = f"trial[{run_seeds[0]}]"
+                span_attrs = {"seed": run_seeds[0]}
+            with (
+                spans.trial_span(
+                    span_name, timings, **span_attrs,
+                    algorithm=algorithm.name, n=network.n,
+                )
+                if spans is not None
+                else nullcontext()
+            ) as span:
+                engine_obj.run(max_steps)
+                if span is not None:
+                    span.attrs["completed"] = engine_obj.all_informed
+            view = engine_obj if spec.batch else _SingleRun(engine_obj)
+            for result in _assemble_results(network, algorithm, view, run_seeds,
+                                            timings, metrics):
+                if require_completion and not result.completed:
+                    raise BroadcastIncompleteError(
+                        f"{algorithm.name} informed {result.informed}/{network.n} "
+                        f"nodes within {max_steps} steps (seed {result.seed})",
+                        result=result,
+                    )
+                results.append(result)
     return results
 
 

@@ -364,14 +364,7 @@ class EventDrivenEngine(SynchronousEngine):
             self._slots_counter.inc(count)
             self._collision_hist.observe_repeated(0, count)
         step = self.step
-        if self.trace.level is not TraceLevel.NONE:
-            informed = self.informed_count
-            record = self.trace.record
-            for t in range(step, step + count):
-                record(
-                    step=t, transmitters=(), deliveries={}, collisions=(),
-                    woken=(), informed=informed,
-                )
+        self.trace.record_silent(step, count, self.informed_count)
         self.step = step + count
         if timings is not None:
             elapsed = perf_counter() - t_start

@@ -1,55 +1,59 @@
-"""Up-front memory estimates for instrumentation that scales with n·steps,
-and for topologies whose edge count outgrows n.
+"""Memory guards for instrumentation and topologies that outgrow n.
 
-A ``TraceLevel.FULL`` trace stores per-slot Python records whose size is
-proportional to the number of (node, slot) events; dense per-node metric
-tallies store one int64 cell per (trial, node).  At sweep scale both are
-fine, but at the million-node scale the macro-step path unlocks they OOM
-the process long after the run started — the worst possible failure mode.
-These checks run in the drivers *before* any engine state is allocated and
-raise a :class:`~repro.sim.errors.ConfigurationError` naming the estimated
-footprint and the override, instead of dying mid-run.  A complete layered
-CSR topology knows its edge count before it allocates, and is checked the
-same way by its builder (:func:`check_edge_budget`).
+A ``TraceLevel.FULL`` trace stores its channel history as ``int64``
+columns (:class:`~repro.sim.trace.TraceColumns`) whose size depends on
+what the run does, not on its worst-case step budget: KP on
+``G(10^5, 12/n)`` finishes in ~250 slots against a ``max_steps`` hint of
+~600,000.  So the trace is not estimated up front; every byte appended to
+its columns is charged against :data:`FULL_TRACE_BYTE_LIMIT`
+(:class:`TraceBudget`), and the append that crosses the limit raises a
+:class:`~repro.sim.errors.ConfigurationError` naming the bytes used, the
+limit and both overrides — a named error at a known size, never an OOM
+and never a silent fallback.  Dense per-node metric tallies store one
+int64 cell per (trial, node) and are checked in the drivers *before* any
+engine state is allocated (:func:`check_memory_budget`).  A complete
+layered CSR topology knows its edge count before it allocates, and is
+checked the same way by its builder (:func:`check_edge_budget`).
 
-Overrides: pass ``allow_large=True`` to the driver, or set the environment
-variable ``REPRO_ALLOW_LARGE_MEMORY=1`` (useful for CLI runs on big boxes);
-the topology builders take only the environment variable.
+Overrides: pass ``allow_large=True`` to the driver (it holds
+:func:`large_memory_allowed` open while its engines run), or set the
+environment variable ``REPRO_ALLOW_LARGE_MEMORY=1`` (useful for CLI runs
+on big boxes); the topology builders take only the environment variable.
 """
 
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
+from contextvars import ContextVar
 
 from .errors import ConfigurationError
-from .trace import TraceLevel
 
 __all__ = [
     "ALLOW_LARGE_ENV",
     "CSR_EDGE_LIMIT",
-    "FULL_TRACE_CELL_LIMIT",
+    "FULL_TRACE_BYTE_LIMIT",
     "DENSE_METRICS_CELL_LIMIT",
+    "TraceBudget",
     "check_edge_budget",
     "check_memory_budget",
+    "large_memory_allowed",
 ]
 
 #: Environment override; any non-empty value other than "0" disables the guard.
 ALLOW_LARGE_ENV = "REPRO_ALLOW_LARGE_MEMORY"
 
-#: Maximum ``n * max_steps`` cells for a FULL trace before the guard trips.
-#: 10^9 potential (node, slot) events estimate to roughly 8 GiB of trace
-#: records — beyond what a run should allocate without an explicit opt-in.
-FULL_TRACE_CELL_LIMIT = 1_000_000_000
+#: Bytes of FULL-trace columns one run may append before the guard trips
+#: (one engine instance: a serial run, or a whole macro union).  Each
+#: column entry is one int64 — a transmitter, a delivery's receiver or
+#: sender, a collision receiver, a woken node, or a slot's step number or
+#: row count.  KP on G(10^6, 12/n) (topology seed 0, trial seed 1, 232
+#: slots) appends 425 MB, so the limit leaves 2.5x headroom at 10^6.
+FULL_TRACE_BYTE_LIMIT = 1 << 30
 
 #: Maximum ``trials * n`` cells for dense per-node metric tallies
 #: (``transmissions_per_node``); 2^28 int64 cells are 2 GiB.
 DENSE_METRICS_CELL_LIMIT = 1 << 28
-
-#: Estimated bytes per FULL-trace (node, slot) cell.  Transmitter /
-#: delivery / collision tuples hold boxed ints, so the true footprint is
-#: workload-dependent; 8 bytes per potential cell is the deliberate
-#: lower-bound estimate the error message reports.
-_TRACE_BYTES_PER_CELL = 8
 
 _METRICS_BYTES_PER_CELL = 8  # one int64 tally per (trial, node)
 
@@ -60,28 +64,72 @@ CSR_EDGE_LIMIT = 1 << 27
 _CSR_BYTES_PER_EDGE = 16  # one int64 ``indices`` entry per direction
 
 
+_ALLOW_LARGE: ContextVar[bool] = ContextVar("repro_allow_large", default=False)
+
+
 def _override_active() -> bool:
     value = os.environ.get(ALLOW_LARGE_ENV, "")
-    return value not in ("", "0")
+    return value not in ("", "0") or _ALLOW_LARGE.get()
+
+
+@contextmanager
+def large_memory_allowed(allowed: bool = True):
+    """Lift the trace budget inside the block when ``allowed`` (the
+    drivers' ``allow_large=True``)."""
+    token = _ALLOW_LARGE.set(allowed or _ALLOW_LARGE.get())
+    try:
+        yield
+    finally:
+        _ALLOW_LARGE.reset(token)
+
+
+class TraceBudget:
+    """Bytes appended to one run's FULL-trace columns, charged as they are
+    appended against :data:`FULL_TRACE_BYTE_LIMIT` (read when the budget
+    is made)."""
+
+    __slots__ = ("used", "limit")
+
+    def __init__(self) -> None:
+        self.used = 0
+        self.limit = FULL_TRACE_BYTE_LIMIT
+
+    def charge(self, nbytes: int) -> None:
+        """Add ``nbytes``; raise once the total passes the limit.
+
+        Raises:
+            ConfigurationError: With the bytes used, the limit and both
+                overrides named, unless an override is active (then the
+                budget stops checking).
+        """
+        self.used += nbytes
+        if self.used <= self.limit:
+            return
+        if _override_active():
+            self.limit = float("inf")
+            return
+        raise ConfigurationError(
+            f"TraceLevel.FULL trace columns reached {self.used:,} bytes, past "
+            f"the limit of {self.limit:,} bytes (FULL_TRACE_BYTE_LIMIT). "
+            f"Lower max_steps, drop to TraceLevel.PROGRESS, or override with "
+            f"allow_large=True (or {ALLOW_LARGE_ENV}=1)."
+        )
 
 
 def check_memory_budget(
     n: int,
-    max_steps: int,
-    trace_level: TraceLevel = TraceLevel.NONE,
     trials: int = 1,
     dense_metrics: bool = False,
     allow_large: bool = False,
 ) -> None:
-    """Refuse instrumentation whose estimated footprint exceeds the limits.
+    """Refuse dense per-node metric tallies past
+    :data:`DENSE_METRICS_CELL_LIMIT`, before anything is allocated.
+
+    FULL traces are not estimated here: they are charged as they grow
+    (:class:`TraceBudget`).
 
     Args:
         n: Network size.
-        max_steps: The run's step budget (the resolved value, after
-            ``default_max_steps``).
-        trace_level: Requested trace detail; only ``FULL`` is guarded —
-            ``PROGRESS`` stores one int per executed slot and never
-            approaches these scales.
         trials: Batch width (1 for single runs).
         dense_metrics: Whether the driver would allocate per-node tallies
             (true exactly when a metrics registry was passed).
@@ -89,33 +137,20 @@ def check_memory_budget(
 
     Raises:
         ConfigurationError: With the estimated bytes and both overrides
-            named, when a limit is exceeded and no override is active.
+            named, when the limit is exceeded and no override is active.
     """
-    if allow_large or _override_active():
+    if not dense_metrics or allow_large or _override_active():
         return
-    if trace_level is TraceLevel.FULL:
-        cells = n * max_steps
-        if cells > FULL_TRACE_CELL_LIMIT:
-            est = cells * trials * _TRACE_BYTES_PER_CELL
-            raise ConfigurationError(
-                f"TraceLevel.FULL on n={n} with max_steps={max_steps} "
-                f"(x{trials} trials) estimates to >= {est:,} bytes of trace "
-                f"records (n * max_steps = {cells:,} cells, limit "
-                f"{FULL_TRACE_CELL_LIMIT:,}). Lower max_steps, drop to "
-                f"TraceLevel.PROGRESS, or override with allow_large=True "
-                f"(or {ALLOW_LARGE_ENV}=1)."
-            )
-    if dense_metrics:
-        cells = trials * n
-        if cells > DENSE_METRICS_CELL_LIMIT:
-            est = cells * _METRICS_BYTES_PER_CELL
-            raise ConfigurationError(
-                f"dense per-node metrics on n={n} with trials={trials} "
-                f"estimate to {est:,} bytes of tallies (trials * n = "
-                f"{cells:,} cells, limit {DENSE_METRICS_CELL_LIMIT:,}). "
-                f"Run without a metrics registry, batch fewer trials, or "
-                f"override with allow_large=True (or {ALLOW_LARGE_ENV}=1)."
-            )
+    cells = trials * n
+    if cells > DENSE_METRICS_CELL_LIMIT:
+        est = cells * _METRICS_BYTES_PER_CELL
+        raise ConfigurationError(
+            f"dense per-node metrics on n={n} with trials={trials} "
+            f"estimate to {est:,} bytes of tallies (trials * n = "
+            f"{cells:,} cells, limit {DENSE_METRICS_CELL_LIMIT:,}). "
+            f"Run without a metrics registry, batch fewer trials, or "
+            f"override with allow_large=True (or {ALLOW_LARGE_ENV}=1)."
+        )
 
 
 def check_edge_budget(edges: int, what: str) -> None:

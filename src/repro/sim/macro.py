@@ -66,7 +66,8 @@ from .faults import (
     derive_fault_seed,
 )
 from .run import BroadcastResult
-from .trace import Trace, TraceLevel
+from .guard import TraceBudget
+from .trace import Trace, TraceColumns, TraceLevel
 
 __all__ = [
     "BatchedFastEngine",
@@ -362,11 +363,20 @@ class MacroStepEngine:
         self._el_for: tuple[int, int] | None = None
         self._avg_deg = kernel.indices.size / max(1, n)
         self.step = 0
-        self._traces = [Trace(level=trace_level) for _ in self.seeds]
-        for trace in self._traces:
-            trace.mark_initially_informed(network.source)
+        # Traces are recorded for the union, one array per slot and
+        # column, and split per trial when trace_for is next called.
+        self._trace_level = trace_level
+        self._traces: list[Trace] | None = None
+        self._split_slots = 0  # recorded slots already in self._traces
         self._tracing = trace_level is not TraceLevel.NONE
         self._trace_full = trace_level is TraceLevel.FULL
+        self._rec_woken: list[np.ndarray] = []
+        self._rec_tx: list[np.ndarray] = []
+        self._rec_collisions: list[np.ndarray] = []
+        self._rec_heard: list[np.ndarray] = []
+        self._rec_senders: list[np.ndarray] = []
+        if self._trace_full:
+            self._trace_budget = TraceBudget()
         self.timings = timings
         self.metrics = metrics
         self._tx_counts: np.ndarray | None = None
@@ -449,9 +459,91 @@ class MacroStepEngine:
 
     def trace_for(self, trial: int) -> Trace:
         """One trial's channel trace (an empty one when untraced)."""
+        if self._traces is None:
+            self._traces = [Trace(level=self._trace_level) for _ in self.seeds]
+            for trace in self._traces:
+                trace.mark_initially_informed(self.network.source)
+        if self._rec_woken:
+            self._split_recorded()
         trace = self._traces[trial]
         trace.fault_counters = self.fault_counters_for(trial)
         return trace
+
+    def _split_recorded(self) -> None:
+        """Append the slots recorded since the last split to every
+        trial's trace, and drop the union's arrays.
+
+        Each column's per-slot arrays are concatenated and regrouped by
+        trial without a sort (see ``split``), keeping slot order and the
+        sorted order within a slot; trial ``t`` owns the slots before
+        ``trial_steps(t)`` (it records only while running).
+        """
+        n, trials, slots = self.n, self.trials, len(self._rec_woken)
+        first = self._split_slots
+        self._split_slots += slots
+        identity = self.labels[-1] == n - 1  # sorted, distinct: 0 .. n - 1
+
+        def labels(nodes):
+            return nodes if identity else self.labels[nodes]
+
+        def split(*per_slot):
+            """One column (or paired columns sharing row counts) as labels
+            grouped by trial, the ``(trials, slots)`` row counts, and the
+            per-trial bounds of the labels."""
+            counts = np.fromiter(map(len, per_slot[0]), dtype=np.int64, count=slots)
+            flat = [np.concatenate([_EMPTY, *column]) for column in per_slot]
+            if trials == 1:
+                return [labels(column) for column in flat], counts[None], [0, flat[0].size]
+            # Each slot's entries are sorted union indices, so keyed by
+            # slot they are sorted overall: one searchsorted cuts every
+            # slot at every trial boundary, and trial t's entries are the
+            # ranges cuts[t, s] .. cuts[t + 1, s], slot after slot.
+            base = np.arange(slots, dtype=np.int64) * self._size
+            key = np.repeat(base, counts) + flat[0]
+            edges = n * np.arange(trials + 1, dtype=np.int64)
+            cuts = np.searchsorted(key, base[:, None] + edges).T
+            rows = cuts[1:] - cuts[:-1]
+            order = ragged_positions(cuts[:-1].ravel(), rows.ravel())
+            totals = rows.sum(axis=1)
+            shift = np.repeat(edges[:-1], totals)
+            bounds = [0, *np.cumsum(totals).tolist()]
+            return [labels(column[order] - shift) for column in flat], rows, bounds
+
+        columns = [split(self._rec_woken)]
+        if self._trace_full:
+            columns += [
+                split(self._rec_tx),
+                split(self._rec_heard, self._rec_senders),
+                split(self._rec_collisions),
+            ]
+        self._rec_woken, self._rec_tx, self._rec_heard = [], [], []
+        self._rec_senders, self._rec_collisions = [], []
+        step_numbers = np.arange(first, first + slots, dtype=np.int64)
+        for t, trace in enumerate(self._traces):
+            steps = self.trial_steps(t) - first
+            if steps <= 0:
+                continue
+            rows = []
+            for values, counts, bounds in columns:
+                lo, hi = bounds[t], bounds[t + 1]
+                rows.append((
+                    counts[t, :steps], *(column[lo:hi] for column in values),
+                ))
+            woken_counts, woken = rows[0]
+            if self._trace_full:
+                (tx_counts, tx), (dlv_counts, rcv, snd), (coll_counts, coll) = rows[1:]
+            else:
+                zeros = np.zeros(steps, dtype=np.int64)
+                tx_counts = dlv_counts = coll_counts = zeros
+                tx = rcv = snd = coll = _EMPTY
+            informed = trace.informed_counts[-1] if trace.informed_counts else 1
+            trace.append_columns(
+                TraceColumns(
+                    step_numbers[:steps], tx_counts, tx, dlv_counts, rcv, snd,
+                    coll_counts, coll, woken_counts, woken,
+                ),
+                (np.cumsum(woken_counts) + informed).tolist(),
+            )
 
     def fault_counters_for(self, trial: int) -> FaultCounters | None:
         """Fault tallies of one trial, identical to its single-run values."""
@@ -665,40 +757,23 @@ class MacroStepEngine:
             self._record(step, tx, newly, colliding, heard)
         return tx
 
-    def _by_trial(self, idx) -> list[np.ndarray]:
-        """Sorted union indices split per trial, as node indices."""
-        if idx is None:
-            return [_EMPTY] * self.trials
-        idx = np.sort(idx)
-        if self.trials == 1:
-            return [idx]
-        parts = np.split(idx, np.searchsorted(idx, self._offsets[1:]))
-        return [part - offset for part, offset in zip(parts, self._offsets)]
-
     def _record(self, step, tx, newly, colliding, heard) -> None:
-        """Append slot ``step`` to every running trial's trace."""
-        labels, full = self.labels, self._trace_full
-        woken = self._by_trial(newly)
-        if full:
-            sent, coll, got = (self._by_trial(a) for a in (tx, colliding, heard))
-        for t in np.flatnonzero(self._running).tolist():
-            transmitters, deliveries, collisions = (), {}, ()
-            if full:
-                offset = int(self._offsets[t])
-                transmitters = tuple(labels[sent[t]].tolist())
-                senders = self._sender_of[got[t] + offset] - offset
-                deliveries = dict(
-                    zip(labels[got[t]].tolist(), labels[senders].tolist())
-                )
-                collisions = tuple(labels[coll[t]].tolist())
-            self._traces[t].record(
-                step=step,
-                transmitters=transmitters,
-                deliveries=deliveries,
-                collisions=collisions,
-                woken=tuple(labels[woken[t]].tolist()),
-                informed=int(self._informed[t]),
-            )
+        """Append slot ``step``'s union-index arrays to the recorded
+        columns (newly woken always; at FULL also the sorted
+        transmitters, the collision receivers and each hearing
+        receiver's sender).  Every running trial records the slot."""
+        self._rec_woken.append(newly)
+        if not self._trace_full:
+            return
+        tx = _EMPTY if tx is None else np.sort(tx)
+        self._rec_tx.append(tx)
+        self._rec_collisions.append(colliding)
+        self._rec_heard.append(heard)
+        self._rec_senders.append(self._sender_of[heard])
+        self._trace_budget.charge(8 * (
+            5 * self._live + tx.size + newly.size + colliding.size
+            + 2 * heard.size
+        ))
 
     def _resolve_counted(self, tx: np.ndarray, step: int):
         """Transmitter-side resolution with hit counts at every receiver.
@@ -714,16 +789,17 @@ class MacroStepEngine:
             return _EMPTY, _EMPTY, _EMPTY
         if cat.size >= self._size // 8:
             hits = np.bincount(cat, minlength=self._size)
-            recv = np.flatnonzero(hits)
-            cnt = hits[recv]
+            hits[tx] = 0  # half-duplex: transmitters hear nothing
+            colliding = np.flatnonzero(hits >= 2)
+            delivered = np.flatnonzero(hits == 1)
         else:
             recv, cnt = np.unique(cat, return_counts=True)
-        is_tx = self._is_tx
-        is_tx[tx] = True
-        listening = ~is_tx[recv]  # half-duplex: transmitters hear nothing
-        is_tx[tx] = False
-        colliding = recv[(cnt >= 2) & listening]
-        delivered = recv[(cnt == 1) & listening]
+            is_tx = self._is_tx
+            is_tx[tx] = True
+            listening = ~is_tx[recv]  # half-duplex: transmitters hear nothing
+            is_tx[tx] = False
+            colliding = recv[(cnt >= 2) & listening]
+            delivered = recv[(cnt == 1) & listening]
         cf = self._cf
         timed = cf is not None and self.timings is not None
         t_faults = perf_counter() if timed else 0.0
@@ -752,7 +828,7 @@ class MacroStepEngine:
         if self._trace_full:
             # Awake receivers hear too (already informed, never deaf);
             # sleepers only count if they actually woke.
-            heard = delivered[~asleep | woke]
+            heard = delivered if woke is asleep else delivered[~asleep | woke]
             self._sender_of[cat] = np.repeat(tx, lengths)  # exact where hits == 1
         if newly.size:
             self._append_newly(newly, step)

@@ -166,30 +166,31 @@ class BroadcastAlgorithm(ABC):
         """
         return None
 
-    def stage_hint(self, step: int, trace=None) -> str | None:
-        """Name the schedule stage that slot ``step`` belongs to, if any.
+    def stage_hints(self, steps, trace=None) -> list[str | None]:
+        """Name the schedule stage each slot in ``steps`` belongs to.
 
         Purely *post-hoc*: the forensics layer
-        (:mod:`repro.obs.forensics`) calls this to charge each slot of a
-        recorded run to the stage that spent it (Decay phases, KP stage
-        sweeps, token-traversal phases).  Engines never call it, so the
-        hook costs nothing at execution time, and because it is a pure
-        function of ``(algorithm configuration, step, trace)`` — never of
-        engine internals — stage attribution is identical across engines
-        whenever the traces are.
+        (:mod:`repro.obs.forensics`) calls this once per recorded run to
+        charge each slot to the stage that spent it (Decay phases, KP
+        stage sweeps, token-traversal phases).  Engines never call it, so
+        the hook costs nothing at execution time, and because it is a
+        pure function of ``(algorithm configuration, steps, trace)`` —
+        never of engine internals — stage attribution is identical across
+        engines whenever the traces are.
 
         Args:
-            step: Global slot number (0-based).
+            steps: Global slot numbers (0-based), an ``int64`` array.
             trace: The run's :class:`~repro.sim.trace.Trace` at
                 ``TraceLevel.FULL``, for algorithms whose stage boundaries
                 depend on the execution (the token algorithms).  Oblivious
                 schedules ignore it.
 
         Returns:
-            A short stage label, or ``None`` when the algorithm has no
-            stage structure (the default) or cannot attribute the slot.
+            One short stage label per slot, or ``None`` where the
+            algorithm has no stage structure (the default) or cannot
+            attribute the slot.
         """
-        return None
+        return [None] * len(steps)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} {self.name!r}>"

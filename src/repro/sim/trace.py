@@ -3,16 +3,34 @@
 Traces serve three audiences: tests (asserting exact channel behaviour),
 the lower-bound adversary verifier (comparing real histories against
 abstract ones, Lemma 9), and humans (step-by-step walkthroughs in the
-examples).  Because full traces are memory-heavy, recording is opt-in and
-levelled.
+examples).  Recording is opt-in and levelled.
+
+A ``TraceLevel.FULL`` trace is stored as columns (:class:`TraceColumns`):
+per-slot counts plus flat ``int64`` label arrays of transmitters,
+delivery ``(receiver, sender)`` pairs, collision receivers and woken
+nodes.  The per-node engines append slot by slot (:meth:`Trace.record`)
+or a whole silent run at once (:meth:`Trace.record_silent`); the macro
+engine appends each trial's slots in bulk (:meth:`Trace.append_columns`).
+Every byte appended is charged to a :class:`~repro.sim.guard.TraceBudget`
+against :data:`~repro.sim.guard.FULL_TRACE_BYTE_LIMIT`.
+:attr:`Trace.steps` is a lazy, read-only sequence of :class:`StepRecord`
+objects built from the columns on access; the forensics layer reads the
+columns directly.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import repeat
 
-__all__ = ["TraceLevel", "StepRecord", "Trace"]
+import numpy as np
+
+from .guard import TraceBudget
+
+__all__ = ["TraceLevel", "StepRecord", "TraceColumns", "Trace"]
 
 
 class TraceLevel(enum.Enum):
@@ -48,12 +66,163 @@ class StepRecord:
     woken: tuple[int, ...]
 
 
-@dataclass
+_EMPTY = np.empty(0, dtype=np.int64)
+
+
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    out = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=out[1:])
+    return out
+
+
+@dataclass(frozen=True)
+class TraceColumns:
+    """A FULL trace's channel history as flat ``int64`` arrays.
+
+    Slot ``i`` (slot number ``steps[i]``, increasing) owns
+    ``tx_counts[i]`` consecutive entries of ``transmitters``,
+    ``delivery_counts[i]`` of ``receivers``/``senders`` (pairs, by
+    receiver), ``collision_counts[i]`` of ``collisions`` and
+    ``woken_counts[i]`` of ``woken``; each slot's entries are sorted.
+    All entries are node labels.
+    """
+
+    steps: np.ndarray
+    tx_counts: np.ndarray
+    transmitters: np.ndarray
+    delivery_counts: np.ndarray
+    receivers: np.ndarray
+    senders: np.ndarray
+    collision_counts: np.ndarray
+    collisions: np.ndarray
+    woken_counts: np.ndarray
+    woken: np.ndarray
+
+    @classmethod
+    def empty(cls) -> "TraceColumns":
+        return cls(*([_EMPTY] * 10))
+
+    @classmethod
+    def concatenate(cls, parts: list["TraceColumns"]) -> "TraceColumns":
+        return cls(*(
+            np.concatenate([getattr(part, name) for part in parts])
+            for name in cls.__dataclass_fields__
+        ))
+
+    def __len__(self) -> int:
+        return self.steps.size
+
+    @cached_property
+    def tx_ptr(self) -> np.ndarray:
+        return _offsets(self.tx_counts)
+
+    @cached_property
+    def delivery_ptr(self) -> np.ndarray:
+        return _offsets(self.delivery_counts)
+
+    @cached_property
+    def collision_ptr(self) -> np.ndarray:
+        return _offsets(self.collision_counts)
+
+    @cached_property
+    def woken_ptr(self) -> np.ndarray:
+        return _offsets(self.woken_counts)
+
+
+class _Pending:
+    """Slots appended by :meth:`Trace.record` not yet made columns."""
+
+    # TraceColumns' fields, in order.
+    __slots__ = (
+        "step_numbers", "tx_counts", "transmitters", "delivery_counts", "receivers",
+        "senders", "collision_counts", "collisions", "woken_counts", "woken",
+    )
+
+    def __init__(self) -> None:
+        for name in self.__slots__:
+            setattr(self, name, [])
+
+    def columns(self) -> TraceColumns:
+        return TraceColumns(*(
+            np.array(getattr(self, name), dtype=np.int64)
+            for name in self.__slots__
+        ))
+
+
+class _StepView(Sequence):
+    """Read-only :class:`StepRecord` sequence over a trace's columns."""
+
+    __slots__ = ("_trace",)
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self, trace: "Trace"):
+        self._trace = trace
+
+    def __len__(self) -> int:
+        return self._trace._slots
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            start, stop, stride = index.indices(len(self))
+            if stride != 1:
+                return list(self)[index]
+            return list(self._records(start, max(start, stop)))
+        size = len(self)
+        if index < 0:
+            index += size
+        if not 0 <= index < size:
+            raise IndexError("trace step index out of range")
+        return next(self._records(index, index + 1))
+
+    def __iter__(self):
+        return self._records(0, len(self))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (_StepView, list, tuple)):
+            return len(self) == len(other) and all(
+                a == b for a, b in zip(self, other)
+            )
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"<{len(self)} trace steps>"
+
+    def _records(self, lo: int, hi: int):
+        """Records ``lo .. hi - 1``, each row read from lists converted
+        once per call."""
+        if lo >= hi:
+            return
+        cols = self._trace.columns()
+
+        def rows(values, ptr):
+            bounds = ptr[lo:hi + 1]
+            return (
+                values[bounds[0]:bounds[-1]].tolist(),
+                (bounds - bounds[0]).tolist(),
+            )
+
+        steps = cols.steps[lo:hi].tolist()
+        tx, tp = rows(cols.transmitters, cols.tx_ptr)
+        rcv, dp = rows(cols.receivers, cols.delivery_ptr)
+        snd, _ = rows(cols.senders, cols.delivery_ptr)
+        coll, cp = rows(cols.collisions, cols.collision_ptr)
+        woken, wp = rows(cols.woken, cols.woken_ptr)
+        for j, step in enumerate(steps):
+            a, b = dp[j], dp[j + 1]
+            yield StepRecord(
+                step=step,
+                transmitters=tuple(tx[tp[j]:tp[j + 1]]),
+                deliveries=dict(zip(rcv[a:b], snd[a:b])),
+                collisions=tuple(coll[cp[j]:cp[j + 1]]),
+                woken=tuple(woken[wp[j]:wp[j + 1]]),
+            )
+
+
+@dataclass(eq=False)
 class Trace:
     """Accumulated trace of one run."""
 
     level: TraceLevel = TraceLevel.NONE
-    steps: list[StepRecord] = field(default_factory=list)
     informed_counts: list[int] = field(default_factory=list)
     wake_times: dict[int, int] = field(default_factory=dict)
     #: Live fault tally (:class:`repro.sim.faults.FaultCounters`) when the
@@ -61,6 +230,22 @@ class Trace:
     #: Set by the engine — the same object it increments, so it is always
     #: current, regardless of the trace level.
     fault_counters: "object | None" = None
+
+    def __post_init__(self) -> None:
+        self._slots = 0  # FULL slots recorded
+        self._initial: list[int] = []
+        self._parts: list[TraceColumns] = []
+        self._pending: _Pending | None = None
+        self._budget = None
+        if self.level is TraceLevel.FULL:
+            self._pending = _Pending()
+            self._budget = TraceBudget()
+
+    @property
+    def steps(self) -> Sequence[StepRecord]:
+        """Per-slot records (empty below ``FULL``), built lazily from the
+        columns; ``len`` is O(1)."""
+        return _StepView(self)
 
     def mark_initially_informed(self, label: int) -> None:
         """Record a node that holds the message before the execution starts.
@@ -74,10 +259,12 @@ class Trace:
         if self.level is TraceLevel.NONE:
             return
         self.wake_times[label] = -1
+        self._initial.append(label)
 
     def initially_informed(self) -> tuple[int, ...]:
         """Labels informed before slot 0 (wake time ``< 0``), sorted."""
-        return tuple(sorted(v for v, t in self.wake_times.items() if t < 0))
+        wake = self.wake_times
+        return tuple(sorted({v for v in self._initial if wake.get(v, 0) < 0}))
 
     def record(
         self,
@@ -94,16 +281,78 @@ class Trace:
         for v in woken:
             self.wake_times[v] = step
         self.informed_counts.append(informed)
-        if self.level is TraceLevel.FULL:
-            self.steps.append(
-                StepRecord(
-                    step=step,
-                    transmitters=transmitters,
-                    deliveries=dict(deliveries),
-                    collisions=collisions,
-                    woken=woken,
-                )
-            )
+        pending = self._pending
+        if pending is None:
+            return
+        pending.step_numbers.append(step)
+        pending.tx_counts.append(len(transmitters))
+        pending.transmitters.extend(transmitters)
+        receivers = sorted(deliveries)
+        pending.delivery_counts.append(len(receivers))
+        pending.receivers.extend(receivers)
+        pending.senders.extend(map(deliveries.__getitem__, receivers))
+        pending.collision_counts.append(len(collisions))
+        pending.collisions.extend(collisions)
+        pending.woken_counts.append(len(woken))
+        pending.woken.extend(woken)
+        self._slots += 1
+        self._budget.charge(8 * (
+            5 + len(transmitters) + 2 * len(deliveries) + len(collisions)
+            + len(woken)
+        ))
+
+    def record_silent(self, start: int, count: int, informed: int) -> None:
+        """Store ``count`` silent slots ``start, start + 1, ...`` in one
+        call: one C-level extend per column, no per-slot Python work."""
+        if self.level is TraceLevel.NONE or count <= 0:
+            return
+        self.informed_counts.extend(repeat(informed, count))
+        pending = self._pending
+        if pending is None:
+            return
+        pending.step_numbers.extend(range(start, start + count))
+        for counts in (pending.tx_counts, pending.delivery_counts,
+                       pending.collision_counts, pending.woken_counts):
+            counts.extend(repeat(0, count))
+        self._slots += count
+        self._budget.charge(8 * 5 * count)
+
+    def append_columns(self, columns: TraceColumns, informed: list[int]) -> None:
+        """Append whole slots at once (the array engines' path).
+
+        ``informed`` holds the informed count after each slot.  Only the
+        woken column is read below ``FULL``.  The caller has already
+        charged the bytes against its own
+        :class:`~repro.sim.guard.TraceBudget`.
+        """
+        if self.level is TraceLevel.NONE:
+            return
+        self.informed_counts.extend(informed)
+        wake_slots = np.repeat(columns.steps, columns.woken_counts)
+        self.wake_times.update(zip(columns.woken.tolist(), wake_slots.tolist()))
+        if self._pending is None:
+            return
+        self._flush()
+        self._parts.append(columns)
+        self._slots += len(columns)
+
+    def _flush(self) -> None:
+        pending = self._pending
+        if pending.step_numbers:
+            self._parts.append(pending.columns())
+            self._pending = _Pending()
+
+    def columns(self) -> TraceColumns:
+        """The FULL history as one :class:`TraceColumns` (cached until the
+        next append)."""
+        self._require_full("columnar access")
+        self._flush()
+        if len(self._parts) != 1:
+            self._parts = [
+                TraceColumns.concatenate(self._parts)
+                if self._parts else TraceColumns.empty()
+            ]
+        return self._parts[0]
 
     def _require_full(self, what: str) -> None:
         if self.level is not TraceLevel.FULL:
@@ -116,12 +365,12 @@ class Trace:
     def total_transmissions(self) -> int:
         """Total number of (node, slot) transmissions — an energy proxy."""
         self._require_full("transmission counting")
-        return sum(len(record.transmitters) for record in self.steps)
+        return int(self.columns().transmitters.size)
 
     def total_collisions(self) -> int:
         """Total number of (receiver, slot) collision events."""
         self._require_full("collision counting")
-        return sum(len(record.collisions) for record in self.steps)
+        return int(self.columns().collisions.size)
 
     def summary(self) -> dict:
         """Informed-curve statistics available from ``PROGRESS`` level up.

@@ -489,7 +489,9 @@ def gnp_random_csr(
         if int(depths.min()) >= 0:
             return CSRNetwork._from_valid_rows(indptr, indices, r, depths)
         if connect == "augment":
-            extra_src, extra_dst = _augment_to_connected(indptr, indices, depths, rng)
+            extra_src, extra_dst = _augment_to_connected(
+                indptr, indices, depths, rng, stray_edges
+            )
             # Each stray component hangs off the source component by its one
             # new edge (u, w): no reached depth changes, and a stray node
             # sits at depth[w] + 1 plus its distance from u in its own
@@ -505,39 +507,82 @@ def gnp_random_csr(
     )
 
 
-def _augment_to_connected(indptr, indices, depths, rng):
+def _augment_to_connected(indptr, indices, depths, rng, stray_edges):
     """One seeded random edge from every stray component into the source
     component; returns the ``(src, dst)`` arrays of the added edges.
 
-    Components are discovered in increasing order of their smallest
-    label, and each one's members are listed level by level in sorted
-    order — the ``rng`` draws index into that list."""
-    reached = depths >= 0
-    source_comp = np.flatnonzero(reached)
-    extra_src: list[int] = []
-    extra_dst: list[int] = []
-    visited = reached.copy()
-    for v in np.flatnonzero(~reached).tolist():
-        if visited[v]:
-            continue
-        # Collect v's whole component so later members are skipped.
-        comp = [v]
-        visited[v] = True
-        frontier = np.array([v], dtype=np.int64)
-        while frontier.size:
-            starts = indptr[frontier]
-            lengths = indptr[frontier + 1] - starts
-            nbrs = indices[ragged_positions(starts, lengths)]
-            nbrs = np.unique(nbrs[~visited[nbrs]])
-            visited[nbrs] = True
-            comp.extend(nbrs.tolist())
-            frontier = nbrs
-        extra_src.append(comp[int(rng.integers(len(comp)))])
-        extra_dst.append(int(source_comp[int(rng.integers(len(source_comp)))]))
-    return (
-        np.array(extra_src, dtype=np.int64),
-        np.array(extra_dst, dtype=np.int64),
-    )
+    Components are taken in increasing order of their smallest label
+    (their root), and each one's members are listed level by level in
+    sorted order, by distance from the root; per component, one
+    ``rng.integers(size)`` draw picks the member and one
+    ``rng.integers(len(source component))`` draw the attachment point.
+    All components are labelled at once: minimum-label propagation with
+    pointer jumping finds each node's root, then one multi-source BFS
+    from every root gives the levels.  ``stray_edges`` is the row-length
+    sum of the nodes at depth -1.
+    """
+    stray = np.flatnonzero(depths < 0)
+    source_comp = np.flatnonzero(depths >= 0)
+    local = np.empty(len(depths), dtype=np.int64)
+    local[stray] = np.arange(stray.size)
+    starts = indptr[stray]
+    lengths = indptr[stray + 1] - starts
+    nbrs = local[indices[ragged_positions(starts, lengths)]]
+    linked = lengths > 0
+    firsts = (np.cumsum(lengths) - lengths)[linked]
+    # root[i]: a member of stray[i]'s component, at most i (local order is
+    # label order), and a pointer tree over the component.  Each round
+    # hooks every tree root to the least root next to its members, then
+    # jumps pointers until each points at its tree root.  The minimum
+    # member never moves, so at the fixed point every member points at it.
+    root = np.arange(stray.size)
+    while True:
+        low = root.copy()
+        if firsts.size:
+            np.minimum.at(
+                low, root[linked], np.minimum.reduceat(root[nbrs], firsts)
+            )
+        while True:
+            jumped = low[low]
+            if np.array_equal(jumped, low):
+                break
+            low = jumped
+        if np.array_equal(low, root):
+            break
+        root = low
+    heads = np.flatnonzero(root == np.arange(stray.size))
+    level = depths.copy()
+    _bfs_fill(indptr, indices, level, stray[heads], [0] * heads.size, stray_edges)
+    members = stray[np.lexsort((stray, level[stray], root))]
+    sizes = np.bincount(root)[heads]
+    bounds = np.empty(2 * heads.size, dtype=np.int64)
+    bounds[0::2] = sizes
+    bounds[1::2] = source_comp.size
+    picks = _scalar_draws(rng, bounds)
+    firsts = np.cumsum(sizes) - sizes
+    return members[firsts + picks[0::2]], source_comp[picks[1::2]]
+
+
+def _scalar_draws(rng, bounds: np.ndarray) -> np.ndarray:
+    """``[rng.integers(b) for b in bounds]``, drawn the way that loop of
+    scalar calls draws them, in fewer calls.
+
+    Two properties of numpy's ``Generator.integers`` (pinned by
+    ``tests/topology/test_csr.py``) make this exact: a bound of 1 returns
+    0 without touching the stream, and ``rng.integers(b, size=k)`` draws
+    what ``k`` scalar ``rng.integers(b)`` calls would.  So bound-1 draws
+    are skipped and every run of equal bounds is one call.
+    """
+    out = np.zeros(bounds.size, dtype=np.int64)
+    live = np.flatnonzero(bounds > 1)
+    runs = bounds[live]
+    cuts = [0, *(np.flatnonzero(np.diff(runs)) + 1).tolist(), runs.size]
+    for lo, hi in zip(cuts, cuts[1:]):
+        if hi - lo == 1:
+            out[live[lo]] = rng.integers(int(runs[lo]))
+        elif hi > lo:
+            out[live[lo:hi]] = rng.integers(int(runs[lo]), size=hi - lo)
+    return out
 
 
 # ----------------------------------------------------------------------

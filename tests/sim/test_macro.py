@@ -530,43 +530,78 @@ class TestLabelSetPlans:
 
 
 class TestMemoryGuard:
-    def test_full_trace_over_limit_raises_with_estimate(self):
+    """FULL traces are charged as they grow (``TraceBudget``); dense
+    metrics are estimated up front (``check_memory_budget``)."""
+
+    @staticmethod
+    def _tiny_budget(monkeypatch, limit=1000):
+        monkeypatch.delenv(guard.ALLOW_LARGE_ENV, raising=False)
+        monkeypatch.setattr(guard, "FULL_TRACE_BYTE_LIMIT", limit)
+
+    def test_full_trace_over_budget_raises_with_bytes_used(self, monkeypatch):
+        self._tiny_budget(monkeypatch)
+        budget = guard.TraceBudget()
+        budget.charge(1000)
         with pytest.raises(ConfigurationError) as excinfo:
-            check_memory_budget(10**6, 10**5, TraceLevel.FULL)
+            budget.charge(8)
         message = str(excinfo.value)
-        assert "bytes" in message
+        assert "1,008 bytes" in message and "1,000 bytes" in message
+        assert "FULL_TRACE_BYTE_LIMIT" in message
         assert "allow_large=True" in message
         assert "REPRO_ALLOW_LARGE_MEMORY" in message
 
-    def test_none_and_progress_traces_never_trip(self):
-        check_memory_budget(10**7, 10**7, TraceLevel.NONE)
-        check_memory_budget(10**7, 10**7, TraceLevel.PROGRESS)
+    def test_none_and_progress_traces_never_trip(self, monkeypatch):
+        self._tiny_budget(monkeypatch, limit=0)
+        net = gnp_random_csr(50, 0.2, seed=0)
+        algo = KnownRadiusKP(net.r, net.radius)
+        for level in (TraceLevel.NONE, TraceLevel.PROGRESS):
+            for engine in ("reference", "event", "macro"):
+                (result,) = simulate(net, algo, [0], engine=engine,
+                                     trace_level=level)
+                assert result.completed
 
     def test_allow_large_and_env_override(self, monkeypatch):
-        check_memory_budget(10**6, 10**5, TraceLevel.FULL, allow_large=True)
+        self._tiny_budget(monkeypatch)
+        net = gnp_random_csr(50, 0.2, seed=0)
+        algo = KnownRadiusKP(net.r, net.radius)
+        (result,) = simulate(net, algo, [0], engine="macro",
+                             trace_level=TraceLevel.FULL, allow_large=True)
+        assert result.completed and len(result.trace.steps) == result.time
         monkeypatch.setenv(guard.ALLOW_LARGE_ENV, "1")
-        check_memory_budget(10**6, 10**5, TraceLevel.FULL)
+        simulate(net, algo, [0], engine="macro", trace_level=TraceLevel.FULL)
         monkeypatch.setenv(guard.ALLOW_LARGE_ENV, "0")
         with pytest.raises(ConfigurationError):
-            check_memory_budget(10**6, 10**5, TraceLevel.FULL)
+            simulate(net, algo, [0], engine="macro", trace_level=TraceLevel.FULL)
 
     def test_dense_metrics_budget(self):
         with pytest.raises(ConfigurationError):
-            check_memory_budget(10**6, 100, trials=10**3, dense_metrics=True)
-        check_memory_budget(10**6, 100, trials=10, dense_metrics=True)
+            check_memory_budget(10**6, trials=10**3, dense_metrics=True)
+        check_memory_budget(10**6, trials=10, dense_metrics=True)
+        check_memory_budget(10**6, trials=10**3, dense_metrics=False)
 
     def test_guard_reached_through_drivers(self, monkeypatch):
-        monkeypatch.setattr(guard, "FULL_TRACE_CELL_LIMIT", 10)
+        self._tiny_budget(monkeypatch)
         net = gnp_random_csr(50, 0.2, seed=0)
         algo = KnownRadiusKP(net.r, net.radius)
-        with pytest.raises(ConfigurationError):
-            run_broadcast(net, algo, trace_level=TraceLevel.FULL, engine="macro")
+        for engine in ("reference", "event", "macro"):
+            with pytest.raises(ConfigurationError, match="FULL_TRACE_BYTE_LIMIT"):
+                run_broadcast(net, algo, trace_level=TraceLevel.FULL, engine=engine)
         with pytest.raises(ConfigurationError):
             run_broadcast_macro(net, algo, trace_level=TraceLevel.FULL)
         # the documented escape hatch actually runs
         result = run_broadcast_macro(
             net, algo, trace_level=TraceLevel.FULL, allow_large=True
         )
+        assert result.completed
+
+    def test_budget_charges_what_is_recorded_not_max_steps(self, monkeypatch):
+        """A huge step budget alone never trips the guard: only appended
+        bytes count, and the run's stay far below the limit."""
+        monkeypatch.delenv(guard.ALLOW_LARGE_ENV, raising=False)
+        net = gnp_random_csr(2_000, 8 / 2_000, seed=1)
+        algo = KnownRadiusKP(net.r, net.radius)
+        (result,) = simulate(net, algo, [0], engine="macro", max_steps=10**9,
+                             trace_level=TraceLevel.FULL)
         assert result.completed
 
 

@@ -19,7 +19,7 @@ import repro.sim.guard as guard
 import repro.topology.csr as csr_module
 from repro.core.randomized import KnownRadiusKP
 from repro.sim import run_broadcast
-from repro.sim.channel import ChannelKernel
+from repro.sim.channel import ChannelKernel, ragged_positions
 from repro.sim.errors import ConfigurationError
 from repro.topology import (
     CSRNetwork,
@@ -32,11 +32,14 @@ from repro.topology import (
     uniform_complete_layered_csr,
 )
 from repro.topology.csr import (
+    _augment_to_connected,
     _bfs_depths,
     _bfs_fill,
     _csr_from_edges,
     _decode_pair_positions,
     _insert_edges,
+    _sample_pair_positions,
+    _scalar_draws,
 )
 
 
@@ -578,6 +581,94 @@ class TestGnpDepths:
         fresh = _bfs_depths(net.n, net.indptr, net.indices)
         assert np.array_equal(net.depths_array(), fresh)
         _assert_canonical(net)
+
+
+def _augment_one_component_at_a_time(indptr, indices, depths, rng):
+    """The stray-component augmentation as a loop over components: a
+    BFS from each component's smallest unvisited label, members listed
+    level by level in sorted order, one scalar draw pair per component."""
+    reached = depths >= 0
+    source_comp = np.flatnonzero(reached)
+    extra_src: list[int] = []
+    extra_dst: list[int] = []
+    visited = reached.copy()
+    for v in np.flatnonzero(~reached).tolist():
+        if visited[v]:
+            continue
+        comp = [v]
+        visited[v] = True
+        frontier = np.array([v], dtype=np.int64)
+        while frontier.size:
+            starts = indptr[frontier]
+            lengths = indptr[frontier + 1] - starts
+            nbrs = indices[ragged_positions(starts, lengths)]
+            nbrs = np.unique(nbrs[~visited[nbrs]])
+            visited[nbrs] = True
+            comp.extend(nbrs.tolist())
+            frontier = nbrs
+        extra_src.append(comp[int(rng.integers(len(comp)))])
+        extra_dst.append(int(source_comp[int(rng.integers(len(source_comp)))]))
+    return np.array(extra_src, dtype=np.int64), np.array(extra_dst, dtype=np.int64)
+
+
+class TestStrayComponents:
+    """All stray components labelled at once draw exactly what the
+    one-component-at-a-time loop draws."""
+
+    @pytest.mark.parametrize("n", [2, 40, 700, 5000])
+    @pytest.mark.parametrize("c", [0.3, 0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_matches_the_per_component_loop(self, n, c, seed):
+        rng = np.random.default_rng(seed)
+        pos = _sample_pair_positions(n * (n - 1) // 2, min(1.0, c / n), rng)
+        indptr, indices = _csr_from_edges(n, *_decode_pair_positions(pos, n))
+        depths = np.full(n, -1, dtype=np.int64)
+        stray = _bfs_fill(indptr, indices, depths, np.zeros(1, np.int64), [0],
+                          len(indices))
+        twin = np.random.default_rng()
+        twin.bit_generator.state = rng.bit_generator.state
+        got = _augment_to_connected(indptr, indices, depths, rng, stray)
+        want = _augment_one_component_at_a_time(indptr, indices, depths, twin)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    def test_a_long_path_component(self):
+        """Labels arranged so minimum-label propagation needs many
+        hooking rounds: one stray path 1 - 99 - 2 - 98 - 3 - ..."""
+        order = [1]
+        lo, hi = 2, 99
+        while lo <= hi:
+            order += [hi, lo] if hi != lo else [lo]
+            lo, hi = lo + 1, hi - 1
+        indptr, indices = _csr_from_edges(
+            100, np.array(order[:-1]), np.array(order[1:])
+        )
+        depths = np.full(100, -1, dtype=np.int64)
+        stray = _bfs_fill(indptr, indices, depths, np.zeros(1, np.int64), [0],
+                          len(indices))
+        got = _augment_to_connected(indptr, indices, depths,
+                                    np.random.default_rng(5), stray)
+        want = _augment_one_component_at_a_time(indptr, indices, depths,
+                                                np.random.default_rng(5))
+        assert got[0].tolist() == want[0].tolist() and got[1].tolist() == [0]
+
+    def test_numpy_draw_properties_the_batching_relies_on(self):
+        a, b = np.random.default_rng(9), np.random.default_rng(9)
+        assert a.integers(1) == 0  # a bound of 1 draws nothing ...
+        assert a.integers(1 << 40) == b.integers(1 << 40)  # ... the streams agree
+        for bound in (2, 3, 7, 1000, 2**31 + 5):
+            assert [int(a.integers(bound)) for _ in range(9)] == (
+                b.integers(bound, size=9).tolist()
+            )
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.sampled_from([1, 1, 2, 3, 5, 100, 25_000]), max_size=40),
+           st.integers(0, 2**16))
+    def test_scalar_draws_equal_a_loop_of_scalar_calls(self, bounds, seed):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _scalar_draws(a, np.array(bounds, dtype=np.int64))
+        assert got.tolist() == [int(b.integers(bound)) for bound in bounds]
+        assert a.bit_generator.state == b.bit_generator.state
 
 
 class TestPairDecode:
