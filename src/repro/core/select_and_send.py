@@ -107,7 +107,9 @@ class _SelectAndSendProtocol(QuietEchoSchedule, Protocol):
                 second = _reply_label(message)
                 self._decide(kind, base, self._echo_first, second)
                 return
-        if message is not None:
+        # An Echo reply only informs (it carries the source message), and
+        # it is the most frequent payload: drop it without dispatching.
+        if message is not None and not isinstance(message.payload, EchoReply):
             self._handle(step, message)
 
     # -- message dispatch ----------------------------------------------------
@@ -115,9 +117,7 @@ class _SelectAndSendProtocol(QuietEchoSchedule, Protocol):
     def _handle(self, step: int, message: Message) -> None:
         payload = message.payload
         if isinstance(payload, EchoReply):
-            # Informational for non-holders (it carries the source message)
-            # and the most frequent payload: tested first.
-            return
+            return  # a node woken by an Echo reply is merely informed
         if isinstance(payload, InitOrder):
             # Reserve the slot base + 2 * label for the self-announcement.
             self._init_reply_slot = payload.base_slot + 2 * self.label

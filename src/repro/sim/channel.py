@@ -8,8 +8,9 @@ operation per edge per slot.  This module compiles the topology once into
 flat CSR arrays so the fast engines share one kernel:
 
 * :class:`~repro.sim.event.EventDrivenEngine` calls :meth:`ChannelKernel.
-  resolve` with the (typically tiny) set of transmitter indices — a
-  neighbour-slice gather plus one ``np.bincount``.
+  resolve` for slots whose transmitters' rows are too long to resolve in
+  Python (a Decay phase start, say) — one row gather plus one
+  ``np.bincount``.
 * :class:`~repro.sim.macro.MacroStepEngine` gathers the transmitters'
   (or the sleepers') neighbour lists from the same CSR arrays directly,
   for one trial or a union of trials.
@@ -117,13 +118,13 @@ class ChannelKernel:
         # this slot are ever read, and those were written this slot.
         self._sender_buf = np.empty(self.n, dtype=np.int64)
 
-    # -- sparse-transmitter resolution (the event engine's form) -----------
+    # -- transmitter-set resolution (the event engine's long-row slots) --
 
     def resolve(self, tx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Resolve one slot for a sparse set of transmitters.
+        """Resolve one slot for a set of transmitters.
 
         Args:
-            tx: ``int64`` array of transmitting node *indices* (non-empty).
+            tx: ``int64`` array of transmitting node *indices*.
 
         Returns:
             ``(hits, sender_of, touched)``: ``hits[i]`` is the number of
@@ -131,21 +132,15 @@ class ChannelKernel:
             the index of the transmitter heard at ``i``, valid exactly
             where ``hits[i] == 1`` (elsewhere it holds stale data);
             ``touched`` is the concatenation of the transmitters'
-            neighbour lists — every index with ``hits > 0``, appearing
-            once per hit, so callers can restrict their scans to the
-            reached part of the network instead of all ``n`` nodes.
+            neighbour lists, in ``tx`` order — every index with
+            ``hits > 0``, appearing once per hit, so callers can restrict
+            their scans to the reached part of the network instead of all
+            ``n`` nodes.
         """
-        indptr, indices = self.indptr, self.indices
+        starts = self.indptr[tx]
+        lengths = self.indptr[tx + 1] - starts
+        cat = self.indices[ragged_positions(starts, lengths)]
         sender_of = self._sender_buf
-        if len(tx) == 1:
-            t = int(tx[0])
-            cat = indices[indptr[t]:indptr[t + 1]]
-            sender_of[cat] = t
-        else:
-            cat = np.concatenate(
-                [indices[indptr[t]:indptr[t + 1]] for t in tx]
-            )
-            lengths = indptr[tx + 1] - indptr[tx]
-            sender_of[cat] = np.repeat(tx, lengths)
+        sender_of[cat] = np.repeat(tx, lengths)
         hits = np.bincount(cat, minlength=self.n)
         return hits, sender_of, cat

@@ -112,13 +112,52 @@ class NodeRandom(random.Random):
     sequential API (so protocols that draw free-form randomness keep their
     historical streams) and additionally exposes the slot-indexed
     :meth:`coin` that transmission decisions must use.
+
+    The sequential stream is seeded on first use: string seeding costs
+    more than the rest of a node's wake-up, and protocols that decide by
+    :meth:`coin` alone never draw from it.  ``random``, ``getrandbits``
+    and ``getstate`` are the primitives every other method of
+    ``random.Random`` draws through, so each seeds first.
     """
 
     def __init__(self, seed: int, label: int) -> None:
-        super().__init__(NODE_STREAM_TEMPLATE.format(seed=seed, label=label))
+        # random.Random.__init__ would seed the stream now; see above.
         self.run_seed = seed
         self.label = label
         self._coin_key = node_key(seed, label)
+        self._seeded = False
+        self.gauss_next = None
+
+    def _seed_stream(self) -> None:
+        self.seed(NODE_STREAM_TEMPLATE.format(seed=self.run_seed, label=self.label))
+
+    def seed(self, a=None, version: int = 2) -> None:
+        self._seeded = True
+        super().seed(a, version)
+
+    def random(self) -> float:
+        if not self._seeded:
+            self._seed_stream()
+        return super().random()
+
+    def getrandbits(self, k: int) -> int:
+        if not self._seeded:
+            self._seed_stream()
+        return super().getrandbits(k)
+
+    def getstate(self) -> tuple:
+        if not self._seeded:
+            self._seed_stream()
+        return super().getstate()
+
+    def setstate(self, state: tuple) -> None:
+        self._seeded = True
+        super().setstate(state)
+
+    def __reduce__(self):
+        # random.Random's reduce rebuilds with no constructor arguments.
+        state = super().getstate() if self._seeded else None
+        return self.__class__, (self.run_seed, self.label), state
 
     def coin(self, step: int) -> float:
         """Slot-indexed transmission coin; equals :func:`coin_uniform`."""

@@ -28,9 +28,13 @@ structural facts:
    skipped silent slots into the trace and metrics so instrumented
    output stays identical.
 
-Channel resolution uses the precompiled CSR + ``np.bincount`` kernel of
-:mod:`repro.sim.channel`, shared with the vectorised oblivious engines in
-:mod:`repro.sim.fast`.
+``run`` and ``run_step`` share one slot body (``_slot``).  A lone
+transmitter reaches its neighbour tuple directly; a slot with several is
+resolved in Python over the neighbour tuples while their rows are short,
+and by the precompiled CSR + ``np.bincount`` kernel of
+:mod:`repro.sim.channel` past a measured crossover
+(``_PY_RESOLVE_MAX_ENTRIES``).  Trace records, collision lists and the
+informed count are built only when the run records them.
 
 The registered ``event`` engine
 (:class:`~repro.sim.batched_event.BatchedEventEngine`) runs one of these
@@ -64,6 +68,15 @@ __all__ = ["EventDrivenEngine"]
 
 #: "No upcoming slot" sentinel for heap peeks and fault-event lookups.
 _NO_EVENT: int = 1 << 62
+
+#: Multi-transmitter slots whose senders' neighbour rows hold at most this
+#: many entries in total are resolved in Python; larger ones by the
+#: kernel's ``bincount``, whose fixed cost only pays off from here on.
+#: Timing both resolvers on random transmitter sets (complete layered,
+#: G(n, p) and grid topologies; docs/PERFORMANCE.md) put the crossover at
+#: 200-240 entries for plain runs and at 300-430 when the collision
+#: receivers are listed too; plain runs set the constant.
+_PY_RESOLVE_MAX_ENTRIES: int = 200
 
 
 class EventDrivenEngine(SynchronousEngine):
@@ -114,10 +127,19 @@ class EventDrivenEngine(SynchronousEngine):
             )
         self._kernel = kernel if kernel is not None else ChannelKernel(network)
         self._out_nbrs = network.out_neighbors
-        #: Scratch transmit flags for the multi-transmitter metric path.
+        #: Scratch transmit flags for the kernel resolver.
         self._tx_flag = np.zeros(network.n, dtype=bool)
         self._fault_events: tuple[int, ...] = (
             faults.event_slots() if faults is not None else ()
+        )
+        # What a slot must produce beyond the deliveries is fixed for the
+        # whole run: trace records, FULL collision lists, and the
+        # collision receivers that metrics, FULL traces and the CD
+        # variant read.
+        self._tracing = trace_level is not TraceLevel.NONE
+        self._trace_full = trace_level is TraceLevel.FULL
+        self._need_collisions = (
+            metrics is not None or self._trace_full or collision_detection
         )
         #: Min-heap of (poll slot, label) with lazy deletion; an entry is
         #: live iff it matches ``_next_poll[label]``.  Quiet-forever nodes
@@ -125,10 +147,15 @@ class EventDrivenEngine(SynchronousEngine):
         #: can reactivate them, and deliveries re-register explicitly.
         self._heap: list[tuple[int, int]] = []
         self._next_poll: dict[int, int] = {}
+        #: label -> position in wake order.  A slot with several
+        #: transmitters scans their neighbour rows in this order, as the
+        #: reference engine does, so nodes wake in the same order.
+        self._rank: dict[int, int] = {}
         # The base constructor woke the source before our bookkeeping
         # existed; register every protocol created so far (just the
         # source) for its first poll.
         for label, protocol in self.protocols.items():
+            self._rank[label] = len(self._rank)
             self._register(label, protocol, 0)
 
     # ------------------------------------------------------------------
@@ -144,18 +171,6 @@ class EventDrivenEngine(SynchronousEngine):
         if quiet < QUIET_FOREVER:
             heappush(self._heap, (quiet, label))
 
-    def _next_poll_slot(self) -> int:
-        """Earliest live heap entry (cleaning superseded ones), or never."""
-        heap = self._heap
-        next_poll = self._next_poll
-        while heap:
-            slot, label = heap[0]
-            if next_poll.get(label) != slot:
-                heappop(heap)  # superseded by a later registration
-                continue
-            return slot
-        return _NO_EVENT
-
     def _next_fault_slot(self, step: int) -> int:
         """First scheduled fault event at or after ``step``, or never."""
         events = self._fault_events
@@ -167,13 +182,20 @@ class EventDrivenEngine(SynchronousEngine):
     # ------------------------------------------------------------------
 
     def run_step(self) -> tuple[int, ...]:
-        """Execute one slot, polling only nodes whose quiet window ended.
+        """Execute one slot; returns the labels that transmitted, sorted.
+
+        Polls only the nodes whose quiet window ended (see :meth:`_slot`).
+        """
+        return tuple(sorted(self._slot()))
+
+    def _slot(self) -> dict[int, Message]:
+        """Execute slot ``self.step``; returns its transmissions by sender.
 
         Mirrors :meth:`SynchronousEngine.run_step` phase for phase —
-        fault accrual, action collection, channel resolution (via the
-        CSR/bincount kernel), the crash -> jam -> loss -> wake-delay
-        delivery pipeline, observations, metrics, trace — touching
-        ``O(active + receivers)`` protocols instead of ``O(awake)``.
+        fault accrual, action collection, channel resolution, the crash
+        -> jam -> loss -> wake-delay delivery pipeline, observations,
+        metrics, trace — touching ``O(active + receivers)`` protocols
+        instead of ``O(awake)``.
         """
         step = self.step
         timings = self.timings
@@ -210,41 +232,25 @@ class EventDrivenEngine(SynchronousEngine):
             timings.add("engine.actions", t_actions - t_start)
 
         deliveries: dict[int, int] = {}
+        tracing = self._tracing
         woken: list[int] = []
-        collisions: list[int] = []
-        collided_listeners: set[int] = set()
         #: Nodes whose promise is void (polled, or received a message);
         #: re-registered from a fresh hint below.  Ordered and deduped.
         touched: dict[int, Protocol] = dict(active)
-        record_full = self.trace.level is TraceLevel.FULL
-        n_coll = 0
         #: (receiver, sender) pairs for every receiver with exactly one
-        #: transmitting in-neighbour.
+        #: transmitting in-neighbour, and the listening receivers with two
+        #: or more.
         heard: Iterable[tuple[int, int]] = ()
+        colliding: list[int] = []
         if len(transmissions) == 1:
-            # Lone-transmitter fast path (the overwhelmingly common slot for
-            # token protocols: orders, passes, single replies).  Every
-            # neighbour hears exactly one message — no collisions, no
-            # numpy needed; n_coll stays 0.
+            # A lone transmitter (the common slot for token protocols:
+            # orders, passes, single replies): every neighbour hears it
+            # and nobody collides.
             (sender,) = transmissions
             heard = zip(self._out_nbrs[sender], repeat(sender))
         elif transmissions:
-            kernel = self._kernel
-            labels_arr = kernel.labels
-            index = kernel.index
-            tx = np.fromiter(
-                (index[s] for s in transmissions),
-                dtype=np.int64,
-                count=len(transmissions),
-            )
-            hits, sender_of, cat = kernel.resolve(tx)
-            hc = hits[cat]
-            ones = cat[hc == 1]
-            # Two array gathers rather than two numpy scalar lookups per
-            # receiver.
-            heard = zip(
-                labels_arr[ones].tolist(), labels_arr[sender_of[ones]].tolist()
-            )
+            heard, colliding = self._resolve(transmissions)
+        rank = self._rank
         for receiver, sender in heard:
             if receiver in transmissions:
                 continue  # half-duplex: transmitters hear nothing
@@ -266,8 +272,10 @@ class EventDrivenEngine(SynchronousEngine):
                     counters.delayed_wakes += 1
                     continue  # wake-up delayed: the message is ignored
                 deliveries[receiver] = sender
+                rank[receiver] = len(protocols)
                 self._wake(receiver, step, transmissions[sender])
-                woken.append(receiver)
+                if tracing:
+                    woken.append(receiver)
                 protocol = protocols[receiver]
             else:
                 # A delivery voids any quiet promise, even for nodes that
@@ -275,31 +283,16 @@ class EventDrivenEngine(SynchronousEngine):
                 deliveries[receiver] = sender
                 protocol.observe(step, transmissions[sender])
             touched[receiver] = protocol
-        if len(transmissions) > 1 and (
-            self.metrics is not None or record_full or self.collision_detection
-        ):
-            coll_idx = np.unique(cat[hc >= 2])
-            if coll_idx.size:
-                if self.metrics is not None:
-                    # Metric collision definition (same as every engine):
-                    # receivers with >= 2 transmitting in-neighbours that
-                    # are not themselves transmitting, dead receivers
-                    # included.
-                    tx_flag = self._tx_flag
-                    tx_flag[tx] = True
-                    n_coll = int((~tx_flag[coll_idx]).sum())
-                    tx_flag[tx] = False
-                if record_full or self.collision_detection:
-                    for ri in coll_idx:
-                        receiver = int(labels_arr[ri])
-                        if receiver in transmissions:
-                            continue
-                        if faulty and self._dead(receiver, step):
-                            continue
-                        if record_full:
-                            collisions.append(receiver)
-                        if self.collision_detection and receiver in protocols:
-                            collided_listeners.add(receiver)
+        collisions: list[int] = []
+        collided_listeners: set[int] = set()
+        cd = self.collision_detection
+        if colliding and (self._trace_full or cd):
+            for receiver in colliding:
+                if faulty and self._dead(receiver, step):
+                    continue
+                collisions.append(receiver)
+                if cd and receiver in protocols:
+                    collided_listeners.add(receiver)
 
         # Silence / CD-marker observations go only to the polled nodes:
         # by the quiet_until contract, a quiet node's behaviour is
@@ -320,7 +313,10 @@ class EventDrivenEngine(SynchronousEngine):
             tx_counts = self._tx_counts
             for label in transmissions:
                 tx_counts[label] = tx_counts.get(label, 0) + 1
-            self._collision_hist.observe(n_coll)
+            # Same collision definition as every engine: listening
+            # receivers with >= 2 transmitting in-neighbours, dead
+            # receivers included.
+            self._collision_hist.observe(len(colliding))
 
         # Re-register every touched node from a fresh hint (inlined
         # _register: this loop runs for every polled node and receiver).
@@ -334,18 +330,66 @@ class EventDrivenEngine(SynchronousEngine):
                 if quiet < QUIET_FOREVER:
                     heappush(heap, (quiet, label))
 
-        transmitter_labels = tuple(sorted(transmissions))
-        if self.trace.level is not TraceLevel.NONE:
+        if tracing:
             self.trace.record(
                 step=step,
-                transmitters=transmitter_labels,
+                transmitters=tuple(sorted(transmissions)),
                 deliveries=deliveries,
-                collisions=tuple(sorted(collisions)),
+                collisions=tuple(collisions),
                 woken=tuple(sorted(woken)),
-                informed=self.informed_count,
+                informed=len(protocols),
             )
-        self.step += 1
-        return transmitter_labels
+        self.step = next_step
+        return transmissions
+
+    def _resolve(
+        self, transmissions: dict[int, Message]
+    ) -> tuple[Iterable[tuple[int, int]], list[int]]:
+        """Resolve a slot with two or more transmitters.
+
+        Returns the ``(receiver, sender)`` pairs of the receivers with
+        exactly one transmitting in-neighbour, in order of first
+        occurrence along the senders' neighbour rows (senders in wake
+        order), and — when metrics, a FULL trace or the CD variant read
+        them — the receivers with two or more that are not transmitting
+        themselves, sorted.  Small sets are resolved in Python over the
+        neighbour tuples, large ones by the kernel's ``bincount``.
+        """
+        senders = sorted(transmissions, key=self._rank.__getitem__)
+        out_nbrs = self._out_nbrs
+        if sum(map(len, map(out_nbrs.__getitem__, senders))) <= _PY_RESOLVE_MAX_ENTRIES:
+            first: dict[int, int] = {}
+            hit_twice: set[int] = set()
+            for sender in senders:
+                for receiver in out_nbrs[sender]:
+                    if first.setdefault(receiver, sender) != sender:
+                        hit_twice.add(receiver)
+            if not hit_twice:
+                return first.items(), []
+            heard = [(r, s) for r, s in first.items() if r not in hit_twice]
+            if not self._need_collisions:
+                return heard, []
+            return heard, sorted(r for r in hit_twice if r not in transmissions)
+        kernel = self._kernel
+        labels = kernel.labels
+        index = kernel.index
+        tx = np.fromiter(
+            (index[s] for s in senders), dtype=np.int64, count=len(senders)
+        )
+        hits, sender_of, cat = kernel.resolve(tx)
+        hc = hits[cat]
+        ones = cat[hc == 1]
+        # Two array gathers rather than two numpy scalar lookups per
+        # receiver.
+        heard = zip(labels[ones].tolist(), labels[sender_of[ones]].tolist())
+        if not self._need_collisions:
+            return heard, []
+        coll_idx = np.unique(cat[hc >= 2])
+        tx_flag = self._tx_flag
+        tx_flag[tx] = True
+        coll_idx = coll_idx[~tx_flag[coll_idx]]
+        tx_flag[tx] = False
+        return heard, labels[coll_idx].tolist()
 
     # ------------------------------------------------------------------
 
@@ -381,6 +425,9 @@ class EventDrivenEngine(SynchronousEngine):
         # Without crashes "settled" is "informed": one length check a slot.
         crash_free = not self._crash_slots
         protocols = self.protocols
+        heap = self._heap
+        next_poll = self._next_poll
+        slot = self._slot
         n = self.network.n
         executed = 0
         while executed < max_steps:
@@ -389,7 +436,14 @@ class EventDrivenEngine(SynchronousEngine):
             ):
                 break
             step = self.step
-            target = self._next_poll_slot()
+            # The earliest live poll, dropping superseded heap entries.
+            while heap:
+                target, label = heap[0]
+                if next_poll.get(label) == target:
+                    break
+                heappop(heap)
+            else:
+                target = _NO_EVENT
             if target > step:
                 # Jump at most to the next poll, the next scheduled fault
                 # event, or the step budget, whichever comes first.
@@ -404,6 +458,6 @@ class EventDrivenEngine(SynchronousEngine):
                     self._skip_silent(target - step)
                     executed += target - step
                     continue
-            self.run_step()
+            slot()
             executed += 1
         return executed

@@ -89,6 +89,41 @@ ELIGIBLE_ANY_AWAKE: int = ASLEEP
 _EMPTY = np.empty(0, dtype=np.int64)
 
 
+class _Column:
+    """One recorded trace column: every slot's array appended to a single
+    ``int64`` buffer, plus each slot's length.
+
+    The buffer grows in place — ``ndarray.resize`` reallocates, and a
+    large block is remapped rather than copied — so the recorded bytes
+    are held once, and splitting them per trial needs no concatenation.
+    """
+
+    __slots__ = ("values", "size", "counts")
+
+    def __init__(self) -> None:
+        self.values = np.empty(64, dtype=np.int64)
+        self.size = 0
+        self.counts: list[int] = []
+
+    def append(self, slot: np.ndarray) -> None:
+        end = self.size + slot.size
+        if end > self.values.size:
+            # No view of the buffer outlives a call: skip the ref check.
+            self.values.resize(end + (end >> 2), refcheck=False)
+        self.values[self.size:end] = slot
+        self.size = end
+        self.counts.append(slot.size)
+
+    def take(self) -> tuple[np.ndarray, np.ndarray]:
+        """The recorded values and per-slot lengths; empties the column."""
+        values, counts = self.values, np.array(self.counts, dtype=np.int64)
+        values.resize(self.size, refcheck=False)
+        self.values = np.empty(64, dtype=np.int64)
+        self.size = 0
+        self.counts = []
+        return values, counts
+
+
 @dataclass(frozen=True)
 class MacroPlan:
     """``count`` precomputed slots of an oblivious schedule.
@@ -370,11 +405,9 @@ class MacroStepEngine:
         self._split_slots = 0  # recorded slots already in self._traces
         self._tracing = trace_level is not TraceLevel.NONE
         self._trace_full = trace_level is TraceLevel.FULL
-        self._rec_woken: list[np.ndarray] = []
-        self._rec_tx: list[np.ndarray] = []
-        self._rec_collisions: list[np.ndarray] = []
-        self._rec_heard: list[np.ndarray] = []
-        self._rec_senders: list[np.ndarray] = []
+        # Newly woken; at FULL also transmitters, hearing receivers,
+        # their senders and collision receivers.
+        self._rec = [_Column() for _ in range(5 if self._trace_full else 1)]
         if self._trace_full:
             self._trace_budget = TraceBudget()
         self.timings = timings
@@ -412,9 +445,8 @@ class MacroStepEngine:
             metrics is not None or self._trace_full or faults is not None
         )
         if self._hits_needed:
-            self._is_tx = np.zeros(size, dtype=bool)
-        if self._trace_full:
-            self._sender_of = np.empty(size, dtype=np.int64)
+            # Scratch flags over the union, all False between uses.
+            self._flag = np.zeros(size, dtype=bool)
         # Receiver-side counting reads a sleeper's *out*-neighbour row as
         # its in-neighbour list, which is only sound on symmetric
         # adjacency — i.e. CSR-native topologies (undirected by
@@ -463,7 +495,7 @@ class MacroStepEngine:
             self._traces = [Trace(level=self._trace_level) for _ in self.seeds]
             for trace in self._traces:
                 trace.mark_initially_informed(self.network.source)
-        if self._rec_woken:
+        if self._rec[0].counts:
             self._split_recorded()
         trace = self._traces[trial]
         trace.fault_counters = self.fault_counters_for(trial)
@@ -473,12 +505,13 @@ class MacroStepEngine:
         """Append the slots recorded since the last split to every
         trial's trace, and drop the union's arrays.
 
-        Each column's per-slot arrays are concatenated and regrouped by
-        trial without a sort (see ``split``), keeping slot order and the
-        sorted order within a slot; trial ``t`` owns the slots before
-        ``trial_steps(t)`` (it records only while running).
+        Each column was recorded as one flat array (see :class:`_Column`)
+        and is regrouped by trial without a sort (see ``split``), keeping
+        slot order and the sorted order within a slot; trial ``t`` owns
+        the slots before ``trial_steps(t)`` (it records only while
+        running).
         """
-        n, trials, slots = self.n, self.trials, len(self._rec_woken)
+        n, trials, slots = self.n, self.trials, len(self._rec[0].counts)
         first = self._split_slots
         self._split_slots += slots
         identity = self.labels[-1] == n - 1  # sorted, distinct: 0 .. n - 1
@@ -486,49 +519,50 @@ class MacroStepEngine:
         def labels(nodes):
             return nodes if identity else self.labels[nodes]
 
-        def split(*per_slot):
-            """One column (or paired columns sharing row counts) as labels
-            grouped by trial, the ``(trials, slots)`` row counts, and the
-            per-trial bounds of the labels."""
-            counts = np.fromiter(map(len, per_slot[0]), dtype=np.int64, count=slots)
-            flat = [np.concatenate([_EMPTY, *column]) for column in per_slot]
+        def split(*recorded):
+            """One column (or paired columns sharing row counts): the
+            ``(trials, slots)`` row counts and, per trial, its entries as
+            labels.  A column leaves the recorder only here, so a split
+            holds one column group's copies at a time."""
+            flat, counts = [], None
+            for column in recorded:
+                values, counts = column.take()
+                flat.append(values)
             if trials == 1:
-                return [labels(column) for column in flat], counts[None], [0, flat[0].size]
+                return counts[None], [[labels(values) for values in flat]]
             # Each slot's entries are sorted union indices, so keyed by
             # slot they are sorted overall: one searchsorted cuts every
             # slot at every trial boundary, and trial t's entries are the
             # ranges cuts[t, s] .. cuts[t + 1, s], slot after slot.
             base = np.arange(slots, dtype=np.int64) * self._size
-            key = np.repeat(base, counts) + flat[0]
+            key = np.repeat(base, counts)
+            key += flat[0]
             edges = n * np.arange(trials + 1, dtype=np.int64)
             cuts = np.searchsorted(key, base[:, None] + edges).T
+            del key
             rows = cuts[1:] - cuts[:-1]
             order = ragged_positions(cuts[:-1].ravel(), rows.ravel())
-            totals = rows.sum(axis=1)
-            shift = np.repeat(edges[:-1], totals)
-            bounds = [0, *np.cumsum(totals).tolist()]
-            return [labels(column[order] - shift) for column in flat], rows, bounds
+            bounds = [0, *np.cumsum(rows.sum(axis=1)).tolist()]
+            per_trial = [[] for _ in range(trials)]
+            while flat:
+                values = flat.pop(0)
+                for t, entries in enumerate(per_trial):
+                    part = values[order[bounds[t]:bounds[t + 1]]]
+                    part -= edges[t]
+                    entries.append(labels(part))
+            return rows, per_trial
 
-        columns = [split(self._rec_woken)]
-        if self._trace_full:
-            columns += [
-                split(self._rec_tx),
-                split(self._rec_heard, self._rec_senders),
-                split(self._rec_collisions),
-            ]
-        self._rec_woken, self._rec_tx, self._rec_heard = [], [], []
-        self._rec_senders, self._rec_collisions = [], []
+        woken, *full = self._rec
+        columns = [split(woken)]
+        if full:
+            tx, heard, senders, collisions = full
+            columns += [split(tx), split(heard, senders), split(collisions)]
         step_numbers = np.arange(first, first + slots, dtype=np.int64)
         for t, trace in enumerate(self._traces):
             steps = self.trial_steps(t) - first
             if steps <= 0:
                 continue
-            rows = []
-            for values, counts, bounds in columns:
-                lo, hi = bounds[t], bounds[t + 1]
-                rows.append((
-                    counts[t, :steps], *(column[lo:hi] for column in values),
-                ))
+            rows = [(counts[t, :steps], *entries[t]) for counts, entries in columns]
             woken_counts, woken = rows[0]
             if self._trace_full:
                 (tx_counts, tx), (dlv_counts, rcv, snd), (coll_counts, coll) = rows[1:]
@@ -732,13 +766,13 @@ class MacroStepEngine:
         if timings is not None:
             t_coins = perf_counter()
             timings.add("engine.coins", t_coins - t_start)
-        colliding = heard = _EMPTY
+        colliding = heard = senders = _EMPTY
         if rx is not None:
             newly = self._resolve_receiver_side(*rx, step)
         elif tx is None:
             newly = _EMPTY
         elif self._hits_needed:
-            newly, colliding, heard = self._resolve_counted(tx, step)
+            newly, colliding, heard, senders = self._resolve_counted(tx, step)
         else:
             newly = self._resolve_and_wake(tx, step)
         if timings is not None:
@@ -754,22 +788,21 @@ class MacroStepEngine:
         if self._tracing:
             if cf is not None and cf.has_crashes:
                 colliding = colliding[self._crash_slots[colliding] > step]
-            self._record(step, tx, newly, colliding, heard)
+            self._record(step, tx, newly, colliding, heard, senders)
         return tx
 
-    def _record(self, step, tx, newly, colliding, heard) -> None:
+    def _record(self, step, tx, newly, colliding, heard, senders) -> None:
         """Append slot ``step``'s union-index arrays to the recorded
         columns (newly woken always; at FULL also the sorted
-        transmitters, the collision receivers and each hearing
-        receiver's sender).  Every running trial records the slot."""
-        self._rec_woken.append(newly)
+        transmitters, the collision receivers and the hearing receivers
+        with their senders).  Every running trial records the slot."""
+        rec = self._rec
+        rec[0].append(newly)
         if not self._trace_full:
             return
         tx = _EMPTY if tx is None else np.sort(tx)
-        self._rec_tx.append(tx)
-        self._rec_collisions.append(colliding)
-        self._rec_heard.append(heard)
-        self._rec_senders.append(self._sender_of[heard])
+        for column, values in zip(rec[1:], (tx, heard, senders, colliding)):
+            column.append(values)
         self._trace_budget.charge(8 * (
             5 * self._live + tx.size + newly.size + colliding.size
             + 2 * heard.size
@@ -780,13 +813,14 @@ class MacroStepEngine:
 
         Runs the fault pipeline (crash -> jam -> loss -> wake-delay; loss
         coins drawn only for the delivered receivers), wakes the result
-        and returns ``(newly, colliding, heard)``: the woken nodes, the
-        listening receivers with two or more transmitting neighbours, and
-        (FULL traces only) the receivers that heard a message.
+        and returns ``(newly, colliding, heard, senders)``: the woken
+        nodes, the listening receivers with two or more transmitting
+        neighbours, and (FULL traces only) the receivers that heard a
+        message with the transmitter each heard.
         """
         cat, lengths = self._neighbours(tx)
         if cat.size == 0:
-            return _EMPTY, _EMPTY, _EMPTY
+            return _EMPTY, _EMPTY, _EMPTY, _EMPTY
         if cat.size >= self._size // 8:
             hits = np.bincount(cat, minlength=self._size)
             hits[tx] = 0  # half-duplex: transmitters hear nothing
@@ -794,7 +828,7 @@ class MacroStepEngine:
             delivered = np.flatnonzero(hits == 1)
         else:
             recv, cnt = np.unique(cat, return_counts=True)
-            is_tx = self._is_tx
+            is_tx = self._flag
             is_tx[tx] = True
             listening = ~is_tx[recv]  # half-duplex: transmitters hear nothing
             is_tx[tx] = False
@@ -824,15 +858,30 @@ class MacroStepEngine:
         if timed:
             self.timings.add("engine.faults", perf_counter() - t_faults)
         newly = delivered[woke]
-        heard = _EMPTY
+        heard = senders = _EMPTY
         if self._trace_full:
             # Awake receivers hear too (already informed, never deaf);
             # sleepers only count if they actually woke.
             heard = delivered if woke is asleep else delivered[~asleep | woke]
-            self._sender_of[cat] = np.repeat(tx, lengths)  # exact where hits == 1
+            senders = self._senders_of(tx, lengths, cat, heard)
         if newly.size:
             self._append_newly(newly, step)
-        return newly, colliding, heard
+        return newly, colliding, heard, senders
+
+    def _senders_of(self, tx, lengths, cat, heard) -> np.ndarray:
+        """The transmitter each receiver in ``heard`` heard.
+
+        ``heard`` is sorted and each of its receivers has exactly one
+        transmitting neighbour, so it occurs once in ``cat``, the
+        transmitters' concatenated neighbour rows: its position there
+        names the row, hence the sender.
+        """
+        flag = self._flag
+        flag[heard] = True
+        pos = np.flatnonzero(flag[cat])
+        flag[heard] = False
+        senders = tx[np.searchsorted(np.cumsum(lengths), pos, side="right")]
+        return senders[np.argsort(cat[pos])]
 
     # -- channel resolution ------------------------------------------------
 

@@ -192,3 +192,32 @@ def test_adversary_vs_interleaved_composite_algorithm():
     report = verify_construction(result, factory())
     assert report.histories_match
     assert report.silence_respected
+
+
+@pytest.mark.parametrize(
+    "algo_factory",
+    [
+        lambda: RoundRobinBroadcast(255),
+        lambda: SelectAndSend(),
+        lambda: SelectiveFamilyBroadcast(255, "random"),
+    ],
+    ids=["round-robin", "select-and-send", "selective-family"],
+)
+def test_event_replay_matches_reference_engine(algo_factory):
+    """verify_construction replays on the event engine; the reference
+    engine, stepped over the same horizon and on to completion, is the
+    oracle for its per-slot transmitter sets and its verdict."""
+    from repro.sim import SynchronousEngine
+
+    result = LowerBoundConstruction(algo_factory(), 256, 8).build()
+    report = verify_construction(result, algo_factory())
+    reference = SynchronousEngine(result.network, algo_factory())
+    first_mismatch = None
+    for t in range(result.horizon):
+        expected = result.abstract_transmitters.get(t, frozenset())
+        if first_mismatch is None and frozenset(reference.run_step()) != expected:
+            first_mismatch = t
+    reference.run(4 * 255 * 256)
+    assert report.histories_match and first_mismatch is None
+    assert reference.completion_time is not None
+    assert report.real_completion_time == reference.completion_time

@@ -8,6 +8,8 @@ re-randomise every experiment in the repo) fails loudly.
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 
 import numpy as np
@@ -50,6 +52,75 @@ class TestNodeRngDerivation:
         rng = derive_node_rng(11, 4)
         assert isinstance(rng, NodeRandom)
         assert rng.run_seed == 11 and rng.label == 4
+
+
+class TestLazySeeding:
+    """``NodeRandom`` seeds its sequential stream on first use; every
+    entry point must see ``random.Random(f"{seed}:{label}")`` exactly."""
+
+    SEED, LABEL = 7, 3
+
+    def _pair(self):
+        return (
+            NodeRandom(self.SEED, self.LABEL),
+            random.Random(NODE_STREAM_TEMPLATE.format(seed=self.SEED, label=self.LABEL)),
+        )
+
+    def test_random(self):
+        ours, stdlib = self._pair()
+        assert [ours.random() for _ in range(5)] == [stdlib.random() for _ in range(5)]
+
+    def test_randint(self):
+        ours, stdlib = self._pair()
+        # getrandbits first (a large range), then the bounded form.
+        assert ours.randint(0, 10**30) == stdlib.randint(0, 10**30)
+        assert [ours.randint(1, 6) for _ in range(20)] == [
+            stdlib.randint(1, 6) for _ in range(20)
+        ]
+
+    def test_shuffle(self):
+        ours, stdlib = self._pair()
+        mine, theirs = list(range(40)), list(range(40))
+        ours.shuffle(mine)
+        stdlib.shuffle(theirs)
+        assert mine == theirs
+
+    def test_getstate_setstate(self):
+        ours, stdlib = self._pair()
+        assert ours.getstate() == stdlib.getstate()
+        other = random.Random("elsewhere")
+        fresh = NodeRandom(self.SEED, self.LABEL)
+        fresh.setstate(other.getstate())
+        assert fresh.random() == other.random()
+
+    @pytest.mark.parametrize("draw_first", [False, True])
+    def test_deepcopy(self, draw_first):
+        ours, stdlib = self._pair()
+        if draw_first:
+            assert ours.random() == stdlib.random()
+        clone = copy.deepcopy(ours)
+        assert (clone.run_seed, clone.label) == (self.SEED, self.LABEL)
+        assert [clone.random() for _ in range(3)] == [stdlib.random() for _ in range(3)]
+        assert clone.coin(9) == ours.coin(9)
+
+    @pytest.mark.parametrize("draw_first", [False, True])
+    def test_pickle(self, draw_first):
+        ours, stdlib = self._pair()
+        if draw_first:
+            assert ours.random() == stdlib.random()
+        clone = pickle.loads(pickle.dumps(ours))
+        assert isinstance(clone, NodeRandom)
+        assert (clone.run_seed, clone.label) == (self.SEED, self.LABEL)
+        assert [clone.random() for _ in range(3)] == [stdlib.random() for _ in range(3)]
+
+    def test_coin_is_unchanged(self):
+        ours, _ = self._pair()
+        assert [ours.coin(t) for t in (0, 100)] == [
+            coin_uniform(self.SEED, self.LABEL, t) for t in (0, 100)
+        ]
+        # Drawing from the sequential stream does not move the coins.
+        ours.random()
+        assert ours.coin(100) == 0.7791027852935466
 
 
 class TestTrialSeeds:

@@ -17,10 +17,17 @@ the hint contract itself:
 * unit coverage of :class:`~repro.core.echo.QuietEchoSchedule` hint
   values, of the Decay and interleaver hints (including a delivery
   after a Decay run ended at an unpolled slot) and of
-  :meth:`FaultPlan.event_slots`.
+  :meth:`FaultPlan.event_slots`;
+* both channel resolvers of a multi-transmitter slot (Python over the
+  neighbour tuples, and the kernel's ``bincount``) against the
+  reference engine on random directed and undirected networks, and the
+  order in which nodes wake.
 """
 
 from __future__ import annotations
+
+import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -29,12 +36,16 @@ from hypothesis import strategies as st
 from repro.baselines import BGIBroadcast, InterleavedBroadcast, RoundRobinBroadcast
 from repro.core import CompleteLayeredBroadcast, SelectAndSend
 from repro.core.echo import QuietEchoSchedule
-from repro.sim import FaultPlan, QUIET_FOREVER, run_broadcast
+from repro.obs.metrics import MetricsRegistry
+from repro.sim import FaultPlan, QUIET_FOREVER, SynchronousEngine, run_broadcast
 from repro.sim.coins import derive_node_rng
 from repro.sim.errors import ProtocolViolationError
-from repro.sim.messages import SOURCE_PAYLOAD, Message
+from repro.sim.event import EventDrivenEngine
+from repro.sim.messages import COLLISION_MARKER, SOURCE_PAYLOAD, Message
+from repro.sim.network import RadioNetwork
+from repro.sim.protocol import BroadcastAlgorithm, Protocol
 from repro.sim.trace import TraceLevel
-from repro.topology import path, uniform_complete_layered
+from repro.topology import gnp_connected, path, uniform_complete_layered
 
 from .conformance import HintCheckedAlgorithm, adaptive_faulty_networks
 
@@ -43,9 +54,6 @@ def test_full_trace_records_every_compressed_slot():
     """A FULL trace holds one record per slot, with its transmitters —
     including the slots the event engine fast-forwarded over in a single
     jump."""
-    from repro.sim import SynchronousEngine
-    from repro.sim.event import EventDrivenEngine
-
     net = path(24, relabel="shuffled", seed=5)
     streams = {}
     for name, engine_cls in (
@@ -64,6 +72,144 @@ def test_full_trace_records_every_compressed_slot():
         range(len(streams["event"]))
     )
     assert any(not tx for _, tx in streams["event"])
+
+
+# ---------------------------------------------------------------------------
+# Channel resolution: both resolvers against the reference engine.
+
+
+class _CoinProtocol(Protocol):
+    """Transmits in slot ``t`` iff its coin for ``t`` is below ``p``, or
+    right after it observed a collision (which only the CD variant
+    reports).  Unhinted, so the event engine polls it every slot."""
+
+    def __init__(self, label, r, rng, p):
+        super().__init__(label, r, rng)
+        self.p = p
+        self.collided = False
+
+    def on_wake(self, step, message):
+        pass
+
+    def next_action(self, step):
+        if self.collided or self.coin(step) < self.p:
+            return self.label
+        return None
+
+    def observe(self, step, message):
+        self.collided = message is COLLISION_MARKER
+
+
+class _CoinAlgorithm(BroadcastAlgorithm):
+    name = "coin"
+
+    def __init__(self, p):
+        self.p = p
+
+    def create(self, label, r, rng):
+        return _CoinProtocol(label, r, rng, self.p)
+
+
+@st.composite
+def _radio_networks(draw):
+    """A random directed or undirected network on sparse labels: a
+    spanning tree out of the source plus arcs of a drawn density, dense
+    enough at the top that a few transmitters gather more neighbour
+    entries than the Python resolver takes."""
+    n = draw(st.integers(min_value=2, max_value=40))
+    others = sorted(draw(st.sets(
+        st.integers(min_value=1, max_value=4 * n), min_size=n - 1, max_size=n - 1
+    )))
+    nodes = [0, *others]
+    attached = [0]
+    edges = []
+    for v in draw(st.permutations(others)):
+        edges.append((draw(st.sampled_from(attached)), v))
+        attached.append(v)
+    density = draw(st.sampled_from([0.0, 0.1, 0.5, 0.9]))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**16)))
+    edges += [
+        (u, v) for u in nodes for v in nodes if u != v and rng.random() < density
+    ]
+    if draw(st.booleans()):
+        return RadioNetwork.directed(nodes, edges)
+    return RadioNetwork.undirected(nodes, edges)
+
+
+@st.composite
+def _fault_plans(draw, net):
+    if not draw(st.booleans()):
+        return None
+    labels = sorted(set(net.nodes) - {net.source})
+    victims = st.sampled_from(labels) if labels else st.nothing()
+    slots = st.integers(min_value=0, max_value=30)
+    return FaultPlan(
+        crashes=tuple(draw(st.lists(st.tuples(victims, slots), max_size=2,
+                                    unique_by=lambda c: c[0]))),
+        jams=tuple(draw(st.lists(st.tuples(slots, victims), max_size=4,
+                                 unique=True))),
+        loss_probability=draw(st.sampled_from([0.0, 0.3])),
+        wake_delays=tuple(draw(st.lists(st.tuples(victims, slots), max_size=2,
+                                        unique_by=lambda d: d[0]))),
+        seed=draw(st.integers(min_value=0, max_value=9)),
+    )
+
+
+def _run(engine_cls, net, p, seed, plan, cd, max_steps):
+    metrics = MetricsRegistry()
+    engine = engine_cls(net, _CoinAlgorithm(p), seed=seed,
+                        trace_level=TraceLevel.FULL, collision_detection=cd,
+                        faults=plan, metrics=metrics)
+    executed = engine.run(max_steps)
+    return engine, executed, metrics
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    net=_radio_networks(),
+    p=st.sampled_from([0.1, 0.4, 0.9]),
+    seed=st.integers(min_value=0, max_value=1000),
+    cd=st.booleans(),
+    py_max_entries=st.sampled_from([-1, 1 << 30]),
+)
+def test_both_resolvers_match_the_reference_engine(
+    data, net, p, seed, cd, py_max_entries
+):
+    """Every multi-transmitter slot runs through the Python resolver
+    (bound ``1 << 30``) or through the kernel (bound ``-1``); either way
+    the execution — FULL trace, CD observations, metrics, fault tallies,
+    wake times and their order — is the reference engine's."""
+    plan = data.draw(_fault_plans(net))
+    reference, ref_steps, ref_metrics = _run(
+        SynchronousEngine, net, p, seed, plan, cd, 60
+    )
+    with mock.patch("repro.sim.event._PY_RESOLVE_MAX_ENTRIES", py_max_entries):
+        event, steps, metrics = _run(EventDrivenEngine, net, p, seed, plan, cd, 60)
+    assert steps == ref_steps
+    assert event.trace.steps == reference.trace.steps
+    assert event.trace.informed_counts == reference.trace.informed_counts
+    assert list(event.wake_times.items()) == list(reference.wake_times.items())
+    assert metrics.to_dict() == ref_metrics.to_dict()
+    assert event.transmission_counts() == reference.transmission_counts()
+    assert event.fault_counters == reference.fault_counters
+
+
+@pytest.mark.parametrize("topology_seed", range(4))
+@pytest.mark.parametrize("make", [SelectAndSend, lambda: _CoinAlgorithm(0.3)],
+                         ids=["select-and-send", "coin"])
+def test_wake_times_insertion_order_matches_reference(make, topology_seed):
+    """A slot with several transmitters scans their neighbour rows in
+    wake order, as the reference engine does, so the nodes it informs
+    wake — and enter ``wake_times`` — in the reference engine's order."""
+    net = gnp_connected(48, 0.15, seed=topology_seed)
+    orders = []
+    for engine_cls in (SynchronousEngine, EventDrivenEngine):
+        engine = engine_cls(net, make(), seed=topology_seed)
+        engine.run(10**5)
+        assert engine.all_informed
+        orders.append(list(engine.wake_times.items()))
+    assert orders[1] == orders[0]
 
 
 # ---------------------------------------------------------------------------
