@@ -23,25 +23,52 @@ available; both are oblivious, so they run on the array engines.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 
 import numpy as np
 
 from ..combinatorics.selective import greedy_selective_family, kautz_singleton_family
 from ..sim.errors import ConfigurationError
 from ..sim.macro import label_set_plan, label_table
-from ..sim.protocol import BroadcastAlgorithm, ObliviousTransmitter, Protocol
+from ..sim.protocol import (
+    BroadcastAlgorithm,
+    ObliviousTransmitter,
+    Protocol,
+    QUIET_FOREVER,
+)
 
 __all__ = ["SelectiveFamilyBroadcast"]
 
 
 class _ScheduleProtocol(ObliviousTransmitter):
-    def __init__(self, label: int, r: int, rng: random.Random, schedule_slots: list[bool]):
+    """Transmits in the cycle positions whose family set holds the label.
+
+    Its idle hint is exact: the node is polled only in its own slots.
+    """
+
+    def __init__(self, label: int, r: int, rng: random.Random,
+                 member_slots: list[int], cycle: int):
         super().__init__(label, r, rng)
-        self._slots = schedule_slots  # membership of this label per cycle slot
-        self._cycle = len(schedule_slots)
+        self._member_slots = member_slots  # increasing cycle positions
+        self._cycle = cycle
 
     def wants_to_transmit(self, step: int) -> bool:
-        return self._slots[step % self._cycle]
+        members, offset = self._member_slots, step % self._cycle
+        i = bisect_left(members, offset)
+        return i < len(members) and members[i] == offset
+
+    def quiet_until(self, step: int) -> int:
+        """The node's next member slot: the first ``t >= step`` whose
+        cycle position's set holds the label; :data:`QUIET_FOREVER` for a
+        label in no set."""
+        members = self._member_slots
+        if not members:
+            return QUIET_FOREVER
+        offset = step % self._cycle
+        i = bisect_left(members, offset)
+        if i == len(members):
+            return step - offset + self._cycle + members[0]
+        return step - offset + members[i]
 
 
 class SelectiveFamilyBroadcast(BroadcastAlgorithm):
@@ -95,18 +122,37 @@ class SelectiveFamilyBroadcast(BroadcastAlgorithm):
         # oblivious layer adversary).
         for bit in range(max(1, (ground - 1).bit_length())):
             sets.append(frozenset(x for x in range(ground) if (x >> bit) & 1))
-        self._sets = sets
         self.cycle_length = len(sets)
         self.name = f"selective-family({family_kind}, cycle={self.cycle_length})"
-        # The family once more as label rows (row i: cycle position i),
-        # for the macro plan.
+        # The family as label rows (row i: cycle position i), read by the
+        # macro plan and, regrouped by label, by the per-node protocols.
         self._members, self._offsets = label_table(sets)
+        self._slots_by_label: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- reference engine -------------------------------------------------
 
     def create(self, label: int, r: int, rng: random.Random) -> Protocol:
-        slots = [label in member for member in self._sets]
-        return _ScheduleProtocol(label, r, rng, slots)
+        return _ScheduleProtocol(
+            label, r, rng, self._member_slots(label), self.cycle_length
+        )
+
+    def _member_slots(self, label: int) -> list[int]:
+        """The cycle positions whose set holds ``label``, increasing.
+
+        The label rows are regrouped by label once (a stable sort keeps
+        each label's positions in cycle order), so a node's protocol costs
+        its own memberships rather than a scan of the whole family.
+        """
+        if self._slots_by_label is None:
+            rows = np.repeat(np.arange(self.cycle_length), np.diff(self._offsets))
+            order = np.argsort(self._members, kind="stable")
+            ptr = np.zeros(self.r + 2, dtype=np.int64)
+            np.cumsum(np.bincount(self._members, minlength=self.r + 1), out=ptr[1:])
+            self._slots_by_label = (rows[order], ptr)
+        positions, ptr = self._slots_by_label
+        if not 0 <= label <= self.r:
+            return []
+        return positions[ptr[label]:ptr[label + 1]].tolist()
 
     # -- array engines ------------------------------------------------------
 

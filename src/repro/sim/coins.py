@@ -244,3 +244,17 @@ class CoinSource:
         z = keys ^ np.uint64(_step_salt(step))
         _mix64_inplace(z)
         return z < np.uint64(math.ceil(p * 2.0**53) << 11)
+
+    def below_steps(self, start: int, probs: np.ndarray, keys: np.ndarray) -> np.ndarray:
+        """:meth:`below` for consecutive slots at once: a ``(keys.size,
+        len(probs))`` bool array whose column ``c`` equals ``below(start +
+        c, probs[c], keys)``."""
+        steps = np.arange(start, start + len(probs), dtype=np.uint64)
+        z = keys[:, None] ^ (steps * np.uint64(_STEP_SALT))
+        _mix64_inplace(z)
+        thresholds = [
+            math.ceil(p * 2.0**53) << 11 if 0.0 < p < 1.0 else 0 for p in probs.tolist()
+        ]
+        heads = z < np.array(thresholds, dtype=np.uint64)
+        heads[:, probs >= 1.0] = True
+        return heads

@@ -29,7 +29,10 @@ slots where three nodes transmit.  This module removes both:
   (:meth:`~repro.sim.coins.CoinSource.below` — bit-identical to the
   dense flips), and the channel is resolved by gathering only the
   transmitters' CSR neighbour lists (O(sum deg(tx)) instead of O(E)), or
-  from the sleepers' side once they are the smaller set.
+  from the sleepers' side once they are the smaller set.  A plain run
+  resolves a whole Decay run — a phase opening and its chained slots —
+  in one pass over the candidates that still have a sleeping neighbour
+  (see ``MacroStepEngine._run_chain``).
 
 * **Unions of trials.**  ``T`` Monte-Carlo seeds run as one execution
   over ``T`` disjoint copies of the network, so a sweep point pays the
@@ -87,6 +90,36 @@ __all__ = [
 ELIGIBLE_ANY_AWAKE: int = ASLEEP
 
 _EMPTY = np.empty(0, dtype=np.int64)
+
+#: Coins per block when a Decay run's survival lengths are read (see
+#: ``MacroStepEngine._run_chain``): few candidates read many slots at once.
+_COIN_BLOCK = 1 << 16
+
+
+def _first_solo(sleepers: np.ndarray, runs: np.ndarray, width: int):
+    """The column in which each sleeper first hears exactly one sender
+    of a Decay run, as ``(newly, columns)`` in (column, index) order.
+
+    Entry ``i`` says that sleeper ``sleepers[i]`` has a neighbour who
+    transmits in columns ``0 .. runs[i] - 1`` (``runs <= width``).  With
+    ``L1 >= L2`` a sleeper's two longest runs (``L2 = 0`` with one), it
+    hears exactly one sender in columns ``L2 .. L1 - 1``: first at ``L2``,
+    when ``L1 > L2``.  One sort by (sleeper, run) puts each sleeper's two
+    longest runs last in its group.
+    """
+    live = runs > 0
+    key = sleepers[live] * (width + 1) + runs[live]
+    if not key.size:
+        return _EMPTY, _EMPTY
+    key.sort()
+    sleeper, run = np.divmod(key, width + 1)
+    last = np.flatnonzero(np.append(sleeper[1:] != sleeper[:-1], True))
+    first = np.append(0, last[:-1] + 1)
+    second = np.where(last > first, run[last - 1], 0)
+    wakes = run[last] > second
+    columns = second[wakes]
+    order = np.argsort(columns, kind="stable")
+    return sleeper[last[wakes]][order], columns[order]
 
 
 class _Column:
@@ -382,7 +415,8 @@ class MacroStepEngine:
         self._prefix: tuple | None = None
         # The previous slot's transmitters, the candidates of a chained
         # slot (``None`` after a coin slot resolved on the sleepers'
-        # side, which lists no transmitters).
+        # side, which lists no transmitters; after a plain Decay run, only
+        # those that had a sleeping neighbour).
         self._last_tx: np.ndarray | None = _EMPTY
         # Per-trial state: informed counts, which trials still run, and
         # the executed-slot count of each retired one.
@@ -602,10 +636,11 @@ class MacroStepEngine:
             self._retire()
         return self._live == 0
 
-    def _retire(self) -> None:
+    def _retire(self, steps: np.ndarray | None = None) -> None:
         """Retire every running trial that can wake no one any more: all
         its nodes are informed, or each sleeper has crashed.  Its entries
-        leave the awake list and its executed-slot count freezes."""
+        leave the awake list and its executed-slot count freezes, at
+        ``steps[t]`` when given and otherwise at the current step."""
         n = self.n
         if self.trials == 1 and self._asleep > self._crash_idx.size:
             # One run, more sleepers than crash entries: a scalar test.
@@ -623,7 +658,7 @@ class MacroStepEngine:
         if not done.any():
             return
         self._running &= ~done
-        self._steps[done] = self.step
+        self._steps[done] = self.step if steps is None else steps[done]
         self._live = int(np.count_nonzero(self._running))
         if self._live:
             # Retire first: the chain may be a view of the awake prefix,
@@ -671,11 +706,25 @@ class MacroStepEngine:
         observed = self._observed
         probs, elig, chain = plan.probs, plan.elig, plan.chain
         rows, slot_bounds, row_bounds = self._label_rows(plan)
+        # A plain run resolves each Decay run of a chaining plan in one
+        # pass (_run_chain): a run opens at a probs >= 1 slot, or continues
+        # the previous block's run, and takes the chained slots after it.
+        chained = None
+        if chain is not None and plan.bounds is None and not observed:
+            chained = chain.tolist()
         t_start = 0.0
         executed = 0
-        for j in range(count):
+        j = 0
+        while j < count:
             if self._settled():
                 break
+            if chained is not None and (chained[j] or probs[j] >= 1.0):
+                end = j + 1
+                while end < count and chained[end]:
+                    end += 1
+                executed += self._run_chain(plan, j, end)
+                j = end
+                continue
             step = self.step
             self.step += 1
             executed += 1
@@ -735,6 +784,89 @@ class MacroStepEngine:
             elif tx is None:
                 tx = _EMPTY
             self._last_tx = tx
+            j += 1
+        return executed
+
+    def _run_chain(self, plan: MacroPlan, j: int, end: int) -> int:
+        """Plan slots ``j .. end - 1`` of a plain run, one Decay run, in
+        one pass; returns the slots executed.
+
+        Slot ``j`` opens the run (its candidates are the eligible prefix,
+        and all of them transmit) or continues the previous slot's
+        transmitters; every later slot is chained.  Column ``c`` is slot
+        ``j + c``.  A candidate ``u`` transmits in columns ``0 ..
+        L(u) - 1``, where its survival length ``L(u)`` is read from the
+        chained slots' coins.  Nobody joins a run — nodes woken inside it
+        are not candidates — so a sleeper whose two longest neighbour runs
+        are ``L1 >= L2`` (``L2 = 0`` with one neighbour) has exactly one
+        transmitting neighbour in columns ``L2 .. L1 - 1``: it wakes in
+        column ``L2`` iff ``L1 > L2``.
+
+        Candidates with no sleeping out-neighbour cannot wake anyone in
+        this run or any later one (a plain run's sleepers only shrink), so
+        they are dropped; at an opening they also leave the awake list
+        for good, which then holds the frontier rather than every
+        informed node.  A trial whose last sleeper wakes in column ``c``
+        settles with ``start + c + 1`` steps; the run stops early only
+        when every running trial settles.
+        """
+        start = self.step
+        width = end - j
+        opening = not plan.chain[j]
+        if opening:
+            count = self._awake_count
+            k = int(np.searchsorted(
+                self._awake_wakes[:count], plan.elig[j], side="left"
+            ))
+            cand = self._awake_idx[:k]
+        else:
+            cand = self._last_tx
+        cat, lengths = self._neighbours(cand)
+        owner = np.repeat(np.arange(cand.size), lengths)
+        asleep = self._wake[cat] == ASLEEP
+        useful = np.zeros(cand.size, dtype=bool)
+        useful[owner[asleep]] = True
+        if opening and not useful.all():
+            cand = cand.copy()  # a view of the list compacted below
+            keep = np.ones(count, dtype=bool)
+            keep[:k] = useful
+            kept = int(np.count_nonzero(keep))
+            for column in (self._awake_idx, self._awake_wakes):
+                column[:kept] = column[:count][keep]
+            self._awake_count = kept
+            self._prefix = None
+        # Survival lengths, capped at the run's width, from the chained
+        # columns' coins: each block of columns covers only the candidates
+        # still running, and is sized so that a block holds about
+        # _COIN_BLOCK coins.
+        survivors = np.flatnonzero(useful)
+        runs = np.zeros(cand.size, dtype=np.int64)
+        runs[survivors] = width
+        keys = self._keys[cand[survivors]]
+        column = 1 if opening else 0
+        while column < width and survivors.size:
+            b = min(width - column, max(1, _COIN_BLOCK // survivors.size))
+            tails = ~self.coins.below_steps(
+                start + column, plan.probs[j + column:j + column + b], keys
+            )
+            ended = tails.any(axis=1)
+            runs[survivors[ended]] = column + tails[ended].argmax(axis=1)
+            survivors, keys = survivors[~ended], keys[~ended]
+            column += b
+        newly, columns = _first_solo(cat[asleep], runs[owner[asleep]], width)
+        self._last_tx = cand[runs >= width]
+        executed, settled = width, None
+        if newly.size:
+            self._append_newly(newly, start + columns)
+            done = (self._informed == self.n) & self._running
+            if done.any():
+                settled = np.zeros(self.trials, dtype=np.int64)
+                np.maximum.at(settled, newly // self.n, columns + 1)
+                if np.array_equal(done, self._running):
+                    executed = int(settled.max())
+        self.step = start + executed
+        if settled is not None:
+            self._retire(start + settled)
         return executed
 
     # -- instrumented slots ------------------------------------------------
@@ -990,7 +1122,9 @@ class MacroStepEngine:
             self._append_newly(newly, step)
         return newly
 
-    def _append_newly(self, newly: np.ndarray, step: int) -> None:
+    def _append_newly(self, newly: np.ndarray, step) -> None:
+        """Wake ``newly`` at ``step`` (one slot, or one per node, in
+        non-decreasing order) and append it to the awake list."""
         self._wake[newly] = step
         count = self._awake_count
         self._awake_idx[count:count + newly.size] = newly

@@ -21,7 +21,8 @@ columns directly.
 from __future__ import annotations
 
 import enum
-from collections.abc import Sequence
+import operator
+from collections.abc import ItemsView, Mapping, Sequence, ValuesView
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
@@ -218,13 +219,67 @@ class _StepView(Sequence):
             )
 
 
+class _ColumnWakes(Mapping):
+    """``label -> wake slot`` read from an array engine's woken column.
+
+    Read-only, and built on first read rather than per append: ``len``
+    is O(1), iteration runs in wake order (the order a per-node engine's
+    dict is filled in), and a lookup binary-searches a label-sorted copy
+    made on the first lookup.
+    """
+
+    __slots__ = ("labels", "slots", "_sorted")
+
+    def __init__(self, labels: np.ndarray, slots: np.ndarray):
+        self.labels, self.slots = labels, slots
+        self._sorted: tuple[np.ndarray, np.ndarray] | None = None
+
+    def __getitem__(self, label) -> int:
+        try:
+            label = operator.index(label)
+        except TypeError:
+            raise KeyError(label) from None
+        if self._sorted is None:
+            order = np.argsort(self.labels, kind="stable")
+            self._sorted = (self.labels[order], self.slots[order])
+        labels, slots = self._sorted
+        i = int(np.searchsorted(labels, label))
+        if i < labels.size and labels.item(i) == label:
+            return slots.item(i)
+        raise KeyError(label)
+
+    def __iter__(self):
+        return iter(self.labels.tolist())
+
+    def __len__(self) -> int:
+        return self.labels.size
+
+    def items(self):
+        return _ColumnItems(self)
+
+    def values(self):
+        return _ColumnValues(self)
+
+    def __repr__(self) -> str:
+        return f"{dict(self.items())!r}"
+
+
+class _ColumnItems(ItemsView):
+    def __iter__(self):
+        return zip(self._mapping.labels.tolist(), self._mapping.slots.tolist())
+
+
+class _ColumnValues(ValuesView):
+    def __iter__(self):
+        return iter(self._mapping.slots.tolist())
+
+
 @dataclass(eq=False)
 class Trace:
     """Accumulated trace of one run."""
 
     level: TraceLevel = TraceLevel.NONE
     informed_counts: list[int] = field(default_factory=list)
-    wake_times: dict[int, int] = field(default_factory=dict)
     #: Live fault tally (:class:`repro.sim.faults.FaultCounters`) when the
     #: engine runs under a fault plan; ``None`` on pristine executions.
     #: Set by the engine — the same object it increments, so it is always
@@ -240,6 +295,41 @@ class Trace:
         if self.level is TraceLevel.FULL:
             self._pending = _Pending()
             self._budget = TraceBudget()
+        # Wake slots: a dict filled slot by slot (per-node engines), or
+        # the woken columns of bulk appends (array engines) read once.
+        self._wakes: dict[int, int] = {}
+        self._columnar = False
+        self._woken: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self._column_wakes: _ColumnWakes | None = None
+
+    @property
+    def wake_times(self) -> Mapping[int, int]:
+        """``label -> wake slot`` of every node seen informed, the
+        initially informed ones at ``-1``; empty at ``NONE``.
+
+        The per-node engines fill a dict slot by slot.  For the array
+        engines' bulk appends it is a read-only mapping derived from the
+        woken column on first read (and again after a later append), so
+        recording a trace builds no per-node Python objects.
+        """
+        if not self._columnar:
+            return self._wakes
+        if self._column_wakes is None:
+            if self.level is TraceLevel.FULL:
+                cols = self.columns()
+                parts = [(cols.steps, cols.woken_counts, cols.woken)]
+            else:
+                parts = self._woken
+            initial = self._wakes
+            self._column_wakes = _ColumnWakes(
+                np.concatenate([np.fromiter(initial, np.int64, len(initial)),
+                                *(woken for _, _, woken in parts)]),
+                np.concatenate([
+                    np.fromiter(initial.values(), np.int64, len(initial)),
+                    *(np.repeat(steps, counts) for steps, counts, _ in parts),
+                ]),
+            )
+        return self._column_wakes
 
     @property
     def steps(self) -> Sequence[StepRecord]:
@@ -258,7 +348,8 @@ class Trace:
         """
         if self.level is TraceLevel.NONE:
             return
-        self.wake_times[label] = -1
+        self._wakes[label] = -1
+        self._column_wakes = None
         self._initial.append(label)
 
     def initially_informed(self) -> tuple[int, ...]:
@@ -278,8 +369,9 @@ class Trace:
         """Store one step at the configured level of detail."""
         if self.level is TraceLevel.NONE:
             return
+        wakes = self._wakes
         for v in woken:
-            self.wake_times[v] = step
+            wakes[v] = step
         self.informed_counts.append(informed)
         pending = self._pending
         if pending is None:
@@ -321,16 +413,19 @@ class Trace:
         """Append whole slots at once (the array engines' path).
 
         ``informed`` holds the informed count after each slot.  Only the
-        woken column is read below ``FULL``.  The caller has already
-        charged the bytes against its own
-        :class:`~repro.sim.guard.TraceBudget`.
+        woken column is kept below ``FULL``; :attr:`wake_times` is derived
+        from it when read.  The caller has already charged the bytes
+        against its own :class:`~repro.sim.guard.TraceBudget`.
         """
         if self.level is TraceLevel.NONE:
             return
         self.informed_counts.extend(informed)
-        wake_slots = np.repeat(columns.steps, columns.woken_counts)
-        self.wake_times.update(zip(columns.woken.tolist(), wake_slots.tolist()))
+        self._columnar = True
+        self._column_wakes = None
         if self._pending is None:
+            self._woken.append(
+                (columns.steps, columns.woken_counts, columns.woken)
+            )
             return
         self._flush()
         self._parts.append(columns)

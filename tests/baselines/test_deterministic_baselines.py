@@ -52,7 +52,9 @@ class TestSelectiveFamily:
 
     def test_cycle_contains_full_set(self):
         algo = SelectiveFamilyBroadcast(15, "random", seed=0)
-        assert frozenset(range(16)) in algo._sets
+        bounds = algo._offsets.tolist()
+        rows = [algo._members[a:b].tolist() for a, b in zip(bounds, bounds[1:])]
+        assert list(range(16)) in rows
 
     def test_fast_and_reference_agree(self):
         net = grid(4, 4)

@@ -33,7 +33,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines import BGIBroadcast, InterleavedBroadcast, RoundRobinBroadcast
+from repro.baselines import (
+    BGIBroadcast,
+    InterleavedBroadcast,
+    RoundRobinBroadcast,
+    SelectiveFamilyBroadcast,
+)
 from repro.core import CompleteLayeredBroadcast, SelectAndSend
 from repro.core.echo import QuietEchoSchedule
 from repro.obs.metrics import MetricsRegistry
@@ -253,11 +258,15 @@ def test_quiet_until_never_hides_an_action_layered(n, depth, relabel_seed):
     )
 
 
-#: The baselines' hinted protocols: Decay, round-robin, and e6's two
-#: interleavings with Select-and-Send.
+#: The baselines' hinted protocols: Decay, round-robin, both selective
+#: families, and e6's two interleavings with Select-and-Send.
 HINTED_BASELINES = {
     "bgi": lambda net: BGIBroadcast(net.r),
     "round-robin": lambda net: RoundRobinBroadcast(net.r),
+    "selective-random": lambda net: SelectiveFamilyBroadcast(net.r, seed=3),
+    "selective-kautz-singleton": lambda net: SelectiveFamilyBroadcast(
+        net.r, "kautz-singleton"
+    ),
     "interleaved-bgi-ss": lambda net: InterleavedBroadcast(
         BGIBroadcast(net.r), SelectAndSend()
     ),
@@ -295,6 +304,7 @@ def test_baseline_hints_never_hide_an_action(case, name, seed):
 CD_BASELINES = {
     "bgi": lambda net: BGIBroadcast(net.r),
     "round-robin": lambda net: RoundRobinBroadcast(net.r),
+    "selective-random": lambda net: SelectiveFamilyBroadcast(net.r, seed=3),
     "interleaved-rr-bgi": lambda net: InterleavedBroadcast(
         RoundRobinBroadcast(net.r), BGIBroadcast(net.r)
     ),
@@ -452,6 +462,27 @@ def test_round_robin_hint_values():
     assert node.quiet_until(4) == 4
     assert node.quiet_until(5) == 14
     assert node.quiet_until(14) == 14
+
+
+@pytest.mark.parametrize("kind", ["random", "kautz-singleton"])
+def test_selective_family_hint_is_the_next_member_slot(kind):
+    """Each label's hint is its next slot in the family cycle (found by
+    bisection), its transmit decisions are the family's memberships, and
+    a label in no set is quiet forever."""
+    algo = SelectiveFamilyBroadcast(15, kind, seed=1)
+    cycle = algo.cycle_length
+    bounds = algo._offsets.tolist()
+    sets = [set(algo._members[a:b].tolist()) for a, b in zip(bounds, bounds[1:])]
+    for label in range(16):
+        node = algo.create(label, 15, derive_node_rng(0, label))
+        member = [label in sets[t % cycle] for t in range(2 * cycle)]
+        assert [node.wants_to_transmit(t) for t in range(2 * cycle)] == member
+        for step in range(cycle + 3):
+            expected = next(t for t in range(step, step + cycle) if member[t])
+            assert node.quiet_until(step) == expected
+    outsider = algo.create(16, 15, derive_node_rng(0, 16))
+    assert outsider.quiet_until(5) == QUIET_FOREVER
+    assert not any(outsider.wants_to_transmit(t) for t in range(cycle))
 
 
 def test_interleaved_hint_maps_local_slots_to_global():

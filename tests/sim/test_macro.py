@@ -327,15 +327,72 @@ class TestReceiverSide:
         assert engine.wake_times() == reference.wake_times
 
 
+def _directed_network(n: int, extra: int, seed: int) -> RadioNetwork:
+    """A random directed network on sparse labels (``2v``), every node
+    reachable from the source: each node hangs off an earlier one, plus
+    ``extra`` random arcs in either direction."""
+    rng = np.random.default_rng(seed)
+    arcs = {(int(rng.integers(v)), v) for v in range(1, n)}
+    while len(arcs) < n - 1 + extra:
+        u, v = rng.integers(n, size=2).tolist()
+        if u != v:
+            arcs.add((u, v))
+    return RadioNetwork.directed([2 * v for v in range(n)],
+                                 [(2 * u, 2 * v) for u, v in arcs])
+
+
 #: Networks for the Decay plan against the reference engine: a
-#: RadioNetwork and a CSR network (both resolved from the transmitter
-#: side), and a sparse CSR G(n, p) whose late phase starts resolve from
-#: the sleepers' side.
+#: RadioNetwork and its CSR twin, a sparse CSR G(n, p), and a directed
+#: RadioNetwork on sparse labels.
 DECAY_NETWORKS = {
     "km_layered": km_hard_layered(60, 4, seed=3),
     "km_layered_csr": km_hard_layered_csr(60, 4, seed=3),
     "gnp_csr": gnp_random_csr(120, 6 / 120, seed=2),
+    "directed": _directed_network(60, 90, seed=4),
 }
+
+
+def _record_decay_passes(engine):
+    """Wrap the engine's one-pass Decay resolver: record each pass as
+    ``(first step, slots executed)``, and after each run opening check
+    that the awake list holds exactly the frontier."""
+    passes = []
+    run_chain = engine._run_chain
+
+    def recorded(plan, j, end):
+        start = engine.step
+        executed = run_chain(plan, j, end)
+        passes.append((start, executed))
+        if not plan.chain[j]:
+            _assert_awake_list_is_frontier(engine, start)
+        return executed
+
+    engine._run_chain = recorded
+    return passes
+
+
+def _assert_awake_list_is_frontier(engine, start):
+    """After a run opening at ``start``: the awake list is wake-ordered
+    and lists, for each running trial, the nodes woken in the run and the
+    earlier-woken nodes that had a sleeping out-neighbour when it
+    opened (the list is left as it is once no trial runs)."""
+    if not engine._live:
+        return
+    wake, n = engine._wake, engine.n
+    listed = engine._awake_idx[:engine._awake_count]
+    wakes = engine._awake_wakes[:engine._awake_count]
+    assert (np.diff(wakes) >= 0).all()
+    assert (wake[listed] == wakes).all()
+    indptr, indices = engine.kernel.indptr, engine.kernel.indices
+    frontier = []
+    for u in np.flatnonzero(wake != ASLEEP).tolist():
+        t, v = divmod(u, n)
+        if not engine._running[t]:
+            continue
+        row = wake[indices[indptr[v]:indptr[v + 1]] + t * n]
+        if wake[u] >= start or ((row == ASLEEP) | (row >= start)).any():
+            frontier.append(u)
+    assert sorted(listed.tolist()) == frontier
 
 
 def _plan_and_oracle(net, make, seeds, block_size, max_steps, **options):
@@ -381,14 +438,18 @@ class TestDecayPlan:
             st.lists(st.integers(min_value=0, max_value=63),
                      min_size=2, max_size=5),
         ),
+        max_steps=st.one_of(st.just(400), st.integers(min_value=1, max_value=90)),
     )
-    def test_plan_matches_reference(self, topo, phase_len, block_size, seeds):
+    def test_plan_matches_reference(self, topo, phase_len, block_size, seeds,
+                                    max_steps):
         """Blocks split phases at every ``block_size``; unions retire
-        trials mid-phase; ``phase_len`` 1 and 2 may never complete, so
-        the budget also checks partial runs."""
+        trials mid-phase; ``phase_len`` 1 and 2 may never complete, and
+        short budgets end inside a Decay run, so partial runs are checked
+        too."""
         net = DECAY_NETWORKS[topo]
         engine, results = _plan_and_oracle(
-            net, lambda: BGIBroadcast(net.r, phase_len), seeds, block_size, 400
+            net, lambda: BGIBroadcast(net.r, phase_len), seeds, block_size,
+            max_steps,
         )
         _assert_same_run(engine, results)
 
@@ -403,38 +464,83 @@ class TestDecayPlan:
         assert len(set(times)) == 3
         assert any(time % phase_len for time in times)
 
-    def test_sleepers_side_carries_the_phase_start(self):
-        """A phase start resolved from the sleepers' side lists no
-        transmitters; the chain after it starts from the eligible
-        prefix."""
-        net = DECAY_NETWORKS["gnp_csr"]
-        for seeds in (0, [0, 1, 2]):
-            engine, results = _plan_and_oracle(
-                net, lambda: BGIBroadcast(net.r), seeds, 13, 400
+    @pytest.mark.parametrize("topo", ["gnp_csr", "km_layered"])
+    @pytest.mark.parametrize("seeds", [0, [0, 1, 2]])
+    def test_plain_run_resolves_each_decay_run_in_one_pass(self, topo, seeds):
+        """A plain run resolves each Decay run — a phase opening, or the
+        continuation of a run a block boundary split — in one pass, and
+        each opening shrinks the awake list to the frontier."""
+        net = DECAY_NETWORKS[topo]
+        block_size = 13
+        engine = MacroStepEngine(net, BGIBroadcast(net.r), seed=seeds,
+                                 block_size=block_size)
+        passes = _record_decay_passes(engine)
+        engine.run(400)
+        results = simulate(net, BGIBroadcast(net.r), np.atleast_1d(seeds).tolist(),
+                           engine="reference", max_steps=400)
+        assert engine.all_informed
+        _assert_same_run(engine, results)
+        phase_len = engine.algorithm.phase_len
+        assert [start for start, _ in passes] == np.cumsum(
+            [0] + [executed for _, executed in passes[:-1]]
+        ).tolist()
+        assert sum(executed for _, executed in passes) == engine.step
+        for start, executed in passes:
+            last = start + executed - 1
+            assert start % phase_len == 0 or start % block_size == 0
+            assert last // phase_len == start // phase_len
+            assert last // block_size == start // block_size
+
+    @pytest.mark.parametrize("topo", sorted(DECAY_NETWORKS))
+    @pytest.mark.parametrize("max_steps", [37, 400])
+    def test_plain_run_equals_metrics_observed_run(self, topo, max_steps):
+        """Metrics pin the run to the per-slot chain; the one-pass plain
+        run must agree with it slot for slot."""
+        net = DECAY_NETWORKS[topo]
+        for seeds in (0, [0, 1, 2, 3]):
+            plain, observed = (
+                MacroStepEngine(net, BGIBroadcast(net.r), seed=seeds,
+                                block_size=11, **options)
+                for options in ({}, {"metrics": MetricsRegistry()})
             )
-            assert engine._sl_idx is not None
-            assert engine.all_informed
-            _assert_same_run(engine, results)
+            for engine in (plain, observed):
+                engine.run(max_steps)
+            assert observed._observed and not plain._observed
+            assert np.array_equal(plain.wake_steps, observed.wake_steps)
+            assert plain.step == observed.step
+            assert plain.completion_times() == observed.completion_times()
+            assert [plain.trial_steps(t) for t in range(plain.trials)] == [
+                observed.trial_steps(t) for t in range(observed.trials)
+            ]
 
     def test_chain_survives_awake_list_compaction(self):
-        """Regression: a phase start's transmitters are a view of the
-        awake prefix, which retiring a trial compacts in place.  The
-        chain must drop the retired trial's entries before that, or the
-        union runs on corrupted candidates (7,101 slots, not 7,061, on
-        e1's deepest instance).  The trials that retire last ran through
-        every earlier retirement; their wake rows are checked against
-        single event-engine runs."""
+        """Regression: on the per-slot chain of an observed run, a phase
+        start's transmitters are a view of the awake prefix, which
+        retiring a trial compacts in place.  The chain must drop the
+        retired trial's entries before that, or the union runs on
+        corrupted candidates (7,101 slots, not 7,061, on e1's deepest
+        instance).  The plain run, one pass per Decay run, retires the
+        same trials at the same slots.  The trials that retire last ran
+        through every earlier retirement; their wake rows are checked
+        against single event-engine runs."""
         net = km_hard_layered(1024, 256, seed=17)
         seeds = list(range(16))
-        engine = MacroStepEngine(net, BGIBroadcast(net.r), seed=seeds)
-        engine.run(default_max_steps(net, BGIBroadcast(net.r)))
-        assert engine.step == 7061
-        assert engine.all_informed
-        steps = [engine.trial_steps(t) for t in range(engine.trials)]
-        last = sorted(range(engine.trials), key=steps.__getitem__)[-2:]
+        engines = [
+            MacroStepEngine(net, BGIBroadcast(net.r), seed=seeds, **options)
+            for options in ({}, {"metrics": MetricsRegistry()})
+        ]
+        for engine in engines:
+            engine.run(default_max_steps(net, BGIBroadcast(net.r)))
+            assert engine.step == 7061
+            assert engine.all_informed
+        plain, observed = engines
+        assert np.array_equal(plain.wake_steps, observed.wake_steps)
+        steps = [plain.trial_steps(t) for t in range(plain.trials)]
+        assert steps == [observed.trial_steps(t) for t in range(observed.trials)]
+        last = sorted(range(plain.trials), key=steps.__getitem__)[-2:]
         results = simulate(net, BGIBroadcast(net.r), [seeds[t] for t in last],
                            engine="event")
-        _assert_same_run(engine, results, trials=last)
+        _assert_same_run(plain, results, trials=last)
         assert max(r.time for r in results) == 7061
 
 

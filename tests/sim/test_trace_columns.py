@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from repro.baselines import BGIBroadcast, RoundRobinBroadcast
 from repro.core import CompleteLayeredBroadcast, KnownRadiusKP, SelectAndSend
+from repro.obs.forensics import analyze
 from repro.sim import simulate
 from repro.sim.engine import SynchronousEngine
 from repro.sim.faults import FaultPlan
@@ -180,6 +181,32 @@ def test_macro_traces_read_between_runs_keep_growing(level):
         )
 
 
+@pytest.mark.parametrize("level", [TraceLevel.FULL, TraceLevel.PROGRESS])
+def test_macro_trace_wake_times_are_read_from_the_woken_column(level):
+    """An array-engine trace builds no wake-time dict while it records:
+    ``wake_times`` is a read-only mapping derived from the woken column
+    on first read, with the reference trace's items in the same order,
+    and ``summary`` and ``analyze`` read the same values from it."""
+    net = gnp_connected(40, 0.12, seed=4)
+    (macro,) = simulate(net, BGIBroadcast(net.r), [3], engine="macro",
+                        trace_level=level)
+    (reference,) = simulate(net, BGIBroadcast(net.r), [3], engine="reference",
+                            trace_level=level)
+    wakes, expected = macro.trace.wake_times, reference.trace.wake_times
+    assert not isinstance(wakes, dict)
+    with pytest.raises(TypeError):
+        wakes[0] = 1  # type: ignore[index]
+    assert list(wakes.items()) == list(expected.items())
+    assert list(wakes.values()) == list(expected.values())
+    assert wakes == expected and expected == wakes
+    assert len(wakes) == len(expected) == net.n
+    assert all(wakes[v] == expected[v] for v in expected)
+    assert wakes.get(net.r + 1) is None and "0" not in wakes
+    assert macro.trace.summary() == reference.trace.summary()
+    if level is TraceLevel.FULL:
+        assert analyze(macro.trace).informed == analyze(reference.trace).informed
+
+
 @pytest.mark.parametrize("n, seeds, ratio", [
     (100_000, [0], 1.6),
     (20_000, [0, 1, 2], 1.8),
@@ -189,10 +216,11 @@ def test_macro_trace_split_peak_memory_is_bounded_by_recorded_bytes(n, seeds, ra
     and splits the columns per trial one at a time, so the traced peak
     while ``trace_for`` runs — the recorded columns included — stays
     within a fixed multiple of the bytes the traces hold, and the trace
-    byte budget bounds real memory.  Measured: 1.44x for one trial at
-    10^5 nodes and 1.58x for a three-trial union at 2*10^4 nodes (the
-    rest is buffer headroom and the traces' wake-time dicts); with
-    per-slot arrays concatenated all at once it was 2.03x and 3.10x."""
+    byte budget bounds real memory.  Measured: 1.15x for one trial at
+    10^5 nodes and 1.67x for a three-trial union at 2*10^4 nodes (the
+    rest is buffer headroom and the union's split); with per-slot arrays
+    concatenated all at once it was 2.03x and 3.10x, and with a wake-time
+    dict built per append 1.44x for the one trial."""
     net = gnp_random_csr(n, 12 / n, seed=0)
     engine = MacroStepEngine(net, KnownRadiusKP(net.r, net.radius), seeds,
                              trace_level=TraceLevel.FULL)
