@@ -319,7 +319,7 @@ _STOP_TIMEOUT_S = 5.0
 
 
 def _pool_worker(
-    task_queue, result_queue, instrument: bool = False,
+    task_queue, result_writer, result_lock, instrument: bool = False,
     profile_dir: str | None = None,
     telemetry: WorkerTelemetry | None = None,
 ) -> None:
@@ -328,10 +328,19 @@ def _pool_worker(
     The ``start`` message *before* execution is what makes recovery
     possible: if this process dies mid-point (SIGKILL, OOM, segfault),
     the parent knows exactly which point was in flight and resubmits it.
-    A ``None`` task is the stop sentinel: the worker flushes its
-    telemetry queue (joining the feeder thread) and exits.
+    Every message is written synchronously under ``result_lock``: once
+    ``report`` returns, the message is whole in the pipe and the lock is
+    free, so a death inside the point can neither lose the announcement
+    nor leave the shared results pipe locked for the other workers.  A
+    ``None`` task is the stop sentinel: the worker flushes its telemetry
+    queue (joining the feeder thread) and exits.
     """
     pid = os.getpid()
+
+    def report(message: tuple) -> None:
+        with result_lock:
+            result_writer.send(message)
+
     while True:
         task = task_queue.get()
         if task is None:
@@ -339,7 +348,7 @@ def _pool_worker(
                 telemetry.sender.close()
             return
         index, canonical = task
-        result_queue.put(("start", index, pid))
+        report(("start", index, pid))
         try:
             # Positional single-arg call when uninstrumented: tests may
             # monkeypatch ``execute_point`` with one-argument stand-ins.
@@ -352,11 +361,9 @@ def _pool_worker(
                 payload = execute_point(canonical)
         except Exception as exc:
             retryable = not isinstance(exc, ConfigurationError)
-            result_queue.put(
-                ("error", index, f"{type(exc).__name__}: {exc}", retryable)
-            )
+            report(("error", index, f"{type(exc).__name__}: {exc}", retryable))
         else:
-            result_queue.put(("done", index, payload))
+            report(("done", index, payload))
 
 
 def _run_pool(
@@ -392,7 +399,10 @@ def _run_pool(
     except ValueError:  # pragma: no cover - non-POSIX fallback
         context = multiprocessing.get_context("spawn")
     task_queue = context.Queue()
-    result_queue = context.Queue()
+    # Workers report on one pipe under one lock, each message written
+    # whole before the worker moves on (see ``_pool_worker``).
+    result_reader, result_writer = context.Pipe(duplex=False)
+    result_lock = context.Lock()
     worker_telemetry: WorkerTelemetry | None = None
     if telemetry is not None:
         telemetry.open_bus(context)
@@ -435,11 +445,19 @@ def _run_pool(
             if running == index:
                 del inflight[pid]
 
+    def charge_death(index: int) -> None:
+        emit("killed", index)
+        handle_failure(
+            index,
+            "worker process died mid-point (killed, out-of-memory, or crashed)",
+            retryable=True,
+        )
+
     def spawn() -> "multiprocessing.Process":
         process = context.Process(
             target=_pool_worker,
-            args=(task_queue, result_queue, instrument, profile_dir,
-                  worker_telemetry),
+            args=(task_queue, result_writer, result_lock, instrument,
+                  profile_dir, worker_telemetry),
             daemon=True,
         )
         process.start()
@@ -480,13 +498,7 @@ def _run_pool(
                     processes.remove(process)
                     info = inflight.pop(process.pid, None)
                     if info is not None:
-                        emit("killed", info[0])
-                        handle_failure(
-                            info[0],
-                            "worker process died mid-point "
-                            "(killed, out-of-memory, or crashed)",
-                            retryable=True,
-                        )
+                        charge_death(info[0])
                     if remaining:
                         processes.append(spawn())
             # Stall rescue: a worker killed in the instant between taking
@@ -497,14 +509,19 @@ def _run_pool(
                 for index in sorted(remaining):
                     submit(index)
                 last_activity = now
-            try:
-                message = result_queue.get(timeout=0.05)
-            except queue_module.Empty:
+            if not result_reader.poll(0.05):
                 continue
+            message = result_reader.recv()
             last_activity = time.monotonic()
             kind, index = message[0], message[1]
             if kind == "start":
                 pid = message[2]
+                if all(process.pid != pid for process in processes):
+                    # The worker died and was reaped before its
+                    # announcement was read: no later death check can
+                    # see it, so charge the point now.
+                    charge_death(index)
+                    continue
                 deadline = time.monotonic() + timeout if timeout is not None else None
                 inflight[pid] = (index, deadline)
                 emit("started", index)
@@ -543,9 +560,10 @@ def _run_pool(
             if process.is_alive():
                 process.kill()
             process.join(timeout=5.0)
-        for q in (task_queue, result_queue):
-            q.close()
-            q.cancel_join_thread()
+        task_queue.close()
+        task_queue.cancel_join_thread()
+        result_reader.close()
+        result_writer.close()
     return failed
 
 

@@ -343,6 +343,59 @@ class TestCrashSafety:
         # Zero lost cache entries despite the mid-run kill.
         assert all(cache.get(p) is not None for p in self._spec().points())
 
+    def test_death_reaped_before_its_announcement_is_read_is_retried(
+        self, tmp_path, monkeypatch
+    ):
+        # The worker that ran n=12 announces n=24 and dies while the
+        # parent is still busy in the n=12 callback, so the parent reaps
+        # the worker before it reads the announcement.  The point must be
+        # charged at once, not left in flight on a dead pid until the
+        # timeout (or, without one, forever).
+        import os
+        import signal
+        import time as time_module
+
+        from repro.obs.runlog import RunLogger, assert_valid_runlog
+        import repro.sweep.runner as runner
+
+        real = runner.execute_point
+        busy = tmp_path / "parent-busy"
+        killed = tmp_path / "killed"
+
+        def wait_for_parent():
+            while not busy.exists():
+                time_module.sleep(0.01)
+
+        def staged(canonical):
+            n = canonical["topology_params"]["n"]
+            if n == 18:
+                wait_for_parent()  # keeps n=24 for the n=12 worker
+            elif n == 24 and not killed.exists():
+                wait_for_parent()
+                killed.write_text("x")
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(canonical)
+
+        def on_point(point, payload, cached):
+            if dict(point.topology_params)["n"] == 12:
+                busy.write_text("x")
+                time_module.sleep(1.0)
+
+        monkeypatch.setattr(runner, "execute_point", staged)
+        spec = SweepSpec(
+            **{**SMALL_SPEC, "topology_grid": {"n": [12, 18, 24], "depth": 3}}
+        )
+        log_path = tmp_path / "run.jsonl"
+        with RunLogger(log_path) as runlog:
+            outcome = run_sweep(
+                spec, workers=2, timeout=10, retries=1, on_point=on_point,
+                runlog=runlog,
+            )
+        assert len(outcome.results) == 3
+        kinds = [e["event"] for e in assert_valid_runlog(log_path)]
+        assert "point_killed" in kinds
+        assert "point_timed_out" not in kinds
+
     def test_hung_point_is_killed_and_retried(self, tmp_path, monkeypatch):
         import time as time_module
 
