@@ -265,18 +265,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0 if result.completed else 1
 
 
-def _cmd_gossip(args: argparse.Namespace) -> int:
-    from .core.gossip import run_gossip
-
-    net = _build_topology(args)
-    print(net.describe())
-    result = run_gossip(net)
-    print(f"gossip completed: {result.completed}  time: {result.time} slots")
-    if result.broadcast_time is not None:
-        print(f"broadcast sub-goal reached after {result.broadcast_time} slots")
-    return 0 if result.completed else 1
-
-
 def _cmd_compare(args: argparse.Namespace) -> int:
     net = _build_topology(args)
     print(net.describe())
@@ -886,12 +874,6 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("--log-jsonl", metavar="FILE",
                        help="append lifecycle events to a JSONL run log")
     p_run.set_defaults(func=_cmd_run)
-
-    p_gossip = sub.add_parser(
-        "gossip", help="all-to-all rumor exchange (library extension)"
-    )
-    _add_topology_args(p_gossip)
-    p_gossip.set_defaults(func=_cmd_gossip)
 
     p_cmp = sub.add_parser("compare", help="compare algorithms on one topology")
     _add_topology_args(p_cmp)

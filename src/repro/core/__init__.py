@@ -11,7 +11,6 @@ from .echo import (
     classify_echo,
     simulate_selection,
 )
-from .gossip import GossipResult, TokenGossip, run_gossip
 from .randomized import (
     KnownRadiusKP,
     OptimalRandomizedBroadcasting,
@@ -23,7 +22,6 @@ from .select_and_send import SelectAndSend
 __all__ = [
     "CompleteLayeredBroadcast",
     "EchoOutcome",
-    "GossipResult",
     "KnownRadiusKP",
     "OptimalRandomizedBroadcasting",
     "Probe",
@@ -31,9 +29,7 @@ __all__ = [
     "SelectionDriver",
     "SelectAndSend",
     "StageTimetable",
-    "TokenGossip",
     "classify_echo",
     "next_power_of_two",
-    "run_gossip",
     "simulate_selection",
 ]

@@ -132,7 +132,7 @@ class _CompleteLayeredProtocol(QuietEchoSchedule, Protocol):
     def _handle(self, step: int, message: Message) -> None:
         payload = message.payload
         if isinstance(payload, InitOrder):
-            self._init_reply_slot = payload.base_slot + 2 * self.label
+            self._init_reply_slot = 2 * self.label
             self.scheduled[self._init_reply_slot] = HereIAm(self.label)
         elif isinstance(payload, HereIAm):
             if self.label == 0 and self._init_waiting:

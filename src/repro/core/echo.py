@@ -298,12 +298,8 @@ class QuietEchoSchedule:
 
 @dataclass(frozen=True, slots=True)
 class InitOrder:
-    """Source's startup order: neighbour with label ``i`` replies in slot
-    ``base_slot + 2 i``.  ``base_slot`` is 0 for a broadcast starting at
-    slot 0 and non-zero when the startup is replayed later (gossip's
-    dissemination pass)."""
-
-    base_slot: int = 0
+    """Source's startup order, sent in slot 0: neighbour with label ``i``
+    replies in slot ``2 i``."""
 
 
 @dataclass(frozen=True, slots=True)

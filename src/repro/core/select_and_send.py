@@ -76,9 +76,7 @@ class _SelectAndSendProtocol(QuietEchoSchedule, Protocol):
         self._awaiting: tuple[str, int] | None = None
         self._echo_first: int | None = None
         self._driver: SelectionDriver | None = None
-        # Source-side init bookkeeping.  start_slot lets a wrapper replay
-        # the whole startup later in time (gossip's dissemination pass).
-        self.start_slot = 0
+        # Source-side init bookkeeping.
         self._init_waiting = False
         self._init_reply_slot: int | None = None
 
@@ -88,7 +86,7 @@ class _SelectAndSendProtocol(QuietEchoSchedule, Protocol):
         if message is None:  # the source, woken before its start slot
             self.visited = True
             self._init_waiting = True
-            self.scheduled[self.start_slot] = InitOrder(base_slot=self.start_slot)
+            self.scheduled[0] = InitOrder()
         else:
             self._handle(step, message)
 
@@ -119,8 +117,8 @@ class _SelectAndSendProtocol(QuietEchoSchedule, Protocol):
         if isinstance(payload, EchoReply):
             return  # a node woken by an Echo reply is merely informed
         if isinstance(payload, InitOrder):
-            # Reserve the slot base + 2 * label for the self-announcement.
-            self._init_reply_slot = payload.base_slot + 2 * self.label
+            # Reserve slot 2 * label for the self-announcement.
+            self._init_reply_slot = 2 * self.label
             self.scheduled[self._init_reply_slot] = HereIAm(self.label)
         elif isinstance(payload, HereIAm):
             if self.label == 0 and self._init_waiting:

@@ -11,8 +11,8 @@ transition to a ``.jsonl`` file under ``benchmarks/results/runlogs/``
 ``label``, ``timings``, ``metrics``, ...).  The full event vocabulary
 and schema live in ``docs/OBSERVABILITY.md``.
 
-Only the *parent* process writes: sweep workers report through the
-result queue (and the telemetry bus), and the parent logs on their
+Only the *parent* process writes: sweep workers report through their
+pipes to the parent (and the telemetry bus), and the parent logs on their
 behalf, so lines never interleave.  By default every event is flushed
 as written — a killed sweep leaves a valid (truncated) log, mirroring
 the crash-safe cache.  Under high event rates (telemetry spans stream

@@ -1,6 +1,6 @@
 """Live telemetry bus: streaming span/progress events out of workers.
 
-The sweep pool's result queue reports *outcomes*; this module streams
+The sweep pool's worker pipes report *outcomes*; this module streams
 *progress* — span and lifecycle events flow from fork-pool workers to
 the parent while points are still executing, so consumers (``repro
 top``, a future ``repro serve`` SSE endpoint, the runlog) observe a

@@ -13,9 +13,12 @@ The pool is a small purpose-built one rather than
 ``multiprocessing.Pool``: stock pools cannot survive a worker that is
 SIGKILLed (by the OOM killer, a cluster preemption, or a per-point
 timeout) — the in-flight task is silently lost and ``map`` hangs.  Here
-every worker announces which point it is executing before starting it,
-so the parent can attribute a worker death to a specific point, resubmit
-that point with exponential backoff, and respawn a replacement worker.
+every worker has its own pipe to the parent, and nothing else: no queue
+or lock is shared between processes, so a death cannot leave one held.
+The parent sends a point only to an idle worker, so it knows which point
+each worker holds; a death reads as end-of-file on that worker's pipe,
+and the parent charges it to the held point, resubmits the point with
+exponential backoff, and starts a replacement worker.
 Points that exhaust their retry budget fail the sweep with
 :class:`SweepExecutionError` — but only after every other point got its
 chance, and with all successful payloads already cached.
@@ -31,8 +34,7 @@ from __future__ import annotations
 
 import collections
 import multiprocessing
-import os
-import queue as queue_module
+import multiprocessing.connection
 import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -317,53 +319,70 @@ class SweepOutcome:
 #: before killing the rest.
 _STOP_TIMEOUT_S = 5.0
 
+#: Longest the pool parent waits on its workers' pipes before it re-checks
+#: deadlines, due retries and the telemetry bus.
+_TICK_S = 0.05
+
+
+def _attempt(
+    index: int, canonical: dict, instrument: bool, profile_dir: str | None,
+    telemetry: WorkerTelemetry | None,
+) -> tuple:
+    """Run a point once: ``("done", index, payload)`` or ``("error",
+    index, error, retryable)``.  A :class:`ConfigurationError` is
+    deterministic, so it is never retryable."""
+    try:
+        # Positional single-arg call when uninstrumented: tests may
+        # monkeypatch ``execute_point`` with one-argument stand-ins.
+        if instrument or profile_dir is not None or telemetry is not None:
+            payload = execute_point(
+                canonical, instrument=instrument, profile_dir=profile_dir,
+                telemetry=telemetry, index=index,
+            )
+        else:
+            payload = execute_point(canonical)
+    except Exception as exc:
+        error = f"{type(exc).__name__}: {exc}"
+        return ("error", index, error, not isinstance(exc, ConfigurationError))
+    return ("done", index, payload)
+
+
+def _retry_pause(
+    retryable: bool, attempt: int, retries: int, backoff: float
+) -> float | None:
+    """Seconds to wait before retrying a point whose ``attempt`` failed.
+
+    ``None`` when the point has failed for good: the failure is not
+    retryable, or the point has had its ``retries + 1`` attempts.
+    """
+    if not retryable or attempt >= retries + 1:
+        return None
+    return backoff * (2 ** (attempt - 1))
+
 
 def _pool_worker(
-    task_queue, result_writer, result_lock, instrument: bool = False,
-    profile_dir: str | None = None,
-    telemetry: WorkerTelemetry | None = None,
+    conn, parent_end, instrument: bool = False,
+    profile_dir: str | None = None, telemetry: WorkerTelemetry | None = None,
 ) -> None:
-    """Worker loop: announce the task, run it, report the outcome.
+    """Worker loop: receive a point on ``conn``, run it, send the outcome.
 
-    The ``start`` message *before* execution is what makes recovery
-    possible: if this process dies mid-point (SIGKILL, OOM, segfault),
-    the parent knows exactly which point was in flight and resubmits it.
-    Every message is written synchronously under ``result_lock``: once
-    ``report`` returns, the message is whole in the pipe and the lock is
-    free, so a death inside the point can neither lose the announcement
-    nor leave the shared results pipe locked for the other workers.  A
-    ``None`` task is the stop sentinel: the worker flushes its telemetry
-    queue (joining the feeder thread) and exits.
+    A ``None`` task is the stop sentinel: the worker flushes its telemetry
+    queue (joining the feeder thread) and exits.  It also exits on the
+    end-of-file it reads once the parent has died: it closes its inherited
+    copy of ``parent_end``, and the siblings forked after it, which hold
+    other copies, exit the same way first.
     """
-    pid = os.getpid()
-
-    def report(message: tuple) -> None:
-        with result_lock:
-            result_writer.send(message)
-
+    parent_end.close()
     while True:
-        task = task_queue.get()
+        try:
+            task = conn.recv()
+        except EOFError:
+            return
         if task is None:
             if telemetry is not None:
                 telemetry.sender.close()
             return
-        index, canonical = task
-        report(("start", index, pid))
-        try:
-            # Positional single-arg call when uninstrumented: tests may
-            # monkeypatch ``execute_point`` with one-argument stand-ins.
-            if instrument or profile_dir is not None or telemetry is not None:
-                payload = execute_point(
-                    canonical, instrument=instrument, profile_dir=profile_dir,
-                    telemetry=telemetry, index=index,
-                )
-            else:
-                payload = execute_point(canonical)
-        except Exception as exc:
-            retryable = not isinstance(exc, ConfigurationError)
-            report(("error", index, f"{type(exc).__name__}: {exc}", retryable))
-        else:
-            report(("done", index, payload))
+        conn.send(_attempt(*task, instrument, profile_dir, telemetry))
 
 
 def _run_pool(
@@ -381,28 +400,29 @@ def _run_pool(
 ) -> dict[int, tuple[str, int]]:
     """Execute ``(index, canonical)`` tasks on a kill-tolerant pool.
 
+    Each worker has its own duplex pipe, and the parent closes its copy
+    of the worker's end right after ``start()``: a worker's death reads
+    as end-of-file, after every message the worker sent.  The death is
+    charged to the point the worker held, if any.  A timed-out worker is
+    killed and its pipe closed unread, so its late result is discarded.
+
     Calls ``on_done(index, payload)`` in completion order.  ``on_event``
     (when given) observes lifecycle transitions as
-    ``on_event(kind, index, **info)`` with kinds ``spawned`` / ``started``
-    / ``timed_out`` / ``killed`` / ``retried`` / ``failed``; the runner
-    uses it for run logs and queue-wait timing.  When a ``telemetry``
-    hub is given its bus is opened on the pool's multiprocessing context,
-    each worker gets a sender (worker spans nest under ``parent_span``),
-    and the bus is drained on every poll iteration so events stream while
-    points are still executing.  Returns
-    ``index -> (error, attempts)`` for every task that exhausted its
-    attempts (empty on full success); never raises for task-level
-    failures.
+    ``on_event(kind, index, **info)`` with kinds ``spawned`` (queued in
+    the parent) / ``started`` (sent to an idle worker) / ``timed_out`` /
+    ``killed`` / ``retried`` / ``failed``; the runner uses it for run
+    logs and queue-wait timing.  When a ``telemetry`` hub is given its
+    bus is opened on the pool's multiprocessing context, each worker gets
+    a sender (worker spans nest under ``parent_span``), and the bus is
+    drained on every poll iteration so events stream while points are
+    still executing.  Returns ``index -> (error, attempts)`` for every
+    task that exhausted its attempts (empty on full success); never
+    raises for task-level failures.
     """
     try:
         context = multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX fallback
         context = multiprocessing.get_context("spawn")
-    task_queue = context.Queue()
-    # Workers report on one pipe under one lock, each message written
-    # whole before the worker moves on (see ``_pool_worker``).
-    result_reader, result_writer = context.Pipe(duplex=False)
-    result_lock = context.Lock()
     worker_telemetry: WorkerTelemetry | None = None
     if telemetry is not None:
         telemetry.open_bus(context)
@@ -412,158 +432,137 @@ def _run_pool(
     attempts = {index: 0 for index, _ in tasks}
     remaining = set(canonicals)
     failed: dict[int, tuple[str, int]] = {}
+    ready: collections.deque[int] = collections.deque()
     delayed: list[tuple[float, int]] = []  # (ready time, index)
-    inflight: dict[int, tuple[int, float | None]] = {}  # pid -> (index, deadline)
+    processes: dict = {}  # parent end -> worker process
+    held: dict = {}  # parent end -> (index, deadline) of the point sent
 
     def emit(kind: str, index: int, **info) -> None:
         if on_event is not None:
             on_event(kind, index, **info)
 
     def submit(index: int) -> None:
-        nonlocal last_activity
         attempts[index] += 1
-        task_queue.put((index, canonicals[index]))
-        last_activity = time.monotonic()
+        ready.append(index)
         emit("spawned", index, attempt=attempts[index])
 
     def handle_failure(index: int, error: str, retryable: bool) -> None:
-        if index not in remaining or index in failed:
-            return  # stale duplicate report for an already-settled point
-        if any(i == index for _, i in delayed):
-            return  # a retry of this point is already scheduled
-        if retryable and attempts[index] < retries + 1:
-            pause = backoff * (2 ** (attempts[index] - 1))
-            delayed.append((time.monotonic() + pause, index))
-            emit("retried", index, attempt=attempts[index], error=error)
-        else:
+        pause = _retry_pause(retryable, attempts[index], retries, backoff)
+        if pause is None:
             remaining.discard(index)
             failed[index] = (error, attempts[index])
             emit("failed", index, error=error, attempts=attempts[index])
+        else:
+            delayed.append((time.monotonic() + pause, index))
+            emit("retried", index, attempt=attempts[index], error=error)
 
-    def clear_inflight(index: int) -> None:
-        for pid, (running, _) in list(inflight.items()):
-            if running == index:
-                del inflight[pid]
-
-    def charge_death(index: int) -> None:
-        emit("killed", index)
-        handle_failure(
-            index,
-            "worker process died mid-point (killed, out-of-memory, or crashed)",
-            retryable=True,
-        )
-
-    def spawn() -> "multiprocessing.Process":
+    def spawn() -> None:
+        conn, child_end = context.Pipe()
         process = context.Process(
             target=_pool_worker,
-            args=(task_queue, result_writer, result_lock, instrument,
-                  profile_dir, worker_telemetry),
+            args=(child_end, conn, instrument, profile_dir, worker_telemetry),
             daemon=True,
         )
         process.start()
-        return process
+        child_end.close()
+        processes[conn] = process
 
-    processes = [spawn() for _ in range(max(1, min(workers, len(canonicals))))]
+    def retire(conn) -> int | None:
+        """Kill and reap a worker, close its pipe unread, start a new one.
+
+        Returns the index of the point the worker held, if any.
+        """
+        process = processes.pop(conn)
+        conn.close()
+        process.kill()
+        process.join()
+        if remaining:
+            spawn()
+        return held.pop(conn, (None, None))[0]
+
+    for _ in range(max(1, min(workers, len(canonicals)))):
+        spawn()
     for index, _ in tasks:
         submit(index)
-    last_activity = time.monotonic()
 
     try:
         while remaining:
             if telemetry is not None:
                 telemetry.drain()
             now = time.monotonic()
-            for ready, index in list(delayed):
-                if ready <= now:
-                    delayed.remove((ready, index))
-                    if index in remaining:
-                        submit(index)
+            for due in [entry for entry in delayed if entry[0] <= now]:
+                delayed.remove(due)
+                submit(due[1])
             if timeout is not None:
-                for pid, (index, deadline) in list(inflight.items()):
-                    if deadline is not None and now > deadline:
-                        # Charge the point once, here, and drop the
-                        # in-flight entry so the death observed below is
-                        # not attributed a second time.
-                        del inflight[pid]
+                for conn, (index, deadline) in list(held.items()):
+                    if now > deadline:
+                        retire(conn)
                         emit("timed_out", index, timeout=timeout)
                         handle_failure(
                             index, f"timed out after {timeout:g}s", retryable=True
                         )
-                        for process in processes:
-                            if process.pid == pid:
-                                process.kill()
-            for process in list(processes):
-                if not process.is_alive():
-                    process.join()
-                    processes.remove(process)
-                    info = inflight.pop(process.pid, None)
-                    if info is not None:
-                        charge_death(info[0])
-                    if remaining:
-                        processes.append(spawn())
-            # Stall rescue: a worker killed in the instant between taking
-            # a task and announcing it leaves that task unattributable.
-            # If nothing is running, scheduled, or arriving, resubmit
-            # whatever is still open — completed duplicates are ignored.
-            if not inflight and not delayed and now - last_activity > 1.0:
-                for index in sorted(remaining):
-                    submit(index)
-                last_activity = now
-            if not result_reader.poll(0.05):
-                continue
-            message = result_reader.recv()
-            last_activity = time.monotonic()
-            kind, index = message[0], message[1]
-            if kind == "start":
-                pid = message[2]
-                if all(process.pid != pid for process in processes):
-                    # The worker died and was reaped before its
-                    # announcement was read: no later death check can
-                    # see it, so charge the point now.
-                    charge_death(index)
+            for conn in list(processes):
+                if not ready:
+                    break
+                if conn in held:
+                    continue
+                index = ready.popleft()
+                try:
+                    conn.send((index, canonicals[index]))
+                except OSError:
+                    # The idle worker is already dead; its end-of-file is
+                    # read below, and the point goes to the next one.
+                    ready.appendleft(index)
                     continue
                 deadline = time.monotonic() + timeout if timeout is not None else None
-                inflight[pid] = (index, deadline)
+                held[conn] = (index, deadline)
                 emit("started", index)
-            elif kind == "done":
-                clear_inflight(index)
-                if index in remaining:
+            for conn in multiprocessing.connection.wait(list(processes), _TICK_S):
+                try:
+                    message = conn.recv()
+                except (EOFError, OSError):
+                    index = retire(conn)
+                    if index is not None:
+                        emit("killed", index)
+                        handle_failure(
+                            index,
+                            "worker process died mid-point "
+                            "(killed, out-of-memory, or crashed)",
+                            retryable=True,
+                        )
+                    continue
+                del held[conn]
+                kind, index = message[0], message[1]
+                if kind == "done":
                     remaining.discard(index)
                     on_done(index, message[2])
-            else:  # "error"
-                clear_inflight(index)
-                handle_failure(index, message[2], message[3])
+                else:  # "error"
+                    handle_failure(index, message[2], message[3])
     finally:
         # Stop the workers with one sentinel each, so every worker flushes
         # its telemetry before exiting; drain while they do (a full bus
         # pipe would block the flush), then once more after the last one
-        # is joined.  Only workers that miss the deadline are killed.
-        # Leftover tasks (stale duplicates, or everything after an early
-        # exit) are discarded first, so a worker finishes at most the
-        # point it is on before it reads its sentinel.
-        while True:
+        # is joined.  A worker still on a point (after an early exit)
+        # finishes at most that point before it reads its sentinel; only
+        # workers that miss the deadline are killed.
+        for conn in processes:
             try:
-                task_queue.get_nowait()
-            except queue_module.Empty:
-                break
-        for _ in processes:
-            task_queue.put(None)
+                conn.send(None)
+            except OSError:
+                pass  # already dead
         deadline = time.monotonic() + _STOP_TIMEOUT_S
-        for process in processes:
+        for process in processes.values():
             while process.is_alive() and time.monotonic() < deadline:
                 if telemetry is not None:
                     telemetry.drain()
                 process.join(timeout=0.05)
         if telemetry is not None:
             telemetry.drain()
-        for process in processes:
+        for conn, process in processes.items():
             if process.is_alive():
                 process.kill()
             process.join(timeout=5.0)
-        task_queue.close()
-        task_queue.cancel_join_thread()
-        result_reader.close()
-        result_writer.close()
+            conn.close()
     return failed
 
 
@@ -585,33 +584,23 @@ def _execute_serial(
 
     failed: dict[int, tuple[str, int]] = {}
     for index, canonical in tasks:
-        for attempt in range(retries + 1):
-            emit("spawned", index, attempt=attempt + 1)
+        attempt = 1
+        while True:
+            emit("spawned", index, attempt=attempt)
             emit("started", index)
-            try:
-                if instrument or profile_dir is not None or telemetry is not None:
-                    payload = execute_point(
-                        canonical, instrument=instrument, profile_dir=profile_dir,
-                        telemetry=telemetry, index=index,
-                    )
-                else:
-                    payload = execute_point(canonical)
-            except ConfigurationError as exc:
-                error = f"{type(exc).__name__}: {exc}"
-                failed[index] = (error, attempt + 1)
-                emit("failed", index, error=error, attempts=attempt + 1)
+            message = _attempt(index, canonical, instrument, profile_dir, telemetry)
+            if message[0] == "done":
+                on_done(index, message[2])
                 break
-            except Exception as exc:
-                error = f"{type(exc).__name__}: {exc}"
-                if attempt == retries:
-                    failed[index] = (error, attempt + 1)
-                    emit("failed", index, error=error, attempts=attempt + 1)
-                    break
-                emit("retried", index, attempt=attempt + 1, error=error)
-                time.sleep(backoff * (2 ** attempt))
-            else:
-                on_done(index, payload)
+            error = message[2]
+            pause = _retry_pause(message[3], attempt, retries, backoff)
+            if pause is None:
+                failed[index] = (error, attempt)
+                emit("failed", index, error=error, attempts=attempt)
                 break
+            emit("retried", index, attempt=attempt, error=error)
+            time.sleep(pause)
+            attempt += 1
     return failed
 
 

@@ -36,6 +36,7 @@ from repro.baselines import (
     BGIBroadcast,
     CentralizedGreedySchedule,
     InterleavedBroadcast,
+    KnownNeighborsDFS,
     RoundRobinBroadcast,
     SelectiveFamilyBroadcast,
 )
@@ -44,7 +45,6 @@ from repro.core import (
     KnownRadiusKP,
     OptimalRandomizedBroadcasting,
     SelectAndSend,
-    TokenGossip,
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.sim import ENGINES, FaultPlan, simulate
@@ -99,9 +99,9 @@ OBLIVIOUS_TOPOLOGIES = {
 #: arbitrary topologies; Complete-Layered only on the complete layered
 #: class it is correct for.  The interleaved cases run a hinted oblivious
 #: protocol and Select-and-Send on alternate slots (e6's pairing and the
-#: benchmark's randomized batch).  TokenGossip wraps S&S without
-#: implementing ``quiet_until`` — it exercises the unhinted default
-#: (polled every slot) on the event engines.
+#: benchmark's randomized batch).  KnownNeighborsDFS implements no
+#: ``quiet_until``: it exercises the unhinted default (polled every slot)
+#: on the event engines.
 ADAPTIVE_CASES = {
     "ss-path": (
         lambda: path(24, relabel="shuffled", seed=5),
@@ -139,7 +139,9 @@ ADAPTIVE_CASES = {
         lambda net: InterleavedBroadcast(RoundRobinBroadcast(net.r), SelectAndSend()),
         False,
     ),
-    "gossip-unhinted": (lambda: path(10), lambda net: TokenGossip(), False),
+    "dfs-unhinted": (
+        lambda: random_tree(20, seed=3), lambda net: KnownNeighborsDFS(net), False
+    ),
 }
 
 

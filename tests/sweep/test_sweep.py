@@ -480,3 +480,274 @@ class TestCrashSafety:
             run_sweep(self._spec(), retries=-1)
         with pytest.raises(ConfigurationError):
             run_sweep(self._spec(), timeout=0)
+
+
+# ----------------------------------------------------------------------
+# Worker deaths at every point of the pool protocol
+#
+# Each case runs one two-point sweep (n=12 and n=18, two workers) in a
+# child process of its own session, so a hung pool fails the test at
+# ``_CASE_DEADLINE_S`` instead of hanging it.  The n=12 point's worker is
+# killed at the case's protocol point; with ``reap`` set, the pool parent
+# is held in a callback until the dead worker has been reaped, so the
+# parent reads the worker's last message (and its end-of-file) only
+# after the process is gone.
+
+_CASE_DEADLINE_S = 20.0
+
+#: kill point -> (attempts of the n=12 point, point_killed events,
+#: point_timed_out events).  The n=18 point always completes at once.
+_DEATH_OUTCOMES = {
+    # Idle in a retry backoff: n=12 failed once, then the worker that ran
+    # it (and, for "both", the n=18 worker too) is killed.
+    "idle-one": (2, 0, 0),
+    "idle-both": (2, 0, 0),
+    # Dies the moment it receives the n=12 task.
+    "task-received": (2, 1, 0),
+    # Dies inside execute_point.
+    "mid-point": (2, 1, 0),
+    # Dies right after sending the n=12 result: the result counts.
+    "result-sent": (1, 0, 0),
+    # Dies at the stop sentinel; with ``reap``, both workers are killed
+    # and reaped by the last on_point callback, before the sentinel is
+    # sent.
+    "stop-sentinel": (1, 0, 0),
+    # Times out, and its result is sent after the deadline but before
+    # the parent's kill: the late result is discarded and the point
+    # retried.
+    "late-done": (2, 0, 1),
+}
+
+
+def _wait_for(path, limit: float = 10.0) -> str:
+    import time
+
+    deadline = time.monotonic() + limit
+    while not path.exists():
+        if time.monotonic() > deadline:
+            raise TimeoutError(f"{path.name} never appeared")
+        time.sleep(0.005)
+    return path.read_text()
+
+
+def _reap(pid: int, limit: float = 10.0) -> None:
+    """Wait until the pool parent has reaped its child ``pid``."""
+    import multiprocessing
+    import time
+
+    deadline = time.monotonic() + limit
+    while any(p.pid == pid for p in multiprocessing.active_children()):
+        if time.monotonic() > deadline:
+            raise TimeoutError(f"worker {pid} was never reaped")
+        time.sleep(0.005)
+
+
+def _death_case(tmp, case: str, reap: bool) -> None:
+    """One kill-matrix sweep; runs in a forked child as session leader."""
+    import os
+    import signal
+    import time
+    from multiprocessing.connection import Connection
+
+    from repro.obs.runlog import RunLogger
+    import repro.sweep.runner as runner
+
+    os.setsid()
+    parent = os.getpid()
+    timeout = 1.0 if case == "late-done" else 5.0
+    real_execute = runner.execute_point
+    real_send, real_recv = Connection.send, Connection.recv
+
+    def once(name: str) -> bool:
+        marker = tmp / name
+        if marker.exists():
+            return False
+        marker.write_text("x")
+        return True
+
+    def die() -> None:
+        (tmp / "dying").write_text(str(os.getpid()))
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    def hold_until_parent_busy() -> None:
+        if reap:
+            _wait_for(tmp / "parent-busy")
+
+    def execute(canonical):
+        n = canonical["topology_params"]["n"]
+        (tmp / f"pid-{n}").write_text(str(os.getpid()))
+        if n == 12 and once("executed-12"):
+            started = time.monotonic()
+            if case.startswith("idle"):
+                _wait_for(tmp / "done-18")
+                raise RuntimeError("transient")
+            if case == "mid-point":
+                hold_until_parent_busy()
+                die()
+            if case == "result-sent":
+                hold_until_parent_busy()
+            if case == "late-done":
+                _wait_for(tmp / "parent-busy")
+                time.sleep(max(0.0, started + timeout + 0.3 - time.monotonic()))
+        return real_execute(canonical)
+
+    def recv(self):
+        task = real_recv(self)
+        if os.getpid() != parent:
+            if task is None:
+                if case == "stop-sentinel" and not reap:
+                    die()
+            elif (case == "task-received"
+                  and task[1]["topology_params"]["n"] == 12
+                  and once("received-12")):
+                hold_until_parent_busy()
+                die()
+        return task
+
+    def send(self, message):
+        real_send(self, message)
+        if (os.getpid() != parent and message[0] == "done"
+                and message[2]["point"]["topology_params"]["n"] == 12
+                and once("sent-12") and case == "result-sent"):
+            die()
+
+    completed = []
+
+    def on_point(point, payload, cached):
+        n = dict(point.topology_params)["n"]
+        completed.append(n)
+        if n == 18:
+            (tmp / "done-18").write_text("x")
+            if case == "late-done":
+                (tmp / "parent-busy").write_text("x")
+                _wait_for(tmp / "sent-12")
+            elif reap and case in ("task-received", "mid-point", "result-sent"):
+                (tmp / "parent-busy").write_text("x")
+                _reap(int(_wait_for(tmp / "dying")))
+        if case == "stop-sentinel" and reap and len(completed) == 2:
+            kill_workers([12, 18])
+
+    def kill_workers(points) -> None:
+        pids = [int((tmp / f"pid-{n}").read_text()) for n in points]
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        if reap:
+            for pid in pids:
+                _reap(pid)
+
+    class HookedLog(RunLogger):
+        def event(self, kind, /, **fields):
+            record = super().event(kind, **fields)
+            if kind == "point_retried" and case.startswith("idle"):
+                kill_workers([12, 18] if case == "idle-both" else [12])
+            return record
+
+    runner.execute_point = execute
+    Connection.send, Connection.recv = send, recv
+    spec = SweepSpec(**SMALL_SPEC)
+    with HookedLog(tmp / "run.jsonl") as runlog:
+        run_sweep(
+            spec, workers=2, timeout=timeout, retries=1,
+            backoff=0.5 if case.startswith("idle") else 0.05,
+            on_point=on_point, runlog=runlog,
+        )
+
+
+def _orphan_case(tmp) -> None:
+    """A sweep whose parent blocks in its first on_point callback."""
+    import os
+    import time
+
+    import repro.sweep.runner as runner
+
+    os.setsid()
+    real_execute = runner.execute_point
+
+    def execute(canonical):
+        n = canonical["topology_params"]["n"]
+        (tmp / f"pid-{n}").write_text(str(os.getpid()))
+        return real_execute(canonical)
+
+    def on_point(point, payload, cached):
+        (tmp / "parent-busy").write_text("x")
+        time.sleep(_CASE_DEADLINE_S)
+
+    runner.execute_point = execute
+    spec = SweepSpec(**{**SMALL_SPEC, "topology_grid": {"n": [12, 18, 24], "depth": 3}})
+    run_sweep(spec, workers=2, on_point=on_point)
+
+
+def _exited(pid: int) -> bool:
+    """True once ``pid`` is gone or a zombie (orphans may go unreaped)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+class TestWorkerDeathMatrix:
+    """A worker death is charged once, to the point that worker held."""
+
+    @pytest.mark.parametrize(
+        "case, reap",
+        [(case, reap) for case in _DEATH_OUTCOMES for reap in (False, True)
+         if not (case == "late-done" and reap)],
+        ids=lambda value: (
+            value if isinstance(value, str) else ("reaped" if value else "live")
+        ),
+    )
+    def test_death_is_charged_once(self, tmp_path, case, reap):
+        import multiprocessing
+        import os
+        import signal
+
+        from repro.obs.runlog import assert_valid_runlog
+
+        child = multiprocessing.get_context("fork").Process(
+            target=_death_case, args=(tmp_path, case, reap)
+        )
+        child.start()
+        child.join(_CASE_DEADLINE_S)
+        if child.is_alive():
+            os.killpg(child.pid, signal.SIGKILL)
+            child.join()
+            pytest.fail(f"{case} sweep still running after {_CASE_DEADLINE_S:g}s")
+        assert child.exitcode == 0
+        events = assert_valid_runlog(tmp_path / "run.jsonl")
+        completed = [e for e in events if e["event"] == "point_completed"]
+        # No duplicate on_done: each point completes exactly once.
+        assert sorted(e["index"] for e in completed) == [0, 1]
+        attempts = {e["index"]: e["attempt"] for e in completed}
+        kinds = [e["event"] for e in events]
+        expected_attempts, killed, timed_out = _DEATH_OUTCOMES[case]
+        assert attempts == {0: expected_attempts, 1: 1}
+        assert kinds.count("point_killed") == killed
+        assert kinds.count("point_timed_out") == timed_out
+        assert "point_failed" not in kinds
+
+    def test_workers_exit_when_the_parent_dies(self, tmp_path):
+        import multiprocessing
+        import os
+        import signal
+        import time
+
+        child = multiprocessing.get_context("fork").Process(
+            target=_orphan_case, args=(tmp_path,)
+        )
+        child.start()
+        try:
+            _wait_for(tmp_path / "parent-busy", limit=_CASE_DEADLINE_S)
+            pids = [int(_wait_for(tmp_path / f"pid-{n}")) for n in (12, 18)]
+            os.kill(child.pid, signal.SIGKILL)
+            child.join()
+            deadline = time.monotonic() + 10.0
+            while not all(_exited(pid) for pid in pids):
+                assert time.monotonic() < deadline, "workers outlived the parent"
+                time.sleep(0.01)
+        finally:
+            try:
+                os.killpg(child.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            child.join()

@@ -119,13 +119,6 @@ def test_unknown_algorithm_rejected():
         main(["run", "--topology", "path", "--n", "10", "--algorithm", "magic"])
 
 
-def test_gossip_subcommand(capsys):
-    code = main(["gossip", "--topology", "tree", "--n", "25"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "gossip completed: True" in out
-
-
 def test_run_save_and_load_round_trip(tmp_path, capsys):
     net_file = tmp_path / "net.json"
     result_file = tmp_path / "res.json"

@@ -45,9 +45,8 @@ def test_example_runs(name, timeout, expect):
     assert expect in completed.stdout
 
 
-def test_progress_and_gossip_example():
-    path = pathlib.Path(__file__).parent.parent / "examples" / "progress_and_gossip.py"
+def test_progress_curves_example():
+    path = pathlib.Path(__file__).parent.parent / "examples" / "progress_curves.py"
     completed = _run(path, 600)
     assert completed.returncode == 0, completed.stderr[-2000:]
     assert "milestones" in completed.stdout
-    assert "gossip (all-to-all)" in completed.stdout
