@@ -32,10 +32,14 @@ __all__ = ["CentralizedGreedySchedule", "greedy_broadcast_schedule"]
 def greedy_broadcast_schedule(network: RadioNetwork) -> list[frozenset[int]]:
     """Compute a complete broadcast schedule for ``network``.
 
+    A CSR-native network is read through ``to_radio_network()``.
+
     Returns:
         A list of transmitter sets, one per slot; replaying them under the
         exactly-one collision rule informs every node.
     """
+    if hasattr(network, "to_radio_network"):
+        network = network.to_radio_network()
     out = network.out_neighbors
     informed: set[int] = {network.source}
     schedule: list[frozenset[int]] = []
@@ -120,7 +124,8 @@ class CentralizedGreedySchedule(BroadcastAlgorithm):
     """Replays an offline greedy schedule (full-knowledge reference).
 
     Args:
-        network: Topology; the schedule is computed at construction.
+        network: Topology (a ``RadioNetwork`` or a ``CSRNetwork``); the
+            schedule is computed at construction.
     """
 
     deterministic = True

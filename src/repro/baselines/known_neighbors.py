@@ -95,12 +95,15 @@ class KnownNeighborsDFS(BroadcastAlgorithm):
     "knows its neighbourhood" assumption of [3].
 
     Args:
-        network: The topology the broadcast will run on.
+        network: The topology the broadcast will run on (a
+            ``RadioNetwork`` or a ``CSRNetwork``).
     """
 
     deterministic = True
 
     def __init__(self, network: RadioNetwork):
+        if hasattr(network, "to_radio_network"):
+            network = network.to_radio_network()
         self._neighbors = {v: tuple(network.out_neighbors[v]) for v in network.nodes}
         self.name = "dfs-known-neighbors"
 

@@ -35,11 +35,11 @@ Subcommands:
 
 Examples::
 
-    repro run --topology geometric --n 200 --algorithm kp
+    repro run --topology geometric --n 200 --algorithm kp-optimal
     repro run --topology gnp-csr --n 1000000 --avg-degree 12 \
         --algorithm kp-known-d --engine macro
     repro run --topology gnp --n 64 --algorithm bgi --faults plan.json
-    repro run --topology gnp --n 64 --algorithm kp --metrics --log-jsonl run.jsonl
+    repro run --topology gnp --n 64 --algorithm kp-optimal --metrics --log-jsonl run.jsonl
     repro compare --topology km-layered --n 1024 --depth 64 --runs 10
     repro adversary --algorithm round-robin --n 512 --depth 16
     repro experiment e6 --quick
@@ -51,14 +51,14 @@ Examples::
     repro top --quick --workers 4
     repro top --replay sweep.jsonl
     repro trace export sweep.jsonl -o sweep.trace.json
-    repro explain run --topology km-layered --n 128 --depth 16 --algorithm kp
+    repro explain run --topology km-layered --n 128 --depth 16 --algorithm kp-optimal
     repro explain run --algorithm select-and-send --n 32 --json
     repro explain sweep --algorithm bgi --n 64 --runs 10 --json
     repro report sweep.jsonl
     repro report benchmarks/results/BENCH_trajectory.jsonl --json
     repro bench --quick --compare
     repro bench --filter engine --update-baseline
-    repro profile run --topology km-layered --n 256 --algorithm kp --trials 20
+    repro profile run --topology km-layered --n 256 --algorithm kp-optimal --trials 20
     repro profile sweep --quick --workers 2 --callgrind sweep.callgrind
     repro profile bench batched_engine --quick --top 15
     repro universal --r 65536 --d 16384
@@ -67,128 +67,92 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import inspect
+import json
 import sys
-from typing import Callable
 
-from . import topology
 from .adversary import LowerBoundConstruction, verify_construction
 from .analysis import render_table, summarize
-from .baselines import (
-    BGIBroadcast,
-    CentralizedGreedySchedule,
-    InterleavedBroadcast,
-    KnownNeighborsDFS,
-    RoundRobinBroadcast,
-    SelectiveFamilyBroadcast,
-)
 from .combinatorics import build_universal_sequence, check_universality
-from .core import (
-    CompleteLayeredBroadcast,
-    KnownRadiusKP,
-    OptimalRandomizedBroadcasting,
-    SelectAndSend,
+from .sim import (
+    ENGINES,
+    FaultPlan,
+    TraceLevel,
+    load_network,
+    repeat_broadcast,
+    run_broadcast,
+    save_network,
+    save_result,
 )
-from .sim import ENGINES, RadioNetwork, TraceLevel, repeat_broadcast, run_broadcast
+from .sim.errors import ConfigurationError, SimulationError
+from .sweep.registry import (
+    ALGORITHMS,
+    TOPOLOGIES,
+    TOPOLOGY_AWARE,
+    build_algorithm,
+    build_topology,
+)
 
 __all__ = ["main"]
 
-
-def _build_topology(args: argparse.Namespace):
-    n, depth, seed = args.n, args.depth, args.topology_seed
-    avg_degree = getattr(args, "avg_degree", 6.0)
-    builders: dict[str, Callable[[], object]] = {
-        "path": lambda: topology.path(n),
-        "star": lambda: topology.star(n),
-        "grid": lambda: topology.grid(max(2, int(n**0.5)), max(2, int(n**0.5))),
-        "tree": lambda: topology.random_tree(n, seed=seed),
-        "gnp": lambda: topology.gnp_connected(n, min(0.9, 6.0 / n), seed=seed),
-        "geometric": lambda: topology.random_geometric(n, seed=seed),
-        "layered": lambda: topology.uniform_complete_layered(n, depth),
-        "km-layered": lambda: topology.km_hard_layered(n, depth, seed=seed),
-        # CSR-native builders: same distributions, flat-array construction;
-        # required for million-node topologies (see docs/PERFORMANCE.md).
-        "gnp-csr": lambda: topology.gnp_random_csr(
-            n, min(0.9, avg_degree / n), seed=seed
-        ),
-        "layered-csr": lambda: topology.uniform_complete_layered_csr(n, depth),
-        "km-layered-csr": lambda: topology.km_hard_layered_csr(n, depth, seed=seed),
-    }
-    if args.topology not in builders:
-        raise SystemExit(f"unknown topology {args.topology!r}; choose from {sorted(builders)}")
-    return builders[args.topology]()
+#: ``--engine`` values: a registered engine, or ``auto`` (macro for
+#: oblivious algorithms, event otherwise).
+ENGINE_CHOICES = ["auto", *ENGINES]
 
 
-def _build_algorithm(name: str, net: RadioNetwork) -> object:
-    builders: dict[str, Callable[[], object]] = {
-        "kp": lambda: OptimalRandomizedBroadcasting(net.r, stage_constant=8),
-        "kp-known-d": lambda: KnownRadiusKP(net.r, max(1, net.radius)),
-        "bgi": lambda: BGIBroadcast(net.r),
-        "select-and-send": lambda: SelectAndSend(),
-        "complete-layered": lambda: CompleteLayeredBroadcast(),
-        "round-robin": lambda: RoundRobinBroadcast(net.r),
-        "selective-family": lambda: SelectiveFamilyBroadcast(net.r, "random"),
-        "interleaved": lambda: InterleavedBroadcast(
-            RoundRobinBroadcast(net.r), SelectAndSend()
-        ),
-        "dfs-known-neighbors": lambda: KnownNeighborsDFS(net),
-        "centralized": lambda: CentralizedGreedySchedule(net),
-    }
-    if name not in builders:
-        raise SystemExit(f"unknown algorithm {name!r}; choose from {sorted(builders)}")
-    return builders[name]()
-
-
-ALGORITHM_CHOICES = [
-    "kp", "kp-known-d", "bgi", "select-and-send", "complete-layered",
-    "round-robin", "selective-family", "interleaved",
-    "dfs-known-neighbors", "centralized",
-]
+def _build_network(args: argparse.Namespace):
+    """The ``--topology`` family, given only the flags its factory declares."""
+    flags = {"n": args.n, "depth": args.depth, "seed": args.topology_seed,
+             "avg_degree": args.avg_degree}
+    declared = inspect.signature(TOPOLOGIES[args.topology]).parameters
+    return build_topology(
+        args.topology, {k: v for k, v in flags.items() if k in declared}
+    )
 
 
 def _add_topology_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--topology", default="geometric",
-                        help="path|star|grid|tree|gnp|geometric|layered|"
-                             "km-layered|gnp-csr|layered-csr|km-layered-csr")
+    parser.add_argument("--topology", default="geometric", choices=list(TOPOLOGIES),
+                        help="topology family (see repro.sweep.registry)")
     parser.add_argument("--n", type=int, default=200, help="number of nodes")
     parser.add_argument("--depth", type=int, default=8,
                         help="radius for layered topologies")
     parser.add_argument("--avg-degree", type=float, default=6.0,
-                        help="expected degree for gnp-csr (p = avg-degree/n)")
+                        help="expected degree for gnp and gnp-csr "
+                             "(p = min(0.9, avg-degree/n))")
     parser.add_argument("--topology-seed", type=int, default=0)
 
 
-def _load_fault_plan(path: str) -> "object":
-    """Read a :class:`~repro.sim.faults.FaultPlan` JSON document."""
-    import json
+def _add_algorithm_arg(parser: argparse.ArgumentParser, default: str) -> None:
+    parser.add_argument("--algorithm", default=default, choices=list(ALGORITHMS))
 
-    from .sim import FaultPlan
-    from .sim.errors import ConfigurationError
 
+def _read_json(path: str, what: str):
+    """A JSON document; an unreadable or invalid file exits with one line."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
+            return json.load(handle)
     except OSError as exc:
-        raise SystemExit(f"cannot read fault plan: {exc}")
+        raise SystemExit(f"cannot read {what}: {exc}")
     except json.JSONDecodeError as exc:
-        raise SystemExit(f"fault plan {path} is not valid JSON: {exc}")
+        raise SystemExit(f"{what} {path} is not valid JSON: {exc}")
+
+
+def _load_fault_plan(path: str) -> FaultPlan:
+    """Read a :class:`~repro.sim.faults.FaultPlan` JSON document."""
     try:
-        return FaultPlan.from_dict(document)
+        return FaultPlan.from_dict(_read_json(path, "fault plan"))
     except ConfigurationError as exc:
         raise SystemExit(f"bad fault plan: {exc}")
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from .sim import load_network, save_network, save_result
-
     if args.load_network:
         net = load_network(args.load_network)
     else:
-        net = _build_topology(args)
-    algorithm = _build_algorithm(args.algorithm, net)
+        net = _build_network(args)
+    algorithm = build_algorithm(args.algorithm, net, {})
     level = TraceLevel.FULL if args.trace else TraceLevel.NONE
     faults = _load_fault_plan(args.faults) if args.faults else None
-    from .sim.errors import ConfigurationError
-
     metrics = None
     runlog = None
     spans = None
@@ -266,11 +230,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    net = _build_topology(args)
+    net = _build_network(args)
     print(net.describe())
     rows = []
     for name in args.algorithms:
-        algorithm = _build_algorithm(name, net)
+        algorithm = build_algorithm(name, net, {})
         results = repeat_broadcast(
             net, algorithm, runs=args.runs, base_seed=args.seed,
             require_completion=False,
@@ -288,18 +252,23 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_adversary(args: argparse.Namespace) -> int:
+    if args.algorithm in TOPOLOGY_AWARE:
+        raise ConfigurationError(
+            f"algorithm {args.algorithm!r} is built from the whole topology, "
+            f"but the adversary builds G_A from the algorithm's behaviour"
+        )
+
     # The adversary needs r = n - 1 baked into label-driven algorithms.
     class _Holder:
         r = args.n - 1
         radius = args.depth
 
-    factory = lambda: _build_algorithm(args.algorithm, _Holder)  # noqa: E731
-    algorithm = factory()
+    algorithm = build_algorithm(args.algorithm, _Holder, {})
     if not getattr(algorithm, "deterministic", False):
         raise SystemExit("the Section 3 adversary applies to deterministic algorithms")
     construction = LowerBoundConstruction(algorithm, args.n, args.depth)
     result = construction.build()
-    report = verify_construction(result, factory())
+    report = verify_construction(result, build_algorithm(args.algorithm, _Holder, {}))
     print(result.describe())
     print(f"Lemma 9 histories match: {report.histories_match}")
     print(f"silence floor {result.silence_floor} respected: {report.silence_respected}")
@@ -308,8 +277,6 @@ def _cmd_adversary(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    import json
-
     from .experiments import all_experiments, get_experiment
 
     names = list(all_experiments()) if args.name == "all" else [args.name]
@@ -342,21 +309,47 @@ QUICK_SWEEP = {
 }
 
 
+def _add_sweep_args(
+    parser: argparse.ArgumentParser, verb: str = "run", log_help: str | None = None
+) -> None:
+    """The flags of the sweep commands.  ``profile sweep`` (``log_help``
+    unset) runs uncached and unbudgeted, so it takes only the first three."""
+    parser.add_argument("--spec", metavar="FILE",
+                        help="sweep spec JSON (see repro.sweep.SweepSpec)")
+    parser.add_argument("--quick", action="store_true",
+                        help=f"{verb} the built-in small smoke sweep")
+    parser.add_argument("--workers", type=int, default=1,
+                        help="worker processes for cache-missed points")
+    if log_help is None:
+        return
+    parser.add_argument("--no-cache", action="store_true",
+                        help="disable the on-disk result cache")
+    parser.add_argument("--cache-dir", metavar="DIR",
+                        help="cache location (default benchmarks/results/sweep-cache)")
+    parser.add_argument("--timeout", type=float, default=None,
+                        help="per-point wall-clock budget in seconds")
+    parser.add_argument("--retries", type=int, default=0,
+                        help="re-attempts per failed/timed-out/killed point")
+    parser.add_argument("--log-jsonl", metavar="FILE", help=log_help)
+
+
+def _open_sweep_sinks(args: argparse.Namespace):
+    """The result cache (``None`` under ``--no-cache``) and run logger
+    (``None`` without ``--log-jsonl``) of a sweep command."""
+    from .obs import RunLogger
+    from .sweep import DEFAULT_CACHE_DIR, ResultCache
+
+    cache = None if args.no_cache else ResultCache(args.cache_dir or DEFAULT_CACHE_DIR)
+    runlog = RunLogger(args.log_jsonl) if args.log_jsonl else None
+    return cache, runlog
+
+
 def _load_sweep_spec(args: argparse.Namespace):
     """Resolve ``--spec FILE`` / ``--quick`` into a ``SweepSpec``."""
-    import json
-
-    from .sim.errors import ConfigurationError
     from .sweep import SweepSpec
 
     if args.spec:
-        try:
-            with open(args.spec, "r", encoding="utf-8") as handle:
-                document = json.load(handle)
-        except OSError as exc:
-            raise SystemExit(f"cannot read sweep spec: {exc}")
-        except json.JSONDecodeError as exc:
-            raise SystemExit(f"sweep spec {args.spec} is not valid JSON: {exc}")
+        document = _read_json(args.spec, "sweep spec")
         try:
             return SweepSpec.from_dict(document)
         except ConfigurationError as exc:
@@ -396,9 +389,7 @@ def _sweep_progress(spec, stream, quiet: bool):
 def _cmd_sweep(args: argparse.Namespace) -> int:
     import dataclasses
 
-    from .sweep import DEFAULT_CACHE_DIR, ResultCache, run_sweep
-
-    from .sim.errors import ConfigurationError, SimulationError
+    from .sweep import run_sweep
 
     spec = _load_sweep_spec(args)
     if args.faults:
@@ -406,14 +397,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             spec = dataclasses.replace(spec, faults=_load_fault_plan(args.faults))
         except ConfigurationError as exc:
             raise SystemExit(f"bad sweep spec: {exc}")
-    cache = None
-    if not args.no_cache:
-        cache = ResultCache(args.cache_dir or DEFAULT_CACHE_DIR)
-    runlog = None
-    if args.log_jsonl:
-        from .obs import RunLogger
-
-        runlog = RunLogger(args.log_jsonl)
+    cache, runlog = _open_sweep_sinks(args)
     metrics = None
     if args.metrics:
         from .obs import MetricsRegistry
@@ -478,34 +462,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_top(args: argparse.Namespace) -> int:
-    from .sim.errors import SimulationError
-
     if args.replay:
-        from .obs.runlog import RunlogError, read_runlog
+        from .obs.runlog import read_runlog
         from .obs.top import replay_events
 
-        try:
-            events = read_runlog(args.replay)
-        except OSError as exc:
-            raise SystemExit(f"cannot read run log: {exc}")
-        except RunlogError as exc:
-            raise SystemExit(f"bad run log: {exc}")
-        print(replay_events(events).render())
+        print(replay_events(_read_runlog(read_runlog, args.replay)).render())
         return 0
 
     from .obs import TelemetryHub
     from .obs.top import LiveRenderer
-    from .sweep import DEFAULT_CACHE_DIR, ResultCache, run_sweep
+    from .sweep import run_sweep
 
     spec = _load_sweep_spec(args)
-    cache = None
-    if not args.no_cache:
-        cache = ResultCache(args.cache_dir or DEFAULT_CACHE_DIR)
-    runlog = None
-    if args.log_jsonl:
-        from .obs import RunLogger
-
-        runlog = RunLogger(args.log_jsonl)
+    cache, runlog = _open_sweep_sinks(args)
     telemetry = TelemetryHub(runlog=runlog)
     renderer = LiveRenderer(sys.stderr, interval=args.interval)
     telemetry.subscribe(renderer)
@@ -532,18 +501,25 @@ def _cmd_top(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_trace_export(args: argparse.Namespace) -> int:
-    import pathlib
-
-    from .obs.runlog import RunlogError, read_runlog
-    from .obs.spans import TraceFormatError, span_events, write_trace
+def _read_runlog(read, path: str):
+    """``read(path)``; an unreadable or malformed run log exits with one line."""
+    from .obs.runlog import RunlogError
 
     try:
-        events = read_runlog(args.runlog)
+        return read(path)
     except OSError as exc:
         raise SystemExit(f"cannot read run log: {exc}")
     except RunlogError as exc:
         raise SystemExit(f"bad run log: {exc}")
+
+
+def _cmd_trace_export(args: argparse.Namespace) -> int:
+    import pathlib
+
+    from .obs.runlog import read_runlog
+    from .obs.spans import TraceFormatError, span_events, write_trace
+
+    events = _read_runlog(read_runlog, args.runlog)
     output = args.output or str(
         pathlib.Path(args.runlog).with_suffix(".trace.json")
     )
@@ -557,13 +533,10 @@ def _cmd_trace_export(args: argparse.Namespace) -> int:
 
 
 def _cmd_explain_run(args: argparse.Namespace) -> int:
-    import json
-
     from .obs.forensics import analyze, forensic_span_events
-    from .sim.errors import ConfigurationError
 
-    net = _build_topology(args)
-    algorithm = _build_algorithm(args.algorithm, net)
+    net = _build_network(args)
+    algorithm = build_algorithm(args.algorithm, net, {})
     try:
         result = run_broadcast(
             net, algorithm, seed=args.seed, trace_level=TraceLevel.FULL,
@@ -588,16 +561,13 @@ def _cmd_explain_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_explain_sweep(args: argparse.Namespace) -> int:
-    import json
-
     from .obs import MetricsRegistry
     from .obs.forensics import analyze, record_forensics_metrics
     from .obs.report import render_metrics
-    from .sim.errors import ConfigurationError
     from .sim.fast import run_broadcast_batch
 
-    net = _build_topology(args)
-    algorithm = _build_algorithm(args.algorithm, net)
+    net = _build_network(args)
+    algorithm = build_algorithm(args.algorithm, net, {})
     try:
         results = run_broadcast_batch(
             net, algorithm, trials=args.runs, base_seed=args.seed,
@@ -639,27 +609,17 @@ def _cmd_explain_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    import json
-
     from .obs.report import report_from_file, report_json_from_file
-    from .obs.runlog import RunlogError
 
-    try:
-        if args.json:
-            print(json.dumps(report_json_from_file(args.runlog), indent=1,
-                             sort_keys=True))
-        else:
-            print(report_from_file(args.runlog))
-    except OSError as exc:
-        raise SystemExit(f"cannot read run log: {exc}")
-    except RunlogError as exc:
-        raise SystemExit(f"bad run log: {exc}")
+    if args.json:
+        document = _read_runlog(report_json_from_file, args.runlog)
+        print(json.dumps(document, indent=1, sort_keys=True))
+    else:
+        print(_read_runlog(report_from_file, args.runlog))
     return 0
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    import json
-
     from .obs import bench as bench_mod
     from .obs.suite import default_registry  # importing registers the suite
 
@@ -764,10 +724,9 @@ def _add_profile_report_args(parser: argparse.ArgumentParser) -> None:
 
 def _cmd_profile_run(args: argparse.Namespace) -> int:
     from .obs.profile import profile_call
-    from .sim.errors import SimulationError
 
-    net = _build_topology(args)
-    algorithm = _build_algorithm(args.algorithm, net)
+    net = _build_network(args)
+    algorithm = build_algorithm(args.algorithm, net, {})
     try:
         results, stats = profile_call(
             lambda: repeat_broadcast(
@@ -788,7 +747,6 @@ def _cmd_profile_sweep(args: argparse.Namespace) -> int:
     import tempfile
 
     from .obs.profile import merge_stats_files
-    from .sim.errors import SimulationError
     from .sweep import run_sweep
 
     spec = _load_sweep_spec(args)
@@ -850,12 +808,13 @@ def main(argv: list[str] | None = None) -> int:
 
     p_run = sub.add_parser("run", help="run one broadcast")
     _add_topology_args(p_run)
-    p_run.add_argument("--algorithm", default="kp", choices=ALGORITHM_CHOICES)
+    _add_algorithm_arg(p_run, "kp-optimal")
     p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument("--engine", default="reference", choices=list(ENGINES),
+    p_run.add_argument("--engine", default="auto", choices=ENGINE_CHOICES,
                        help="execution engine (results are bit-identical; "
-                            "macro is the multi-slot array path for "
-                            "large n — see docs/PERFORMANCE.md)")
+                            "auto picks macro, the multi-slot array path "
+                            "for large n, for oblivious algorithms and "
+                            "event otherwise — see docs/PERFORMANCE.md)")
     p_run.add_argument("--allow-large", action="store_true",
                        help="override the memory guards: the FULL-trace "
                             "byte budget and the dense-metrics estimate")
@@ -878,14 +837,14 @@ def main(argv: list[str] | None = None) -> int:
     p_cmp = sub.add_parser("compare", help="compare algorithms on one topology")
     _add_topology_args(p_cmp)
     p_cmp.add_argument("--algorithms", nargs="+",
-                       default=["kp", "bgi", "select-and-send", "round-robin"],
-                       choices=ALGORITHM_CHOICES)
+                       default=["kp-optimal", "bgi", "select-and-send", "round-robin"],
+                       choices=list(ALGORITHMS))
     p_cmp.add_argument("--runs", type=int, default=10)
     p_cmp.add_argument("--seed", type=int, default=0)
     p_cmp.set_defaults(func=_cmd_compare)
 
     p_adv = sub.add_parser("adversary", help="build the Theorem 2 network G_A")
-    p_adv.add_argument("--algorithm", default="round-robin", choices=ALGORITHM_CHOICES)
+    _add_algorithm_arg(p_adv, "round-robin")
     p_adv.add_argument("--n", type=int, default=512)
     p_adv.add_argument("--depth", type=int, default=16, help="target radius D")
     p_adv.set_defaults(func=_cmd_adversary)
@@ -904,31 +863,16 @@ def main(argv: list[str] | None = None) -> int:
     p_sweep = sub.add_parser(
         "sweep", help="run a declarative parameter sweep (batched + cached)"
     )
-    p_sweep.add_argument("--spec", metavar="FILE",
-                         help="sweep spec JSON (see repro.sweep.SweepSpec)")
-    p_sweep.add_argument("--quick", action="store_true",
-                         help="run the built-in small smoke sweep")
-    p_sweep.add_argument("--workers", type=int, default=1,
-                         help="worker processes for cache-missed points")
-    p_sweep.add_argument("--no-cache", action="store_true",
-                         help="disable the on-disk result cache")
-    p_sweep.add_argument("--cache-dir", metavar="DIR",
-                         help="cache location (default benchmarks/results/sweep-cache)")
+    _add_sweep_args(p_sweep, log_help="append per-point lifecycle events to a "
+                                      "JSONL run log")
     p_sweep.add_argument("--json", action="store_true",
                          help="emit the full outcome as canonical JSON")
     p_sweep.add_argument("--faults", metavar="FILE",
                          help="fault plan JSON applied at every point "
                               "(overrides the spec's own plan)")
-    p_sweep.add_argument("--timeout", type=float, default=None,
-                         help="per-point wall-clock budget in seconds")
-    p_sweep.add_argument("--retries", type=int, default=0,
-                         help="re-attempts per failed/timed-out/killed point")
     p_sweep.add_argument("--metrics", action="store_true",
                          help="instrument executed points (timings + metrics "
                               "in payloads; cache entries stay clean)")
-    p_sweep.add_argument("--log-jsonl", metavar="FILE",
-                         help="append per-point lifecycle events to a JSONL "
-                              "run log")
     p_sweep.add_argument("--telemetry", action="store_true",
                          help="stream sweep/point/trial/stage spans from "
                               "workers over the live telemetry bus (spans "
@@ -940,24 +884,9 @@ def main(argv: list[str] | None = None) -> int:
     p_top = sub.add_parser(
         "top", help="live terminal view of a running sweep (telemetry bus)"
     )
-    p_top.add_argument("--spec", metavar="FILE",
-                       help="sweep spec JSON (see repro.sweep.SweepSpec)")
-    p_top.add_argument("--quick", action="store_true",
-                       help="run the built-in small smoke sweep")
-    p_top.add_argument("--workers", type=int, default=1,
-                       help="worker processes for cache-missed points")
-    p_top.add_argument("--no-cache", action="store_true",
-                       help="disable the on-disk result cache")
-    p_top.add_argument("--cache-dir", metavar="DIR",
-                       help="cache location (default benchmarks/results/sweep-cache)")
-    p_top.add_argument("--timeout", type=float, default=None,
-                       help="per-point wall-clock budget in seconds")
-    p_top.add_argument("--retries", type=int, default=0,
-                       help="re-attempts per failed/timed-out/killed point")
+    _add_sweep_args(p_top, log_help="also append every event to a JSONL run log")
     p_top.add_argument("--interval", type=float, default=0.5,
                        help="minimum seconds between screen redraws")
-    p_top.add_argument("--log-jsonl", metavar="FILE",
-                       help="also append every event to a JSONL run log")
     p_top.add_argument("--replay", metavar="RUNLOG",
                        help="render the final view of a recorded run log "
                             "instead of running a sweep")
@@ -987,10 +916,9 @@ def main(argv: list[str] | None = None) -> int:
         "run", help="explain one broadcast (tables or --json)"
     )
     _add_topology_args(p_ex_run)
-    p_ex_run.add_argument("--algorithm", default="kp", choices=ALGORITHM_CHOICES)
+    _add_algorithm_arg(p_ex_run, "kp-optimal")
     p_ex_run.add_argument("--seed", type=int, default=0)
-    p_ex_run.add_argument("--engine", default="reference",
-                          choices=list(ENGINES),
+    p_ex_run.add_argument("--engine", default="auto", choices=ENGINE_CHOICES,
                           help="engine to record the trace on (forensic "
                                "output is bit-identical across engines)")
     p_ex_run.add_argument("--json", action="store_true",
@@ -1003,7 +931,7 @@ def main(argv: list[str] | None = None) -> int:
         "sweep", help="aggregate forensic scalars over repeated seeds"
     )
     _add_topology_args(p_ex_sweep)
-    p_ex_sweep.add_argument("--algorithm", default="kp", choices=ALGORITHM_CHOICES)
+    _add_algorithm_arg(p_ex_sweep, "kp-optimal")
     p_ex_sweep.add_argument("--seed", type=int, default=0, help="base seed")
     p_ex_sweep.add_argument("--runs", type=int, default=5)
     p_ex_sweep.add_argument("--json", action="store_true",
@@ -1049,9 +977,8 @@ def main(argv: list[str] | None = None) -> int:
 
     p_prof_run = prof_sub.add_parser("run", help="profile repeated broadcasts")
     _add_topology_args(p_prof_run)
-    p_prof_run.add_argument("--algorithm", default="kp", choices=ALGORITHM_CHOICES)
-    p_prof_run.add_argument("--engine", default="auto",
-                            choices=["auto", *ENGINES],
+    _add_algorithm_arg(p_prof_run, "kp-optimal")
+    p_prof_run.add_argument("--engine", default="auto", choices=ENGINE_CHOICES,
                             help="engine to profile (auto runs the trials "
                                  "as macro unions for vectorised algorithms "
                                  "and as one event engine batch "
@@ -1065,11 +992,7 @@ def main(argv: list[str] | None = None) -> int:
     p_prof_sweep = prof_sub.add_parser(
         "sweep", help="profile every executed sweep point (across the pool)"
     )
-    p_prof_sweep.add_argument("--spec", metavar="FILE",
-                              help="sweep spec JSON (see repro.sweep.SweepSpec)")
-    p_prof_sweep.add_argument("--quick", action="store_true",
-                              help="profile the built-in small smoke sweep")
-    p_prof_sweep.add_argument("--workers", type=int, default=1)
+    _add_sweep_args(p_prof_sweep, verb="profile")
     p_prof_sweep.add_argument("--profile-dir", metavar="DIR", default=None,
                               help="keep per-point .pstats dumps here "
                                    "(default: fresh temp dir)")
@@ -1092,7 +1015,6 @@ def main(argv: list[str] | None = None) -> int:
     p_uni.set_defaults(func=_cmd_universal)
 
     args = parser.parse_args(argv)
-    from .sim.errors import ConfigurationError
 
     try:
         return args.func(args)

@@ -4,7 +4,9 @@ A sweep is described by a :class:`SweepSpec` (topology family, parameter
 grids, algorithm, trial count), expanded into self-contained
 :class:`SweepPoint` cells, and executed by :func:`run_sweep` — cache
 misses are sharded across worker processes while each point's trials run
-as macro unions of network copies on the array engine.  Results persist in a
+as macro unions of network copies on the array engine (adaptive
+algorithms: one event-engine batch).  Families are named through
+:mod:`repro.sweep.registry`, the name table the CLI shares.  Results persist in a
 content-addressed JSON cache under ``benchmarks/results/sweep-cache``.
 """
 

@@ -1,10 +1,16 @@
-"""Factories resolving sweep-spec names to topologies and algorithms.
+"""The one name table: topology and algorithm families by name.
+
+Every name a user types resolves here — ``repro run``, ``compare``,
+``adversary``, ``explain`` and ``profile run`` take their ``--topology``
+and ``--algorithm`` choices from :data:`TOPOLOGIES` and
+:data:`ALGORITHMS`, and sweep specs name their families the same way.
 
 Sweep points travel between processes as plain dicts; workers rebuild the
-actual :class:`~repro.sim.network.RadioNetwork` and algorithm objects
-through these registries.  Keeping construction here (rather than pickling
-live objects) makes points cacheable by content and cheap to ship to a
-worker pool.
+actual network (a :class:`~repro.sim.network.RadioNetwork`, or a
+CSR-native :class:`~repro.topology.csr.CSRNetwork` for the ``*-csr``
+families) and algorithm objects through these registries.  Keeping
+construction here (rather than pickling live objects) makes points
+cacheable by content and cheap to ship to a worker pool.
 """
 
 from __future__ import annotations
@@ -15,31 +21,70 @@ from .. import topology
 from ..baselines import (
     BGIBroadcast,
     CentralizedGreedySchedule,
+    InterleavedBroadcast,
+    KnownNeighborsDFS,
     RoundRobinBroadcast,
     SelectiveFamilyBroadcast,
 )
-from ..core import KnownRadiusKP, OptimalRandomizedBroadcasting
+from ..core import (
+    CompleteLayeredBroadcast,
+    KnownRadiusKP,
+    OptimalRandomizedBroadcasting,
+    SelectAndSend,
+)
 from ..sim.errors import ConfigurationError
-from ..sim.network import RadioNetwork
 
-__all__ = ["TOPOLOGIES", "ALGORITHMS", "build_topology", "build_algorithm"]
+__all__ = [
+    "TOPOLOGIES",
+    "ALGORITHMS",
+    "TOPOLOGY_AWARE",
+    "build_topology",
+    "build_algorithm",
+]
+
+
+def _gnp_p(n: int, p: float | None, avg_degree: float | None) -> float:
+    """Edge probability of a ``gnp`` family: ``p`` as given, otherwise
+    ``min(0.9, avg_degree / n)`` with ``avg_degree`` defaulting to 6.0."""
+    if p is not None and avg_degree is not None:
+        raise ConfigurationError("give gnp either p or avg_degree, not both")
+    if p is not None:
+        return p
+    return min(0.9, (6.0 if avg_degree is None else avg_degree) / n)
+
+
+def _grid_side(n: int) -> int:
+    return max(2, int(n**0.5))
+
 
 #: Topology family name -> factory over keyword parameters.
-TOPOLOGIES: dict[str, Callable[..., RadioNetwork]] = {
+TOPOLOGIES: dict[str, Callable[..., Any]] = {
     "path": lambda n: topology.path(n),
     "star": lambda n: topology.star(n),
-    "grid": lambda rows, cols: topology.grid(rows, cols),
+    "grid": lambda n: topology.grid(_grid_side(n), _grid_side(n)),
     "tree": lambda n, seed=0: topology.random_tree(n, seed=seed),
-    "gnp": lambda n, p, seed=0: topology.gnp_connected(n, p, seed=seed),
+    "gnp": lambda n, p=None, seed=0, avg_degree=None: topology.gnp_connected(
+        n, _gnp_p(n, p, avg_degree), seed=seed
+    ),
     "geometric": lambda n, seed=0: topology.random_geometric(n, seed=seed),
     "layered": lambda n, depth: topology.uniform_complete_layered(n, depth),
     "km-layered": lambda n, depth, seed=0: topology.km_hard_layered(n, depth, seed=seed),
+    # CSR-native builders: same distributions, flat-array construction;
+    # required for million-node topologies (see docs/PERFORMANCE.md).
+    "gnp-csr": lambda n, p=None, seed=0, avg_degree=None: topology.gnp_random_csr(
+        n, _gnp_p(n, p, avg_degree), seed=seed
+    ),
+    "layered-csr": lambda n, depth: topology.uniform_complete_layered_csr(n, depth),
+    "km-layered-csr": lambda n, depth, seed=0: topology.km_hard_layered_csr(
+        n, depth, seed=seed
+    ),
 }
 
 #: Algorithm name -> factory taking the network plus keyword parameters.
-#: All entries are oblivious (vectorisable), so sweep points run as macro
-#: unions; `repeat_broadcast` falls back to the event engine
-#: automatically if a non-vectorised factory is ever registered.
+#: Oblivious entries run as macro unions; the adaptive ones
+#: (``select-and-send``, ``complete-layered``, ``interleaved``,
+#: ``dfs-known-neighbors``) run on the event engine — ``repeat_broadcast``
+#: picks the engine per algorithm.
 ALGORITHMS: dict[str, Callable[..., Any]] = {
     "kp-known-d": lambda net, d=None, stage_constant=4660, extra_step="universal": KnownRadiusKP(
         net.r,
@@ -55,11 +100,22 @@ ALGORITHMS: dict[str, Callable[..., Any]] = {
     "selective-family": lambda net, family_kind="random", seed=0: SelectiveFamilyBroadcast(
         net.r, family_kind, seed=seed
     ),
+    "select-and-send": lambda net: SelectAndSend(),
+    "complete-layered": lambda net: CompleteLayeredBroadcast(),
+    "interleaved": lambda net: InterleavedBroadcast(
+        RoundRobinBroadcast(net.r), SelectAndSend()
+    ),
     "centralized": lambda net: CentralizedGreedySchedule(net),
+    "dfs-known-neighbors": lambda net: KnownNeighborsDFS(net),
 }
 
+#: Algorithms whose construction reads the whole topology (the
+#: known-topology models): they need the real network, not just its
+#: label bound and radius.
+TOPOLOGY_AWARE = frozenset({"centralized", "dfs-known-neighbors"})
 
-def build_topology(name: str, params: Mapping[str, Any]) -> RadioNetwork:
+
+def build_topology(name: str, params: Mapping[str, Any]):
     """Instantiate a topology family with concrete parameters."""
     try:
         factory = TOPOLOGIES[name]
@@ -73,7 +129,7 @@ def build_topology(name: str, params: Mapping[str, Any]) -> RadioNetwork:
         raise ConfigurationError(f"bad parameters for topology {name!r}: {exc}") from exc
 
 
-def build_algorithm(name: str, network: RadioNetwork, params: Mapping[str, Any]):
+def build_algorithm(name: str, network, params: Mapping[str, Any]):
     """Instantiate an algorithm for ``network`` with concrete parameters."""
     try:
         factory = ALGORITHMS[name]

@@ -28,8 +28,6 @@ of builder is purely an execution strategy.
 from __future__ import annotations
 
 import bisect
-import math
-import random
 from typing import Sequence
 
 import numpy as np
@@ -38,6 +36,7 @@ from ..sim.channel import ragged_positions
 from ..sim.errors import ConfigurationError
 from ..sim.guard import check_edge_budget
 from ..sim.network import RadioNetwork
+from .layered import km_hard_layer_sizes, layer_order_labels, uniform_layer_sizes
 
 __all__ = [
     "CSRNetwork",
@@ -612,13 +611,8 @@ def complete_layered_csr(
         f"{len(layer_sizes)} layers",
     )
     n = int(sum(layer_sizes))
-    labels = list(range(n))
-    if relabel_seed is not None:
-        shuffle_rng = random.Random(relabel_seed)
-        tail = labels[1:]
-        shuffle_rng.shuffle(tail)
-        labels = [0, *tail]
-    labels_arr = np.array(labels, dtype=np.int64)  # layer position -> label
+    # layer position -> label
+    labels_arr = np.array(layer_order_labels(n, relabel_seed), dtype=np.int64)
     bounds = np.zeros(len(layer_sizes) + 1, dtype=np.int64)
     np.cumsum(np.asarray(layer_sizes, dtype=np.int64), out=bounds[1:])
     num_layers = len(layer_sizes)
@@ -658,36 +652,14 @@ def uniform_complete_layered_csr(
 ) -> CSRNetwork:
     """CSR counterpart of
     :func:`~repro.topology.layered.uniform_complete_layered` (same sizes)."""
-    if depth < 1 or n < depth + 1:
-        raise ConfigurationError(f"need n >= depth + 1, got n={n}, depth={depth}")
-    base = (n - 1) // depth
-    sizes = [1] + [base] * (depth - 1)
-    sizes.append(n - sum(sizes))
-    return complete_layered_csr(sizes, relabel_seed=relabel_seed)
+    return complete_layered_csr(uniform_layer_sizes(n, depth), relabel_seed=relabel_seed)
 
 
 def km_hard_layered_csr(n: int, depth: int, seed: int = 0) -> CSRNetwork:
     """CSR counterpart of :func:`~repro.topology.layered.km_hard_layered`.
 
-    Reuses the exact layer-size draw sequence (``random.Random(seed)``)
+    Same layer-size draw (:func:`~repro.topology.layered.km_hard_layer_sizes`)
     and relabel shuffle, so for any ``(n, depth, seed)`` the instance is
     the same hard network — only the representation differs.
     """
-    if depth < 1 or n < depth + 1:
-        raise ConfigurationError(f"need n >= depth + 1, got n={n}, depth={depth}")
-    rng = random.Random(seed)
-    max_exp = max(0, int(math.log2(max(1, (n - 1) // depth))))
-    sizes = [1]
-    remaining = n - 1
-    for i in range(depth):
-        layers_left = depth - i
-        if layers_left == 1:
-            size = remaining
-        else:
-            size = min(1 << rng.randint(0, max_exp), remaining - (layers_left - 1))
-            size = max(1, size)
-        sizes.append(size)
-        remaining -= size
-    if remaining > 0:
-        sizes[-1] += remaining
-    return complete_layered_csr(sizes, relabel_seed=seed)
+    return complete_layered_csr(km_hard_layer_sizes(n, depth, seed), relabel_seed=seed)

@@ -24,6 +24,9 @@ __all__ = [
     "km_hard_layered",
     "random_layered",
     "layer_sizes_for",
+    "uniform_layer_sizes",
+    "km_hard_layer_sizes",
+    "layer_order_labels",
 ]
 
 
@@ -49,12 +52,7 @@ def complete_layered(
     if any(size < 1 for size in layer_sizes):
         raise ConfigurationError("every layer must be non-empty")
     n = sum(layer_sizes)
-    labels = list(range(n))
-    if relabel_seed is not None:
-        rng = random.Random(relabel_seed)
-        tail = labels[1:]
-        rng.shuffle(tail)
-        labels = [0, *tail]
+    labels = layer_order_labels(n, relabel_seed)
     layers: list[list[int]] = []
     cursor = 0
     for size in layer_sizes:
@@ -99,12 +97,7 @@ def uniform_complete_layered(
     The first ``depth - 1`` non-source layers get ``(n - 1) // depth`` nodes
     and the last layer absorbs the remainder.
     """
-    if depth < 1 or n < depth + 1:
-        raise ConfigurationError(f"need n >= depth + 1, got n={n}, depth={depth}")
-    base = (n - 1) // depth
-    sizes = [1] + [base] * (depth - 1)
-    sizes.append(n - sum(sizes))
-    return complete_layered(sizes, relabel_seed=relabel_seed)
+    return complete_layered(uniform_layer_sizes(n, depth), relabel_seed=relabel_seed)
 
 
 def km_hard_layered(n: int, depth: int, seed: int = 0) -> RadioNetwork:
@@ -122,24 +115,7 @@ def km_hard_layered(n: int, depth: int, seed: int = 0) -> RadioNetwork:
         depth: Number of non-source layers (the radius).
         seed: Seed for the layer-size draws.
     """
-    if depth < 1 or n < depth + 1:
-        raise ConfigurationError(f"need n >= depth + 1, got n={n}, depth={depth}")
-    rng = random.Random(seed)
-    max_exp = max(0, int(math.log2(max(1, (n - 1) // depth))))
-    sizes = [1]
-    remaining = n - 1
-    for i in range(depth):
-        layers_left = depth - i
-        if layers_left == 1:
-            size = remaining
-        else:
-            size = min(1 << rng.randint(0, max_exp), remaining - (layers_left - 1))
-            size = max(1, size)
-        sizes.append(size)
-        remaining -= size
-    if remaining > 0:
-        sizes[-1] += remaining
-    return complete_layered(sizes, relabel_seed=seed)
+    return complete_layered(km_hard_layer_sizes(n, depth, seed), relabel_seed=seed)
 
 
 def random_layered(
@@ -157,8 +133,6 @@ def random_layered(
     """
     if not 0.0 < edge_prob <= 1.0:
         raise ConfigurationError(f"edge_prob must be in (0, 1], got {edge_prob}")
-    if depth < 1 or n < depth + 1:
-        raise ConfigurationError(f"need n >= depth + 1, got n={n}, depth={depth}")
     rng = random.Random(seed)
     sizes = layer_sizes_for(n, depth)
     layers: list[list[int]] = []
@@ -183,7 +157,58 @@ def random_layered(
 
 def layer_sizes_for(n: int, depth: int) -> list[int]:
     """Evenly split ``n`` nodes into a source layer plus ``depth`` layers."""
-    if depth < 1 or n < depth + 1:
-        raise ConfigurationError(f"need n >= depth + 1, got n={n}, depth={depth}")
+    _check_depth(n, depth)
     base, extra = divmod(n - 1, depth)
     return [1] + [base + (1 if i < extra else 0) for i in range(depth)]
+
+
+def _check_depth(n: int, depth: int) -> None:
+    if depth < 1 or n < depth + 1:
+        raise ConfigurationError(f"need n >= depth + 1, got n={n}, depth={depth}")
+
+
+def uniform_layer_sizes(n: int, depth: int) -> list[int]:
+    """Layer sizes of :func:`uniform_complete_layered`: the first
+    ``depth - 1`` non-source layers get ``(n - 1) // depth`` nodes and the
+    last layer absorbs the remainder."""
+    _check_depth(n, depth)
+    base = (n - 1) // depth
+    sizes = [1] + [base] * (depth - 1)
+    sizes.append(n - sum(sizes))
+    return sizes
+
+
+def km_hard_layer_sizes(n: int, depth: int, seed: int = 0) -> list[int]:
+    """Layer sizes of :func:`km_hard_layered`: each non-source layer
+    ``2^u`` with ``u`` drawn from ``random.Random(seed)``, uniform in
+    ``[0, log2(n/depth)]``, padded or truncated to exactly ``n`` nodes."""
+    _check_depth(n, depth)
+    rng = random.Random(seed)
+    max_exp = max(0, int(math.log2(max(1, (n - 1) // depth))))
+    sizes = [1]
+    remaining = n - 1
+    for i in range(depth):
+        layers_left = depth - i
+        if layers_left == 1:
+            size = remaining
+        else:
+            size = min(1 << rng.randint(0, max_exp), remaining - (layers_left - 1))
+            size = max(1, size)
+        sizes.append(size)
+        remaining -= size
+    if remaining > 0:
+        sizes[-1] += remaining
+    return sizes
+
+
+def layer_order_labels(n: int, relabel_seed: int | None = None) -> list[int]:
+    """Labels in layer order (position -> label) of a complete layered
+    network: the identity, or with ``relabel_seed`` the non-source labels
+    shuffled by ``random.Random(relabel_seed)``."""
+    labels = list(range(n))
+    if relabel_seed is not None:
+        rng = random.Random(relabel_seed)
+        tail = labels[1:]
+        rng.shuffle(tail)
+        labels = [0, *tail]
+    return labels

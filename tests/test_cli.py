@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import itertools
+import re
 
 import pytest
 
 from repro.cli import main
+from repro.sweep import ALGORITHMS, TOPOLOGIES
 
 
 def test_run_subcommand(capsys):
@@ -45,7 +47,8 @@ def test_adversary_subcommand(capsys):
 
 def test_run_kp_with_label_bound_one(capsys):
     """A 2-node path has r = 1, below the doubling's first guess D = 2."""
-    code = main(["run", "--topology", "path", "--n", "2", "--algorithm", "kp"])
+    code = main(["run", "--topology", "path", "--n", "2", "--algorithm",
+                 "kp-optimal"])
     assert code == 0
     assert "completed: True" in capsys.readouterr().out
 
@@ -117,6 +120,55 @@ def test_unknown_topology_rejected():
 def test_unknown_algorithm_rejected():
     with pytest.raises(SystemExit):
         main(["run", "--topology", "path", "--n", "10", "--algorithm", "magic"])
+
+
+def _choices(argv: list[str], capsys) -> set[str]:
+    """The choices argparse lists when ``argv`` ends in an invalid one."""
+    with pytest.raises(SystemExit):
+        main(argv)
+    message = capsys.readouterr().err
+    return set(re.findall(r"'([^']+)'", message.split("choose from", 1)[1]))
+
+
+@pytest.mark.parametrize("command", [
+    ["run"], ["compare"], ["explain", "run"], ["explain", "sweep"],
+    ["profile", "run"],
+], ids=" ".join)
+def test_name_choices_are_the_registry(command, capsys):
+    flag = "--algorithms" if command == ["compare"] else "--algorithm"
+    assert _choices([*command, flag, "magic"], capsys) == set(ALGORITHMS)
+    assert _choices([*command, "--topology", "torus"], capsys) == set(TOPOLOGIES)
+
+
+def test_adversary_algorithm_choices_are_the_registry(capsys):
+    assert _choices(["adversary", "--algorithm", "magic"], capsys) == set(ALGORITHMS)
+
+
+@pytest.mark.parametrize("algorithm", ["centralized", "dfs-known-neighbors"])
+def test_adversary_rejects_topology_aware_algorithms(algorithm):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["adversary", "--algorithm", algorithm, "--n", "64", "--depth", "4"])
+    message = excinfo.value.code
+    assert message.startswith(f"repro adversary: error: algorithm {algorithm!r}")
+    assert "\n" not in message
+
+
+def test_avg_degree_changes_a_gnp_network(capsys):
+    outputs = []
+    for degree in ("6", "12"):
+        assert main(["run", "--topology", "gnp", "--n", "100", "--avg-degree",
+                     degree, "--algorithm", "round-robin"]) == 0
+        outputs.append(capsys.readouterr().out.splitlines()[0])
+    assert outputs[0] != outputs[1]
+
+
+@pytest.mark.parametrize("topology", ["gnp-csr", "layered-csr"])
+@pytest.mark.parametrize("algorithm", ["centralized", "dfs-known-neighbors"])
+def test_topology_aware_algorithms_run_on_csr_networks(topology, algorithm, capsys):
+    code = main(["run", "--topology", topology, "--n", "64", "--depth", "4",
+                 "--algorithm", algorithm])
+    assert code == 0
+    assert "informed: 64/64" in capsys.readouterr().out
 
 
 def test_run_save_and_load_round_trip(tmp_path, capsys):
