@@ -14,7 +14,7 @@ Subcommands:
   × trials), run the points on the batched engine across worker
   processes, and cache per-point results on disk.
 * ``top`` — live terminal view of a running sweep (points done/total,
-  throughput, ETA, per-worker state) driven by the telemetry bus; or
+  throughput, ETA, per-worker state) driven by live telemetry; or
   ``--replay`` a recorded run log.
 * ``trace`` — ``trace export`` turns a runlog's span events into Chrome
   trace-event / Perfetto JSON for visual inspection.
@@ -409,8 +409,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.telemetry:
         from .obs import TelemetryHub
 
-        # Spans (sweep/point/trial/stage) stream from workers over the
-        # bounded bus and land in the runlog as they happen.
+        # Spans (sweep/point/trial/stage) stream from workers over their
+        # pipes and land in the runlog as they happen.
         telemetry = TelemetryHub(runlog=runlog)
     on_point = None if args.json else _sweep_progress(spec, sys.stderr, args.quiet)
     try:
@@ -432,8 +432,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         # siblings are already cached).
         raise SystemExit(f"sweep failed: {exc}")
     finally:
-        if telemetry is not None:
-            telemetry.close()
         if runlog is not None:
             runlog.close()
     if args.json:
@@ -490,7 +488,6 @@ def _cmd_top(args: argparse.Namespace) -> int:
     except SimulationError as exc:
         raise SystemExit(f"sweep failed: {exc}")
     finally:
-        telemetry.close()
         if runlog is not None:
             runlog.close()
     renderer.finish()
@@ -875,14 +872,14 @@ def main(argv: list[str] | None = None) -> int:
                               "in payloads; cache entries stay clean)")
     p_sweep.add_argument("--telemetry", action="store_true",
                          help="stream sweep/point/trial/stage spans from "
-                              "workers over the live telemetry bus (spans "
+                              "workers as they run (spans "
                               "land in --log-jsonl; results are identical)")
     p_sweep.add_argument("--quiet", action="store_true",
                          help="suppress the per-point console progress line")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_top = sub.add_parser(
-        "top", help="live terminal view of a running sweep (telemetry bus)"
+        "top", help="live terminal view of a running sweep (live telemetry)"
     )
     _add_sweep_args(p_top, log_help="also append every event to a JSONL run log")
     p_top.add_argument("--interval", type=float, default=0.5,

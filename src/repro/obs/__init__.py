@@ -16,8 +16,8 @@ instrumentation code runs.  Building blocks:
 * :mod:`repro.obs.spans` — hierarchical ``sweep → point → trial →
   stage`` spans riding on the ``Timings`` taxonomy, with Chrome
   trace-event export (``repro trace export``);
-* :mod:`repro.obs.telemetry` — the bounded, non-blocking bus that
-  streams span/progress events from sweep workers to the parent
+* :mod:`repro.obs.telemetry` — span/progress events streamed from
+  sweep workers to the parent over each worker's own pipe
   (:class:`~repro.obs.telemetry.TelemetryHub`), feeding ``repro top``
   (:mod:`repro.obs.top`) and the runlog as events happen.
 
@@ -67,13 +67,7 @@ from .spans import (
     span_events,
     write_trace,
 )
-from .telemetry import (
-    SpanContext,
-    TelemetryBus,
-    TelemetryHub,
-    TelemetrySender,
-    WorkerTelemetry,
-)
+from .telemetry import SpanContext, TelemetryHub, WorkerTelemetry
 from .timings import Timings
 
 __all__ = [
@@ -94,9 +88,7 @@ __all__ = [
     "Span",
     "SpanContext",
     "SpanRecorder",
-    "TelemetryBus",
     "TelemetryHub",
-    "TelemetrySender",
     "Timings",
     "TraceFormatError",
     "WorkerTelemetry",

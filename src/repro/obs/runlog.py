@@ -11,8 +11,8 @@ transition to a ``.jsonl`` file under ``benchmarks/results/runlogs/``
 ``label``, ``timings``, ``metrics``, ...).  The full event vocabulary
 and schema live in ``docs/OBSERVABILITY.md``.
 
-Only the *parent* process writes: sweep workers report through their
-pipes to the parent (and the telemetry bus), and the parent logs on their
+Only the *parent* process writes: sweep workers report results and
+telemetry through their pipes to the parent, and the parent logs on their
 behalf, so lines never interleave.  By default every event is flushed
 as written — a killed sweep leaves a valid (truncated) log, mirroring
 the crash-safe cache.  Under high event rates (telemetry spans stream
@@ -27,7 +27,8 @@ non-decreasing, that no worker lifecycle event is orphaned (every
 spawned point reaches a terminal ``point_completed`` /
 ``point_failed``, and every point event's ``run_id`` matches a
 ``sweep_started`` envelope), and that telemetry events (``span``,
-``point_running``, ``telemetry_dropped``) are well-formed.
+``point_running``) are well-formed and a point's ``point_running``
+falls between its ``point_spawned`` and its terminal event.
 """
 
 from __future__ import annotations
@@ -235,7 +236,11 @@ def validate_runlog(events: Sequence[Mapping]) -> list[str]:
       a ``kind`` from the span hierarchy, numeric ``start_ts`` /
       ``end_ts`` with ``end_ts >= start_ts``, and a ``parent_id`` that
       is a string or null; ``point_running`` carries an ``index``;
-      ``telemetry_dropped`` carries a non-negative integer ``count``.
+    * telemetry order: a ``point_running`` follows its index's
+      ``point_spawned`` and precedes its ``point_completed`` /
+      ``point_failed``.
+
+    Unknown event kinds are accepted as they are.
     """
     errors: list[str] = []
     last_ts: dict[str, float] = {}
@@ -283,8 +288,21 @@ def validate_runlog(events: Sequence[Mapping]) -> list[str]:
                 )
             elif kind in _TERMINAL:
                 spawned[key] = True
-        elif kind == "point_running" and "index" not in event:
-            errors.append(f"{where}: point_running without an index")
+        elif kind == "point_running":
+            if "index" not in event:
+                errors.append(f"{where}: point_running without an index")
+            else:
+                terminal = spawned.get((run, event["index"]))
+                if terminal is None:
+                    errors.append(
+                        f"{where}: point_running for point {event['index']!r} "
+                        f"before its point_spawned"
+                    )
+                elif terminal:
+                    errors.append(
+                        f"{where}: point_running for point {event['index']!r} "
+                        f"after its point_completed/point_failed"
+                    )
         elif kind == "span":
             if not isinstance(event.get("span_id"), str):
                 errors.append(f"{where}: span without a string span_id")
@@ -303,13 +321,6 @@ def validate_runlog(events: Sequence[Mapping]) -> list[str]:
             parent = event.get("parent_id")
             if parent is not None and not isinstance(parent, str):
                 errors.append(f"{where}: span parent_id {parent!r} is not a string")
-        elif kind == "telemetry_dropped":
-            count = event.get("count")
-            if not isinstance(count, int) or isinstance(count, bool) or count < 0:
-                errors.append(
-                    f"{where}: telemetry_dropped count {count!r} is not a "
-                    f"non-negative integer"
-                )
 
     if sweep_runs:
         for run, position in sorted(point_runs.items()):

@@ -20,7 +20,7 @@ point, trial) are measured directly.
 
 Finished spans are emitted through the recorder's ``sink`` as one
 ``{"event": "span", ...}`` dict — the runlog vocabulary's span event —
-so they stream over the telemetry bus (:mod:`repro.obs.telemetry`) and
+so they stream to the parent as telemetry (:mod:`repro.obs.telemetry`) and
 land in JSONL run logs as they happen.  :func:`write_trace` /
 :func:`export_trace_events` turn those events into Chrome trace-event
 JSON that Perfetto and ``chrome://tracing`` load, and
@@ -98,7 +98,7 @@ class Span:
         return (self.end_ts - self.start_ts) if self.end_ts is not None else 0.0
 
     def to_event(self) -> dict:
-        """The runlog/bus wire form of a *finished* span."""
+        """The runlog/telemetry wire form of a *finished* span."""
         event = {
             "event": "span",
             "span_id": self.span_id,
@@ -278,7 +278,7 @@ class TraceFormatError(ValueError):
 
 
 def span_events(events: Sequence[Mapping]) -> list[dict]:
-    """The ``span`` events of a parsed runlog/bus stream, in file order."""
+    """The ``span`` events of a parsed runlog/telemetry stream, in file order."""
     return [dict(e) for e in events if e.get("event") == "span"]
 
 

@@ -134,7 +134,7 @@ def telemetry_overhead_workload(quick: bool = False):
     The telemetered thunk runs the same batched workload with a
     :class:`~repro.obs.spans.SpanRecorder` draining into a no-op sink —
     the worker-side cost of span recording and stage synthesis, without
-    the (parent-side) bus or runlog.  Shared with
+    the worker pipe or the runlog.  Shared with
     ``benchmarks/test_telemetry_overhead.py`` so the committed
     ``BENCH_telemetry_overhead`` baseline measures the same thing.
     """

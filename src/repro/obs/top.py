@@ -3,8 +3,8 @@
 :class:`TopView` is a pure state machine: it is fed telemetry/runlog
 event dicts (the same vocabulary :mod:`repro.obs.runlog` validates) and
 renders a snapshot — points done/total with a progress bar, throughput
-and ETA, cache hit ratio, retry/timeout/kill/failure counts, per-worker
-state, and the bus drop count.  Being pure makes it trivially testable
+and ETA, cache hit ratio, retry/timeout/kill/failure counts, the span
+count and per-worker state.  Being pure makes it trivially testable
 and source-agnostic: the live command subscribes it to a
 :class:`~repro.obs.telemetry.TelemetryHub`, while ``repro top --replay``
 feeds it a recorded runlog.
@@ -55,7 +55,6 @@ class TopView:
         self.timeouts = 0
         self.kills = 0
         self.spans = 0
-        self.dropped = 0
         self.finished: dict | None = None
         #: pid -> {"index": int, "label": str, "ts": float | None}
         self.worker_state: dict[int, dict] = {}
@@ -105,10 +104,6 @@ class TopView:
             self.kills += 1
         elif kind == "span":
             self.spans += 1
-        elif kind == "telemetry_dropped":
-            count = event.get("count")
-            if isinstance(count, int):
-                self.dropped = max(self.dropped, count)
         elif kind == "sweep_completed":
             self.finished = dict(event)
             self._finished_clock = self._clock()
@@ -179,7 +174,7 @@ class TopView:
             f"cache {self.cache_hits}/{self.total} ({hit_ratio:.0f}%)  "
             f"retries {self.retries}  timeouts {self.timeouts}  "
             f"kills {self.kills}  failed {self.failures}  "
-            f"spans {self.spans}  dropped {self.dropped}"
+            f"spans {self.spans}"
         )
         if self.worker_state:
             for pid in sorted(self.worker_state):

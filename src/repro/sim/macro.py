@@ -666,13 +666,20 @@ class MacroStepEngine:
             last = self._last_tx
             if last is not None and last.size:
                 self._last_tx = last[self._running[last // n]]
-            count = self._awake_count
-            keep = self._running[self._awake_idx[:count] // n]
-            kept = int(np.count_nonzero(keep))
-            self._awake_idx[:kept] = self._awake_idx[:count][keep]
-            self._awake_wakes[:kept] = self._awake_wakes[:count][keep]
-            self._awake_count = kept
-            self._prefix = None
+            self._compact_awake(
+                self._running[self._awake_idx[:self._awake_count] // n]
+            )
+
+    def _compact_awake(self, keep: np.ndarray) -> None:
+        """Keep, in order, the awake-list entries whose flag in ``keep``
+        (one per entry of the current list) is set; the cached
+        transmitter prefix is dropped, since it indexes the old list."""
+        count = self._awake_count
+        kept = int(np.count_nonzero(keep))
+        for column in (self._awake_idx, self._awake_wakes):
+            column[:kept] = column[:count][keep]
+        self._awake_count = kept
+        self._prefix = None
 
     def run(self, max_steps: int) -> int:
         """Run until every trial settles or the limit; returns slots
@@ -830,11 +837,7 @@ class MacroStepEngine:
             cand = cand.copy()  # a view of the list compacted below
             keep = np.ones(count, dtype=bool)
             keep[:k] = useful
-            kept = int(np.count_nonzero(keep))
-            for column in (self._awake_idx, self._awake_wakes):
-                column[:kept] = column[:count][keep]
-            self._awake_count = kept
-            self._prefix = None
+            self._compact_awake(keep)
         # Survival lengths, capped at the run's width, from the chained
         # columns' coins: each block of columns covers only the candidates
         # still running, and is sized so that a block holds about

@@ -13,8 +13,9 @@ The pool is a small purpose-built one rather than
 ``multiprocessing.Pool``: stock pools cannot survive a worker that is
 SIGKILLed (by the OOM killer, a cluster preemption, or a per-point
 timeout) — the in-flight task is silently lost and ``map`` hangs.  Here
-every worker has its own pipe to the parent, and nothing else: no queue
-or lock is shared between processes, so a death cannot leave one held.
+every worker has its own pipe to the parent, which carries its tasks,
+results and telemetry, and nothing else: no queue or lock is shared
+between processes, so a death cannot leave one held.
 The parent sends a point only to an idle worker, so it knows which point
 each worker holds; a death reads as end-of-file on that worker's pipe,
 and the parent charges it to the held point, resubmits the point with
@@ -35,6 +36,7 @@ from __future__ import annotations
 import collections
 import multiprocessing
 import multiprocessing.connection
+import os
 import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -42,7 +44,7 @@ from typing import Callable, Sequence
 from ..analysis import render_table
 from ..obs.metrics import MetricsRegistry
 from ..obs.runlog import RunLogger
-from ..obs.telemetry import TelemetryHub, WorkerTelemetry
+from ..obs.telemetry import SpanContext, TelemetryHub, WorkerTelemetry
 from ..obs.timings import Timings
 from ..sim.errors import ConfigurationError, SimulationError
 from ..sim.faults import FaultPlan
@@ -129,7 +131,7 @@ def execute_point(
             :class:`~repro.obs.telemetry.WorkerTelemetry` bundle.  When
             given, the point streams a ``point_running`` progress beat
             and a ``point`` span (with nested trial and stage spans)
-            through the bundle's sender; the payload is bit-identical
+            through the bundle's ``emit``; the payload is bit-identical
             either way.
         index: The point's grid index, carried on telemetry events so the
             parent can attribute them.
@@ -177,9 +179,10 @@ def _execute_point_body(
     recorder = point_span = None
     if telemetry is not None:
         recorder = telemetry.recorder()
-        telemetry.sender.emit(
-            {"event": "point_running", "index": index, "label": point.label()}
-        )
+        telemetry.emit({
+            "event": "point_running", "index": index, "label": point.label(),
+            "pid": os.getpid(),
+        })
         point_span = recorder.start(
             point.label(), "point",
             parent_id=telemetry.context.parent_id,
@@ -320,7 +323,7 @@ class SweepOutcome:
 _STOP_TIMEOUT_S = 5.0
 
 #: Longest the pool parent waits on its workers' pipes before it re-checks
-#: deadlines, due retries and the telemetry bus.
+#: deadlines and due retries.
 _TICK_S = 0.05
 
 
@@ -362,25 +365,30 @@ def _retry_pause(
 
 def _pool_worker(
     conn, parent_end, instrument: bool = False,
-    profile_dir: str | None = None, telemetry: WorkerTelemetry | None = None,
+    profile_dir: str | None = None, span_context: SpanContext | None = None,
 ) -> None:
     """Worker loop: receive a point on ``conn``, run it, send the outcome.
 
-    A ``None`` task is the stop sentinel: the worker flushes its telemetry
-    queue (joining the feeder thread) and exits.  It also exits on the
-    end-of-file it reads once the parent has died: it closes its inherited
-    copy of ``parent_end``, and the siblings forked after it, which hold
-    other copies, exit the same way first.
+    With a ``span_context``, the point's telemetry events go down ``conn``
+    as ``("event", dict)`` messages ahead of its outcome.  A ``None`` task
+    is the stop sentinel: every message is already written, so the worker
+    just exits.  It also exits on the end-of-file it reads once the parent
+    has died: it closes its inherited copy of ``parent_end``, and the
+    siblings forked after it, which hold other copies, exit the same way
+    first.
     """
     parent_end.close()
+    telemetry = None
+    if span_context is not None:
+        telemetry = WorkerTelemetry(
+            lambda event: conn.send(("event", event)), span_context
+        )
     while True:
         try:
             task = conn.recv()
         except EOFError:
             return
         if task is None:
-            if telemetry is not None:
-                telemetry.sender.close()
             return
         conn.send(_attempt(*task, instrument, profile_dir, telemetry))
 
@@ -411,22 +419,22 @@ def _run_pool(
     ``on_event(kind, index, **info)`` with kinds ``spawned`` (queued in
     the parent) / ``started`` (sent to an idle worker) / ``timed_out`` /
     ``killed`` / ``retried`` / ``failed``; the runner uses it for run
-    logs and queue-wait timing.  When a ``telemetry`` hub is given its
-    bus is opened on the pool's multiprocessing context, each worker gets
-    a sender (worker spans nest under ``parent_span``), and the bus is
-    drained on every poll iteration so events stream while points are
-    still executing.  Returns ``index -> (error, attempts)`` for every
-    task that exhausted its attempts (empty on full success); never
-    raises for task-level failures.
+    logs and queue-wait timing.  When a ``telemetry`` hub is given, each
+    worker sends its points' events down its pipe (worker spans nest
+    under ``parent_span``) and the parent passes them to the hub as it
+    reads them, so events stream while points are still executing; a
+    pipe is FIFO, so a point's events reach the hub before its result.
+    Returns ``index -> (error, attempts)`` for every task that exhausted
+    its attempts (empty on full success); never raises for task-level
+    failures.
     """
     try:
         context = multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX fallback
         context = multiprocessing.get_context("spawn")
-    worker_telemetry: WorkerTelemetry | None = None
-    if telemetry is not None:
-        telemetry.open_bus(context)
-        worker_telemetry = telemetry.worker_telemetry(parent_span)
+    span_context = (
+        telemetry.span_context(parent_span) if telemetry is not None else None
+    )
 
     canonicals = dict(tasks)
     attempts = {index: 0 for index, _ in tasks}
@@ -460,7 +468,7 @@ def _run_pool(
         conn, child_end = context.Pipe()
         process = context.Process(
             target=_pool_worker,
-            args=(child_end, conn, instrument, profile_dir, worker_telemetry),
+            args=(child_end, conn, instrument, profile_dir, span_context),
             daemon=True,
         )
         process.start()
@@ -487,8 +495,6 @@ def _run_pool(
 
     try:
         while remaining:
-            if telemetry is not None:
-                telemetry.drain()
             now = time.monotonic()
             for due in [entry for entry in delayed if entry[0] <= now]:
                 delayed.remove(due)
@@ -531,6 +537,9 @@ def _run_pool(
                             retryable=True,
                         )
                     continue
+                if message[0] == "event":
+                    telemetry.ingest(message[1])
+                    continue
                 del held[conn]
                 kind, index = message[0], message[1]
                 if kind == "done":
@@ -539,25 +548,29 @@ def _run_pool(
                 else:  # "error"
                     handle_failure(index, message[2], message[3])
     finally:
-        # Stop the workers with one sentinel each, so every worker flushes
-        # its telemetry before exiting; drain while they do (a full bus
-        # pipe would block the flush), then once more after the last one
-        # is joined.  A worker still on a point (after an early exit)
-        # finishes at most that point before it reads its sentinel; only
-        # workers that miss the deadline are killed.
+        # Stop the workers with one sentinel each, then read every pipe to
+        # its end-of-file, passing on the events still in it; a worker
+        # blocked on a full pipe is unblocked by this read.  A worker
+        # still on a point (after an early exit) finishes at most that
+        # point before it reads its sentinel; its outcome is dropped.
+        # Only workers that miss the deadline are killed.
         for conn in processes:
             try:
                 conn.send(None)
             except OSError:
                 pass  # already dead
         deadline = time.monotonic() + _STOP_TIMEOUT_S
-        for process in processes.values():
-            while process.is_alive() and time.monotonic() < deadline:
-                if telemetry is not None:
-                    telemetry.drain()
-                process.join(timeout=0.05)
-        if telemetry is not None:
-            telemetry.drain()
+        unread = list(processes)
+        while unread and time.monotonic() < deadline:
+            left = deadline - time.monotonic()
+            for conn in multiprocessing.connection.wait(unread, left):
+                try:
+                    message = conn.recv()
+                except (EOFError, OSError):
+                    unread.remove(conn)
+                    continue
+                if message[0] == "event":
+                    telemetry.ingest(message[1])
         for conn, process in processes.items():
             if process.is_alive():
                 process.kill()
@@ -666,16 +679,16 @@ def run_sweep(
             so parallel writers never clash).  Merge them back with
             :func:`repro.obs.profile.merge_stats_files`.
         telemetry: Optional :class:`~repro.obs.telemetry.TelemetryHub`.
-            The sweep then records a ``sweep`` span, workers stream
-            ``point`` / ``trial`` / ``stage`` spans and ``point_running``
-            beats over the hub's bounded bus (drained live on the pool's
-            poll loop, never blocking workers), and every lifecycle event
-            fans out to the hub's subscribers as it happens.  When the
-            hub has a runlog and ``runlog`` is ``None``, the hub's is
-            used.  Results and cache bytes are bit-identical with
-            telemetry on or off; a saturated bus drops events and the
-            total is reported as one ``telemetry_dropped`` event (plus a
-            ``telemetry_dropped_events`` counter on ``metrics``).
+            The sweep then records a ``sweep`` span, each point streams
+            its ``point_running`` beat and ``point`` / ``trial`` /
+            ``stage`` spans to the hub while it runs (pool workers send
+            them down their own pipes, ahead of the point's result, so
+            none is dropped or reordered; a timed-out attempt's pipe is
+            closed unread), and every lifecycle event fans out to the
+            hub's subscribers as it happens.  When the hub has
+            a runlog and ``runlog`` is ``None``, the hub's is used.
+            Results and cache bytes are bit-identical with telemetry on
+            or off.
 
     Returns:
         A :class:`SweepOutcome` with one :class:`PointResult` per grid
@@ -833,7 +846,9 @@ def run_sweep(
                 instrument=instrument, on_event=on_event,
                 profile_dir=profile_dir,
                 telemetry=(
-                    telemetry.local_telemetry(sweep_span)
+                    WorkerTelemetry(
+                        telemetry.ingest, telemetry.span_context(sweep_span)
+                    )
                     if telemetry is not None
                     else None
                 ),
@@ -842,15 +857,10 @@ def run_sweep(
     executed_count = sum(1 for f in cached_flags.values() if not f)
     cache_count = sum(1 for f in cached_flags.values() if f)
     if telemetry is not None:
-        telemetry.drain()
         telemetry.recorder.end(
             sweep_span,
             executed=executed_count, from_cache=cache_count, failed=len(failed),
         )
-        if telemetry.dropped:
-            log("telemetry_dropped", count=telemetry.dropped)
-            if metrics is not None:
-                metrics.counter("telemetry_dropped_events").inc(telemetry.dropped)
     if observing:
         log(
             "sweep_completed",

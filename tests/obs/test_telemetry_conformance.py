@@ -124,7 +124,6 @@ class TestSweepPurity:
         plain = run_sweep(SweepSpec(**SWEEP_SPEC))
         hub = TelemetryHub()
         telemetered = run_sweep(SweepSpec(**SWEEP_SPEC), telemetry=hub)
-        hub.close()
         assert [r.payload for r in telemetered.results] == [
             r.payload for r in plain.results
         ]
@@ -135,7 +134,6 @@ class TestSweepPurity:
         hub = TelemetryHub()
         run_sweep(SweepSpec(**SWEEP_SPEC), cache=ResultCache(tele_dir),
                   workers=2, telemetry=hub)
-        hub.close()
         plain_files = sorted(p.relative_to(plain_dir)
                              for p in plain_dir.rglob("*.json"))
         tele_files = sorted(p.relative_to(tele_dir)
@@ -149,7 +147,6 @@ class TestSweepPurity:
         hub = TelemetryHub()
         hub.subscribe(events.append)
         outcome = run_sweep(SweepSpec(**SWEEP_SPEC), workers=2, telemetry=hub)
-        hub.close()
         assert len(outcome.results) == 2
         spans = [e for e in events if e["event"] == "span"]
         by_kind = {}

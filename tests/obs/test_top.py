@@ -52,12 +52,6 @@ class TestTopView:
         frozen = view.elapsed
         assert view.elapsed == frozen  # later clock reads don't move it
 
-    def test_dropped_keeps_maximum_cumulative_count(self):
-        view = TopView(clock=lambda: 0.0)
-        view.feed({"event": "telemetry_dropped", "count": 5})
-        view.feed({"event": "telemetry_dropped", "count": 3})
-        assert view.dropped == 5
-
     def test_unknown_events_ignored(self):
         view = TopView(clock=lambda: 0.0)
         view.feed({"event": "a_future_event_kind", "ts": 1.0})

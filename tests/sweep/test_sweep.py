@@ -542,14 +542,21 @@ def _reap(pid: int, limit: float = 10.0) -> None:
         time.sleep(0.005)
 
 
-def _death_case(tmp, case: str, reap: bool) -> None:
-    """One kill-matrix sweep; runs in a forked child as session leader."""
+def _death_case(tmp, case: str, reap: bool, telemetry: bool = False) -> None:
+    """One kill-matrix sweep; runs in a forked child as session leader.
+
+    With ``telemetry``, a hub streams the workers' events into the run
+    log, and a ``mid-point`` death comes right after the worker sent the
+    point's ``point_running``.
+    """
+    import dataclasses
     import os
     import signal
     import time
     from multiprocessing.connection import Connection
 
     from repro.obs.runlog import RunLogger
+    from repro.obs.telemetry import TelemetryHub
     import repro.sweep.runner as runner
 
     os.setsid()
@@ -573,7 +580,7 @@ def _death_case(tmp, case: str, reap: bool) -> None:
         if reap:
             _wait_for(tmp / "parent-busy")
 
-    def execute(canonical):
+    def execute(canonical, **options):
         n = canonical["topology_params"]["n"]
         (tmp / f"pid-{n}").write_text(str(os.getpid()))
         if n == 12 and once("executed-12"):
@@ -583,13 +590,23 @@ def _death_case(tmp, case: str, reap: bool) -> None:
                 raise RuntimeError("transient")
             if case == "mid-point":
                 hold_until_parent_busy()
-                die()
+                if not telemetry:
+                    die()
+                sent = options["telemetry"]
+
+                def emit(event):
+                    sent.emit(event)
+                    if event["event"] == "point_running":
+                        die()
+
+                # Runs the point for real, dying once its beat is sent.
+                options["telemetry"] = dataclasses.replace(sent, emit=emit)
             if case == "result-sent":
                 hold_until_parent_busy()
             if case == "late-done":
                 _wait_for(tmp / "parent-busy")
                 time.sleep(max(0.0, started + timeout + 0.3 - time.monotonic()))
-        return real_execute(canonical)
+        return real_execute(canonical, **options)
 
     def recv(self):
         task = real_recv(self)
@@ -650,6 +667,7 @@ def _death_case(tmp, case: str, reap: bool) -> None:
             spec, workers=2, timeout=timeout, retries=1,
             backoff=0.5 if case.startswith("idle") else 0.05,
             on_point=on_point, runlog=runlog,
+            telemetry=TelemetryHub(runlog=runlog) if telemetry else None,
         )
 
 
@@ -677,6 +695,42 @@ def _orphan_case(tmp) -> None:
     run_sweep(spec, workers=2, on_point=on_point)
 
 
+def _ordering_case(tmp, sweeps: int) -> None:
+    """``sweeps`` telemetered 2-worker sweeps of 18 short points, one run
+    log each."""
+    import os
+
+    from repro.obs.runlog import RunLogger
+    from repro.obs.telemetry import TelemetryHub
+
+    os.setsid()
+    spec = SweepSpec(
+        name="ordering", topology="path", algorithm="bgi",
+        topology_grid={"n": list(range(20, 74, 3))}, trials=2,
+    )
+    for sweep in range(sweeps):
+        with RunLogger(tmp / f"run-{sweep}.jsonl") as runlog:
+            run_sweep(spec, workers=2, telemetry=TelemetryHub(runlog=runlog))
+
+
+def _run_case(target, *args) -> None:
+    """Run ``target(*args)`` in a forked child; fail the test if it is
+    still running at ``_CASE_DEADLINE_S`` or exits non-zero."""
+    import multiprocessing
+    import os
+    import signal
+
+    child = multiprocessing.get_context("fork").Process(target=target, args=args)
+    child.start()
+    child.join(_CASE_DEADLINE_S)
+    if child.is_alive():
+        os.killpg(child.pid, signal.SIGKILL)
+        child.join()
+        pytest.fail(f"{target.__name__}{args[1:]} still running after "
+                    f"{_CASE_DEADLINE_S:g}s")
+    assert child.exitcode == 0
+
+
 def _exited(pid: int) -> bool:
     """True once ``pid`` is gone or a zombie (orphans may go unreaped)."""
     try:
@@ -698,22 +752,9 @@ class TestWorkerDeathMatrix:
         ),
     )
     def test_death_is_charged_once(self, tmp_path, case, reap):
-        import multiprocessing
-        import os
-        import signal
-
         from repro.obs.runlog import assert_valid_runlog
 
-        child = multiprocessing.get_context("fork").Process(
-            target=_death_case, args=(tmp_path, case, reap)
-        )
-        child.start()
-        child.join(_CASE_DEADLINE_S)
-        if child.is_alive():
-            os.killpg(child.pid, signal.SIGKILL)
-            child.join()
-            pytest.fail(f"{case} sweep still running after {_CASE_DEADLINE_S:g}s")
-        assert child.exitcode == 0
+        _run_case(_death_case, tmp_path, case, reap)
         events = assert_valid_runlog(tmp_path / "run.jsonl")
         completed = [e for e in events if e["event"] == "point_completed"]
         # No duplicate on_done: each point completes exactly once.
@@ -725,6 +766,48 @@ class TestWorkerDeathMatrix:
         assert kinds.count("point_killed") == killed
         assert kinds.count("point_timed_out") == timed_out
         assert "point_failed" not in kinds
+
+    @pytest.mark.parametrize(
+        "case, running",
+        [("mid-point", {0: 2, 1: 1}), ("idle-one", {0: 1, 1: 1})],
+        ids=["mid-point", "idle-one"],
+    )
+    def test_telemetered_death_loses_no_event(self, tmp_path, case, running):
+        """With telemetry on, a worker SIGKILLed after it sent a point's
+        ``point_running``, or while idle in a retry backoff, costs no
+        sibling's events and does not stall the pool's stop."""
+        from repro.obs.runlog import assert_valid_runlog
+        from repro.sweep.runner import _STOP_TIMEOUT_S
+
+        _run_case(_death_case, tmp_path, case, False, True)
+        events = assert_valid_runlog(tmp_path / "run.jsonl")
+        completed = [e for e in events if e["event"] == "point_completed"]
+        assert sorted(e["index"] for e in completed) == [0, 1]
+        beats = [e["index"] for e in events if e["event"] == "point_running"]
+        # The killed attempt's beat arrived too: it was read before the
+        # end-of-file of the dead worker's pipe.
+        assert {i: beats.count(i) for i in set(beats)} == running
+        point_spans = sorted(
+            e["attrs"]["index"] for e in events
+            if e["event"] == "span" and e["kind"] == "point"
+        )
+        assert point_spans == [0, 1]
+        (finished,) = [e for e in events if e["event"] == "sweep_completed"]
+        stop = finished["ts"] - max(e["ts"] for e in completed)
+        assert stop < _STOP_TIMEOUT_S / 5, f"stopping the pool took {stop:.2f}s"
+
+    def test_telemetry_arrives_in_order(self, tmp_path):
+        """A point's ``point_running`` reaches the run log before its
+        ``point_completed``, over repeated 2-worker sweeps."""
+        from repro.obs.runlog import assert_valid_runlog
+
+        sweeps = 5
+        _run_case(_ordering_case, tmp_path, sweeps)
+        for sweep in range(sweeps):
+            # The validator rejects a point_running after its terminal event.
+            events = assert_valid_runlog(tmp_path / f"run-{sweep}.jsonl")
+            beats = {e["index"] for e in events if e["event"] == "point_running"}
+            assert beats == set(range(18))
 
     def test_workers_exit_when_the_parent_dies(self, tmp_path):
         import multiprocessing
