@@ -5,21 +5,19 @@ engine workloads come from the shared benchmark registry
 (:mod:`repro.obs.suite`), so the numbers pytest-benchmark records here
 track the same thunks that ``repro bench`` appends to the
 ``BENCH_trajectory.jsonl`` trajectory.  Workloads with no registry
-equivalent (interactive per-node protocols, engine setup cost, the
-batched-vs-serial differential) stay defined locally.
+equivalent (interactive per-node protocols, engine setup cost) stay
+defined locally; the batched-vs-serial speedup is the registry pair
+``kp_repeat_union`` (``benchmarks/test_pairs.py``).
 """
 
 from __future__ import annotations
 
-import time
-
 import pytest
 
-from repro.analysis import render_table
 from repro.baselines import RoundRobinBroadcast
-from repro.core import KnownRadiusKP, SelectAndSend
+from repro.core import SelectAndSend
 from repro.obs.suite import default_registry
-from repro.sim import repeat_broadcast, run_broadcast
+from repro.sim import run_broadcast
 from repro.topology import gnp_connected, km_hard_layered
 
 #: Registry entries exercised through pytest-benchmark (quick variants —
@@ -52,47 +50,6 @@ def test_reference_engine_interactive_protocol(benchmark):
     net = gnp_connected(300, 0.03, seed=9)
     result = benchmark(lambda: run_broadcast(net, SelectAndSend(), require_completion=True))
     assert result.completed
-
-
-def test_batched_vs_serial_repeat_broadcast(table_reporter):
-    """The E1 quick-sweep unit run both ways; batched must win by >= 5x.
-
-    The serial path is ``repeat_broadcast(engine="reference")`` — one
-    per-node engine run per seed, which is what the Monte-Carlo loops did
-    before batching.  The batched path runs all trials as one macro
-    union (``t * n + v`` is node ``v`` of trial ``t``) and returns
-    identical per-trial results.
-    """
-    net = km_hard_layered(256, 64, seed=17)
-    algo = KnownRadiusKP(net.r, 64)
-    runs = 5
-
-    start = time.perf_counter()
-    serial = repeat_broadcast(net, algo, runs=runs, engine="reference")
-    serial_s = time.perf_counter() - start
-
-    start = time.perf_counter()
-    batched = repeat_broadcast(net, algo, runs=runs)
-    batched_s = time.perf_counter() - start
-
-    assert [r.time for r in batched] == [r.time for r in serial]
-    assert [r.wake_times for r in batched] == [r.wake_times for r in serial]
-
-    speedup = serial_s / batched_s
-    slots = sum(r.time for r in serial)
-    table_reporter.record(
-        "engine-throughput",
-        render_table(
-            ["path", "wall (s)", "trial-slots/s"],
-            [
-                ["serial reference", f"{serial_s:.3f}", f"{slots / serial_s:.0f}"],
-                ["macro union", f"{batched_s:.3f}", f"{slots / batched_s:.0f}"],
-                ["speedup", f"{speedup:.1f}x", ""],
-            ],
-            title=f"repeat_broadcast, km_hard_layered(256, 64), {runs} trials",
-        ),
-    )
-    assert speedup >= 5.0, f"batched speedup only {speedup:.1f}x"
 
 
 def test_macro_engine_setup_cost(benchmark):

@@ -622,10 +622,18 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     registry = default_registry()
     if args.list:
-        rows = [[b.name, ",".join(b.tags), f"{b.tolerance:.2f}x", b.description]
-                for b in registry]
-        print(render_table(["bench", "tags", "tolerance", "description"], rows,
-                           title="registered benchmarks"))
+        rows = [
+            [b.name, ",".join(b.tags), f"{b.tolerance:.2f}x",
+             b.reference or "-",
+             "-" if b.reference is None
+             else f"<= {b.max_ratio:.2f}x{' (strict)' if b.strict_ratio else ''}",
+             b.description]
+            for b in registry
+        ]
+        print(render_table(
+            ["bench", "tags", "tolerance", "reference", "max ratio", "description"],
+            rows, title="registered benchmarks",
+        ))
         return 0
     benches = registry.select(args.filter)
     if not benches:
@@ -663,6 +671,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 f"{record['min_s']:.4f}",
                 f"{record['median_s']:.4f}",
                 record["repeats"],
+                f"{record['ratio']:.3f}x {record['reference']}"
+                if "reference" in record else "-",
             ]
             if comparisons is not None:
                 comparison = comparisons[i]
@@ -673,7 +683,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                     comparison.status,
                 ])
             rows.append(row)
-        headers = ["bench", "min (s)", "median (s)", "repeats"]
+        headers = ["bench", "min (s)", "median (s)", "repeats", "vs reference"]
         if comparisons is not None:
             headers += ["baseline (s)", "ratio", "status"]
         mode = "quick" if args.quick else "full"

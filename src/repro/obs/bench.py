@@ -13,6 +13,14 @@ median alongside it.  Every record carries an environment fingerprint
 (git SHA, python/numpy versions, platform, CPU count) so a
 regression can be told apart from a machine change.
 
+A benchmark that names a ``reference`` (another registry entry) is a
+*pair*: both sides run their warmup, ``check`` asserts that they
+computed the same thing, and then the two thunks are timed alternately,
+switching which side goes first on every round, so drift in host speed
+reaches both sides alike.  The record adds ``ratio = min_s /
+reference_min_s``, which ``max_ratio`` bounds (a speedup of at least k×
+is ``max_ratio = 1/k``); ``min_s`` stays the subject's own time.
+
 Records append to ``benchmarks/results/BENCH_trajectory.jsonl`` (one
 JSON object per line) and compare against committed per-bench baselines
 ``benchmarks/results/BENCH_<name>.json``.  Comparison is noise-tolerant:
@@ -92,6 +100,13 @@ class Benchmark:
         warmup: Untimed calls before measurement starts.
         quick_repeats: Timed calls under ``--quick``.
         description: One line for ``repro bench --list``.
+        reference: Name of the registry entry this bench is timed
+            against; makes the bench a pair.
+        max_ratio: Bound on ``min_s / reference_min_s`` for a pair.
+        check: ``check(reference_output, output)`` raises unless both
+            sides of a pair computed the same thing.
+        strict_ratio: Enforce ``max_ratio`` only under
+            ``REPRO_BENCH_STRICT=1``.
     """
 
     name: str
@@ -102,6 +117,12 @@ class Benchmark:
     warmup: int = 1
     quick_repeats: int = 3
     description: str = ""
+    reference: str | None = None
+    max_ratio: float | None = None
+    check: Callable[[object, object], None] | None = field(
+        default=None, compare=False
+    )
+    strict_ratio: bool = False
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -114,6 +135,16 @@ class Benchmark:
             raise ValueError("repeats must be positive")
         if self.warmup < 0:
             raise ValueError("warmup must be non-negative")
+        if self.reference is None:
+            if self.max_ratio is not None or self.check is not None or self.strict_ratio:
+                raise ValueError("max_ratio, check and strict_ratio need a reference")
+            return
+        if self.reference == self.name:
+            raise ValueError(f"benchmark {self.name!r} cannot be its own reference")
+        if self.max_ratio is None or self.max_ratio <= 0 or self.check is None:
+            raise ValueError("a pair needs a positive max_ratio and a check")
+        if self.warmup < 1:
+            raise ValueError("a pair needs warmup >= 1: check reads the warmup outputs")
 
 
 class BenchmarkRegistry:
@@ -171,6 +202,10 @@ def register(
     warmup: int = 1,
     quick_repeats: int = 3,
     description: str = "",
+    reference: str | None = None,
+    max_ratio: float | None = None,
+    check: Callable[[object, object], None] | None = None,
+    strict_ratio: bool = False,
     registry: BenchmarkRegistry | None = None,
 ) -> Callable[[Callable[[bool], Callable[[], object]]], Callable]:
     """Decorator registering a builder thunk as a :class:`Benchmark`."""
@@ -186,6 +221,10 @@ def register(
                 warmup=warmup,
                 quick_repeats=quick_repeats,
                 description=description or (build.__doc__ or "").strip().split("\n")[0],
+                reference=reference,
+                max_ratio=max_ratio,
+                check=check,
+                strict_ratio=strict_ratio,
             )
         )
         return build
@@ -215,27 +254,50 @@ def environment_fingerprint() -> dict:
 # Timing protocol
 
 
+def _rounds(sides: int, first: int, count: int):
+    """Side indices in call order for rounds ``first .. first+count-1``:
+    the side that goes first switches on every round."""
+    for round_ in range(first, first + count):
+        order = range(sides)
+        yield from (order if round_ % 2 == 0 else reversed(order))
+
+
 def run_benchmark(
     benchmark: Benchmark,
     quick: bool = False,
     env: Mapping | None = None,
+    registry: BenchmarkRegistry | None = None,
 ) -> dict:
     """Execute one benchmark under the pinned protocol; returns the record.
 
     Setup (``build(quick)``) runs outside the timed region.  The thunk is
     then called ``warmup`` times untimed and ``repeats`` times timed with
-    ``perf_counter``; ``min_s`` is the headline statistic.
+    ``perf_counter``; ``min_s`` is the headline statistic.  A pair's
+    reference (looked up in ``registry``, default the shared one) is
+    built too, both sides alternate through the same rounds, and
+    ``check`` runs on the last warmup outputs before any timed call.
     """
-    thunk = benchmark.build(quick)
     repeats = benchmark.quick_repeats if quick else benchmark.repeats
-    for _ in range(benchmark.warmup):
-        thunk()
-    times: list[float] = []
-    for _ in range(repeats):
+    sides = [benchmark.build(quick)]
+    if benchmark.reference is not None:
+        reference = (registry if registry is not None else DEFAULT_REGISTRY).get(
+            benchmark.reference
+        )
+        sides.insert(0, reference.build(quick))
+    outputs: list[object] = [None] * len(sides)
+    for side in _rounds(len(sides), 0, benchmark.warmup):
+        outputs[side] = sides[side]()
+    if benchmark.check is not None:
+        benchmark.check(*outputs)
+    del outputs
+    samples: list[list[float]] = [[] for _ in sides]
+    for side in _rounds(len(sides), benchmark.warmup, repeats):
+        thunk = sides[side]
         start = time.perf_counter()
         thunk()
-        times.append(time.perf_counter() - start)
-    return {
+        samples[side].append(time.perf_counter() - start)
+    times = samples[-1]
+    record = {
         "schema": BENCH_SCHEMA_VERSION,
         "bench": benchmark.name,
         "tags": list(benchmark.tags),
@@ -250,6 +312,16 @@ def run_benchmark(
         "ts": time.time(),
         "env": dict(env) if env is not None else environment_fingerprint(),
     }
+    if benchmark.reference is not None:
+        reference_min = round(min(samples[0]), 6)
+        record.update(
+            reference=benchmark.reference,
+            reference_times_s=[round(t, 6) for t in samples[0]],
+            reference_min_s=reference_min,
+            ratio=record["min_s"] / reference_min if reference_min > 0 else float("inf"),
+            max_ratio=benchmark.max_ratio,
+        )
+    return record
 
 
 _REQUIRED_FIELDS = {
@@ -266,13 +338,30 @@ _REQUIRED_FIELDS = {
     "env": dict,
 }
 
+#: Fields a pair record carries, and no other record does.
+_PAIR_FIELDS = {
+    "reference": str,
+    "reference_times_s": list,
+    "reference_min_s": (int, float),
+    "ratio": (int, float),
+    "max_ratio": (int, float),
+}
+
 _REQUIRED_ENV_FIELDS = ("git_sha", "python", "numpy", "platform", "cpu_count")
 
 
 def validate_record(record: Mapping) -> list[str]:
     """Schema-check one bench record; returns violations (empty = valid)."""
     errors: list[str] = []
-    for key, kind in _REQUIRED_FIELDS.items():
+    required = dict(_REQUIRED_FIELDS)
+    if "reference" in record:
+        required.update(_PAIR_FIELDS)
+    else:
+        errors.extend(
+            f"field {key!r} belongs only on a pair record"
+            for key in _PAIR_FIELDS if key in record
+        )
+    for key, kind in required.items():
         if key not in record:
             errors.append(f"missing field {key!r}")
         elif not isinstance(record[key], kind):
@@ -292,6 +381,18 @@ def validate_record(record: Mapping) -> list[str]:
         ):
             if abs(min(record["times_s"]) - record["min_s"]) > 1e-9:
                 errors.append("min_s does not match min(times_s)")
+    if "reference" in record and all(
+        isinstance(record.get(key), kind)
+        for key, kind in (*_PAIR_FIELDS.items(), ("min_s", (int, float)))
+    ):
+        if not record["reference_times_s"]:
+            errors.append("reference_times_s is empty")
+        elif abs(min(record["reference_times_s"]) - record["reference_min_s"]) > 1e-9:
+            errors.append("reference_min_s does not match min(reference_times_s)")
+        elif record["reference_min_s"] > 0 and abs(
+            record["ratio"] - record["min_s"] / record["reference_min_s"]
+        ) > 1e-9:
+            errors.append("ratio does not match min_s / reference_min_s")
     if isinstance(record.get("schema"), int) and record["schema"] > BENCH_SCHEMA_VERSION:
         errors.append(
             f"record schema {record['schema']} is newer than supported "

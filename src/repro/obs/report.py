@@ -231,7 +231,8 @@ def render_trajectory(records: Sequence[Mapping]) -> str:
 
     ``vs first`` is the latest record's min over the oldest record's min
     — the cumulative drift across the whole trajectory; the sparkline
-    draws every record's min in file order.
+    draws every record's min in file order.  For a pair, ``latest ratio``
+    is the latest record's min over its reference's.
     """
     if not records:
         return "trajectory: empty (no records)"
@@ -251,6 +252,8 @@ def render_trajectory(records: Sequence[Mapping]) -> str:
             f"{float(latest.get('median_s', latest_min)):.4f}",
             f"{min(mins):.4f}",
             f"{drift:.2f}x",
+            f"{float(latest['ratio']):.3f}x {latest['reference']}"
+            if "reference" in latest else "-",
             ascii_sparkline(mins, width=min(24, max(2, len(mins)))),
         ])
     header = (
@@ -259,7 +262,7 @@ def render_trajectory(records: Sequence[Mapping]) -> str:
     )
     table = render_table(
         ["bench", "records", "latest min (s)", "latest median (s)",
-         "best (s)", "vs first", "trend"],
+         "best (s)", "vs first", "latest ratio", "trend"],
         rows,
         title="benchmark trajectory (min seconds per record)",
     )

@@ -15,6 +15,7 @@ cacheable by content and cheap to ship to a worker pool.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Callable, Mapping
 
 from .. import topology
@@ -53,15 +54,24 @@ def _gnp_p(n: int, p: float | None, avg_degree: float | None) -> float:
     return min(0.9, (6.0 if avg_degree is None else avg_degree) / n)
 
 
-def _grid_side(n: int) -> int:
-    return max(2, int(n**0.5))
+def _square_grid(n: int):
+    """The ``side x side`` grid with ``n = side²`` nodes, ``side >= 2``;
+    any other ``n`` is refused, naming the two nearest valid sizes."""
+    side = math.isqrt(max(n, 0))
+    if side < 2 or side * side != n:
+        low = max(side, 2)
+        raise ConfigurationError(
+            f"grid needs n = side² with side >= 2, got n={n}; "
+            f"nearest valid sizes: {low * low} and {(low + 1) ** 2}"
+        )
+    return topology.grid(side, side)
 
 
 #: Topology family name -> factory over keyword parameters.
 TOPOLOGIES: dict[str, Callable[..., Any]] = {
     "path": lambda n: topology.path(n),
     "star": lambda n: topology.star(n),
-    "grid": lambda n: topology.grid(_grid_side(n), _grid_side(n)),
+    "grid": _square_grid,
     "tree": lambda n, seed=0: topology.random_tree(n, seed=seed),
     "gnp": lambda n, p=None, seed=0, avg_degree=None: topology.gnp_connected(
         n, _gnp_p(n, p, avg_degree), seed=seed

@@ -185,3 +185,142 @@ class TestStrictMode:
         assert strict_mode() is True
         monkeypatch.setenv("REPRO_BENCH_STRICT", "0")
         assert strict_mode() is False
+
+
+class _Clock:
+    """A fake ``perf_counter``: time moves only when a thunk says so."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def __call__(self):
+        return self.now
+
+
+def _pair(log, clock, check=None, warmup=1, repeats=4):
+    """A registry holding ``ref`` and the pair ``sub`` timed against it.
+
+    Each side logs its calls, returns its own name and advances the
+    clock: 1 ms per ``ref`` call, 3 ms per ``sub`` call."""
+
+    def side(name, cost):
+        def build(quick):
+            def thunk():
+                log.append(name)
+                clock.now += cost
+                return name
+
+            return thunk
+
+        return build
+
+    registry = BenchmarkRegistry()
+    registry.add(Benchmark("ref", side("ref", 1e-3), repeats=repeats, warmup=warmup))
+    pair = registry.add(Benchmark(
+        "sub", side("sub", 3e-3), repeats=repeats, warmup=warmup,
+        reference="ref", max_ratio=2.0,
+        check=check if check is not None else (lambda reference, output: None),
+    ))
+    return registry, pair
+
+
+@pytest.fixture
+def clock(monkeypatch):
+    fake = _Clock()
+    monkeypatch.setattr("repro.obs.bench.time.perf_counter", fake)
+    return fake
+
+
+class TestPairs:
+    def test_sides_run_alternately_warmup_included(self, clock):
+        log = []
+        registry, pair = _pair(log, clock, warmup=2, repeats=4)
+        run_benchmark(pair, registry=registry)
+        assert log.count("ref") == log.count("sub") == 2 + 4
+        rounds = [tuple(log[i:i + 2]) for i in range(0, len(log), 2)]
+        assert rounds == [("ref", "sub"), ("sub", "ref")] * 3
+
+    def test_ratio_is_min_over_reference_min(self, clock):
+        registry, pair = _pair([], clock)
+        record = run_benchmark(pair, registry=registry)
+        assert record["reference"] == "ref" and record["max_ratio"] == 2.0
+        assert len(record["reference_times_s"]) == len(record["times_s"]) == 4
+        assert record["min_s"] == pytest.approx(3e-3)
+        assert record["reference_min_s"] == pytest.approx(1e-3)
+        assert record["ratio"] == record["min_s"] / record["reference_min_s"]
+        assert validate_record(record) == []
+
+    def test_failing_check_raises_before_any_timed_call(self, clock):
+        log, seen = [], []
+
+        def check(reference, output):
+            seen.append((reference, output))
+            raise AssertionError("sides disagree")
+
+        registry, pair = _pair(log, clock, check=check, warmup=1)
+        with pytest.raises(AssertionError, match="sides disagree"):
+            run_benchmark(pair, registry=registry)
+        assert seen == [("ref", "sub")]
+        assert log == ["ref", "sub"]  # the warmup round only
+
+    def test_a_pair_declares_its_check_and_a_warmup(self):
+        build = lambda quick: (lambda: None)  # noqa: E731
+        with pytest.raises(ValueError, match="check"):
+            Benchmark("p", build, reference="r", max_ratio=1.0)
+        with pytest.raises(ValueError, match="warmup"):
+            Benchmark("p", build, reference="r", max_ratio=1.0,
+                      check=lambda a, b: None, warmup=0)
+        with pytest.raises(ValueError, match="own reference"):
+            Benchmark("p", build, reference="p", max_ratio=1.0,
+                      check=lambda a, b: None)
+        with pytest.raises(ValueError, match="need a reference"):
+            Benchmark("p", build, max_ratio=1.0)
+
+    def test_reference_fields_belong_on_pair_records_only(self, clock):
+        registry, pair = _pair([], clock)
+        record = run_benchmark(pair, registry=registry)
+        for key in ("reference_times_s", "reference_min_s", "ratio", "max_ratio"):
+            broken = {k: v for k, v in record.items() if k != key}
+            assert any(key in e for e in validate_record(broken)), key
+        wrong = dict(record, ratio=record["ratio"] * 2)
+        assert any("ratio" in e for e in validate_record(wrong))
+        plain = run_benchmark(_noop_bench())
+        assert validate_record(plain) == []
+        stray = dict(plain, ratio=1.5)
+        assert any("only on a pair" in e for e in validate_record(stray))
+
+    def test_compare_record_uses_the_subjects_own_time(self, clock):
+        registry, pair = _pair([], clock)
+        record = run_benchmark(pair, registry=registry)
+        baseline = dict(record, min_s=record["min_s"] / 1.2)
+        comparison = compare_record(record, baseline)
+        assert comparison.ratio == pytest.approx(1.2)
+        assert comparison.status == "ok"
+
+    def test_trajectory_report_shows_the_latest_ratio(self, clock):
+        from repro.obs.report import render_trajectory
+
+        registry, pair = _pair([], clock)
+        older = dict(run_benchmark(pair, registry=registry), ratio=1.75)
+        latest = run_benchmark(pair, registry=registry)
+        plain = run_benchmark(registry.get("ref"), registry=registry)
+        text = render_trajectory([older, latest, plain])
+        assert "latest ratio" in text
+        (sub_row,) = [line for line in text.splitlines() if line.lstrip().startswith("sub ")]
+        assert f"{latest['ratio']:.3f}x ref" in sub_row and "1.750x" not in sub_row
+        (ref_row,) = [line for line in text.splitlines() if line.lstrip().startswith("ref ")]
+        assert "x ref" not in ref_row
+
+    def test_bench_list_shows_each_pairs_reference_and_bound(self, capsys):
+        from repro.cli import main
+        from repro.obs.suite import default_registry
+
+        assert main(["bench", "--list"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        pairs = [b for b in default_registry() if b.reference is not None]
+        assert pairs
+        for bench in pairs:
+            (row,) = [line for line in lines if line.lstrip().startswith(bench.name + " ")]
+            assert f" {bench.reference} " in row
+            assert f"<= {bench.max_ratio:.2f}x" in row
+            assert ("(strict)" in row) == bench.strict_ratio

@@ -2,9 +2,10 @@
 parameter rules.
 
 Every topology family is built at n in {1, 2, 3} (depth 1 and n - 1 for
-the families that take one), every algorithm runs on every registered
-engine that can run it, and each cell either gives the reference
-engine's ``(time, completed, wake_times)`` everywhere or raises a
+the families that take one; ``grid`` also at n = 4, its smallest valid
+size), every algorithm runs on every registered engine that can run it,
+and each cell either gives the reference engine's ``(time, completed,
+wake_times)`` everywhere or raises a
 :class:`~repro.sim.errors.ConfigurationError` on every engine.
 """
 
@@ -39,6 +40,9 @@ def _degenerate_topologies() -> list[tuple[str, dict]]:
             for depth in depths:
                 params = {"n": n} if depth is None else {"n": n, "depth": depth}
                 cells.append((name, params))
+    # n in {1, 2, 3} is refused for grid (n must be side², side >= 2);
+    # its smallest valid size keeps the family a runnable cell.
+    cells.append(("grid", {"n": 4}))
     return cells
 
 
@@ -107,8 +111,14 @@ def test_gnp_probability_rule(topology):
 
 
 def test_grid_side_follows_n():
-    assert build_topology("grid", {"n": 17}).n == 16
-    assert build_topology("grid", {"n": 1}).n == 4
+    """``grid`` is the square of side √n; any other n is refused up front,
+    naming the two nearest sizes, instead of silently building another n."""
+    assert build_topology("grid", {"n": 16}).n == 16
+    assert build_topology("grid", {"n": 4}).n == 4
+    for n, nearest in [(17, "16 and 25"), (200, "196 and 225"),
+                       (1, "4 and 9"), (2, "4 and 9"), (3, "4 and 9"), (0, "4 and 9")]:
+        with pytest.raises(ConfigurationError, match=f"got n={n}; nearest valid sizes: {nearest}"):
+            build_topology("grid", {"n": n})
     with pytest.raises(ConfigurationError, match="bad parameters"):
         build_topology("grid", {"rows": 3, "cols": 3})
 
