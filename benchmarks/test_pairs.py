@@ -11,10 +11,9 @@ check always runs.  Nothing here writes a record into the tree: records
 reach the trajectory only through ``repro bench``.
 
 The overhead pairs (metrics, spans, forensics) share their plain side,
-``batched_engine``.  Under strict mode its full-size time is also held
-to :data:`OFF_PATH_BOUND` times the committed full-size record
-``benchmarks/results/BENCH_batched_engine_full.json``: observability
-machinery that is off must not cost wall clock.
+``batched_engine``.  What observability costs when it is off shows only
+as absolute wall clock, which only a same-host run of two commits can
+compare: the end-to-end benchmark ``benchmarks/e2e/bench.py``.
 """
 
 from __future__ import annotations
@@ -22,19 +21,10 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import render_table
-from repro.obs.bench import (
-    compare_record,
-    load_baseline,
-    run_benchmark,
-    strict_mode,
-    validate_record,
-)
+from repro.obs.bench import run_benchmark, strict_mode, validate_record
 from repro.obs.suite import default_registry
 
 PAIRS = [bench for bench in default_registry() if bench.reference is not None]
-
-#: Strict bound on the plain batched run against its committed record.
-OFF_PATH_BOUND = 1.02
 
 
 def test_the_registry_declares_eight_pairs():
@@ -72,11 +62,3 @@ def test_pair_within_its_bound(bench, table_reporter):
             f"{bench.name} takes {record['ratio']:.3f}x {bench.reference} "
             f"(bound {bench.max_ratio:.3f}x)"
         )
-
-
-def test_plain_batched_run_against_its_full_size_record():
-    record = run_benchmark(default_registry().get("batched_engine"))
-    comparison = compare_record(record, load_baseline("batched_engine_full"))
-    assert comparison.ratio is not None, comparison.describe()
-    if strict_mode():
-        assert comparison.ratio <= OFF_PATH_BOUND, comparison.describe()

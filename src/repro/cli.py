@@ -26,8 +26,7 @@ Subcommands:
   trajectory back into tables, or ``--json`` for machines (see
   ``docs/OBSERVABILITY.md``).
 * ``bench`` — run the registered benchmark suite under the pinned timing
-  protocol, append to ``BENCH_trajectory.jsonl``, and compare against the
-  committed per-bench baselines.
+  protocol and append to ``BENCH_trajectory.jsonl``.
 * ``profile`` — cProfile a run, a sweep (per-point, across the worker
   pool), or a registered benchmark; prints a pstats top-N table and can
   export callgrind files for KCachegrind.
@@ -56,8 +55,8 @@ Examples::
     repro explain sweep --algorithm bgi --n 64 --runs 10 --json
     repro report sweep.jsonl
     repro report benchmarks/results/BENCH_trajectory.jsonl --json
-    repro bench --quick --compare
-    repro bench --filter engine --update-baseline
+    repro bench --quick
+    repro bench --filter engine
     repro profile run --topology km-layered --n 256 --algorithm kp-optimal --trials 20
     repro profile sweep --quick --workers 2 --callgrind sweep.callgrind
     repro profile bench batched_engine --quick --top 15
@@ -623,15 +622,14 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     registry = default_registry()
     if args.list:
         rows = [
-            [b.name, ",".join(b.tags), f"{b.tolerance:.2f}x",
-             b.reference or "-",
+            [b.name, ",".join(b.tags), b.reference or "-",
              "-" if b.reference is None
              else f"<= {b.max_ratio:.2f}x{' (strict)' if b.strict_ratio else ''}",
              b.description]
             for b in registry
         ]
         print(render_table(
-            ["bench", "tags", "tolerance", "reference", "max ratio", "description"],
+            ["bench", "tags", "reference", "max ratio", "description"],
             rows, title="registered benchmarks",
         ))
         return 0
@@ -649,63 +647,25 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         record = bench_mod.run_benchmark(bench, quick=args.quick, env=env)
         records.append(record)
         bench_mod.append_trajectory(record, args.results_dir)
-        if args.update_baseline:
-            bench_mod.write_baseline(record, args.results_dir)
 
-    comparisons = (
-        bench_mod.compare_all(records, args.results_dir) if args.compare else None
-    )
     if args.json:
-        document = {"records": records}
-        if comparisons is not None:
-            document["comparisons"] = [
-                {"bench": c.bench, "status": c.status, "ratio": c.ratio}
-                for c in comparisons
-            ]
-        print(json.dumps(document, indent=1, sort_keys=True))
-    else:
-        rows = []
-        for i, record in enumerate(records):
-            row = [
-                record["bench"],
-                f"{record['min_s']:.4f}",
-                f"{record['median_s']:.4f}",
-                record["repeats"],
-                f"{record['ratio']:.3f}x {record['reference']}"
-                if "reference" in record else "-",
-            ]
-            if comparisons is not None:
-                comparison = comparisons[i]
-                row.extend([
-                    "-" if comparison.baseline is None
-                    else f"{comparison.baseline['min_s']:.4f}",
-                    "-" if comparison.ratio is None else f"{comparison.ratio:.3f}x",
-                    comparison.status,
-                ])
-            rows.append(row)
-        headers = ["bench", "min (s)", "median (s)", "repeats", "vs reference"]
-        if comparisons is not None:
-            headers += ["baseline (s)", "ratio", "status"]
-        mode = "quick" if args.quick else "full"
-        print(render_table(headers, rows,
-                           title=f"benchmark suite ({mode}, git {env['git_sha']})"))
-        print(f"trajectory: {bench_mod.trajectory_path(args.results_dir)}")
-        if args.update_baseline:
-            print(f"baselines updated under "
-                  f"{bench_mod.baseline_path('*', args.results_dir).parent}")
-
-    if comparisons is not None:
-        regressions = [c for c in comparisons if c.regressed]
-        for comparison in regressions:
-            print(f"REGRESSION: {comparison.describe()}", file=sys.stderr)
-        if regressions and bench_mod.strict_mode():
-            return 1
-        if regressions:
-            print(
-                f"({len(regressions)} regression(s) — warning only; set "
-                f"{bench_mod.STRICT_ENV_VAR}=1 to fail)",
-                file=sys.stderr,
-            )
+        print(json.dumps({"records": records}, indent=1, sort_keys=True))
+        return 0
+    rows = [
+        [
+            record["bench"],
+            f"{record['min_s']:.4f}",
+            f"{record['median_s']:.4f}",
+            record["repeats"],
+            f"{record['ratio']:.3f}x {record['reference']}"
+            if "reference" in record else "-",
+        ]
+        for record in records
+    ]
+    mode = "quick" if args.quick else "full"
+    print(render_table(["bench", "min (s)", "median (s)", "repeats", "vs reference"],
+                       rows, title=f"benchmark suite ({mode}, git {env['git_sha']})"))
+    print(f"trajectory: {bench_mod.trajectory_path(args.results_dir)}")
     return 0
 
 
@@ -962,19 +922,13 @@ def main(argv: list[str] | None = None) -> int:
                          help="substring matched against bench names and tags")
     p_bench.add_argument("--quick", action="store_true",
                          help="smaller workloads and fewer repeats")
-    p_bench.add_argument("--compare", action="store_true",
-                         help="compare against committed BENCH_<name>.json "
-                              "baselines (regressions warn; set "
-                              "REPRO_BENCH_STRICT=1 to fail)")
-    p_bench.add_argument("--update-baseline", action="store_true",
-                         help="rewrite each bench's baseline from this run")
     p_bench.add_argument("--list", action="store_true",
                          help="list registered benchmarks and exit")
     p_bench.add_argument("--results-dir", metavar="DIR", default=None,
-                         help="where trajectory/baselines live "
+                         help="where the trajectory lives "
                               "(default benchmarks/results)")
     p_bench.add_argument("--json", action="store_true",
-                         help="emit records and comparisons as JSON")
+                         help="emit the records as JSON")
     p_bench.set_defaults(func=_cmd_bench)
 
     p_prof = sub.add_parser(

@@ -22,11 +22,11 @@ reference_min_s``, which ``max_ratio`` bounds (a speedup of at least k×
 is ``max_ratio = 1/k``); ``min_s`` stays the subject's own time.
 
 Records append to ``benchmarks/results/BENCH_trajectory.jsonl`` (one
-JSON object per line) and compare against committed per-bench baselines
-``benchmarks/results/BENCH_<name>.json``.  Comparison is noise-tolerant:
-a bench regresses only when ``min_s`` exceeds ``tolerance`` times the
-baseline.  Regressions warn by default and hard-fail only under
-``REPRO_BENCH_STRICT=1`` (dedicated benchmark hardware).
+JSON object per line).  Speed is gated only by pairs, whose two sides
+run on the same host in the same process: a time measured on one host
+says nothing about a time measured on another.  A ``strict_ratio``
+pair's bound holds only under ``REPRO_BENCH_STRICT=1`` (dedicated
+benchmark hardware).
 
 Kept import-light like the rest of ``repro.obs`` — the default suite
 (:mod:`repro.obs.suite`) is the module that imports the simulation stack.
@@ -41,7 +41,7 @@ import platform
 import statistics
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .runlog import git_sha
 
@@ -49,36 +49,31 @@ __all__ = [
     "BENCH_SCHEMA_VERSION",
     "Benchmark",
     "BenchmarkRegistry",
-    "BenchComparison",
     "DEFAULT_RESULTS_DIR",
     "DEFAULT_REGISTRY",
     "STRICT_ENV_VAR",
     "append_trajectory",
-    "baseline_path",
-    "compare_record",
     "environment_fingerprint",
-    "load_baseline",
     "read_trajectory",
     "register",
     "run_benchmark",
     "strict_mode",
     "trajectory_path",
     "validate_record",
-    "write_baseline",
 ]
 
 #: Bumped when the record layout changes incompatibly.
 BENCH_SCHEMA_VERSION = 1
 
-#: Where ``repro bench`` reads/writes baselines and the trajectory.
+#: Where ``repro bench`` appends the trajectory.
 DEFAULT_RESULTS_DIR = pathlib.Path("benchmarks") / "results"
 
-#: Environment variable turning regression warnings into hard failures.
+#: Environment variable that turns on the ``strict_ratio`` pair bounds.
 STRICT_ENV_VAR = "REPRO_BENCH_STRICT"
 
 
 def strict_mode() -> bool:
-    """Whether regressions must fail (``REPRO_BENCH_STRICT=1``)."""
+    """Whether ``strict_ratio`` bounds hold (``REPRO_BENCH_STRICT=1``)."""
     return os.environ.get(STRICT_ENV_VAR) == "1"
 
 
@@ -87,15 +82,12 @@ class Benchmark:
     """One registered benchmark.
 
     Args:
-        name: Unique registry key; also names the baseline file
-            ``BENCH_<name>.json``.
+        name: Unique registry key.
         build: ``build(quick)`` does all setup outside the timed region
             and returns the zero-argument callable to time.  ``quick``
             selects a smaller workload for CI smoke runs.
         tags: Free-form workload labels (``"engine"``, ``"sweep"``, ...)
             usable with ``repro bench --filter``.
-        tolerance: Allowed slowdown ratio against the committed baseline
-            before the bench counts as regressed (1.3 = +30%).
         repeats: Timed calls per record (full mode).
         warmup: Untimed calls before measurement starts.
         quick_repeats: Timed calls under ``--quick``.
@@ -112,7 +104,6 @@ class Benchmark:
     name: str
     build: Callable[[bool], Callable[[], object]]
     tags: tuple[str, ...] = ()
-    tolerance: float = 1.3
     repeats: int = 5
     warmup: int = 1
     quick_repeats: int = 3
@@ -127,10 +118,6 @@ class Benchmark:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("benchmark name must be non-empty")
-        if self.tolerance <= 1.0:
-            raise ValueError(
-                f"tolerance must exceed 1.0 (a ratio), got {self.tolerance}"
-            )
         if self.repeats < 1 or self.quick_repeats < 1:
             raise ValueError("repeats must be positive")
         if self.warmup < 0:
@@ -197,7 +184,6 @@ def register(
     name: str,
     *,
     tags: Sequence[str] = (),
-    tolerance: float = 1.3,
     repeats: int = 5,
     warmup: int = 1,
     quick_repeats: int = 3,
@@ -216,7 +202,6 @@ def register(
                 name=name,
                 build=build,
                 tags=tuple(tags),
-                tolerance=tolerance,
                 repeats=repeats,
                 warmup=warmup,
                 quick_repeats=quick_repeats,
@@ -308,7 +293,6 @@ def run_benchmark(
         "min_s": round(min(times), 6),
         "median_s": round(statistics.median(times), 6),
         "mean_s": round(statistics.fmean(times), 6),
-        "tolerance": benchmark.tolerance,
         "ts": time.time(),
         "env": dict(env) if env is not None else environment_fingerprint(),
     }
@@ -333,7 +317,6 @@ _REQUIRED_FIELDS = {
     "min_s": (int, float),
     "median_s": (int, float),
     "mean_s": (int, float),
-    "tolerance": (int, float),
     "ts": (int, float),
     "env": dict,
 }
@@ -402,19 +385,12 @@ def validate_record(record: Mapping) -> list[str]:
 
 
 # ----------------------------------------------------------------------
-# Baselines and the trajectory file
+# The trajectory file
 
 
 def trajectory_path(results_dir: pathlib.Path | str | None = None) -> pathlib.Path:
     root = pathlib.Path(results_dir) if results_dir is not None else DEFAULT_RESULTS_DIR
     return root / "BENCH_trajectory.jsonl"
-
-
-def baseline_path(
-    name: str, results_dir: pathlib.Path | str | None = None
-) -> pathlib.Path:
-    root = pathlib.Path(results_dir) if results_dir is not None else DEFAULT_RESULTS_DIR
-    return root / f"BENCH_{name}.json"
 
 
 def append_trajectory(
@@ -444,106 +420,3 @@ def read_trajectory(path: pathlib.Path | str) -> list[dict]:
                 raise ValueError(f"{path}:{number}: record is not a JSON object")
             records.append(record)
     return records
-
-
-def write_baseline(
-    record: Mapping, results_dir: pathlib.Path | str | None = None
-) -> pathlib.Path:
-    """Commit one record as the bench's baseline ``BENCH_<name>.json``."""
-    path = baseline_path(record["bench"], results_dir)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def load_baseline(
-    name: str, results_dir: pathlib.Path | str | None = None
-) -> dict | None:
-    """The committed baseline record for ``name``, or ``None`` if absent."""
-    path = baseline_path(name, results_dir)
-    if not path.exists():
-        return None
-    return json.loads(path.read_text())
-
-
-@dataclass(frozen=True)
-class BenchComparison:
-    """Outcome of one record-vs-baseline check.
-
-    ``status`` is one of ``"ok"`` (within tolerance), ``"improved"``
-    (faster than the baseline by more than the tolerance margin —
-    worth committing a new baseline), ``"regression"`` (slower than
-    ``tolerance`` allows), ``"mode-mismatch"`` (quick record vs full
-    baseline or vice versa — never comparable), or ``"no-baseline"``.
-    """
-
-    bench: str
-    status: str
-    ratio: float | None
-    record: Mapping = field(repr=False)
-    baseline: Mapping | None = field(repr=False, default=None)
-
-    @property
-    def regressed(self) -> bool:
-        return self.status == "regression"
-
-    def describe(self) -> str:
-        if self.status == "no-baseline":
-            return f"{self.bench}: no committed baseline (min {self.record['min_s']:.4f}s)"
-        if self.status == "mode-mismatch":
-            record_mode = "quick" if self.record.get("quick") else "full"
-            base_mode = "quick" if self.baseline.get("quick") else "full"
-            return (
-                f"{self.bench}: {record_mode}-mode record vs {base_mode}-mode "
-                f"baseline — not comparable"
-            )
-        return (
-            f"{self.bench}: {self.status} — min {self.record['min_s']:.4f}s vs "
-            f"baseline {self.baseline['min_s']:.4f}s "
-            f"({self.ratio:.3f}x, tolerance {self.record['tolerance']:.2f}x)"
-        )
-
-
-def compare_record(record: Mapping, baseline: Mapping | None) -> BenchComparison:
-    """Noise-tolerant ratio comparison of one record against its baseline.
-
-    The ratio is ``record.min_s / baseline.min_s``; min-of-N is the
-    statistic least sensitive to scheduler noise, and the tolerance
-    (stored on the record, i.e. the *registered* tolerance at measurement
-    time) absorbs the rest.  A quick-mode record is only comparable to a
-    quick-mode baseline (the workloads differ); a mode mismatch reports
-    ``"mode-mismatch"`` and never counts as a regression.
-    """
-    if baseline is None:
-        return BenchComparison(
-            bench=record["bench"], status="no-baseline", ratio=None, record=record
-        )
-    if bool(record.get("quick")) != bool(baseline.get("quick")):
-        return BenchComparison(
-            bench=record["bench"], status="mode-mismatch", ratio=None,
-            record=record, baseline=baseline,
-        )
-    base = float(baseline["min_s"])
-    ratio = float(record["min_s"]) / base if base > 0 else float("inf")
-    tolerance = float(record.get("tolerance", 1.3))
-    if ratio > tolerance:
-        status = "regression"
-    elif ratio < 1.0 / tolerance:
-        status = "improved"
-    else:
-        status = "ok"
-    return BenchComparison(
-        bench=record["bench"], status=status, ratio=ratio,
-        record=record, baseline=baseline,
-    )
-
-
-def compare_all(
-    records: Iterable[Mapping],
-    results_dir: pathlib.Path | str | None = None,
-) -> list[BenchComparison]:
-    """Compare each record against its committed baseline."""
-    return [
-        compare_record(record, load_baseline(record["bench"], results_dir))
-        for record in records
-    ]

@@ -219,26 +219,32 @@ def _is_trajectory(records: Sequence[Mapping]) -> bool:
     )
 
 
-def _group_by_bench(records: Sequence[Mapping]) -> dict[str, list[Mapping]]:
-    grouped: dict[str, list[Mapping]] = {}
+def _group_by_bench_and_mode(
+    records: Sequence[Mapping],
+) -> dict[tuple[str, str], list[Mapping]]:
+    """Records keyed by ``(bench, "quick" | "full")``: a quick and a full
+    record time different workloads, so they never share a trend."""
+    grouped: dict[tuple[str, str], list[Mapping]] = {}
     for record in records:
-        grouped.setdefault(str(record.get("bench", "?")), []).append(record)
+        mode = "quick" if record.get("quick") else "full"
+        grouped.setdefault((str(record.get("bench", "?")), mode), []).append(record)
     return grouped
 
 
 def render_trajectory(records: Sequence[Mapping]) -> str:
-    """One table over a ``BENCH_trajectory.jsonl`` file: per-bench trend.
+    """One table over a ``BENCH_trajectory.jsonl`` file: one row per
+    bench and mode.
 
     ``vs first`` is the latest record's min over the oldest record's min
-    — the cumulative drift across the whole trajectory; the sparkline
-    draws every record's min in file order.  For a pair, ``latest ratio``
-    is the latest record's min over its reference's.
+    — the cumulative drift across the row's records; the sparkline draws
+    every record's min in file order.  For a pair, ``latest ratio`` is the
+    latest record's min over its reference's.
     """
     if not records:
         return "trajectory: empty (no records)"
     shas = sorted({str(r.get("env", {}).get("git_sha", "?")) for r in records})
     rows: list[list[object]] = []
-    for name, group in sorted(_group_by_bench(records).items()):
+    for (name, mode), group in sorted(_group_by_bench_and_mode(records).items()):
         mins = [float(r["min_s"]) for r in group if "min_s" in r]
         if not mins:
             continue
@@ -247,6 +253,7 @@ def render_trajectory(records: Sequence[Mapping]) -> str:
         drift = latest_min / first_min if first_min > 0 else float("inf")
         rows.append([
             name,
+            mode,
             len(group),
             f"{latest_min:.4f}",
             f"{float(latest.get('median_s', latest_min)):.4f}",
@@ -257,11 +264,11 @@ def render_trajectory(records: Sequence[Mapping]) -> str:
             ascii_sparkline(mins, width=min(24, max(2, len(mins)))),
         ])
     header = (
-        f"bench trajectory: {len(records)} records, {len(rows)} bench(es)  "
+        f"bench trajectory: {len(records)} records, {len(rows)} row(s)  "
         f"git {', '.join(shas)}"
     )
     table = render_table(
-        ["bench", "records", "latest min (s)", "latest median (s)",
+        ["bench", "mode", "records", "latest min (s)", "latest median (s)",
          "best (s)", "vs first", "latest ratio", "trend"],
         rows,
         title="benchmark trajectory (min seconds per record)",
@@ -270,11 +277,12 @@ def render_trajectory(records: Sequence[Mapping]) -> str:
 
 
 def trajectory_report_data(records: Sequence[Mapping]) -> dict:
-    """Machine-readable form of the trajectory report."""
-    benches = {}
-    for name, group in sorted(_group_by_bench(records).items()):
+    """Machine-readable form of the trajectory report:
+    ``benches[bench][mode]`` for ``mode`` in ``"quick"``, ``"full"``."""
+    benches: dict[str, dict] = {}
+    for (name, mode), group in sorted(_group_by_bench_and_mode(records).items()):
         mins = [float(r["min_s"]) for r in group if "min_s" in r]
-        benches[name] = {
+        benches.setdefault(name, {})[mode] = {
             "records": len(group),
             "min_s": mins,
             "latest": group[-1],

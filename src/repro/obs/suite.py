@@ -270,9 +270,6 @@ def _batched_adaptive_serial(quick: bool):
 @register(
     "batched_adaptive_engine",
     tags=("engine", "event", "adaptive", "batch"),
-    # Sub-100ms quick workload on shared CI boxes: scheduler noise easily
-    # exceeds the generic 1.3; the 5x pair bound is the real bar.
-    tolerance=1.6,
     reference="batched_adaptive_serial",
     max_ratio=1 / 5,
     check=_same_trials,
@@ -307,11 +304,9 @@ def _interleaved_adaptive_reference(quick: bool):
 @register(
     "interleaved_adaptive_engine",
     tags=("engine", "event", "adaptive", "batch"),
-    # Sub-100ms quick workload, as for batched_adaptive_engine.  Every
-    # trial is its own execution class, so the margin over polling comes
+    # Every trial is its own execution class, so the margin over polling comes
     # only from the idle hints of Decay and the interleaver (measured
     # 1.1-1.6x; ~0.6x before those hints existed).
-    tolerance=1.6,
     reference="interleaved_adaptive_reference",
     max_ratio=1.0,
     check=_same_trials,
@@ -356,9 +351,6 @@ def _kp_repeat_union(quick: bool):
 @register(
     "obs_overhead",
     tags=("engine", "batch", "obs"),
-    # Tighter than the generic 1.3: the instrumented path's buffered
-    # collision flush must not creep back.
-    tolerance=1.25,
     reference="batched_engine",
     # Per-slot histogram observes over 1000-row arrays are real work: the
     # cost must stay bounded, not free.
@@ -378,7 +370,6 @@ def _obs_overhead(quick: bool):
 @register(
     "telemetry_overhead",
     tags=("engine", "batch", "obs", "telemetry"),
-    tolerance=1.25,
     # Span recording rides on the Timings accumulator (stage spans are
     # synthesized from deltas), so it may cost at most 10% over plain.
     # Host noise on one full-size call is ~15%, so the bound needs more
@@ -408,7 +399,6 @@ def _telemetry_overhead(quick: bool):
 @register(
     "forensics_overhead",
     tags=("engine", "batch", "obs", "forensics"),
-    tolerance=1.4,
     # Columnar FULL traces + array analysis stay a small multiple of the
     # plain run; shared runners are too noisy for this bound, so it holds
     # only under REPRO_BENCH_STRICT=1.
@@ -440,8 +430,6 @@ def _forensics_overhead(quick: bool):
     tags=("sweep", "pool"),
     repeats=3,
     quick_repeats=2,
-    # Pool spin-up + fork noise dominate a sub-second sweep; allow more.
-    tolerance=1.6,
     description="End-to-end run_sweep on the worker pool (uncached)",
 )
 def _sweep_pool(quick: bool):
@@ -465,8 +453,7 @@ def million_node_workload(quick: bool = False):
     A sparse G(n, p) at the scale the macro path exists for — average
     degree 10, KP known-radius schedule.  Shared by the
     ``million_node_engine`` bench and ``benchmarks/test_macro_engine.py``
-    so the committed baseline and the union-identity gate run the same
-    workload.
+    so the bench and the union-identity gate run the same workload.
     """
     from ..core import KnownRadiusKP
     from ..topology import gnp_random_csr

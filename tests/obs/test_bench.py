@@ -1,14 +1,16 @@
-"""Benchmark registry: timing protocol, record schema, regression gates.
+"""Benchmark registry: timing protocol, record schema, pairs, trajectory.
 
-The load-bearing invariant is the CI contract: ``repro bench --compare``
-must *warn* on a regression by default and exit nonzero only under
-``REPRO_BENCH_STRICT=1`` — a noisy shared runner must never fail a PR,
-while dedicated hardware must never let one slip.
+Speed is gated only by pairs, whose two sides are timed alternately in
+one process, so the load-bearing invariants are the pair protocol (the
+check runs before any timed call, the rounds alternate, the ratio is
+min over min) and a record schema that every committed trajectory line
+passes.
 """
 
 from __future__ import annotations
 
 import json
+import pathlib
 
 import pytest
 
@@ -16,16 +18,12 @@ from repro.obs.bench import (
     Benchmark,
     BenchmarkRegistry,
     append_trajectory,
-    baseline_path,
-    compare_record,
     environment_fingerprint,
-    load_baseline,
     read_trajectory,
     run_benchmark,
     strict_mode,
     trajectory_path,
     validate_record,
-    write_baseline,
 )
 
 
@@ -57,12 +55,6 @@ class TestRegistry:
         registry.add(_noop_bench("a"))
         with pytest.raises(KeyError, match="'a'"):
             registry.get("b")
-
-    def test_tolerance_must_be_a_ratio_above_one(self):
-        with pytest.raises(ValueError):
-            _noop_bench(tolerance=1.0)
-        with pytest.raises(ValueError):
-            _noop_bench(tolerance=0.9)
 
 
 class TestTimingProtocol:
@@ -127,54 +119,17 @@ class TestTrajectoryAndBaselines:
         with pytest.raises(ValueError, match="not a JSON object"):
             read_trajectory(path)
 
-    def test_baseline_write_load_round_trip(self, tmp_path):
-        record = run_benchmark(_noop_bench("my_bench"))
-        path = write_baseline(record, tmp_path)
-        assert path == baseline_path("my_bench", tmp_path)
-        assert load_baseline("my_bench", tmp_path) == json.loads(json.dumps(record))
-        assert load_baseline("absent", tmp_path) is None
+    def test_committed_trajectory_is_valid_and_renders(self):
+        from repro.obs.report import report_from_file
 
-
-def _record(min_s, tolerance=1.3, quick=False, bench="b"):
-    return {
-        "bench": bench, "min_s": min_s, "tolerance": tolerance, "quick": quick,
-    }
-
-
-class TestComparison:
-    def test_within_tolerance_is_ok(self):
-        comparison = compare_record(_record(1.2), _record(1.0))
-        assert comparison.status == "ok" and not comparison.regressed
-        assert comparison.ratio == pytest.approx(1.2)
-
-    def test_beyond_tolerance_is_a_regression(self):
-        comparison = compare_record(_record(1.4), _record(1.0))
-        assert comparison.status == "regression" and comparison.regressed
-        assert "regression" in comparison.describe()
-
-    def test_faster_than_margin_is_improved(self):
-        comparison = compare_record(_record(0.5), _record(1.0))
-        assert comparison.status == "improved" and not comparison.regressed
-
-    def test_missing_baseline(self):
-        comparison = compare_record(_record(1.0), None)
-        assert comparison.status == "no-baseline"
-        assert comparison.ratio is None
-        assert "no committed baseline" in comparison.describe()
-
-    def test_quick_vs_full_modes_never_compare(self):
-        comparison = compare_record(_record(9.0, quick=True), _record(1.0))
-        assert comparison.status == "mode-mismatch"
-        assert not comparison.regressed
-        assert "not comparable" in comparison.describe()
-
-    def test_tolerance_comes_from_the_record(self):
-        # The registered tolerance at measurement time decides, not a
-        # stale value stored in the baseline.
-        comparison = compare_record(
-            _record(1.4, tolerance=1.5), _record(1.0, tolerance=1.1)
-        )
-        assert comparison.status == "ok"
+        path = pathlib.Path(__file__).parents[2] / trajectory_path()
+        records = read_trajectory(path)
+        assert records
+        for number, record in enumerate(records, start=1):
+            assert validate_record(record) == [], f"{path}:{number}"
+        rows = {(r["bench"], r["quick"]) for r in records}
+        text = report_from_file(path)
+        assert f"{len(records)} records, {len(rows)} row(s)" in text
 
 
 class TestStrictMode:
@@ -288,14 +243,6 @@ class TestPairs:
         assert validate_record(plain) == []
         stray = dict(plain, ratio=1.5)
         assert any("only on a pair" in e for e in validate_record(stray))
-
-    def test_compare_record_uses_the_subjects_own_time(self, clock):
-        registry, pair = _pair([], clock)
-        record = run_benchmark(pair, registry=registry)
-        baseline = dict(record, min_s=record["min_s"] / 1.2)
-        comparison = compare_record(record, baseline)
-        assert comparison.ratio == pytest.approx(1.2)
-        assert comparison.status == "ok"
 
     def test_trajectory_report_shows_the_latest_ratio(self, clock):
         from repro.obs.report import render_trajectory

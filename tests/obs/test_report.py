@@ -10,9 +10,11 @@ from repro.obs.report import (
     render_metrics,
     render_report,
     render_timings,
+    render_trajectory,
     report_json_from_file,
     report_from_file,
     runlog_report_data,
+    trajectory_report_data,
 )
 from repro.obs.runlog import RunLogger
 from repro.obs.timings import Timings
@@ -155,3 +157,27 @@ def test_report_json_golden():
                     "histograms": {}},
     }
     assert json.loads(json.dumps(data)) == golden
+
+
+def _bench_record(bench, quick, min_s):
+    return {"bench": bench, "quick": quick, "min_s": min_s, "median_s": min_s,
+            "env": {"git_sha": "deadbee"}}
+
+
+def test_quick_and_full_records_of_one_bench_get_separate_rows():
+    # A quick and a full record time different workloads: one row would
+    # draw a full-size spike over the quick floor.
+    records = [
+        _bench_record("b", True, 0.06),
+        _bench_record("b", False, 0.5),
+        _bench_record("b", True, 0.09),
+    ]
+    text = render_trajectory(records)
+    rows = [line.split() for line in text.splitlines()
+            if line.lstrip().startswith("b ")]
+    assert [row[:3] for row in rows] == [["b", "full", "1"], ["b", "quick", "2"]]
+    assert "0.5000" not in " ".join(rows[1])
+    assert "1.50x" in rows[1]  # vs first: 0.09 / 0.06, quick records only
+    data = trajectory_report_data(records)
+    assert data["benches"]["b"]["quick"]["min_s"] == [0.06, 0.09]
+    assert data["benches"]["b"]["full"]["min_s"] == [0.5]
