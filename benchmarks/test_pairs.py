@@ -27,11 +27,12 @@ from repro.obs.suite import default_registry
 PAIRS = [bench for bench in default_registry() if bench.reference is not None]
 
 
-def test_the_registry_declares_eight_pairs():
+def test_the_registry_declares_nine_pairs():
     assert {bench.name: bench.reference for bench in PAIRS} == {
         "adaptive_engine": "adaptive_reference_engine",
         "batched_adaptive_engine": "batched_adaptive_serial",
         "interleaved_adaptive_engine": "interleaved_adaptive_reference",
+        "kp_deep_layered": "bgi_deep_layered",
         "kp_repeat_union": "kp_repeat_reference",
         "obs_overhead": "batched_engine",
         "telemetry_overhead": "batched_engine",

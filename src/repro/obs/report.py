@@ -219,32 +219,54 @@ def _is_trajectory(records: Sequence[Mapping]) -> bool:
     )
 
 
-def _group_by_bench_and_mode(
+def _host(record: Mapping) -> dict:
+    """The host a record was timed on: its ``env`` fingerprint without
+    ``git_sha``."""
+    return {k: v for k, v in record.get("env", {}).items() if k != "git_sha"}
+
+
+def _group_by_row(
     records: Sequence[Mapping],
-) -> dict[tuple[str, str], list[Mapping]]:
-    """Records keyed by ``(bench, "quick" | "full")``: a quick and a full
-    record time different workloads, so they never share a trend."""
-    grouped: dict[tuple[str, str], list[Mapping]] = {}
+) -> tuple[list[dict], dict[tuple[str, str, int], list[Mapping]]]:
+    """Records keyed by ``(bench, "quick" | "full", host)``, the host as an
+    index into the returned list of hosts (in order of first appearance).
+
+    A quick and a full record time different workloads, and two hosts
+    time the same workload at different speeds, so neither shares a
+    trend."""
+    hosts: list[dict] = []
+    grouped: dict[tuple[str, str, int], list[Mapping]] = {}
     for record in records:
+        host = _host(record)
+        if host not in hosts:
+            hosts.append(host)
         mode = "quick" if record.get("quick") else "full"
-        grouped.setdefault((str(record.get("bench", "?")), mode), []).append(record)
-    return grouped
+        key = (str(record.get("bench", "?")), mode, hosts.index(host))
+        grouped.setdefault(key, []).append(record)
+    return hosts, grouped
+
+
+def _host_label(host: dict) -> str:
+    return ", ".join(f"{k} {v}" for k, v in sorted(host.items())) or "unknown"
 
 
 def render_trajectory(records: Sequence[Mapping]) -> str:
     """One table over a ``BENCH_trajectory.jsonl`` file: one row per
-    bench and mode.
+    bench, mode and host.
 
     ``vs first`` is the latest record's min over the oldest record's min
     — the cumulative drift across the row's records; the sparkline draws
-    every record's min in file order.  For a pair, ``latest ratio`` is the
-    latest record's min over its reference's.
+    every record's min in file order.  A row holds one host's records
+    only (hosts are listed under the table as ``h1``, ``h2``, ...), so
+    neither column shows a change of host.  For a pair, ``latest ratio``
+    is the latest record's min over its reference's.
     """
     if not records:
         return "trajectory: empty (no records)"
     shas = sorted({str(r.get("env", {}).get("git_sha", "?")) for r in records})
+    hosts, grouped = _group_by_row(records)
     rows: list[list[object]] = []
-    for (name, mode), group in sorted(_group_by_bench_and_mode(records).items()):
+    for (name, mode, host), group in sorted(grouped.items()):
         mins = [float(r["min_s"]) for r in group if "min_s" in r]
         if not mins:
             continue
@@ -254,6 +276,7 @@ def render_trajectory(records: Sequence[Mapping]) -> str:
         rows.append([
             name,
             mode,
+            f"h{host + 1}",
             len(group),
             f"{latest_min:.4f}",
             f"{float(latest.get('median_s', latest_min)):.4f}",
@@ -268,25 +291,31 @@ def render_trajectory(records: Sequence[Mapping]) -> str:
         f"git {', '.join(shas)}"
     )
     table = render_table(
-        ["bench", "mode", "records", "latest min (s)", "latest median (s)",
-         "best (s)", "vs first", "latest ratio", "trend"],
+        ["bench", "mode", "host", "records", "latest min (s)",
+         "latest median (s)", "best (s)", "vs first", "latest ratio", "trend"],
         rows,
         title="benchmark trajectory (min seconds per record)",
     )
-    return f"{header}\n\n{table}"
+    legend = "\n".join(
+        f"h{i + 1}: {_host_label(host)}" for i, host in enumerate(hosts)
+    )
+    return f"{header}\n\n{table}\n\n{legend}"
 
 
 def trajectory_report_data(records: Sequence[Mapping]) -> dict:
     """Machine-readable form of the trajectory report:
-    ``benches[bench][mode]`` for ``mode`` in ``"quick"``, ``"full"``."""
+    ``benches[bench][mode]`` for ``mode`` in ``"quick"``, ``"full"`` is a
+    list of rows, one per host (``host``: the ``env`` fingerprint without
+    ``git_sha``)."""
+    hosts, grouped = _group_by_row(records)
     benches: dict[str, dict] = {}
-    for (name, mode), group in sorted(_group_by_bench_and_mode(records).items()):
-        mins = [float(r["min_s"]) for r in group if "min_s" in r]
-        benches.setdefault(name, {})[mode] = {
+    for (name, mode, host), group in sorted(grouped.items()):
+        benches.setdefault(name, {}).setdefault(mode, []).append({
+            "host": hosts[host],
             "records": len(group),
-            "min_s": mins,
+            "min_s": [float(r["min_s"]) for r in group if "min_s" in r],
             "latest": group[-1],
-        }
+        })
     return {"kind": "trajectory", "records": len(records), "benches": benches}
 
 

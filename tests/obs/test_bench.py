@@ -127,7 +127,13 @@ class TestTrajectoryAndBaselines:
         assert records
         for number, record in enumerate(records, start=1):
             assert validate_record(record) == [], f"{path}:{number}"
-        rows = {(r["bench"], r["quick"]) for r in records}
+        # One row per bench, mode and host: the env without its git sha.
+        rows = {
+            (r["bench"], r["quick"],
+             json.dumps({k: v for k, v in r["env"].items() if k != "git_sha"},
+                        sort_keys=True))
+            for r in records
+        }
         text = report_from_file(path)
         assert f"{len(records)} records, {len(rows)} row(s)" in text
 

@@ -159,9 +159,14 @@ def test_report_json_golden():
     assert json.loads(json.dumps(data)) == golden
 
 
-def _bench_record(bench, quick, min_s):
+def _bench_record(bench, quick, min_s, cpu_count=2, git_sha="deadbee"):
     return {"bench": bench, "quick": quick, "min_s": min_s, "median_s": min_s,
-            "env": {"git_sha": "deadbee"}}
+            "env": {"git_sha": git_sha, "cpu_count": cpu_count}}
+
+
+def _rows(text, bench):
+    return [line.split() for line in text.splitlines()
+            if line.lstrip().startswith(bench + " ")]
 
 
 def test_quick_and_full_records_of_one_bench_get_separate_rows():
@@ -173,11 +178,36 @@ def test_quick_and_full_records_of_one_bench_get_separate_rows():
         _bench_record("b", True, 0.09),
     ]
     text = render_trajectory(records)
-    rows = [line.split() for line in text.splitlines()
-            if line.lstrip().startswith("b ")]
-    assert [row[:3] for row in rows] == [["b", "full", "1"], ["b", "quick", "2"]]
+    rows = _rows(text, "b")
+    assert [row[:4] for row in rows] == [["b", "full", "h1", "1"],
+                                         ["b", "quick", "h1", "2"]]
     assert "0.5000" not in " ".join(rows[1])
     assert "1.50x" in rows[1]  # vs first: 0.09 / 0.06, quick records only
     data = trajectory_report_data(records)
-    assert data["benches"]["b"]["quick"]["min_s"] == [0.06, 0.09]
-    assert data["benches"]["b"]["full"]["min_s"] == [0.5]
+    assert [row["min_s"] for row in data["benches"]["b"]["quick"]] == [[0.06, 0.09]]
+    assert [row["min_s"] for row in data["benches"]["b"]["full"]] == [[0.5]]
+
+
+def test_records_from_two_hosts_get_separate_rows():
+    # A faster host is not a faster commit: "vs first", "best" and the
+    # trend compare one host's records only.  A new commit on the same
+    # host stays in its row.
+    records = [
+        _bench_record("b", True, 0.50, cpu_count=1, git_sha="aaaaaaa"),
+        _bench_record("b", True, 0.55, cpu_count=1, git_sha="bbbbbbb"),
+        _bench_record("b", True, 0.10, cpu_count=2, git_sha="bbbbbbb"),
+        _bench_record("b", True, 0.08, cpu_count=2, git_sha="ccccccc"),
+    ]
+    text = render_trajectory(records)
+    first, second = _rows(text, "b")
+    assert first[:4] == ["b", "quick", "h1", "2"]
+    assert "1.10x" in first and "0.5000" in first  # 0.55 / 0.50; best 0.50
+    assert second[:4] == ["b", "quick", "h2", "2"]
+    assert "0.80x" in second and "0.0800" in second  # 0.08 / 0.10; best 0.08
+    assert "0.16x" not in text  # 0.08 / 0.50: a host change, not a code change
+    assert "h1: cpu_count 1" in text and "h2: cpu_count 2" in text
+    (quick,) = trajectory_report_data(records)["benches"].values()
+    assert [(row["host"], row["min_s"]) for row in quick["quick"]] == [
+        ({"cpu_count": 1}, [0.50, 0.55]),
+        ({"cpu_count": 2}, [0.10, 0.08]),
+    ]
