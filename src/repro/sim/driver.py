@@ -287,6 +287,7 @@ def _assemble_results(network, algorithm, engine, seeds, timings, metrics):
     the per-run summary metrics recorded as each is built."""
     times = engine.completion_times()
     results = []
+    tx_counts = []
     for t, seed in enumerate(seeds):
         wake_times = engine.wake_times(t)
         completed = times[t] is not None
@@ -305,8 +306,17 @@ def _assemble_results(network, algorithm, engine, seeds, timings, metrics):
             timings=timings,
         )
         if metrics is not None:
-            _record_result_metrics(metrics, result, engine.transmission_counts(t))
+            _record_result_metrics(metrics, result)
+            counts = engine.transmission_counts(t)
+            if counts is not None:
+                tx_counts.append(counts)
         results.append(result)
+    if tx_counts:
+        # One observation per node and run, all runs at once (a histogram
+        # does not depend on observation order).
+        metrics.histogram("transmissions_per_node", COUNT_BUCKETS).observe_many(
+            np.concatenate(tx_counts)
+        )
     return results
 
 
@@ -350,24 +360,19 @@ def _layer_times_for(network, wake_times) -> tuple[int | None, ...]:
     )
 
 
-def _record_result_metrics(
-    metrics: MetricsRegistry, result: BroadcastResult, transmission_counts=None
-) -> None:
+def _record_result_metrics(metrics: MetricsRegistry, result: BroadcastResult) -> None:
     """Driver-level metric observations for one finished run.
 
     The per-slot engine counters (``engine_*``) are incremented by the
     engines themselves; this records the per-*run* summary metrics the
     canonical registry exposes (names documented in
-    ``docs/OBSERVABILITY.md``).
+    ``docs/OBSERVABILITY.md``), except ``transmissions_per_node``, which
+    :func:`_assemble_results` observes for all of an engine's runs at once.
     """
     metrics.counter("runs_total").inc()
     if result.completed:
         metrics.counter("runs_completed").inc()
     metrics.histogram("slots_to_completion", SLOT_BUCKETS).observe(result.time)
-    if transmission_counts is not None:
-        metrics.histogram("transmissions_per_node", COUNT_BUCKETS).observe_many(
-            transmission_counts
-        )
     counters = result.fault_counters
     if counters is not None:
         metrics.counter("faults_crashed_nodes").inc(counters.crashed_nodes)

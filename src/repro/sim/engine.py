@@ -282,14 +282,15 @@ class SynchronousEngine:
             tx_counts = self._tx_counts
             for label in transmissions:
                 tx_counts[label] = tx_counts.get(label, 0) + 1
-            # Same collision definition as the fast engines: receivers
-            # with >= 2 transmitting in-neighbours that are not
-            # themselves transmitting (dead receivers included).
+            # Same collision definition as the fast engines: uninformed
+            # receivers with >= 2 transmitting in-neighbours (dead
+            # receivers included; a collision does not wake anyone).
+            wake_times = self.wake_times
             self._collision_hist.observe(
                 sum(
                     1
                     for receiver, count in hits.items()
-                    if count >= 2 and receiver not in transmissions
+                    if count >= 2 and receiver not in wake_times
                 )
             )
 

@@ -313,10 +313,12 @@ class EventDrivenEngine(SynchronousEngine):
             tx_counts = self._tx_counts
             for label in transmissions:
                 tx_counts[label] = tx_counts.get(label, 0) + 1
-            # Same collision definition as every engine: listening
+            # Same collision definition as every engine: uninformed
             # receivers with >= 2 transmitting in-neighbours, dead
             # receivers included.
-            self._collision_hist.observe(len(colliding))
+            self._collision_hist.observe(
+                sum(1 for receiver in colliding if receiver not in protocols)
+            )
 
         # Re-register every touched node from a fresh hint (inlined
         # _register: this loop runs for every polled node and receiver).
