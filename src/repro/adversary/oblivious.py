@@ -31,10 +31,9 @@ import numpy as np
 
 from ..sim.engine import SynchronousEngine
 from ..sim.errors import ConfigurationError, SimulationError
-from ..sim.fast import VectorizedAlgorithm
 from ..sim.macro import plan_slot_mask
 from ..sim.network import RadioNetwork
-from ..sim.protocol import BroadcastAlgorithm
+from ..sim.protocol import BroadcastAlgorithm, VectorizedAlgorithm
 
 __all__ = ["ObliviousAdversaryResult", "ObliviousLayerAdversary", "verify_oblivious"]
 

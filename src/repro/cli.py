@@ -560,7 +560,7 @@ def _cmd_explain_sweep(args: argparse.Namespace) -> int:
     from .obs import MetricsRegistry
     from .obs.forensics import analyze, record_forensics_metrics
     from .obs.report import render_metrics
-    from .sim.fast import run_broadcast_batch
+    from .sim.run import run_broadcast_batch
 
     net = _build_network(args)
     algorithm = build_algorithm(args.algorithm, net, {})

@@ -263,7 +263,7 @@ class QuietEchoSchedule:
     collision detection).  A stopped node is terminally quiet.  Message
     deliveries re-activate a node regardless of any promise — the
     event-driven :class:`~repro.sim.event.EventDrivenEngine` (which the
-    ``event`` engine runs once per execution class) re-queries this hint
+    ``event`` engine runs once per seed) re-queries this hint
     after every delivery, which is what makes returning
     :data:`~repro.sim.protocol.QUIET_FOREVER` safe (contract:
     ``docs/MODEL.md``).

@@ -21,7 +21,7 @@ from __future__ import annotations
 from ..analysis import render_table, summarize
 from ..baselines import BGIBroadcast, RoundRobinBroadcast
 from ..sim import FaultPlan, repeat_broadcast, run_broadcast
-from ..sim.fast import run_broadcast_batch
+from ..sim.run import run_broadcast_batch
 from ..topology import gnp_connected, path
 from .base import ExperimentReport, register
 

@@ -148,8 +148,8 @@ class Histogram:
         ``weight > 1`` folds ``other`` in with multiplicity, exactly as if
         ``weight`` identical copies had been merged: bucket counts, total,
         and sum scale; min/max do not (repeating observations cannot move
-        the extremes).  The event engine uses this to account one
-        representative execution for a whole class of identical trials.
+        the extremes).  :func:`~repro.sim.driver.simulate` uses this to
+        account one execution for a whole call of identical trials.
         """
         if other.edges != self.edges:
             raise ValueError(
@@ -223,9 +223,9 @@ class MetricsRegistry:
         ``weight > 1`` merges with multiplicity: counters and histogram
         tallies count as if ``weight`` identical registries had been
         folded in, while gauges (last-observed values) are simply taken
-        from ``other`` regardless of weight.  This is how an execution
-        class of ``weight`` provably-identical trials accounts for all
-        its members at once.
+        from ``other`` regardless of weight.  This is how a call of
+        ``weight`` provably-identical trials accounts for all of them at
+        once.
         """
         if weight < 1:
             raise ValueError(f"merge weight must be positive, got {weight}")

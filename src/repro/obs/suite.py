@@ -80,9 +80,9 @@ def batched_adaptive_workload(quick: bool = False):
     """The batched adaptive workload: (network, algorithm, seeds).
 
     The same e4 Select-and-Send run as :func:`adaptive_workload`, but as
-    a Monte-Carlo batch on the ``event`` engine, whose execution-class
-    collapse turns the deterministic batch into one representative run.
-    The ``batched_adaptive_engine`` pair times one call over the batch
+    a Monte-Carlo batch on the ``event`` engine, which the driver's
+    execution-class collapse turns into one run of the first seed.  The
+    ``batched_adaptive_engine`` pair times one call over the batch
     against ``batched_adaptive_serial``, one-seed event calls.
     """
     from ..sim import derive_trial_seeds
@@ -95,9 +95,9 @@ def interleaved_adaptive_workload(quick: bool = False):
     """The randomized adaptive batch: (network, algorithm, seeds).
 
     E6's interleaving with BGI Decay in place of round-robin, as a
-    Monte-Carlo batch on a complete layered network — every trial is its
-    own execution class, so this measures the idle hints of Decay and the
-    interleaver rather than the deterministic collapse that
+    Monte-Carlo batch on a complete layered network — the algorithm is
+    randomized, so every trial runs, and this measures the idle hints of
+    Decay and the interleaver rather than the deterministic collapse that
     :func:`batched_adaptive_workload` measures.  The
     ``interleaved_adaptive_engine`` pair times one event call against
     ``interleaved_adaptive_reference``, serial reference-engine runs.
@@ -282,12 +282,13 @@ def _batched_adaptive_serial(quick: bool):
     reference="batched_adaptive_serial",
     max_ratio=1 / 5,
     check=_same_trials,
-    description="Event engine, Select-and-Send Monte-Carlo batch on e4's G(n, p)",
+    description="Driver's deterministic collapse on the event engine, "
+    "Select-and-Send Monte-Carlo batch on e4's G(n, p)",
 )
 def _batched_adaptive_engine(quick: bool):
-    # run_broadcast_batch, not repeat_broadcast: the driver's own
-    # deterministic collapse would shrink the batch to one run before the
-    # engine is involved — this bench measures the engine's class collapse.
+    # run_broadcast_batch, not repeat_broadcast: simulate runs one seed
+    # and returns a result per seed, which is the collapse this measures;
+    # repeat_broadcast would return a single result.
     from ..sim import run_broadcast_batch
 
     net, algorithm, seeds = batched_adaptive_workload(quick)
@@ -313,9 +314,9 @@ def _interleaved_adaptive_reference(quick: bool):
 @register(
     "interleaved_adaptive_engine",
     tags=("engine", "event", "adaptive", "batch"),
-    # Every trial is its own execution class, so the margin over polling comes
-    # only from the idle hints of Decay and the interleaver (measured
-    # 1.1-1.6x; ~0.6x before those hints existed).
+    # Every trial runs (the algorithm is randomized), so the margin over
+    # polling comes only from the idle hints of Decay and the interleaver
+    # (measured 1.1-1.6x; ~0.6x before those hints existed).
     reference="interleaved_adaptive_reference",
     max_ratio=1.0,
     check=_same_trials,

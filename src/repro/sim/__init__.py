@@ -19,10 +19,10 @@ from .errors import (
     ProtocolViolationError,
     SimulationError,
 )
-from .fast import ASLEEP, VectorizedAlgorithm, run_broadcast_batch
 from .faults import FaultCounters, FaultPlan, derive_fault_seed
 from .guard import check_memory_budget
 from .macro import (
+    ASLEEP,
     BatchedFastEngine,
     MacroPlan,
     MacroStepEngine,
@@ -31,7 +31,13 @@ from .macro import (
 )
 from .messages import Message, SOURCE_PAYLOAD, source_message
 from .network import RadioNetwork
-from .protocol import BroadcastAlgorithm, ObliviousTransmitter, Protocol, QUIET_FOREVER
+from .protocol import (
+    BroadcastAlgorithm,
+    ObliviousTransmitter,
+    Protocol,
+    QUIET_FOREVER,
+    VectorizedAlgorithm,
+)
 from .run import (
     BroadcastResult,
     default_max_steps,
@@ -39,6 +45,7 @@ from .run import (
     derive_trial_seeds,
     repeat_broadcast,
     run_broadcast,
+    run_broadcast_batch,
 )
 from .serialization import (
     load_network,

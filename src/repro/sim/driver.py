@@ -11,16 +11,26 @@ runs any of them by name::
 
 Every public driver (:func:`~repro.sim.run.run_broadcast`,
 :func:`~repro.sim.run.repeat_broadcast`,
-:func:`~repro.sim.fast.run_broadcast_batch`,
+:func:`~repro.sim.run.run_broadcast_batch`,
 :func:`~repro.sim.macro.run_broadcast_macro`) is a thin alias over
-:func:`simulate`, so the step limit, the memory guard, span wrapping and
-result assembly each happen in exactly one place.
+:func:`simulate`, so the step limit, the memory guard, span wrapping,
+result assembly and the execution-class collapse each happen in exactly
+one place.
+
+**Execution-class collapse.**  A seed reaches an execution through
+exactly two doors: the per-node RNGs
+(:func:`~repro.sim.coins.derive_node_rng`) and the per-trial
+message-loss stream (:func:`~repro.sim.faults.derive_fault_seed`).  When
+the algorithm is deterministic and the fault plan has no loss component
+(:func:`seed_independent`), every seed of a call gives the same
+execution, so :func:`simulate` runs the first seed once, on whichever
+engine was asked for, and returns one copy of that result per seed.
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -31,14 +41,20 @@ from ..obs.timings import Timings
 from .batched_event import BatchedEventEngine
 from .engine import SynchronousEngine
 from .errors import BroadcastIncompleteError, ConfigurationError
-from .fast import ASLEEP, VectorizedAlgorithm, WakeTimes, _check_vectorized
 from .faults import FaultPlan
 from .guard import check_memory_budget, large_memory_allowed
-from .macro import MacroStepEngine
+from .macro import ASLEEP, MacroStepEngine, WakeTimes
+from .protocol import VectorizedAlgorithm, _check_vectorized
 from .run import BroadcastResult, default_max_steps
 from .trace import TraceLevel
 
-__all__ = ["ENGINES", "EngineSpec", "UNION_NODE_LIMIT", "simulate"]
+__all__ = [
+    "ENGINES",
+    "EngineSpec",
+    "UNION_NODE_LIMIT",
+    "seed_independent",
+    "simulate",
+]
 
 #: Node copies per ``macro`` union: a call's seeds run in unions of
 #: ``max(1, UNION_NODE_LIMIT // n)`` trials, so from n = 2**16 on every
@@ -63,7 +79,7 @@ class EngineSpec:
             ``engine_cls(network, algorithm, seed=..., ...)``, batch
             engines as ``engine_cls(network, algorithm, seeds, ...)``.
         oblivious_only: Runs only
-            :class:`~repro.sim.fast.VectorizedAlgorithm` schedules.
+            :class:`~repro.sim.protocol.VectorizedAlgorithm` schedules.
         batch: Runs many seeds in one engine instance (one ``batch[T]``
             span per instance) — all of them, or for ``macro`` unions of
             up to :data:`UNION_NODE_LIMIT` node copies; serial engines
@@ -92,6 +108,17 @@ ENGINES: dict[str, EngineSpec] = {
         EngineSpec("macro", MacroStepEngine, oblivious_only=True, batch=True),
     )
 }
+
+
+def seed_independent(algorithm, faults: FaultPlan | None) -> bool:
+    """Whether every seed gives ``algorithm`` the same execution under
+    ``faults``: the algorithm declares itself ``deterministic`` (its
+    protocols never consult their RNG; an algorithm without the
+    attribute counts as randomized) and the plan loses no messages (loss
+    is the only fault stream keyed by the trial seed)."""
+    return bool(getattr(algorithm, "deterministic", False)) and (
+        faults is None or faults.loss_probability == 0.0
+    )
 
 
 def _resolve_engine(engine: str | EngineSpec, algorithm) -> EngineSpec:
@@ -133,13 +160,18 @@ def simulate(
     Result ``i`` is the execution with master seed ``seeds[i]``; it is
     identical on every engine that can run ``algorithm`` (asserted by the
     conformance suite), so ``engine`` only chooses the execution strategy.
+    When :func:`seed_independent` holds, the first seed runs once and its
+    result is returned once per seed, each copy carrying its own seed
+    (the copies share the wake-time mapping and the trace); ``metrics``
+    then receives that run's tallies with multiplicity ``len(seeds)``,
+    exactly what one run per seed would have recorded.
 
     Args:
         network: Topology — a :class:`~repro.sim.network.RadioNetwork` or
             a CSR-native :class:`~repro.topology.csr.CSRNetwork` (converted
             for the engines that need per-node adjacency).
         algorithm: The broadcasting algorithm; oblivious-only engines
-            require a :class:`~repro.sim.fast.VectorizedAlgorithm`.
+            require a :class:`~repro.sim.protocol.VectorizedAlgorithm`.
         seeds: Per-trial master seeds, at least one.
         engine: A name in :data:`ENGINES`, or ``"auto"``: ``macro`` for
             vectorisable algorithms, ``event`` otherwise.  An
@@ -188,6 +220,18 @@ def simulate(
     seeds = [int(seed) for seed in seeds]
     if not seeds:
         raise ConfigurationError("need at least one trial seed")
+    if len(seeds) > 1 and seed_independent(algorithm, faults):
+        private = MetricsRegistry() if metrics is not None else None
+        (result,) = simulate(
+            network, algorithm, seeds[:1], engine=spec, max_steps=max_steps,
+            trace_level=trace_level, require_completion=require_completion,
+            collision_detection=collision_detection, faults=faults,
+            metrics=private, timings=timings, spans=spans,
+            allow_large=allow_large,
+        )
+        if metrics is not None:
+            metrics.merge(private, weight=len(seeds))
+        return [replace(result, seed=seed) for seed in seeds]
     groups = _seed_groups(spec, network.n, seeds)
     check_memory_budget(
         network.n, trials=max(map(len, groups)),
@@ -325,7 +369,7 @@ def _layer_times_for(network, wake_times) -> tuple[int | None, ...]:
     (``None``: not fully informed).
 
     The per-node engines' dicts walk ``network.layers()``.  The array
-    engines' :class:`~repro.sim.fast.WakeTimes` are read as arrays: per
+    engines' :class:`~repro.sim.macro.WakeTimes` are read as arrays: per
     layer through the flat depth array when the network carries one
     (CSR-native topologies; node order == label order), else through
     the layers' label positions.

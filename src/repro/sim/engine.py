@@ -14,7 +14,7 @@ Implements the model of Section 1.3 exactly:
 
 This engine executes arbitrary (interactive, message-driven) protocols.
 For oblivious randomized algorithms a vectorised engine with identical
-semantics lives in :mod:`repro.sim.fast`.
+semantics lives in :mod:`repro.sim.macro`.
 """
 
 from __future__ import annotations

@@ -38,9 +38,9 @@ informed count are built only when the run records them.
 
 The registered ``event`` engine
 (:class:`~repro.sim.batched_event.BatchedEventEngine`) runs one of these
-per execution class of a call's seeds; the contract protocols must
-honour is specified in ``docs/MODEL.md``, and ``docs/PERFORMANCE.md``
-discusses when compression actually fires.
+per seed of a call, over one shared channel kernel; the contract
+protocols must honour is specified in ``docs/MODEL.md``, and
+``docs/PERFORMANCE.md`` discusses when compression actually fires.
 """
 
 from __future__ import annotations
@@ -96,7 +96,7 @@ class EventDrivenEngine(SynchronousEngine):
     compiles the CSR arrays once per call, not once per trial.  Sharing
     is safe for engines run *one after another* (the kernel keeps
     per-resolve scratch buffers), which is how that engine runs its
-    execution classes.
+    trials.
     """
 
     def __init__(

@@ -50,11 +50,15 @@ slots where three nodes transmit.  This module removes both:
 Instrumented runs (fault plans, metrics, traces, timings) execute on the
 same block loop, with per-slot bookkeeping; the conformance matrix holds
 them to the reference engine's results, traces, fault counters and
-metrics under every plan/trace combination.
+metrics under every plan/trace combination.  A run's wake slots reach
+its result as a :class:`WakeTimes` mapping over the wake row, not as an
+``n``-entry dict.
 """
 
 from __future__ import annotations
 
+import operator
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Sequence
@@ -67,7 +71,6 @@ from ..obs.timings import Timings
 from .channel import ChannelKernel, ragged_positions
 from .coins import CoinSource
 from .errors import ConfigurationError
-from .fast import ASLEEP, VectorizedAlgorithm, WakeTimes, _check_vectorized
 from .faults import (
     NEVER,
     CompiledFaults,
@@ -76,11 +79,13 @@ from .faults import (
     compile_faults,
     derive_fault_seed,
 )
-from .run import BroadcastResult
 from .guard import TraceBudget
+from .protocol import VectorizedAlgorithm, _check_vectorized
+from .run import BroadcastResult
 from .trace import Trace, TraceColumns, TraceLevel
 
 __all__ = [
+    "ASLEEP",
     "BatchedFastEngine",
     "ELIGIBLE_ANY_AWAKE",
     "MacroPlan",
@@ -90,7 +95,11 @@ __all__ = [
     "plan_slot_mask",
     "run_broadcast_macro",
     "resolve_macro_backend",
+    "WakeTimes",
 ]
+
+#: Sentinel wake step for nodes that are not informed yet.
+ASLEEP: int = np.iinfo(np.int64).max
 
 #: Eligibility sentinel: every *awake* node qualifies.  Sleepers carry
 #: ``wake == ASLEEP`` and ``ASLEEP < ASLEEP`` is false, so the plan rule
@@ -106,6 +115,100 @@ _COIN_BLOCK = 1 << 16
 #: Awake-list rows a plain run probes before it prunes a transmitter
 #: prefix to the frontier (see ``MacroStepEngine._eligible_prefix``).
 _PROBE = 256
+
+
+class WakeTimes(Mapping):
+    """``label -> wake slot`` of the informed nodes of one array-engine run.
+
+    A read-only mapping over the run's labels (increasing) and its own
+    copy of the wake row, so handing a result over costs one array copy
+    instead of an ``n``-entry dict.  It behaves like the dict the
+    per-node engines return: iteration in label order, ``len`` equal to
+    the informed count, ``get`` / ``in`` answering "not informed" for
+    sleepers, equality with any mapping (two instances compare as
+    arrays), and pickling.  Wholesale reads are cheapest through
+    ``items()`` / ``values()`` or the arrays below; ``dict(m)`` and
+    ``{**m}`` pay one lookup per key.
+
+    Attributes:
+        labels: ``int64`` node labels in increasing order.
+        wake_steps: ``int64`` wake slot per label; ``ASLEEP`` for
+            sleepers.
+    """
+
+    __slots__ = ("labels", "wake_steps", "_count")
+
+    def __init__(self, labels: np.ndarray, wake_steps: np.ndarray):
+        self.labels = labels
+        self.wake_steps = np.array(wake_steps, dtype=np.int64)
+        self.wake_steps.flags.writeable = False
+        self._count = int(np.count_nonzero(self.wake_steps != ASLEEP))
+
+    def _informed(self) -> tuple[np.ndarray, np.ndarray]:
+        """Labels and wake slots of the informed nodes, in label order."""
+        if self._count == len(self.labels):
+            return self.labels, self.wake_steps
+        informed = self.wake_steps != ASLEEP
+        return self.labels[informed], self.wake_steps[informed]
+
+    def __getitem__(self, label) -> int:
+        try:
+            key = operator.index(label)
+        except TypeError:
+            raise KeyError(label) from None
+        labels, n = self.labels, len(self.labels)
+        # Labels increase; where label == position (every CSR-native
+        # topology) the binary search is skipped.
+        if 0 <= key < n and labels.item(key) == key:
+            i = key
+        else:
+            i = int(np.searchsorted(labels, key))
+        if i < n and labels.item(i) == key:
+            slot = self.wake_steps.item(i)
+            if slot != ASLEEP:
+                return slot
+        raise KeyError(label)
+
+    def __iter__(self):
+        return iter(self._informed()[0].tolist())
+
+    def __len__(self) -> int:
+        return self._count
+
+    def items(self):
+        return _WakeItems(self)
+
+    def values(self):
+        return _WakeValues(self)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, WakeTimes):
+            mine, theirs = self._informed(), other._informed()
+            return all(map(np.array_equal, mine, theirs))
+        if not isinstance(other, Mapping):
+            return NotImplemented
+        if len(other) != self._count:
+            return False
+        return dict(self.items()) == (
+            other if isinstance(other, dict) else dict(other.items())
+        )
+
+    def __repr__(self) -> str:
+        return f"WakeTimes({dict(self.items())!r})"
+
+    def __reduce__(self):
+        return WakeTimes, (self.labels, self.wake_steps)
+
+
+class _WakeItems(ItemsView):
+    def __iter__(self):
+        labels, slots = self._mapping._informed()
+        return zip(labels.tolist(), slots.tolist())
+
+
+class _WakeValues(ValuesView):
+    def __iter__(self):
+        return iter(self._mapping._informed()[1].tolist())
 
 
 def _first_solo(sleepers: np.ndarray, runs: np.ndarray, width: int):
@@ -345,7 +448,7 @@ class MacroStepEngine:
         network: Topology — a :class:`~repro.sim.network.RadioNetwork`
             (directed or undirected) or a CSR-native
             :class:`~repro.topology.csr.CSRNetwork`.
-        algorithm: An oblivious :class:`~repro.sim.fast.VectorizedAlgorithm`.
+        algorithm: An oblivious :class:`~repro.sim.protocol.VectorizedAlgorithm`.
         seed: One master seed (a single run: :attr:`wake_steps` has shape
             ``(n,)``), or a sequence of ``T`` seeds (a union:
             ``(T, n)``).  Coin streams are every other engine's.

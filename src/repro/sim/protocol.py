@@ -26,17 +26,38 @@ Because a protocol's behaviour is a pure function of
 algorithms, the lower-bound adversary of Section 3 can extract the paper's
 action function pi(v, H) simply by feeding abstract histories through a
 protocol instance (see :mod:`repro.adversary.histories`).
+
+Oblivious algorithms
+--------------------
+
+A protocol is *oblivious* when its decision to transmit in slot ``t``
+depends only on ``(t, label, wake slot, coin flips)``, never on received
+message contents: both randomized algorithms studied in the paper
+(Kowalski–Pelc stages and BGI Decay) and the round-robin,
+selective-family and centralized schedules.  Such algorithms also
+implement :class:`VectorizedAlgorithm`, one ``macro_plan`` hook that
+describes their schedule in :class:`~repro.sim.macro.MacroPlan` blocks,
+and so run on the macro engine.  *Adaptive* algorithms — the paper's
+token algorithms — run on the per-node engines, whose fast path is the
+event-driven engine driven by :meth:`Protocol.quiet_until` hints.
 """
 
 from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from typing import Any
+from typing import Any, Protocol as TypingProtocol, runtime_checkable
 
+from .errors import ConfigurationError
 from .messages import SOURCE_PAYLOAD, Message
 
-__all__ = ["Protocol", "BroadcastAlgorithm", "ObliviousTransmitter", "QUIET_FOREVER"]
+__all__ = [
+    "Protocol",
+    "BroadcastAlgorithm",
+    "ObliviousTransmitter",
+    "QUIET_FOREVER",
+    "VectorizedAlgorithm",
+]
 
 #: Sentinel return value for :meth:`Protocol.quiet_until`: the node will
 #: stay quiet until some future message re-activates it.  Far above any
@@ -222,3 +243,36 @@ class ObliviousTransmitter(Protocol):
 
     def next_action(self, step: int) -> Any | None:
         return SOURCE_PAYLOAD if self.wants_to_transmit(step) else None
+
+
+@runtime_checkable
+class VectorizedAlgorithm(TypingProtocol):
+    """Structural interface for algorithms runnable on the macro engine.
+
+    An oblivious algorithm describes its schedule once per block as a
+    :class:`~repro.sim.macro.MacroPlan`.  Implementors also subclass
+    :class:`BroadcastAlgorithm`: the per-node protocols of ``create()``
+    run on the other engines and are the fidelity oracle every plan is
+    held to.
+    """
+
+    name: str
+    deterministic: bool
+
+    def macro_plan(self, start: int, count: int, r: int):
+        """The schedule's slots ``start .. start + count - 1`` as one
+        :class:`~repro.sim.macro.MacroPlan`.
+
+        The plan is the algorithm's only array-side description: it may
+        depend on the steps and ``r`` (the public label bound) but on no
+        run state, so the engine can ask for any block in any order and
+        a union of trials shares it.
+        """
+        ...  # pragma: no cover - protocol definition
+
+
+def _check_vectorized(algorithm) -> None:
+    if not isinstance(algorithm, VectorizedAlgorithm):
+        raise ConfigurationError(
+            f"{algorithm!r} does not implement the vectorised interface"
+        )

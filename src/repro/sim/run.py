@@ -5,12 +5,19 @@ These are the functions most users call::
     from repro import run_broadcast
     result = run_broadcast(network, algorithm, seed=7)
     print(result.time)
+
+Each is a thin alias over :func:`~repro.sim.driver.simulate`:
+:func:`run_broadcast` runs one seed, :func:`run_broadcast_batch` the
+seeds it is given, and :func:`repeat_broadcast` the seeds
+``base_seed + i``, or only the first of them when every seed gives the
+same execution (:func:`~repro.sim.driver.seed_independent`).
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from ..obs.metrics import MetricsRegistry
 from ..obs.spans import SpanRecorder
@@ -32,6 +39,7 @@ __all__ = [
     "default_max_steps",
     "run_broadcast",
     "repeat_broadcast",
+    "run_broadcast_batch",
     "derive_node_rng",
     "derive_trial_seeds",
 ]
@@ -71,7 +79,7 @@ class BroadcastResult:
         wake_times: label -> slot at which the node was informed
             (source: -1), for informed nodes only.  A read-only
             ``Mapping``: a ``dict`` from the per-node engines, a
-            :class:`~repro.sim.fast.WakeTimes` (the labels and a copy of
+            :class:`~repro.sim.macro.WakeTimes` (the labels and a copy of
             the wake row, no per-node Python objects) from the array
             engines.  Both compare equal whenever they hold the same
             pairs.
@@ -165,29 +173,84 @@ def repeat_broadcast(
     """Run the same broadcast ``runs`` times with seeds ``base_seed + i``.
 
     Used to estimate expected broadcasting time (Corollary 1) and its
-    spread.  Deterministic algorithms are detected and run only once — all
-    repetitions would be identical.  (Under a lossy fault plan even a
-    deterministic algorithm's trials differ — the loss stream is keyed by
-    the trial seed — so the collapse only applies when loss is off.)
+    spread.  When every seed gives the same execution — a deterministic
+    algorithm under a loss-free plan
+    (:func:`~repro.sim.driver.seed_independent`) — only the first seed
+    runs and one result is returned.
 
     A thin alias over :func:`~repro.sim.driver.simulate` with seeds
     ``derive_trial_seeds(base_seed, runs)``.  The default ``engine="auto"``
     runs the trials as batches: oblivious algorithms (anything
-    implementing :class:`~repro.sim.fast.VectorizedAlgorithm`) as macro
+    implementing :class:`~repro.sim.protocol.VectorizedAlgorithm`) as macro
     unions of network copies, every other algorithm on the ``event``
     engine (:class:`~repro.sim.batched_event.BatchedEventEngine`).
     Any registered engine name forces that engine (e.g. ``"reference"``
     to benchmark the batch paths against the serial per-node engine);
     per-trial results are identical either way.
     """
-    from .driver import simulate
+    from .driver import seed_independent, simulate
 
     if runs < 1:
         raise ConfigurationError(f"runs must be positive, got {runs}")
-    if algorithm.deterministic and (faults is None or faults.loss_probability == 0.0):
+    if seed_independent(algorithm, faults):
         runs = 1
     return simulate(
         network, algorithm, derive_trial_seeds(base_seed, runs), engine=engine,
         max_steps=max_steps, require_completion=require_completion,
         faults=faults, metrics=metrics, timings=timings, spans=spans,
+    )
+
+
+def run_broadcast_batch(
+    network: RadioNetwork,
+    algorithm,
+    seeds: Sequence[int] | None = None,
+    trials: int | None = None,
+    base_seed: int = 0,
+    max_steps: int | None = None,
+    faults: FaultPlan | None = None,
+    metrics: MetricsRegistry | None = None,
+    timings: Timings | None = None,
+    spans: SpanRecorder | None = None,
+    engine: str = "auto",
+    trace_level: TraceLevel = TraceLevel.NONE,
+    collision_detection: bool = False,
+    allow_large: bool = False,
+) -> list[BroadcastResult]:
+    """Run many Monte-Carlo trials of one broadcast as a single batch.
+
+    A thin alias over :func:`~repro.sim.driver.simulate`: result ``i``
+    is *identical* (per-node wake slots and fault counters included) to
+    the serial run with seed ``seeds[i]`` — batching is purely an
+    execution strategy, not a semantic variant.  ``engine="auto"`` (the
+    default) picks ``"macro"`` (unions of trials on
+    :class:`~repro.sim.macro.MacroStepEngine`, oblivious algorithms only)
+    when the algorithm is vectorisable and ``"event"``
+    (:class:`~repro.sim.batched_event.BatchedEventEngine`, any protocol;
+    collision detection too) otherwise.
+
+    ``seeds`` gives the per-trial master seeds explicitly; alternatively
+    ``trials`` derives ``derive_trial_seeds(base_seed, trials)``
+    (``base_seed + i``, the :func:`repeat_broadcast` convention).  Every
+    other argument means what it means on
+    :func:`~repro.sim.driver.simulate`.
+
+    Returns:
+        One :class:`~repro.sim.run.BroadcastResult` per trial, in seed order.
+    """
+    from .driver import simulate
+
+    if seeds is None:
+        if trials is None:
+            raise ConfigurationError("provide either seeds or trials")
+        seeds = derive_trial_seeds(base_seed, trials)
+    elif trials is not None and trials != len(seeds):
+        raise ConfigurationError(
+            f"trials={trials} conflicts with {len(seeds)} explicit seeds"
+        )
+    return simulate(
+        network, algorithm, seeds, engine=engine, max_steps=max_steps,
+        trace_level=trace_level, collision_detection=collision_detection,
+        faults=faults, metrics=metrics, timings=timings, spans=spans,
+        allow_large=allow_large,
     )

@@ -20,7 +20,7 @@ from repro.analysis.progress import (
 from repro.baselines import BGIBroadcast, RoundRobinBroadcast
 from repro.core import KnownRadiusKP
 from repro.sim import run_broadcast
-from repro.sim.fast import run_broadcast_batch
+from repro.sim.run import run_broadcast_batch
 from repro.topology import gnp_connected, path, uniform_complete_layered
 
 

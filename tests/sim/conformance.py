@@ -3,17 +3,22 @@
 Every engine in :data:`repro.sim.ENGINES` — the per-node reference
 :class:`~repro.sim.engine.SynchronousEngine`, the adaptive ``event``
 engine :class:`~repro.sim.batched_event.BatchedEventEngine` (all of a
-cell's seeds as one call, one event loop per execution class), and the
-sparse :class:`~repro.sim.macro.MacroStepEngine` (all of a cell's seeds
-as one union) — is a pure execution strategy over the same synchronous
-radio semantics.  This
-module is the shared substrate the conformance tests are built from:
+cell's seeds as one call, one event loop per seed), and the sparse
+:class:`~repro.sim.macro.MacroStepEngine` (all of a cell's seeds as one
+union) — is a pure execution strategy over the same synchronous radio
+semantics.  When every seed gives the same execution (a deterministic
+algorithm, no message loss), :func:`~repro.sim.simulate` runs only the
+first seed on any engine; :func:`run_serial` and :func:`run_macro_union`
+still run every seed, so the cells that need real per-seed executions
+use them.  This module is the shared substrate the conformance tests
+are built from:
 
 * the canonical **matrices** (oblivious algorithms, adaptive protocol
   cases, topologies, fault plans, trial seeds);
 * one **runner** (:func:`run_engine`) that drives any registered engine
   through :func:`~repro.sim.simulate` — adding an engine to the
-  ``repro.sim`` registry puts it under the whole matrix;
+  ``repro.sim`` registry puts it under the whole matrix — and the two
+  every-seed runners named above;
 * **comparison helpers** asserting slot-for-slot execution identity
   (results, traces, fault counters, aggregated metrics) against the
   reference engine, including identical *failures*;
@@ -48,7 +53,7 @@ from repro.core import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.sim import ENGINES, FaultPlan, simulate
-from repro.sim.driver import EngineSpec
+from repro.sim.driver import EngineSpec, _assemble_results
 from repro.sim.errors import ProtocolViolationError
 from repro.sim.macro import MacroStepEngine
 from repro.sim.messages import CollisionMarker
@@ -251,6 +256,41 @@ def run_engine(engine, net, make_algo, seeds, faults=None, max_steps=4000,
         )
     except ProtocolViolationError as exc:
         return Outcome((), None, str(exc))
+    return Outcome(tuple(results), metrics.to_dict() if metrics else None, None)
+
+
+def run_serial(net, make_algo, seeds, faults=None, max_steps=4000,
+               trace_level=TraceLevel.NONE, with_metrics=False) -> Outcome:
+    """One single-seed reference call per seed, one shared metrics
+    registry: ``len(seeds)`` real executions, whatever :func:`simulate`
+    collapses for a multi-seed call."""
+    metrics = MetricsRegistry() if with_metrics else None
+    results = []
+    try:
+        for seed in seeds:
+            results += simulate(
+                net, make_algo(net), [seed], engine="reference", faults=faults,
+                max_steps=max_steps, trace_level=trace_level, metrics=metrics,
+            )
+    except ProtocolViolationError as exc:
+        return Outcome((), None, str(exc))
+    return Outcome(tuple(results), metrics.to_dict() if metrics else None, None)
+
+
+def run_macro_union(net, make_algo, seeds, faults=None, max_steps=4000,
+                    trace_level=TraceLevel.NONE, with_metrics=False) -> Outcome:
+    """All seeds as one :class:`~repro.sim.macro.MacroStepEngine` union at
+    the matrix's block size, built directly: :func:`simulate` runs one
+    seed of a deterministic, loss-free call, so only this reaches the
+    union path of such schedules (label-set slots offset per copy)."""
+    algorithm = make_algo(net)
+    metrics = MetricsRegistry() if with_metrics else None
+    engine = MacroStepEngine(
+        net, algorithm, seeds, block_size=37, faults=faults, metrics=metrics,
+        trace_level=trace_level,
+    )
+    engine.run(max_steps)
+    results = _assemble_results(net, algorithm, engine, seeds, None, metrics)
     return Outcome(tuple(results), metrics.to_dict() if metrics else None, None)
 
 

@@ -29,7 +29,7 @@ from repro.baselines import BGIBroadcast, RoundRobinBroadcast
 from repro.core import KnownRadiusKP
 from repro.obs.metrics import MetricsRegistry
 from repro.sim import ENGINES, FaultPlan, MacroStepEngine, run_broadcast, simulate
-from repro.sim.fast import run_broadcast_batch
+from repro.sim.run import run_broadcast_batch
 from repro.sim.trace import TraceLevel
 from repro.topology import gnp_connected, path, star
 

@@ -6,11 +6,11 @@ adds what the matrix cannot express:
 
 * **hint honesty under batching** — across randomly drawn topologies and
   fault plans, no ``quiet_until`` promise may hide an action in *any*
-  trial of a batch (every class engine polls through the checking
+  trial of a batch (every trial's engine polls through the checking
   wrapper), and the batch still reproduces serial reference runs exactly;
 * **trial independence** — permuting the trial seeds permutes the
   results and nothing else: a trial's outcome depends only on its seed,
-  never on its batch position or companions; a class aborted by a
+  never on its batch position or companions; a trial aborted by a
   protocol violation does not stop the others;
 * **degenerate shapes** — one-trial batches, single-node networks,
   batches settled before the first slot, batches settling *on* the
@@ -33,9 +33,10 @@ from repro.sim import (
     FaultPlan,
     Protocol,
     run_broadcast,
+    simulate,
 )
 from repro.sim.errors import ConfigurationError, ProtocolViolationError
-from repro.sim.fast import run_broadcast_batch
+from repro.sim.run import run_broadcast_batch
 from repro.sim.trace import TraceLevel
 from repro.topology import gnp_connected, path, star
 
@@ -77,7 +78,7 @@ def _assert_batch_matches_serial(net, algorithm, seeds, **kwargs):
 @settings(max_examples=15, deadline=None)
 @given(case=adaptive_faulty_networks(), extra_seed=st.integers(0, 1000))
 def test_no_quiet_promise_hides_an_action_in_any_trial(case, extra_seed):
-    """Every class engine in the batch polls through the hint-checking
+    """Every trial's engine in the batch polls through the hint-checking
     wrapper: if compression ever trusted a promise that hides an action
     in *any* trial, the wrapper's assertions (or the parity check below)
     would fire."""
@@ -149,8 +150,8 @@ class _FlakySourceAlgorithm(BroadcastAlgorithm):
 
 
 def test_violation_aborts_only_its_class():
-    """A class that raises does not stop the later classes; the batch
-    re-raises the violation of the lowest aborted trial afterwards."""
+    """A trial that raises does not stop the later trials; the batch
+    re-raises the violation of the first aborted trial afterwards."""
     net = path(6)
     algorithm = _FlakySourceAlgorithm()
     errors, completed = {}, {}
@@ -166,12 +167,11 @@ def test_violation_aborts_only_its_class():
     seeds = [first, ok, later]
 
     engine = BatchedEventEngine(net, algorithm, seeds)
-    assert engine.execution_classes == 3
     with pytest.raises(ProtocolViolationError) as raised:
         engine.run(100)
     assert str(raised.value) == errors[first]
-    # The clean class ran to completion after the first class aborted,
-    # and the last class ran up to its own violation.
+    # The clean trial ran to completion after the first trial aborted,
+    # and the last trial ran up to its own violation.
     assert engine.completion_times()[1] == completed[ok].time
     assert engine.wake_times(1) == completed[ok].wake_times
     assert engine.trial_steps(2) == 1
@@ -256,21 +256,13 @@ def test_rejects_negative_budget():
         engine.run(-1)
 
 
-def test_duplicate_seeds_share_one_execution_class():
+def test_duplicate_seeds_give_identical_trials():
+    """Equal seeds run as separate trials and give identical executions."""
     net = gnp_connected(20, 0.25, seed=1)
     algorithm = KnownRadiusKP(net.r, max(1, net.radius), stage_constant=4)
-    engine = BatchedEventEngine(net, algorithm, seeds=[3, 9, 3, 9, 3])
-    assert engine.execution_classes == 2
-    engine.run(4000)
-    assert engine.wake_times(0) == engine.wake_times(2) == engine.wake_times(4)
-    assert engine.wake_times(1) == engine.wake_times(3)
-
-
-def test_deterministic_lossless_batch_collapses_to_one_class():
-    net = path(10)
-    engine = BatchedEventEngine(net, SelectAndSend(), seeds=[0, 1, 2, 3])
-    assert engine.execution_classes == 1
-    engine.run(4000)
-    assert engine.all_informed
-    # Per-trial accessors still answer for every trial.
-    assert engine.completion_times().count(engine.completion_times()[0]) == 4
+    results = simulate(
+        net, algorithm, [3, 9, 3, 9, 3], engine="event", max_steps=4000,
+    )
+    assert [r.seed for r in results] == [3, 9, 3, 9, 3]
+    assert results[0].wake_times == results[2].wake_times == results[4].wake_times
+    assert results[1].wake_times == results[3].wake_times

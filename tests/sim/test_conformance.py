@@ -15,15 +15,18 @@ import pytest
 
 from repro.baselines import RoundRobinBroadcast
 from repro.core import KnownRadiusKP
+from repro.obs import SpanRecorder
+from repro.obs.metrics import MetricsRegistry
 from repro.sim import (
     ConfigurationError,
     ENGINES,
+    FaultPlan,
     run_broadcast,
     run_broadcast_batch,
     simulate,
 )
 from repro.sim.trace import TraceLevel
-from repro.topology import gnp_random_csr, path
+from repro.topology import gnp_random_csr, km_hard_layered, path
 
 from .conformance import (
     ADAPTIVE_CASES,
@@ -32,13 +35,18 @@ from .conformance import (
     OBLIVIOUS_ALGORITHMS,
     OBLIVIOUS_PLANS,
     OBLIVIOUS_TOPOLOGIES,
+    Outcome,
     SEEDS,
     adaptive_engines,
     all_engines,
     assert_outcomes_match,
+    crash_jam_delay_plan,
     decay_crash_plan,
+    engine_spec,
     full_fault_plan,
     run_engine,
+    run_macro_union,
+    run_serial,
 )
 
 
@@ -156,6 +164,33 @@ def test_bgi_crash_inside_decay_run(networks, topo):
                 compare_traces=traced,
                 compare_metrics=not traced and name in METRICS_COMPARABLE,
             )
+
+
+@pytest.mark.parametrize("plan_name", sorted(ADAPTIVE_PLANS))
+@pytest.mark.parametrize("topo", sorted(OBLIVIOUS_TOPOLOGIES))
+@pytest.mark.parametrize("algo_name", ["centralized", "round-robin", "selective-family"])
+def test_macro_unions_of_deterministic_schedules_conform(
+    networks, algo_name, topo, plan_name
+):
+    """Deterministic label-set schedules as macro unions, built directly:
+    :func:`simulate` runs one seed of such a loss-free call, so this is
+    what keeps their union path (label-set slots offset per copy) under
+    conformance.  Plain, metrics and FULL-trace unions, every trial
+    against its own serial reference run."""
+    net = networks[topo]
+    make = OBLIVIOUS_ALGORITHMS[algo_name]
+    plan = ADAPTIVE_PLANS[plan_name](net)
+    key = (algo_name, topo, plan_name)
+    for level, with_metrics in (
+        (TraceLevel.NONE, False), (TraceLevel.NONE, True), (TraceLevel.FULL, False),
+    ):
+        kwargs = dict(faults=plan, trace_level=level, with_metrics=with_metrics)
+        reference = run_serial(net, make, SEEDS, **kwargs)
+        assert_outcomes_match(
+            run_macro_union(net, make, SEEDS, **kwargs), reference,
+            key=(*key, level.name, with_metrics),
+            compare_traces=level is TraceLevel.FULL, compare_metrics=with_metrics,
+        )
 
 
 @pytest.mark.parametrize("plan_name", sorted(ADAPTIVE_PLANS))
@@ -283,3 +318,64 @@ def test_csr_topologies_run_on_per_node_engines():
     for engine, result in results.items():
         assert result.wake_times == reference.wake_times, engine
         assert result.layer_times == reference.layer_times, engine
+
+
+def _engine_runs(spans: list[dict]) -> int:
+    """Executions behind a call's spans: one per serial ``trial[seed]``
+    span, ``trials`` per ``batch[T]`` span."""
+    return sum(
+        span.get("attrs", {}).get("trials", 1)
+        for span in spans if span["kind"] == "trial"
+    )
+
+
+def _run_with_spans(net, make, seeds, engine, **kwargs):
+    events = []
+    metrics = MetricsRegistry()
+    results = simulate(
+        net, make(net), seeds, engine=engine_spec(engine), metrics=metrics,
+        spans=SpanRecorder(sink=events.append), max_steps=4000, **kwargs,
+    )
+    outcome = Outcome(tuple(results), metrics.to_dict(), None)
+    return outcome, _engine_runs(events)
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+def test_deterministic_lossless_call_runs_once(engine):
+    """A deterministic call without loss runs its first seed once on any
+    engine and returns one result per seed, each carrying its seed: wake
+    slots, traces and fault counters equal to serial reference runs, and
+    a metrics registry equal to their aggregate."""
+    net = km_hard_layered(48, 4, seed=5)
+    make = OBLIVIOUS_ALGORITHMS["round-robin"]
+    seeds = [4, 2, 9, 7]
+    for plan in (None, crash_jam_delay_plan(net)):
+        outcome, runs = _run_with_spans(
+            net, make, seeds, engine, faults=plan, trace_level=TraceLevel.FULL,
+        )
+        assert runs == 1, (engine, plan)
+        assert [r.seed for r in outcome.results] == seeds
+        reference = run_serial(
+            net, make, seeds, faults=plan, trace_level=TraceLevel.FULL,
+            with_metrics=True,
+        )
+        assert_outcomes_match(
+            outcome, reference, key=(engine, plan is not None),
+            compare_traces=True, compare_metrics=True,
+        )
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+def test_randomized_or_lossy_calls_run_every_seed(engine):
+    """No collapse for a randomized algorithm, nor for a deterministic one
+    under message loss (the loss stream is keyed by the trial seed)."""
+    net = km_hard_layered(48, 4, seed=5)
+    lossy = FaultPlan(loss_probability=0.3, seed=23)
+    for algo_name, plan in (("kp-known-d", None), ("round-robin", lossy)):
+        make = OBLIVIOUS_ALGORITHMS[algo_name]
+        outcome, runs = _run_with_spans(net, make, SEEDS, engine, faults=plan)
+        assert runs == len(SEEDS), (engine, algo_name)
+        reference = run_serial(net, make, SEEDS, faults=plan, with_metrics=True)
+        assert_outcomes_match(
+            outcome, reference, key=(engine, algo_name), compare_metrics=True,
+        )

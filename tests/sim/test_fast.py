@@ -13,8 +13,7 @@ from hypothesis import strategies as st
 from repro.baselines.round_robin import RoundRobinBroadcast
 from repro.baselines.selective_schedule import SelectiveFamilyBroadcast
 from repro.sim.errors import ConfigurationError
-from repro.sim.fast import ASLEEP
-from repro.sim.macro import MacroStepEngine, label_set_plan, label_table
+from repro.sim.macro import ASLEEP, MacroStepEngine, label_set_plan, label_table
 from repro.sim.network import RadioNetwork
 from repro.sim.run import run_broadcast
 from repro.sim.trace import TraceLevel

@@ -22,8 +22,8 @@ from repro.sim import (
     run_broadcast,
     save_result,
 )
-from repro.sim.fast import ASLEEP
 from repro.sim.faults import FaultCounters, derive_fault_seed
+from repro.sim.macro import ASLEEP
 from repro.topology import gnp_connected, path, star
 
 # ----------------------------------------------------------------------

@@ -16,7 +16,7 @@ from repro.core import KnownRadiusKP
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.timings import Timings
 from repro.sim import run_broadcast
-from repro.sim.fast import run_broadcast_batch
+from repro.sim.run import run_broadcast_batch
 from repro.sim.serialization import result_from_dict, result_to_dict
 from repro.sim.trace import TraceLevel
 from repro.topology import gnp_connected, gnp_random_csr, path, uniform_complete_layered

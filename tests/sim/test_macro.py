@@ -49,13 +49,13 @@ from repro.sim import (
     run_broadcast,
     simulate,
 )
-from repro.sim.fast import WakeTimes
 from repro.sim.faults import NEVER
 from repro.sim.trace import StepRecord
 from repro.sim.macro import (
     ELIGIBLE_ANY_AWAKE,
     MacroPlan,
     MacroStepEngine,
+    WakeTimes,
     plan_slot_mask,
     resolve_macro_backend,
     run_broadcast_macro,

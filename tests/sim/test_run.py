@@ -5,9 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.baselines.round_robin import RoundRobinBroadcast
+from repro.core import SelectAndSend
 from repro.core.randomized import KnownRadiusKP
 from repro.sim.errors import BroadcastIncompleteError, ConfigurationError
-from repro.sim.run import repeat_broadcast, run_broadcast
+from repro.sim.run import repeat_broadcast, run_broadcast, run_broadcast_batch
 from repro.sim.trace import TraceLevel
 from repro.topology import path, star, uniform_complete_layered
 
@@ -129,3 +130,29 @@ def test_run_broadcast_accepts_hintless_algorithms():
     result = run_broadcast(net, _HintlessRoundRobin(net.r))
     assert result.completed
     assert result.algorithm == "hintless-round-robin"
+
+
+class _Duck:
+    """Duck-typed algorithm with only ``name`` and ``create``: no
+    ``deterministic`` attribute, so every driver must treat it as
+    randomized and run every seed.
+
+    Regression fixture — ``repeat_broadcast`` used to read
+    ``algorithm.deterministic`` directly and crashed with AttributeError
+    where ``run_broadcast_batch`` ran the same object.
+    """
+
+    name = "duck"
+
+    def create(self, label, r, rng):
+        return SelectAndSend().create(label, r, rng)
+
+
+def test_drivers_run_every_seed_of_an_algorithm_without_the_flag():
+    net = path(6)
+    expected = run_broadcast(net, SelectAndSend()).wake_times
+    batch = run_broadcast_batch(net, _Duck(), trials=3)
+    repeated = repeat_broadcast(net, _Duck(), runs=3)
+    for results in (batch, repeated):
+        assert [r.seed for r in results] == [0, 1, 2]
+        assert all(r.wake_times == expected for r in results)

@@ -1,7 +1,7 @@
 """The array engines' ``wake_times``: a read-only mapping, not a dict.
 
 ``macro`` results — one seed, or one trial of a union — hand back a
-:class:`~repro.sim.fast.WakeTimes` over the run's labels and wake row.
+:class:`~repro.sim.macro.WakeTimes` over the run's labels and wake row.
 It must stand in for the dict the per-node engines return everywhere a
 caller reads one: equality either way round, unpacking, label-order
 iteration, ``len``, lookups of sleepers and of labels the network does
@@ -18,7 +18,7 @@ import pytest
 from repro.baselines import RoundRobinBroadcast
 from repro.core.randomized import KnownRadiusKP
 from repro.sim import ASLEEP, run_broadcast, run_broadcast_batch, run_broadcast_macro
-from repro.sim.fast import WakeTimes
+from repro.sim.macro import WakeTimes
 from repro.sim.network import RadioNetwork
 from repro.sim.serialization import (
     load_result,

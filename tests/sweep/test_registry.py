@@ -15,9 +15,10 @@ import inspect
 
 import pytest
 
-from repro.sim import ENGINES, simulate
-from repro.sim.errors import ConfigurationError
-from repro.sim.fast import VectorizedAlgorithm
+from repro.sim import ENGINES, run_broadcast, simulate
+from repro.sim.errors import ConfigurationError, ProtocolViolationError
+from repro.sim.protocol import VectorizedAlgorithm
+from repro.sim.trace import TraceLevel
 from repro.sweep import (
     ALGORITHMS,
     ResultCache,
@@ -27,6 +28,7 @@ from repro.sweep import (
     build_topology,
     run_sweep,
 )
+from repro.topology import gnp_connected, path
 
 SEEDS = [0, 1]
 
@@ -136,3 +138,42 @@ def test_km_layered_csr_point_runs_and_rereads_from_cache(tmp_path):
     assert (cold.executed, warm.executed, warm.from_cache) == (1, 0, 1)
     assert warm.results[0].payload == cold.results[0].payload
     assert cold.results[0].payload["n"] == 100_000
+
+
+DETERMINISTIC = {
+    "round-robin", "selective-family", "select-and-send", "complete-layered",
+    "interleaved", "centralized", "dfs-known-neighbors",
+}
+
+
+def _traced_run(network, algorithm: str, seed: int):
+    """Wake slots and FULL-trace records of one reference run, or the
+    protocol violation it raised."""
+    algo = build_algorithm(algorithm, network, {})
+    try:
+        result = run_broadcast(
+            network, algo, seed=seed, engine="reference",
+            trace_level=TraceLevel.FULL, max_steps=2000,
+        )
+    except ProtocolViolationError as exc:
+        return str(exc)
+    return result.time, dict(result.wake_times), result.trace.steps
+
+
+def test_registry_declares_the_deterministic_algorithms():
+    net = path(4)
+    assert {
+        name for name in ALGORITHMS
+        if build_algorithm(name, net, {}).deterministic
+    } == DETERMINISTIC
+
+
+@pytest.mark.parametrize(
+    "network", [path(7), gnp_connected(16, 0.25, seed=4)], ids=["path", "gnp"],
+)
+@pytest.mark.parametrize("algorithm", sorted(DETERMINISTIC))
+def test_deterministic_flag_is_honest(network, algorithm):
+    """Every engine runs one seed of a deterministic, loss-free call and
+    hands its result to all the others, so the flag must hold: two seeds
+    give the same execution, slot for slot."""
+    assert _traced_run(network, algorithm, 0) == _traced_run(network, algorithm, 917)

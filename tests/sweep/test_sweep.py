@@ -520,14 +520,17 @@ _DEATH_OUTCOMES = {
 
 
 def _wait_for(path, limit: float = 10.0) -> str:
+    """The text of marker file ``path`` once it is written.  Every marker
+    holds a non-empty text, and ``write_text`` creates the file before it
+    writes, so an empty file is one still being written."""
     import time
 
     deadline = time.monotonic() + limit
-    while not path.exists():
+    while not (path.exists() and (text := path.read_text())):
         if time.monotonic() > deadline:
             raise TimeoutError(f"{path.name} never appeared")
         time.sleep(0.005)
-    return path.read_text()
+    return text
 
 
 def _reap(pid: int, limit: float = 10.0) -> None:
