@@ -59,8 +59,10 @@ class _InterleavedProtocol(Protocol):
     def next_action(self, step: int) -> Any | None:
         return self._subs[step & 1].next_action(step >> 1)
 
-    def observe(self, step: int, message: Message | None) -> None:
-        self._subs[step & 1].observe(step >> 1, message)
+    def observe(self, step: int, message: Message | None) -> bool | None:
+        # The other stream is untouched, so the sub-protocol's no-op
+        # promise is this node's.
+        return self._subs[step & 1].observe(step >> 1, message)
 
     def quiet_until(self, step: int) -> int:
         """Earliest global slot either sub-protocol needs, from their own hints.

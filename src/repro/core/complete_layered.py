@@ -98,7 +98,9 @@ class _CompleteLayeredProtocol(QuietEchoSchedule, Protocol):
             return None
         return self.scheduled.pop(step, None)
 
-    def observe(self, step: int, message: Message | None) -> None:
+    def observe(self, step: int, message: Message | None) -> bool | None:
+        """Consume one slot's outcome; ``False`` when it changed nothing
+        (the :meth:`~repro.sim.protocol.Protocol.observe` no-op promise)."""
         if self.holding and self._awaiting is not None:
             kind, base = self._awaiting
             if self.native_cd:
@@ -113,23 +115,24 @@ class _CompleteLayeredProtocol(QuietEchoSchedule, Protocol):
                         self._conclude(
                             kind, base, EchoOutcome.SINGLE, _reply_label(message)
                         )
-                    return
+                    return None
             else:
                 if step == base + 1:
                     self._echo_first = _reply_label(message)
-                    return
+                    return None
                 if step == base + 2:
                     second = _reply_label(message)
                     outcome, label = classify_echo(self._echo_first, second)
                     self._conclude(kind, base, outcome, label)
-                    return
+                    return None
         if message is None or isinstance(message, CollisionMarker):
-            return
-        self._handle(step, message)
+            return False
+        return self._handle(step, message)
 
     # -- message dispatch ----------------------------------------------------
 
-    def _handle(self, step: int, message: Message) -> None:
+    def _handle(self, step: int, message: Message) -> bool | None:
+        """Act on a delivered message; ``False`` when it was a no-op."""
         payload = message.payload
         if isinstance(payload, InitOrder):
             self._init_reply_slot = 2 * self.label
@@ -147,28 +150,35 @@ class _CompleteLayeredProtocol(QuietEchoSchedule, Protocol):
                 self.parent = 0
                 self._announce(step + 1)
         elif isinstance(payload, TokenAnnounce):
-            self._respond(payload.holder, payload.parent, payload.base_slot, 1, self.r)
+            return self._respond(
+                payload.holder, payload.parent, payload.base_slot, 1, self.r
+            )
         elif isinstance(payload, EchoProbe):
-            self._respond(
+            return self._respond(
                 payload.holder, payload.parent, payload.base_slot, payload.lo, payload.hi
             )
         elif isinstance(payload, TokenPass):
-            if self.label == payload.to and not self.was_leader:
-                self.was_leader = True
-                self.parent = payload.from_label
-                self._announce(step + 1)
+            if self.label != payload.to or self.was_leader:
+                return False
+            self.was_leader = True
+            self.parent = payload.from_label
+            self._announce(step + 1)
         elif isinstance(payload, StopAll):
             self.stopped = True
             self.scheduled.clear()
         elif isinstance(payload, EchoReply):
-            pass  # informational: carries the source message to the next layer
+            return False  # informational: carries the source message to the next layer
         else:
             raise ProtocolViolationError(
                 f"node {self.label}: unexpected payload {payload!r}"
             )
+        return None
 
-    def _respond(self, holder: int, parent: int, base: int, lo: int, hi: int) -> None:
-        """Take part in the Echo pair iff woken by the current leader.
+    def _respond(
+        self, holder: int, parent: int, base: int, lo: int, hi: int
+    ) -> bool | None:
+        """Take part in the Echo pair iff woken by the current leader;
+        ``False`` when this node has no part in it.
 
         Under native collision detection the second slot (and the
         distinguished parent) are unnecessary: the leader reads the
@@ -184,6 +194,9 @@ class _CompleteLayeredProtocol(QuietEchoSchedule, Protocol):
                 self.scheduled[base + 2] = EchoReply(self.label)
         elif self.label == parent and not self.native_cd:
             self.scheduled[base + 2] = EchoReply(self.label)
+        else:
+            return False
+        return None
 
     # -- leader side ---------------------------------------------------------
 

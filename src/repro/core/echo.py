@@ -263,10 +263,10 @@ class QuietEchoSchedule:
     collision detection).  A stopped node is terminally quiet.  Message
     deliveries re-activate a node regardless of any promise — the
     event-driven :class:`~repro.sim.event.EventDrivenEngine` (which the
-    ``event`` engine runs once per seed) re-queries this hint
-    after every delivery, which is what makes returning
-    :data:`~repro.sim.protocol.QUIET_FOREVER` safe (contract:
-    ``docs/MODEL.md``).
+    ``event`` engine runs once per seed) re-queries this hint after
+    every delivery that ``observe`` does not report a no-op, which is
+    what makes returning :data:`~repro.sim.protocol.QUIET_FOREVER` safe
+    (contract: ``docs/MODEL.md``).
 
     The hint is hot — the event engine re-polls every busy node after
     each of its slots — so the common case (a transmission scheduled for

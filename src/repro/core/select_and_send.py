@@ -67,6 +67,9 @@ class _SelectAndSendProtocol(QuietEchoSchedule, Protocol):
     def __init__(self, label: int, r: int, rng: random.Random):
         super().__init__(label, r, rng)
         self.scheduled: dict[int, Any] = {}
+        #: This node's Echo reply; payloads are immutable, so one serves
+        #: every Echo slot it answers in.
+        self._reply = EchoReply(label)
         self.visited = False  # has this node ever held the token?
         self.parent: int | None = None
         self.holding = False
@@ -95,28 +98,47 @@ class _SelectAndSendProtocol(QuietEchoSchedule, Protocol):
             return None
         return self.scheduled.pop(step, None)
 
-    def observe(self, step: int, message: Message | None) -> None:
+    def observe(self, step: int, message: Message | None) -> bool | None:
+        """Consume one slot's outcome; ``False`` when it changed nothing
+        (the :meth:`~repro.sim.protocol.Protocol.observe` no-op promise),
+        so the event engine keeps this node's idle hint."""
         if self.holding and self._awaiting is not None:
             kind, base = self._awaiting
             if step == base + 1:
                 self._echo_first = _reply_label(message)
-                return
+                return None
             if step == base + 2:
                 second = _reply_label(message)
                 self._decide(kind, base, self._echo_first, second)
-                return
-        # An Echo reply only informs (it carries the source message), and
-        # it is the most frequent payload: drop it without dispatching.
-        if message is not None and not isinstance(message.payload, EchoReply):
-            self._handle(step, message)
+                return None
+        if message is None or type(message.payload) is EchoReply:
+            return False  # silence, or a reply that only informs
+        return self._handle(step, message)
 
     # -- message dispatch ----------------------------------------------------
 
-    def _handle(self, step: int, message: Message) -> None:
+    def _handle(self, step: int, message: Message) -> bool | None:
+        """Act on a delivered message; ``False`` when it was a no-op."""
         payload = message.payload
-        if isinstance(payload, EchoReply):
-            return  # a node woken by an Echo reply is merely informed
-        if isinstance(payload, InitOrder):
+        # The four payloads of the DFS traversal are all but every
+        # delivery, so they dispatch on the exact type first.
+        kind = type(payload)
+        if kind is EchoReply:
+            return False  # it only informs: it carries the source message
+        if kind is EchoProbe:
+            return self._respond_to_echo(
+                payload.base_slot, payload.parent, payload.lo, payload.hi
+            )
+        if kind is TokenAnnounce:
+            return self._respond_to_echo(payload.base_slot, payload.parent, 1, self.r)
+        if kind is TokenPass:
+            if self.label != payload.to:
+                return False
+            if not self.visited:
+                self.visited = True
+                self.parent = payload.from_label
+            self._announce(step + 1)
+        elif isinstance(payload, InitOrder):
             # Reserve slot 2 * label for the self-announcement.
             self._init_reply_slot = 2 * self.label
             self.scheduled[self._init_reply_slot] = HereIAm(self.label)
@@ -133,16 +155,6 @@ class _SelectAndSendProtocol(QuietEchoSchedule, Protocol):
                 self.visited = True
                 self.parent = 0
                 self._announce(step + 1)
-        elif isinstance(payload, TokenAnnounce):
-            self._respond_to_echo(payload.base_slot, payload.parent, 1, self.r)
-        elif isinstance(payload, EchoProbe):
-            self._respond_to_echo(payload.base_slot, payload.parent, payload.lo, payload.hi)
-        elif isinstance(payload, TokenPass):
-            if self.label == payload.to:
-                if not self.visited:
-                    self.visited = True
-                    self.parent = payload.from_label
-                self._announce(step + 1)
         elif isinstance(payload, StopAll):
             self.stopped = True
             self.scheduled.clear()
@@ -150,14 +162,20 @@ class _SelectAndSendProtocol(QuietEchoSchedule, Protocol):
             raise ProtocolViolationError(
                 f"node {self.label}: unexpected payload {payload!r}"
             )
+        return None
 
-    def _respond_to_echo(self, base: int, parent: int, lo: int, hi: int) -> None:
-        """Schedule this node's part in the Echo pair opened at ``base``."""
+    def _respond_to_echo(
+        self, base: int, parent: int, lo: int, hi: int
+    ) -> bool | None:
+        """Schedule this node's part in the Echo pair opened at ``base``;
+        ``False`` when it has none."""
         if not self.visited and lo <= self.label <= hi:
-            self.scheduled[base + 1] = EchoReply(self.label)
-            self.scheduled[base + 2] = EchoReply(self.label)
+            self.scheduled[base + 1] = self.scheduled[base + 2] = self._reply
         elif self.label == parent:
-            self.scheduled[base + 2] = EchoReply(self.label)
+            self.scheduled[base + 2] = self._reply
+        else:
+            return False
+        return None
 
     # -- holder side ---------------------------------------------------------
 

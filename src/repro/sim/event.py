@@ -14,9 +14,12 @@ structural facts:
    transmit nor react to silence before some future slot.  The engine
    keeps a min-heap of ``(next poll slot, label)`` and touches only the
    nodes whose promise has expired, plus anyone who just received a
-   message (delivery voids the promise).  Unhinted protocols default to
-   ``quiet_until(step) == step`` and are polled every slot, exactly as on
-   the reference engine.
+   message (delivery voids the promise).  A receiver whose
+   :meth:`~repro.sim.protocol.Protocol.observe` returns ``False`` — the
+   delivery changed nothing its hint reads — keeps its heap entry and
+   is not re-queried; most of Select-and-Send's deliveries are such
+   no-ops.  Unhinted protocols default to ``quiet_until(step) == step``
+   and are polled every slot, exactly as on the reference engine.
 
 2. **Slot compression.**  When *no* registered node needs polling before
    slot ``s``, the slots in between are provably silent: nobody
@@ -28,13 +31,16 @@ structural facts:
    skipped silent slots into the trace and metrics so instrumented
    output stays identical.
 
-``run`` and ``run_step`` share one slot body (``_slot``).  A lone
-transmitter reaches its neighbour tuple directly; a slot with several is
-resolved in Python over the neighbour tuples while their rows are short,
-and by the precompiled CSR + ``np.bincount`` kernel of
-:mod:`repro.sim.channel` past a measured crossover
-(``_PY_RESOLVE_MAX_ENTRIES``).  Trace records, collision lists and the
-informed count are built only when the run records them.
+``run`` and ``run_step`` share the slot body, picked once per engine: a
+plain run (no fault plan, trace, metrics, timings or CD) takes
+``_plain_slot``, which has none of the fault, collision and
+instrumentation branches of ``_observed_slot``.  A lone transmitter's
+deliveries are its neighbour tuple, built into a ``receiver -> sender``
+dict in one call; a slot with several is resolved in Python over the
+neighbour tuples while their rows are short, and by the precompiled CSR
++ ``np.bincount`` kernel of :mod:`repro.sim.channel` past a measured
+crossover (``_PY_RESOLVE_MAX_ENTRIES``).  Trace records, collision lists
+and the informed count are built only when the run records them.
 
 The registered ``event`` engine
 (:class:`~repro.sim.batched_event.BatchedEventEngine`) runs one of these
@@ -47,9 +53,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from heapq import heappop, heappush
-from itertools import repeat
 from time import perf_counter
-from typing import Iterable
+from typing import Sequence
 
 import numpy as np
 
@@ -77,6 +82,9 @@ _NO_EVENT: int = 1 << 62
 #: 200-240 entries for plain runs and at 300-430 when the collision
 #: receivers are listed too; plain runs set the constant.
 _PY_RESOLVE_MAX_ENTRIES: int = 200
+
+#: The empty jam set and collision-marked set of most slots.
+_NOBODY: frozenset[int] = frozenset()
 
 
 class EventDrivenEngine(SynchronousEngine):
@@ -133,13 +141,21 @@ class EventDrivenEngine(SynchronousEngine):
             faults.event_slots() if faults is not None else ()
         )
         # What a slot must produce beyond the deliveries is fixed for the
-        # whole run: trace records, FULL collision lists, and the
-        # collision receivers that metrics, FULL traces and the CD
-        # variant read.
+        # whole run: trace records, and the collision receivers that
+        # metrics, FULL traces and the CD variant read.
         self._tracing = trace_level is not TraceLevel.NONE
-        self._trace_full = trace_level is TraceLevel.FULL
         self._need_collisions = (
-            metrics is not None or self._trace_full or collision_detection
+            metrics is not None or trace_level is TraceLevel.FULL or collision_detection
+        )
+        #: A plain run (no fault plan, trace, metrics, timings or CD)
+        #: takes the lean slot body.  A flag, not the bound method: that
+        #: would tie the engine into a reference cycle, which only the
+        #: cyclic collector frees (peak RSS +30 MB on ``adaptive_event``).
+        self._plain = (
+            faults is None
+            and not self._tracing
+            and not self._need_collisions
+            and timings is None
         )
         #: Min-heap of (poll slot, label) with lazy deletion; an entry is
         #: live iff it matches ``_next_poll[label]``.  Quiet-forever nodes
@@ -184,11 +200,75 @@ class EventDrivenEngine(SynchronousEngine):
     def run_step(self) -> tuple[int, ...]:
         """Execute one slot; returns the labels that transmitted, sorted.
 
-        Polls only the nodes whose quiet window ended (see :meth:`_slot`).
+        Polls only the nodes whose quiet window ended (see
+        :meth:`_observed_slot`).
         """
-        return tuple(sorted(self._slot()))
+        slot = self._plain_slot if self._plain else self._observed_slot
+        return tuple(sorted(slot()))
 
-    def _slot(self) -> dict[int, Message]:
+    def _plain_slot(self) -> dict[int, Message]:
+        """Execute slot ``self.step`` of a plain run; returns its
+        transmissions by sender.
+
+        :meth:`_observed_slot` without its fault, timing, collision,
+        metrics and trace branches, which a plain run never takes: the
+        same protocol calls in the same order, so the same execution.
+        Its own body, not a flag in one: with those branches kept, one
+        body ran Select-and-Send's plain runs ~9% slower
+        (``docs/PERFORMANCE.md``).
+        """
+        step = self.step
+        heap = self._heap
+        next_poll = self._next_poll
+        protocols = self.protocols
+        active: list[tuple[int, Protocol]] = []
+        transmissions: dict[int, Message] = {}
+        while heap and heap[0][0] <= step:
+            slot, label = heappop(heap)
+            if next_poll.get(label) != slot:
+                continue  # superseded registration
+            next_poll[label] = -1  # consumed; re-registered after the slot
+            protocol = protocols[label]
+            active.append((label, protocol))
+            payload = protocol.next_action(step)
+            if payload is not None:
+                transmissions[label] = Message(label, payload)
+
+        if len(transmissions) == 1:
+            (sender,) = transmissions
+            deliveries = dict.fromkeys(self._out_nbrs[sender], sender)
+        elif transmissions:
+            deliveries = self._resolve(transmissions)[0]
+        else:
+            deliveries = {}
+        touched: dict[int, Protocol] = dict(active)
+        rank = self._rank
+        get = protocols.get
+        for receiver, sender in deliveries.items():
+            protocol = get(receiver)
+            if protocol is None:
+                rank[receiver] = len(protocols)
+                self._wake(receiver, step, transmissions[sender])
+                touched[receiver] = protocols[receiver]
+            elif protocol.observe(step, transmissions[sender]) is not False:
+                touched[receiver] = protocol
+        for label, protocol in active:
+            if label not in deliveries:
+                protocol.observe(step, None)
+
+        next_step = step + 1
+        for label, protocol in touched.items():
+            quiet = protocol.quiet_until(next_step)
+            if quiet < next_step:
+                quiet = next_step
+            if next_poll.get(label) != quiet:
+                next_poll[label] = quiet
+                if quiet < QUIET_FOREVER:
+                    heappush(heap, (quiet, label))
+        self.step = next_step
+        return transmissions
+
+    def _observed_slot(self) -> dict[int, Message]:
         """Execute slot ``self.step``; returns its transmissions by sender.
 
         Mirrors :meth:`SynchronousEngine.run_step` phase for phase —
@@ -201,11 +281,11 @@ class EventDrivenEngine(SynchronousEngine):
         timings = self.timings
         t_start = perf_counter() if timings is not None else 0.0
         faulty = self.faults is not None
-        jam_set: frozenset[int] = frozenset()
+        jam_set = _NOBODY
         counters = self.fault_counters
         if faulty:
             counters.crashed_nodes += self._crashes_by_slot.get(step, 0)
-            jam_set = self._jams_by_slot.get(step, frozenset())
+            jam_set = self._jams_by_slot.get(step, _NOBODY)
             counters.jammed_slots += len(jam_set)
 
         heap = self._heap
@@ -226,82 +306,58 @@ class EventDrivenEngine(SynchronousEngine):
             active.append((label, protocol))
             payload = protocol.next_action(step)
             if payload is not None:
-                transmissions[label] = Message(sender=label, payload=payload)
+                transmissions[label] = Message(label, payload)
         if timings is not None:
             t_actions = perf_counter()
             timings.add("engine.actions", t_actions - t_start)
 
-        deliveries: dict[int, int] = {}
-        tracing = self._tracing
-        woken: list[int] = []
-        #: Nodes whose promise is void (polled, or received a message);
-        #: re-registered from a fresh hint below.  Ordered and deduped.
-        touched: dict[int, Protocol] = dict(active)
-        #: (receiver, sender) pairs for every receiver with exactly one
-        #: transmitting in-neighbour, and the listening receivers with two
-        #: or more.
-        heard: Iterable[tuple[int, int]] = ()
-        colliding: list[int] = []
+        #: receiver -> sender for every delivery of the slot: each
+        #: listening receiver with exactly one transmitting in-neighbour,
+        #: unless a fault suppresses the reception.
+        deliveries: dict[int, int]
+        #: The listening receivers with two or more (listed only when
+        #: metrics, a FULL trace or the CD variant read them).
+        colliding: Sequence[int] = ()
         if len(transmissions) == 1:
             # A lone transmitter (the common slot for token protocols:
             # orders, passes, single replies): every neighbour hears it
             # and nobody collides.
             (sender,) = transmissions
-            heard = zip(self._out_nbrs[sender], repeat(sender))
+            deliveries = dict.fromkeys(self._out_nbrs[sender], sender)
         elif transmissions:
-            heard, colliding = self._resolve(transmissions)
+            deliveries, colliding = self._resolve(transmissions)
+        else:
+            deliveries = {}
+        if faulty:
+            deliveries = self._suppress_faults(deliveries, step, jam_set)
+        #: Nodes whose promise is void (polled, woken, or changed by a
+        #: delivery); re-registered from a fresh hint below.  Ordered and
+        #: deduped.
+        touched: dict[int, Protocol] = dict(active)
         rank = self._rank
-        for receiver, sender in heard:
-            if receiver in transmissions:
-                continue  # half-duplex: transmitters hear nothing
-            if faulty:
-                if self._dead(receiver, step):
-                    continue  # crashed nodes receive nothing
-                if receiver in jam_set:
-                    continue  # jammed: indistinguishable from silence
-                if (
-                    self._loss_probability > 0.0
-                    and scalar_loss_coin(self._fault_seed, receiver, step)
-                    < self._loss_probability
-                ):
-                    counters.lost_messages += 1
-                    continue
-            protocol = protocols.get(receiver)
+        get = protocols.get
+        for receiver, sender in deliveries.items():
+            protocol = get(receiver)
             if protocol is None:
-                if faulty and step < self._deaf_until.get(receiver, 0):
-                    counters.delayed_wakes += 1
-                    continue  # wake-up delayed: the message is ignored
-                deliveries[receiver] = sender
                 rank[receiver] = len(protocols)
                 self._wake(receiver, step, transmissions[sender])
-                if tracing:
-                    woken.append(receiver)
-                protocol = protocols[receiver]
-            else:
-                # A delivery voids any quiet promise, even for nodes that
-                # were not polled this slot.
-                deliveries[receiver] = sender
-                protocol.observe(step, transmissions[sender])
-            touched[receiver] = protocol
-        collisions: list[int] = []
-        collided_listeners: set[int] = set()
-        cd = self.collision_detection
-        if colliding and (self._trace_full or cd):
-            for receiver in colliding:
-                if faulty and self._dead(receiver, step):
-                    continue
-                collisions.append(receiver)
-                if cd and receiver in protocols:
-                    collided_listeners.add(receiver)
+                touched[receiver] = protocols[receiver]
+            # A delivery voids any quiet promise, even for nodes that were
+            # not polled this slot — unless the node reports that it
+            # changed nothing.
+            elif protocol.observe(step, transmissions[sender]) is not False:
+                touched[receiver] = protocol
 
         # Silence / CD-marker observations go only to the polled nodes:
         # by the quiet_until contract, a quiet node's behaviour is
-        # unchanged by observing either, so skipping it is sound.
+        # unchanged by observing either, so skipping it is sound.  (A
+        # polled node is alive, so dead colliders never meet the marker.)
+        marked = (
+            frozenset(colliding) if colliding and self.collision_detection else _NOBODY
+        )
         for label, protocol in active:
             if label not in deliveries:
-                protocol.observe(
-                    step, COLLISION_MARKER if label in collided_listeners else None
-                )
+                protocol.observe(step, COLLISION_MARKER if label in marked else None)
 
         if timings is not None:
             t_channel = perf_counter()
@@ -332,30 +388,56 @@ class EventDrivenEngine(SynchronousEngine):
                 if quiet < QUIET_FOREVER:
                     heappush(heap, (quiet, label))
 
-        if tracing:
+        if self._tracing:
+            wake_times = self.wake_times
             self.trace.record(
                 step=step,
                 transmitters=tuple(sorted(transmissions)),
                 deliveries=deliveries,
-                collisions=tuple(collisions),
-                woken=tuple(sorted(woken)),
+                collisions=tuple(
+                    r for r in colliding if not (faulty and self._dead(r, step))
+                ),
+                woken=tuple(sorted(r for r in deliveries if wake_times[r] == step)),
                 informed=len(protocols),
             )
         self.step = next_step
         return transmissions
 
+    def _suppress_faults(
+        self, heard: dict[int, int], step: int, jam_set: frozenset[int]
+    ) -> dict[int, int]:
+        """``heard`` without the receptions a fault suppresses, in the
+        reference engine's pipeline order: a crashed receiver hears
+        nothing, a jammed one hears noise, a lost message is counted, and
+        a sleeper whose wake-up is delayed ignores the message."""
+        counters = self.fault_counters
+        loss = self._loss_probability
+        protocols = self.protocols
+        kept: dict[int, int] = {}
+        for receiver, sender in heard.items():
+            if self._dead(receiver, step) or receiver in jam_set:
+                continue
+            if loss > 0.0 and scalar_loss_coin(self._fault_seed, receiver, step) < loss:
+                counters.lost_messages += 1
+                continue
+            if receiver not in protocols and step < self._deaf_until.get(receiver, 0):
+                counters.delayed_wakes += 1
+                continue
+            kept[receiver] = sender
+        return kept
+
     def _resolve(
         self, transmissions: dict[int, Message]
-    ) -> tuple[Iterable[tuple[int, int]], list[int]]:
+    ) -> tuple[dict[int, int], list[int]]:
         """Resolve a slot with two or more transmitters.
 
-        Returns the ``(receiver, sender)`` pairs of the receivers with
-        exactly one transmitting in-neighbour, in order of first
-        occurrence along the senders' neighbour rows (senders in wake
-        order), and — when metrics, a FULL trace or the CD variant read
-        them — the receivers with two or more that are not transmitting
-        themselves, sorted.  Small sets are resolved in Python over the
-        neighbour tuples, large ones by the kernel's ``bincount``.
+        Returns ``receiver -> sender`` for the receivers with exactly one
+        transmitting in-neighbour, in order of first occurrence along the
+        senders' neighbour rows (senders in wake order), and — when
+        metrics, a FULL trace or the CD variant read them — the receivers
+        with two or more, sorted.  Transmitters are in neither: they hear
+        nothing.  Small sets are resolved in Python over the neighbour
+        tuples, large ones by the kernel's ``bincount``.
         """
         senders = sorted(transmissions, key=self._rank.__getitem__)
         out_nbrs = self._out_nbrs
@@ -366,12 +448,13 @@ class EventDrivenEngine(SynchronousEngine):
                 for receiver in out_nbrs[sender]:
                     if first.setdefault(receiver, sender) != sender:
                         hit_twice.add(receiver)
-            if not hit_twice:
-                return first.items(), []
-            heard = [(r, s) for r, s in first.items() if r not in hit_twice]
-            if not self._need_collisions:
-                return heard, []
-            return heard, sorted(r for r in hit_twice if r not in transmissions)
+            for receiver in hit_twice:
+                del first[receiver]
+            for sender in senders:
+                first.pop(sender, None)  # half-duplex
+            if not hit_twice or not self._need_collisions:
+                return first, []
+            return first, sorted(hit_twice.difference(transmissions))
         kernel = self._kernel
         labels = kernel.labels
         index = kernel.index
@@ -379,19 +462,19 @@ class EventDrivenEngine(SynchronousEngine):
             (index[s] for s in senders), dtype=np.int64, count=len(senders)
         )
         hits, sender_of, cat = kernel.resolve(tx)
-        hc = hits[cat]
-        ones = cat[hc == 1]
-        # Two array gathers rather than two numpy scalar lookups per
-        # receiver.
-        heard = zip(labels[ones].tolist(), labels[sender_of[ones]].tolist())
-        if not self._need_collisions:
-            return heard, []
-        coll_idx = np.unique(cat[hc >= 2])
         tx_flag = self._tx_flag
         tx_flag[tx] = True
-        coll_idx = coll_idx[~tx_flag[coll_idx]]
+        hc = hits[cat]
+        ones = cat[(hc == 1) & ~tx_flag[cat]]
+        # Two array gathers rather than two numpy scalar lookups per
+        # receiver.
+        heard = dict(zip(labels[ones].tolist(), labels[sender_of[ones]].tolist()))
+        colliding: list[int] = []
+        if self._need_collisions:
+            coll_idx = np.unique(cat[hc >= 2])
+            colliding = labels[coll_idx[~tx_flag[coll_idx]]].tolist()
         tx_flag[tx] = False
-        return heard, labels[coll_idx].tolist()
+        return heard, colliding
 
     # ------------------------------------------------------------------
 
@@ -429,7 +512,7 @@ class EventDrivenEngine(SynchronousEngine):
         protocols = self.protocols
         heap = self._heap
         next_poll = self._next_poll
-        slot = self._slot
+        slot = self._plain_slot if self._plain else self._observed_slot
         n = self.network.n
         executed = 0
         while executed < max_steps:

@@ -19,7 +19,9 @@ Lifecycle enforced by the engine
 4.  After the slot resolves, the engine calls :meth:`Protocol.observe` with
     the received message, or ``None`` for silence **or** collision (the two
     are indistinguishable) **or** if the node itself transmitted
-    (half-duplex: a transmitter hears nothing).
+    (half-duplex: a transmitter hears nothing).  It may return ``False``
+    to report that the outcome changed nothing the node's hooks read
+    (see :meth:`Protocol.observe`).
 
 Because a protocol's behaviour is a pure function of
 ``(label, r, wake observation, subsequent observations)`` for deterministic
@@ -104,14 +106,23 @@ class Protocol(ABC):
             with this node's label.
         """
 
-    def observe(self, step: int, message: Message | None) -> None:
+    def observe(self, step: int, message: Message | None) -> bool | None:
         """Receive the outcome of slot ``step``.
 
         ``message`` is ``None`` when the node transmitted itself, when no
         in-neighbour transmitted, or when two or more did (collision) — the
         model makes these cases indistinguishable.  Protocols that only act
         on their own clock may ignore this hook.
+
+        Returning ``False`` is a second, opt-in promise: the observation
+        changed nothing that :meth:`next_action`, :meth:`quiet_until` or a
+        later ``observe`` reads, so a quiet promise the node made before
+        still holds and the event-driven engine need not re-query it after
+        this delivery.  Any other return value (``None``, the default of a
+        plain ``def``) makes no such promise.  This base implementation
+        ignores every observation, so it returns ``False``.
         """
+        return False
 
     def quiet_until(self, step: int) -> int:
         """Idle hint: the first slot at or after ``step`` needing attention.
@@ -122,7 +133,9 @@ class Protocol(ABC):
         collision marker) at ``t`` would not change its behaviour.  The
         promise says nothing about slots ``>= s`` and is void as soon as a
         message is delivered to the node — the event-driven engine
-        re-queries the hint after every delivery.  Returning ``step``
+        re-queries the hint after every delivery, unless :meth:`observe`
+        returned ``False`` for it (the delivery changed nothing the hint
+        reads, so the promise stands).  Returning ``step``
         itself (the default) makes no promise at all: the node is polled
         every slot, exactly as on the reference engine.
 

@@ -372,7 +372,10 @@ class HintCheckedProtocol(Protocol):
     Whenever the inner hint promises quiet through ``s``, every polled
     slot before ``s`` must yield ``next_action(...) is None`` — the
     actionable half of the ``quiet_until`` contract.  A message delivery
-    voids the promise, exactly as the event engines treat it.
+    voids the promise, exactly as the event engines treat it — unless
+    the inner ``observe`` reports it a no-op (returns ``False``): then
+    the promise stands, and the hint for the next slot must read the same
+    before and after the delivery.
     """
 
     def __init__(self, inner: Protocol):
@@ -413,13 +416,27 @@ class HintCheckedProtocol(Protocol):
         return action
 
     def observe(self, step, message):
-        if message is not None and not isinstance(message, CollisionMarker):
-            # A real delivery voids the promise (the event engines re-poll
-            # receivers).  Silence and CD markers do NOT: keeping the
+        if message is None or isinstance(message, CollisionMarker):
+            # Silence and CD markers do NOT void the promise: keeping the
             # recorded promise across them is what catches a protocol
             # whose quiet window is secretly marker-sensitive.
+            return self._inner.observe(step, message)
+        before = self._inner.quiet_until(step + 1)
+        changed = self._inner.observe(step, message)
+        if changed is False:
+            # A no-op delivery: the event engines keep the standing
+            # promise, so the hint it came from must still read the same.
+            after = self._inner.quiet_until(step + 1)
+            assert after == before, (
+                f"node {self.label} reported the delivery in slot {step} a "
+                f"no-op, but quiet_until({step + 1}) went from {before} to "
+                f"{after}"
+            )
+        else:
+            # A real delivery voids the promise (the event engines re-poll
+            # the receiver).
             self._promised_until = -1
-        self._inner.observe(step, message)
+        return changed
 
 
 class HintCheckedAlgorithm(BroadcastAlgorithm):

@@ -9,9 +9,14 @@ the hint contract itself:
 * the step-hook stream is gap-free across compressed slots;
 * a hypothesis property that :meth:`Protocol.quiet_until` promises are
   honest — a protocol that hints quiet through slot ``s`` must return
-  ``None`` from ``next_action`` on every polled slot before ``s``
+  ``None`` from ``next_action`` on every polled slot before ``s``, and a
+  delivery its ``observe`` reports a no-op must leave the hint as it was
   (checked on the reference engine, which polls every slot, under
   randomly drawn topologies and fault plans);
+* the engine side of the no-op promise: a receiver whose ``observe``
+  returns ``False`` is not re-queried, one returning ``None`` is, and a
+  protocol that breaks the promise is caught by the checker and makes
+  the event engine diverge;
 * the same property for the baselines' hints (Decay, round-robin and
   both e6 interleavings), with and without collision detection;
 * unit coverage of :class:`~repro.core.echo.QuietEchoSchedule` hint
@@ -52,7 +57,11 @@ from repro.sim.protocol import BroadcastAlgorithm, Protocol
 from repro.sim.trace import TraceLevel
 from repro.topology import gnp_connected, path, uniform_complete_layered
 
-from .conformance import HintCheckedAlgorithm, adaptive_faulty_networks
+from .conformance import (
+    HintCheckedAlgorithm,
+    adaptive_faulty_networks,
+    full_fault_plan,
+)
 
 
 def test_full_trace_records_every_compressed_slot():
@@ -184,7 +193,8 @@ def test_both_resolvers_match_the_reference_engine(
     """Every multi-transmitter slot runs through the Python resolver
     (bound ``1 << 30``) or through the kernel (bound ``-1``); either way
     the execution — FULL trace, CD observations, metrics, fault tallies,
-    wake times and their order — is the reference engine's."""
+    wake times and their order — is the reference engine's, and so are
+    a plain run's wake times and their order."""
     plan = data.draw(_fault_plans(net))
     reference, ref_steps, ref_metrics = _run(
         SynchronousEngine, net, p, seed, plan, cd, 60
@@ -198,6 +208,13 @@ def test_both_resolvers_match_the_reference_engine(
     assert metrics.to_dict() == ref_metrics.to_dict()
     assert event.transmission_counts() == reference.transmission_counts()
     assert event.fault_counters == reference.fault_counters
+    # A plain run takes the lean slot body; it reaches the same resolvers.
+    plain_reference = SynchronousEngine(net, _CoinAlgorithm(p), seed=seed)
+    plain_reference.run(60)
+    with mock.patch("repro.sim.event._PY_RESOLVE_MAX_ENTRIES", py_max_entries):
+        plain = EventDrivenEngine(net, _CoinAlgorithm(p), seed=seed)
+        assert plain.run(60) == plain_reference.step
+    assert list(plain.wake_times.items()) == list(plain_reference.wake_times.items())
 
 
 @pytest.mark.parametrize("topology_seed", range(4))
@@ -215,6 +232,143 @@ def test_wake_times_insertion_order_matches_reference(make, topology_seed):
         assert engine.all_informed
         orders.append(list(engine.wake_times.items()))
     assert orders[1] == orders[0]
+
+
+# ---------------------------------------------------------------------------
+# The no-op promise: observe() returning False keeps the standing hint.
+
+
+class _FloodOnceAlgorithm(BroadcastAlgorithm):
+    """Every node relays the source message once, in the slot after it
+    wakes, and is quiet for ever after.  Its ``observe`` ignores every
+    message and answers ``answer``: ``False`` makes the no-op promise,
+    ``None`` makes none.  ``hint_calls`` counts ``quiet_until`` calls."""
+
+    name = "flood-once"
+    deterministic = True
+
+    def __init__(self, answer):
+        self.answer = answer
+        self.hint_calls = 0
+
+    def create(self, label, r, rng):
+        return _FloodOnceProtocol(label, r, rng, self)
+
+
+class _FloodOnceProtocol(Protocol):
+    def __init__(self, label, r, rng, algorithm):
+        super().__init__(label, r, rng)
+        self._algorithm = algorithm
+        self._relay_at = None
+
+    def on_wake(self, step, message):
+        self._relay_at = step + 1
+
+    def next_action(self, step):
+        return SOURCE_PAYLOAD if step == self._relay_at else None
+
+    def quiet_until(self, step):
+        self._algorithm.hint_calls += 1
+        return self._relay_at if step <= self._relay_at else QUIET_FOREVER
+
+    def observe(self, step, message):
+        return self._algorithm.answer
+
+
+@pytest.mark.parametrize("faulty", [False, True], ids=["plain", "full-trace-faults"])
+@pytest.mark.parametrize("answer", [False, None], ids=["no-op", "no-promise"])
+def test_no_op_observe_skips_the_hint_requery(answer, faulty):
+    """The event engine queries a node's hint once at its wake and once
+    after each poll; a delivery to an awake node adds a query only when
+    ``observe`` does not return ``False``.  Either way the run is the
+    reference engine's: plain, and with a FULL trace under a crash, jam,
+    loss and wake-delay plan."""
+    net = gnp_connected(40, 0.2, seed=2)
+    plan = full_fault_plan(net) if faulty else None
+    level = TraceLevel.FULL if faulty else TraceLevel.NONE
+    reference = SynchronousEngine(
+        net, _FloodOnceAlgorithm(answer), seed=3, trace_level=TraceLevel.FULL,
+        faults=plan,
+    )
+    reference.run(200)
+    algorithm = _FloodOnceAlgorithm(answer)
+    event = EventDrivenEngine(
+        net, algorithm, seed=3, trace_level=level, faults=plan
+    )
+    assert event.run(200) == reference.step
+    assert list(event.wake_times.items()) == list(reference.wake_times.items())
+    assert event.fault_counters == reference.fault_counters
+    if faulty:
+        assert event.trace.steps == reference.trace.steps
+    records = reference.trace.steps
+    polls = sum(len(record.transmitters) for record in records)
+    wakes = len(reference.wake_times) - 1
+    to_awake = sum(len(record.deliveries) - len(record.woken) for record in records)
+    assert to_awake > 0
+    requeries = 0 if answer is False else to_awake
+    assert algorithm.hint_calls == 1 + polls + wakes + requeries
+
+
+class _AckAlgorithm(BroadcastAlgorithm):
+    """The source transmits in slots 0 and 1; any other awake node that
+    hears a message answers it once, in the next slot.  ``observe``
+    returns ``answer`` — ``False`` is a lie, since the delivery scheduled
+    a transmission."""
+
+    name = "ack"
+    deterministic = True
+
+    def __init__(self, answer):
+        self.answer = answer
+
+    def create(self, label, r, rng):
+        return _AckProtocol(label, r, rng, self.answer)
+
+
+class _AckProtocol(Protocol):
+    def __init__(self, label, r, rng, answer):
+        super().__init__(label, r, rng)
+        self._answer = answer
+        self._pending: set[int] = set()
+
+    def on_wake(self, step, message):
+        if message is None:
+            self._pending = {0, 1}
+
+    def next_action(self, step):
+        if step in self._pending:
+            self._pending.discard(step)
+            return SOURCE_PAYLOAD
+        return None
+
+    def quiet_until(self, step):
+        return min((s for s in self._pending if s >= step), default=QUIET_FOREVER)
+
+    def observe(self, step, message):
+        if message is not None and self.label != 0:
+            self._pending.add(step + 1)
+        return self._answer
+
+
+def test_a_false_no_op_claim_is_caught_and_diverges():
+    """Node 1 of the path 0 - 1 - 2 wakes in slot 0 and answers the
+    source's second message in slot 2, which wakes node 2.  Reported
+    honestly (``None``), the event engine re-queries node 1 and matches
+    the reference engine; reported as a no-op (``False``), the checker
+    rejects the claim and the event engine never polls node 1 again."""
+    net = path(3)
+    honest = run_broadcast(net, HintCheckedAlgorithm(_AckAlgorithm(None)),
+                           max_steps=10)
+    assert honest.completed and honest.wake_times[2] == 2
+    assert run_broadcast(
+        net, _AckAlgorithm(None), max_steps=10, engine="event"
+    ).wake_times == honest.wake_times
+    with pytest.raises(AssertionError, match="no-op"):
+        run_broadcast(net, HintCheckedAlgorithm(_AckAlgorithm(False)), max_steps=10)
+    reference = run_broadcast(net, _AckAlgorithm(False), max_steps=10)
+    event = run_broadcast(net, _AckAlgorithm(False), max_steps=10, engine="event")
+    assert reference.wake_times == honest.wake_times
+    assert not event.completed and 2 not in event.wake_times
 
 
 # ---------------------------------------------------------------------------
