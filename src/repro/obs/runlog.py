@@ -38,7 +38,7 @@ import pathlib
 import subprocess
 import time
 import uuid
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 __all__ = [
     "DEFAULT_RUNLOG_DIR",
@@ -348,8 +348,3 @@ def assert_valid_runlog(path: pathlib.Path | str) -> list[dict]:
             f"{path}: {len(errors)} schema violation(s):\n" + "\n".join(errors)
         )
     return events
-
-
-def merge_event_field(events: Iterable[Mapping], field: str) -> list[Mapping]:
-    """All non-null values of ``field`` across events (helper for reports)."""
-    return [event[field] for event in events if event.get(field) is not None]

@@ -37,9 +37,10 @@ plain run (no fault plan, trace, metrics, timings or CD) takes
 instrumentation branches of ``_observed_slot``.  A lone transmitter's
 deliveries are its neighbour tuple, built into a ``receiver -> sender``
 dict in one call; a slot with several is resolved in Python over the
-neighbour tuples while their rows are short, and by the precompiled CSR
-+ ``np.bincount`` kernel of :mod:`repro.sim.channel` past a measured
-crossover (``_PY_RESOLVE_MAX_ENTRIES``).  Trace records, collision lists
+neighbour tuples while their rows are short, and past a measured
+crossover (``_PY_RESOLVE_MAX_ENTRIES``) by
+:meth:`~repro.sim.channel.ChannelKernel.resolve`, the exactly-once
+resolver the macro engine uses too.  Trace records, collision lists
 and the informed count are built only when the run records them.
 
 The registered ``event`` engine
@@ -76,7 +77,7 @@ _NO_EVENT: int = 1 << 62
 
 #: Multi-transmitter slots whose senders' neighbour rows hold at most this
 #: many entries in total are resolved in Python; larger ones by the
-#: kernel's ``bincount``, whose fixed cost only pays off from here on.
+#: channel kernel, whose fixed cost only pays off from here on.
 #: Timing both resolvers on random transmitter sets (complete layered,
 #: G(n, p) and grid topologies; docs/PERFORMANCE.md) put the crossover at
 #: 200-240 entries for plain runs and at 300-430 when the collision
@@ -135,8 +136,6 @@ class EventDrivenEngine(SynchronousEngine):
             )
         self._kernel = kernel if kernel is not None else ChannelKernel(network)
         self._out_nbrs = network.out_neighbors
-        #: Scratch transmit flags for the kernel resolver.
-        self._tx_flag = np.zeros(network.n, dtype=bool)
         self._fault_events: tuple[int, ...] = (
             faults.event_slots() if faults is not None else ()
         )
@@ -437,7 +436,7 @@ class EventDrivenEngine(SynchronousEngine):
         metrics, a FULL trace or the CD variant read them — the receivers
         with two or more, sorted.  Transmitters are in neither: they hear
         nothing.  Small sets are resolved in Python over the neighbour
-        tuples, large ones by the kernel's ``bincount``.
+        tuples, large ones by :meth:`ChannelKernel.resolve`.
         """
         senders = sorted(transmissions, key=self._rank.__getitem__)
         out_nbrs = self._out_nbrs
@@ -456,25 +455,17 @@ class EventDrivenEngine(SynchronousEngine):
                 return first, []
             return first, sorted(hit_twice.difference(transmissions))
         kernel = self._kernel
-        labels = kernel.labels
-        index = kernel.index
+        labels, index = kernel.labels, kernel.index
         tx = np.fromiter(
             (index[s] for s in senders), dtype=np.int64, count=len(senders)
         )
-        hits, sender_of, cat = kernel.resolve(tx)
-        tx_flag = self._tx_flag
-        tx_flag[tx] = True
-        hc = hits[cat]
-        ones = cat[(hc == 1) & ~tx_flag[cat]]
+        once, colliding, sent = kernel.resolve(
+            tx, collisions=self._need_collisions, senders=True, half_duplex=True
+        )
         # Two array gathers rather than two numpy scalar lookups per
         # receiver.
-        heard = dict(zip(labels[ones].tolist(), labels[sender_of[ones]].tolist()))
-        colliding: list[int] = []
-        if self._need_collisions:
-            coll_idx = np.unique(cat[hc >= 2])
-            colliding = labels[coll_idx[~tx_flag[coll_idx]]].tolist()
-        tx_flag[tx] = False
-        return heard, colliding
+        heard = dict(zip(labels[once].tolist(), labels[sent].tolist()))
+        return heard, labels[colliding].tolist()
 
     # ------------------------------------------------------------------
 

@@ -68,7 +68,7 @@ import numpy as np
 from ..obs.metrics import COUNT_BUCKETS, MetricsRegistry
 from ..obs.spans import SpanRecorder
 from ..obs.timings import Timings
-from .channel import ChannelKernel, ragged_positions
+from .channel import ASLEEP, ChannelKernel, ragged_positions
 from .coins import CoinSource
 from .errors import ConfigurationError
 from .faults import (
@@ -97,9 +97,6 @@ __all__ = [
     "resolve_macro_backend",
     "WakeTimes",
 ]
-
-#: Sentinel wake step for nodes that are not informed yet.
-ASLEEP: int = np.iinfo(np.int64).max
 
 #: Eligibility sentinel: every *awake* node qualifies.  Sleepers carry
 #: ``wake == ASLEEP`` and ``ASLEEP < ASLEEP`` is false, so the plan rule
@@ -425,12 +422,15 @@ class MacroStepEngine:
     Executes ``block_size`` slots per macro step from one ``macro_plan``
     call, with no per-slot Python dispatch into the algorithm,
     settle-checks inside the block, and resolves each slot from whichever
-    side of the channel is cheaper.  Fault plans, metrics, timings and
-    traces run on the same block loop: they add per-slot bookkeeping, and
-    the ones that need hit counts at awake receivers pin resolution to
-    the transmitter side (see ``_rx_ok``).  Semantics are the reference
-    engine's, slot for slot — asserted by the conformance suite and the
-    large-n spot checks.
+    side of the channel is cheaper.  Every CSR read — transmitter-side
+    resolution, the frontier test, the sleepers' row gather — goes
+    through :attr:`kernel`, a :class:`~repro.sim.channel.ChannelKernel`;
+    the engine keeps the coins, the wake filter and the fault pipeline.
+    Fault plans, metrics, timings and traces run on the same block loop:
+    they add per-slot bookkeeping, and the ones that need hit counts at
+    awake receivers pin resolution to the transmitter side (see
+    ``_rx_ok``).  Semantics are the reference engine's, slot for slot —
+    asserted by the conformance suite and the large-n spot checks.
 
     **Unions.**  ``T`` seeds run as one execution over the disjoint union
     of ``T`` copies of the network: union index ``t * n + v`` is node
@@ -438,8 +438,8 @@ class MacroStepEngine:
     exactly the run with seed ``seeds[t]``; they share one macro plan
     (an oblivious plan depends only on the step and the label), one
     wake-ordered awake list and one threshold prefix per slot.  No CSR
-    copy is built — neighbour gathers map a union index to ``(t, v)`` and
-    add ``t * n`` back (skipped when ``T == 1``).  A trial that settles
+    copy is built: the kernel is the network's over ``T`` copies
+    (:meth:`~repro.sim.channel.ChannelKernel.union`).  A trial that settles
     leaves the awake list, so it stops transmitting and stops accruing
     fault tallies, metrics and trace records, as its single run would
     have stopped executing.
@@ -496,12 +496,11 @@ class MacroStepEngine:
         self.algorithm = algorithm
         self.block_size = block_size
         resolve_macro_backend(backend)
-        kernel = ChannelKernel(network)
-        self.kernel = kernel
-        self.labels = kernel.labels
-        self._index = kernel.index
         n, trials = network.n, len(self.seeds)
         size = n * trials
+        self.kernel = kernel = ChannelKernel(network).union(trials)
+        self.labels = kernel.labels
+        self._index = kernel.index
         self.n, self.trials, self._size = n, trials, size
         shape = (trials, n) if union else (n,)
         keys = CoinSource.for_batch(self.seeds, self.labels)._keys.reshape(-1)
@@ -548,7 +547,6 @@ class MacroStepEngine:
         # slot, and the eligible entries of one threshold.
         self._sl_idx: np.ndarray | None = None
         self._el_for: tuple[int, int] | None = None
-        self._avg_deg = kernel.indices.size / max(1, n)
         self.step = 0
         # Traces are recorded for the union, one array per slot and
         # column, and split per trial when trace_for is next called.
@@ -598,9 +596,6 @@ class MacroStepEngine:
         # every receiver, which only the transmitter side of the channel
         # computes.
         self._hits_needed = self._trace_full or faults is not None
-        if self._hits_needed:
-            # Scratch flags over the union, all False between uses.
-            self._flag = np.zeros(size, dtype=bool)
         # Metrics count collisions at sleepers only, but tally every
         # transmission: a metrics run flags the informed nodes with no
         # sleeping neighbour (``True`` = interior) and leaves them out of
@@ -609,17 +604,11 @@ class MacroStepEngine:
             np.zeros(size, dtype=bool)
             if metrics is not None and not self._hits_needed else None
         )
-        # Receiver-side counting reads a sleeper's *out*-neighbour row as
-        # its in-neighbour list, which is only sound on symmetric
-        # adjacency — i.e. CSR-native topologies (undirected by
-        # construction).  Possibly-directed RadioNetworks, runs that need
-        # hit counts at awake receivers and runs that tally transmitters
-        # stay on the transmitter-side path.
-        self._rx_ok = (
-            getattr(network, "csr_arrays", None) is not None
-            and not self._hits_needed
-            and metrics is None
-        )
+        # Receiver-side counting reads a sleeper's row as its in-neighbour
+        # list, which needs symmetric rows.  Runs that need hit counts at
+        # awake receivers and runs that tally transmitters stay on the
+        # transmitter-side path.
+        self._rx_ok = kernel.symmetric and not self._hits_needed and metrics is None
         self._observed = (
             self._hits_needed or metrics is not None or timings is not None
             or self._tracing
@@ -816,18 +805,6 @@ class MacroStepEngine:
         self._awake_count = kept + count - k
         self._prefix = None
 
-    def _sleeping_neighbours(self, rows: np.ndarray):
-        """Gather the neighbour lists of union indices ``rows``: returns
-        ``(useful, cat, owner, asleep)`` — whether each row has a sleeping
-        neighbour, the concatenated lists, each entry's position in
-        ``rows`` and whether each entry is asleep."""
-        cat, lengths = self._neighbours(rows)
-        owner = np.repeat(np.arange(rows.size), lengths)
-        asleep = self._wake[cat] == ASLEEP
-        useful = np.zeros(rows.size, dtype=bool)
-        useful[owner[asleep]] = True
-        return useful, cat, owner, asleep
-
     def _eligible_prefix(self, k: int) -> tuple:
         """Cache and return the transmitter-side prefix ``(k, indices, coin
         keys)`` of the first ``k`` awake-list entries.
@@ -852,10 +829,10 @@ class MacroStepEngine:
             rows = cand if interior is None else cand[~interior[cand]]
             size = rows.size
             probe = rows if size <= _PROBE else rows[np.arange(_PROBE) * size // _PROBE]
-            useful = self._sleeping_neighbours(probe)[0]
+            useful = self.kernel.sleeping_neighbours(probe, self._wake)[0]
             if 2 * np.count_nonzero(useful) < probe.size:
                 if probe is not rows:
-                    useful = self._sleeping_neighbours(rows)[0]
+                    useful = self.kernel.sleeping_neighbours(rows, self._wake)[0]
                 if interior is None:
                     self._compact_awake(useful)
                     k = int(np.count_nonzero(useful))
@@ -951,8 +928,9 @@ class MacroStepEngine:
                 # the sleepers' edges only — and only sleepers can wake.
                 # Early in the run the eligible set is tiny, late in the
                 # run the sleeper set is.  ``k == 0`` is a silent slot.
-                est_tx = k + p * k * self._avg_deg + 0.5 * self._size
-                est_rx = 3.0 * self._asleep * self._avg_deg
+                deg = self.kernel.avg_degree
+                est_tx = k + p * k * deg + 0.5 * self._size
+                est_rx = 3.0 * self._asleep * deg
                 if k == 0:
                     pass
                 elif self._rx_ok and est_rx < est_tx and (p >= 1.0 or chain is None):
@@ -1014,7 +992,7 @@ class MacroStepEngine:
             cand = self._awake_idx[:k]
         else:
             cand = self._last_tx
-        useful, cat, owner, asleep = self._sleeping_neighbours(cand)
+        useful, cat, owner, asleep = self.kernel.sleeping_neighbours(cand, self._wake)
         if opening and not useful.all():
             cand = cand.copy()  # a view of the list compacted below
             self._compact_awake(useful)
@@ -1140,22 +1118,14 @@ class MacroStepEngine:
         neighbours, and (FULL traces only) the receivers that heard a
         message with the transmitter each heard.
         """
-        cat, lengths = self._neighbours(tx)
-        if cat.size == 0:
-            return _EMPTY, _EMPTY, _EMPTY, _EMPTY
-        if cat.size >= self._size // 8:
-            hits = np.bincount(cat, minlength=self._size)
-            hits[tx] = 0  # half-duplex: transmitters hear nothing
-            colliding = np.flatnonzero(hits >= 2)
-            delivered = np.flatnonzero(hits == 1)
-        else:
-            recv, cnt = np.unique(cat, return_counts=True)
-            is_tx = self._flag
-            is_tx[tx] = True
-            listening = ~is_tx[recv]  # half-duplex: transmitters hear nothing
-            is_tx[tx] = False
-            colliding = recv[(cnt >= 2) & listening]
-            delivered = recv[(cnt == 1) & listening]
+        full = self._trace_full
+        delivered, colliding, sent = self.kernel.resolve(
+            tx, collisions=True, senders=full, half_duplex=True
+        )
+        if full:
+            order = np.argsort(delivered)  # row order -> index order
+            once = delivered = delivered[order]
+            sent = sent[order]
         cf = self._cf
         timed = cf is not None and self.timings is not None
         t_faults = perf_counter() if timed else 0.0
@@ -1181,74 +1151,25 @@ class MacroStepEngine:
             self.timings.add("engine.faults", perf_counter() - t_faults)
         newly = delivered[woke]
         heard = senders = _EMPTY
-        if self._trace_full:
+        if full:
             # Awake receivers hear too (already informed, never deaf);
             # sleepers only count if they actually woke.
             heard = delivered if woke is asleep else delivered[~asleep | woke]
-            senders = self._senders_of(tx, lengths, cat, heard)
+            senders = sent if heard.size == sent.size else sent[
+                np.searchsorted(once, heard)
+            ]
         if newly.size:
             self._append_newly(newly, step)
         return newly, colliding, heard, senders
 
-    def _senders_of(self, tx, lengths, cat, heard) -> np.ndarray:
-        """The transmitter each receiver in ``heard`` heard.
-
-        ``heard`` is sorted and each of its receivers has exactly one
-        transmitting neighbour, so it occurs once in ``cat``, the
-        transmitters' concatenated neighbour rows: its position there
-        names the row, hence the sender.
-        """
-        flag = self._flag
-        flag[heard] = True
-        pos = np.flatnonzero(flag[cat])
-        flag[heard] = False
-        senders = tx[np.searchsorted(np.cumsum(lengths), pos, side="right")]
-        return senders[np.argsort(cat[pos])]
-
     # -- channel resolution ------------------------------------------------
-
-    def _neighbours(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The concatenated neighbour lists of union indices ``rows`` and
-        each row's length."""
-        nodes = rows if self.trials == 1 else rows % self.n
-        indptr = self.kernel.indptr
-        starts = indptr[nodes]
-        lengths = indptr[nodes + 1] - starts
-        cat = self.kernel.indices[ragged_positions(starts, lengths)]
-        if self.trials > 1:
-            cat = cat + np.repeat(rows - nodes, lengths)
-        return cat, lengths
 
     def _resolve_and_wake(self, tx: np.ndarray, step: int, collisions: bool = False):
         """Exactly-one resolution over the transmitters' neighbour lists;
         returns the newly woken indices, and with ``collisions`` also the
         receivers with two or more transmitting neighbours."""
-        if tx.size == 1:
-            indptr = self.kernel.indptr
-            t = int(tx[0])
-            v = t % self.n
-            cat = self.kernel.indices[indptr[v]:indptr[v + 1]]
-            if t != v:
-                cat = cat + (t - v)
-        else:
-            cat, _ = self._neighbours(tx)
-        if cat.size == 0:
-            return (_EMPTY, _EMPTY) if collisions else _EMPTY
-        wake = self._wake
-        if cat.size >= self._size // 8:
-            hits = np.bincount(cat, minlength=self._size)
-            # Unique hearers first, then filter by sleep state: once most
-            # of the network is awake the unique-hit set is small, so the
-            # wake filter touches far fewer than n entries.
-            once = np.flatnonzero(hits == 1)
-            if collisions:
-                colliding = np.flatnonzero(hits >= 2)
-        else:
-            uniq, cnt = np.unique(cat, return_counts=True)
-            once = uniq[cnt == 1]
-            if collisions:
-                colliding = uniq[cnt >= 2]
-        newly = once[wake[once] == ASLEEP]
+        once, colliding, _ = self.kernel.resolve(tx, collisions=collisions)
+        newly = once[self._wake[once] == ASLEEP]
         if newly.size:
             self._append_newly(newly, step)
         return (newly, colliding) if collisions else newly
@@ -1270,7 +1191,7 @@ class MacroStepEngine:
         s = self._sl_idx
         if s is None:
             s = np.flatnonzero(self._wake == ASLEEP)
-            nbr, lengths = self._neighbours(s)
+            nbr, lengths = self.kernel.gather(s)
         elif 2 * self._asleep < s.size:
             keep = self._wake[s] == ASLEEP
             s = s[keep]
@@ -1292,10 +1213,10 @@ class MacroStepEngine:
         per-(node, slot) functions), evaluated only where a wake event is
         possible.  The gather entries whose neighbour is eligible are
         listed once per threshold (sleeper slot and coin key); a slot
-        tests coins on those entries only and counts the passes per
-        sleeper with one ``bincount``.  A list built at step ``t`` for
-        threshold ``elig`` stays valid while ``elig <= t``, since nodes
-        woken later carry ``wake >= t``; otherwise (e.g.
+        tests coins on those entries only, and the kernel counts the
+        passes per sleeper (``ChannelKernel.hear_once``).  A list built at
+        step ``t`` for threshold ``elig`` stays valid while ``elig <= t``,
+        since nodes woken later carry ``wake >= t``; otherwise (e.g.
         :data:`ELIGIBLE_ANY_AWAKE`) it is rebuilt.  Only running trials
         have sleepers here (runs without crashes settle by completing),
         so a retired trial's awake nodes never reach a count.
@@ -1310,8 +1231,7 @@ class MacroStepEngine:
         slots = self._el_slot
         if p < 1.0:
             slots = slots[self.coins.below(step, p, self._el_keys)]
-        counts = np.bincount(slots, minlength=self._sl_idx.size)
-        candidates = self._sl_idx[counts == 1]
+        candidates = self.kernel.hear_once(self._sl_idx, slots)
         newly = candidates[self._wake[candidates] == ASLEEP]
         if newly.size:
             self._append_newly(newly, step)
