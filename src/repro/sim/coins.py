@@ -66,13 +66,26 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _mix64_inplace(z: np.ndarray) -> np.ndarray:
-    """Vectorised splitmix64 finalizer.  Mutates and returns ``z`` (uint64)."""
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(_MIX1)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(_MIX2)
-    z ^= z >> np.uint64(31)
+#: The finalizer's xor-shift / multiply rounds and its last shift.
+_ROUNDS = ((np.uint64(30), np.uint64(_MIX1)), (np.uint64(27), np.uint64(_MIX2)))
+_LAST_SHIFT = np.uint64(31)
+
+#: Keys per block of :meth:`CoinSource.below`: a block's two uint64
+#: temporaries (512 KiB) stay in L2 across the finalizer's passes.
+_BLOCK = 1 << 15
+
+
+def _mix64_inplace(z: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """Vectorised splitmix64 finalizer.  Mutates and returns ``z`` (uint64);
+    ``scratch``, an array shaped like ``z``, holds the shifted words."""
+    if scratch is None:
+        scratch = np.empty_like(z)
+    for shift, mix in _ROUNDS:
+        np.right_shift(z, shift, out=scratch)
+        z ^= scratch
+        z *= mix
+    np.right_shift(z, _LAST_SHIFT, out=scratch)
+    z ^= scratch
     return z
 
 
@@ -234,6 +247,10 @@ class CoinSource:
         Callers that test the same subset over many slots (the macro
         engine's eligible prefix and eligible sleeper-edge entries)
         gather the keys once and amortise the copy across the slots.
+
+        Longer key arrays are hashed ``_BLOCK`` keys at a time, through
+        two temporaries that stay in cache, into one bool output: the same
+        operations, about twice as fast as whole-array passes at 10^6 keys.
         """
         if keys is None:
             keys = self._keys
@@ -241,9 +258,22 @@ class CoinSource:
             return np.ones(keys.shape, dtype=bool)
         if p <= 0.0:
             return np.zeros(keys.shape, dtype=bool)
-        z = keys ^ np.uint64(_step_salt(step))
-        _mix64_inplace(z)
-        return z < np.uint64(math.ceil(p * 2.0**53) << 11)
+        salt = np.uint64(_step_salt(step))
+        threshold = np.uint64(math.ceil(p * 2.0**53) << 11)
+        if keys.size <= _BLOCK:
+            return _mix64_inplace(keys ^ salt) < threshold
+        flat = keys.reshape(-1)
+        size = flat.size
+        heads = np.empty(size, dtype=bool)
+        z = np.empty(_BLOCK, dtype=np.uint64)
+        scratch = np.empty_like(z)
+        for lo in range(0, size, _BLOCK):
+            hi = min(lo + _BLOCK, size)
+            block, spare = z[:hi - lo], scratch[:hi - lo]
+            np.bitwise_xor(flat[lo:hi], salt, out=block)
+            _mix64_inplace(block, spare)
+            np.less(block, threshold, out=heads[lo:hi])
+        return heads.reshape(keys.shape)
 
     def below_steps(self, start: int, probs: np.ndarray, keys: np.ndarray) -> np.ndarray:
         """:meth:`below` for consecutive slots at once: a ``(keys.size,

@@ -43,7 +43,7 @@ from .engine import SynchronousEngine
 from .errors import BroadcastIncompleteError, ConfigurationError
 from .faults import FaultPlan
 from .guard import check_memory_budget, large_memory_allowed
-from .macro import ASLEEP, MacroStepEngine, WakeTimes
+from .macro import ASLEEP, MacroStepEngine
 from .protocol import VectorizedAlgorithm, _check_vectorized
 from .run import BroadcastResult, default_max_steps
 from .trace import TraceLevel
@@ -330,6 +330,11 @@ def _assemble_results(network, algorithm, engine, seeds, timings, metrics):
     """One :class:`BroadcastResult` per trial of a finished engine, with
     the per-run summary metrics recorded as each is built."""
     times = engine.completion_times()
+    # The array engines' wake rows give every trial's layer times at once.
+    wake_steps = getattr(engine, "wake_steps", None)
+    layer_times = None if wake_steps is None else _layer_times(
+        network, engine.labels, wake_steps.reshape(len(seeds), network.n)
+    )
     results = []
     tx_counts = []
     for t, seed in enumerate(seeds):
@@ -344,7 +349,10 @@ def _assemble_results(network, algorithm, engine, seeds, timings, metrics):
             algorithm=algorithm.name,
             seed=seed,
             wake_times=wake_times,
-            layer_times=_layer_times_for(network, wake_times),
+            layer_times=(
+                _dict_layer_times(network, wake_times)
+                if layer_times is None else layer_times[t]
+            ),
             trace=engine.trace_for(t),
             fault_counters=engine.fault_counters_for(t),
             timings=timings,
@@ -364,44 +372,47 @@ def _assemble_results(network, algorithm, engine, seeds, timings, metrics):
     return results
 
 
-def _layer_times_for(network, wake_times) -> tuple[int | None, ...]:
+def _dict_layer_times(network, wake_times) -> tuple[int | None, ...]:
     """For each BFS layer, the slot by which all of it was informed
-    (``None``: not fully informed).
-
-    The per-node engines' dicts walk ``network.layers()``.  The array
-    engines' :class:`~repro.sim.macro.WakeTimes` are read as arrays: per
-    layer through the flat depth array when the network carries one
-    (CSR-native topologies; node order == label order), else through
-    the layers' label positions.
-    """
-    if not isinstance(wake_times, WakeTimes):
-        return tuple(
-            max(wake_times[v] for v in layer)
-            if all(v in wake_times for v in layer)
-            else None
-            for layer in network.layers()
-        )
-    wake_steps = wake_times.wake_steps
-    depths_fn = getattr(network, "depths_array", None)
-    if depths_fn is None:
-        # A layer's latest slot is ASLEEP exactly when one of it sleeps.
-        layers = network.layers()
-        lengths = np.array([len(layer) for layer in layers])
-        slots = wake_steps[np.searchsorted(wake_times.labels, np.concatenate(layers))]
-        latest = np.maximum.reduceat(slots, np.cumsum(lengths) - lengths)
-        return tuple(None if t == ASLEEP else t for t in latest.tolist())
-    depths = depths_fn()
-    num_layers = int(depths.max()) + 1
-    totals = np.bincount(depths, minlength=num_layers)
-    informed = wake_steps != ASLEEP
-    informed_depths = depths[informed]
-    settled = np.bincount(informed_depths, minlength=num_layers)
-    latest = np.full(num_layers, np.iinfo(np.int64).min, dtype=np.int64)
-    np.maximum.at(latest, informed_depths, wake_steps[informed])
+    (``None``: not fully informed), from a per-node engine's wake dict."""
     return tuple(
-        int(latest[j]) if settled[j] == totals[j] else None
-        for j in range(num_layers)
+        max(wake_times[v] for v in layer)
+        if all(v in wake_times for v in layer)
+        else None
+        for layer in network.layers()
     )
+
+
+def _layer_times(network, labels: np.ndarray, wake: np.ndarray) -> list[tuple]:
+    """:func:`_dict_layer_times` of every trial of an array engine, from
+    its ``(trials, n)`` wake rows over the sorted ``labels``, at once.
+
+    Each node's BFS depth comes from the flat depth array when the
+    network carries one (CSR-native topologies; node order == label
+    order), else from the layers' label positions.  One ``maximum.at``
+    over ``trial * layers + depth`` takes each trial's latest slot per
+    layer, which is ``ASLEEP`` exactly when one of the layer sleeps.
+    """
+    depths_fn = getattr(network, "depths_array", None)
+    if depths_fn is not None:
+        depths = depths_fn()
+        num_layers = int(depths.max()) + 1
+    else:
+        layers = network.layers()
+        num_layers = len(layers)
+        depths = np.empty(network.n, dtype=np.int64)
+        depths[np.searchsorted(labels, np.concatenate(layers))] = np.repeat(
+            np.arange(num_layers), [len(layer) for layer in layers]
+        )
+    trials = wake.shape[0]
+    cells = depths if trials == 1 else (
+        depths + num_layers * np.arange(trials)[:, None]
+    ).ravel()
+    latest = np.full(trials * num_layers, np.iinfo(np.int64).min, dtype=np.int64)
+    np.maximum.at(latest, cells, wake.ravel())
+    slots = latest.astype(object)
+    slots[latest == ASLEEP] = None
+    return list(map(tuple, slots.reshape(trials, num_layers).tolist()))
 
 
 def _record_result_metrics(metrics: MetricsRegistry, result: BroadcastResult) -> None:

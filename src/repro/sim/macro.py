@@ -29,7 +29,9 @@ slots where three nodes transmit.  This module removes both:
   (:meth:`~repro.sim.coins.CoinSource.below` — bit-identical to the
   dense flips), and the channel is resolved by gathering only the
   transmitters' CSR neighbour lists (O(sum deg(tx)) instead of O(E)), or
-  from the sleepers' side once they are the smaller set.  Without a
+  from the sleepers' side once that is cheaper, its one-time setup
+  priced over the rest of the threshold's run (see
+  ``_sleepers_cheaper``).  Without a
   fault plan the sleepers only shrink, so an informed node with no
   sleeping neighbour (an *interior* node) can never wake anyone, nor
   collide at a sleeper, again; only FULL traces and fault plans, which
@@ -112,6 +114,21 @@ _COIN_BLOCK = 1 << 16
 #: Awake-list rows a plain run probes before it prunes a transmitter
 #: prefix to the frontier (see ``MacroStepEngine._eligible_prefix``).
 _PROBE = 256
+
+#: Sleeper-side prices of :func:`_sleepers_cheaper`, in units of one term
+#: of the transmitter side's ``k + p·k·deg + N/2`` (a coin, a gathered row
+#: entry, two bincount slots): per sleeper edge to list one threshold's
+#: eligible entries, and per listed entry and slot to resolve from the
+#: list.  Measured per slot on KP at G(10^6, 12/n) (2-vCPU x86-64 VM): a
+#: transmitter-side unit costs 6-19 ns (median ~12), gathering a sleeper
+#: edge 12-17 ns, listing 13-16 ns, and resolving a listed entry 3.5 ns
+#: at p <= 2^-8 up to 12-15 ns at p = 1/2.  Over three seeds at G(10^6,
+#: 12/n) and eight at G(10^5, 16/n), list prices from 0.5 to 1.5 and
+#: entry prices from 0.3 to 0.8 give the same first sleeper-side slot and
+#: count of them; at an entry price of 1.0 the 10^6 runs leave the
+#: transmitter side four slots later and take ~60% longer.
+_LIST_PRICE = 0.5
+_ENTRY_PRICE = 0.7
 
 
 class WakeTimes(Mapping):
@@ -232,6 +249,66 @@ def _first_solo(sleepers: np.ndarray, runs: np.ndarray, width: int):
     columns = second[wakes]
     order = np.argsort(columns, kind="stable")
     return sleeper[last[wakes]][order], columns[order]
+
+
+def _sleepers_cheaper(
+    k: int,
+    left: int,
+    mass: float,
+    deg: float,
+    size: int,
+    asleep: int,
+    gather: bool,
+    entries: int | None,
+    relisted: bool,
+) -> bool:
+    """Whether the sleepers' side of the channel is the cheaper one for
+    the ``left`` coin slots of one threshold starting with this one
+    (``mass``: their summed probability), over a union of ``size`` nodes
+    with ``asleep`` sleepers, ``k`` eligible awake nodes and mean degree
+    ``deg``.
+
+    The transmitter side pays ``k + p·k·deg + N/2`` per slot: coins for
+    the eligible prefix, the transmitters' rows, a bincount over the
+    union.  The sleepers' side pays its setup once — the sleepers' row
+    gather when ``gather`` (missing, or due for compaction), about
+    ``asleep·deg``; the eligible-entry list when ``entries`` is ``None``,
+    about ``_LIST_PRICE·asleep·deg`` — then ``_ENTRY_PRICE`` per listed
+    entry and slot (``asleep·deg`` entries until the list exists).  Setup
+    is spread over the ``left`` slots, except a list that is rebuilt
+    every slot (``relisted``: a threshold above the current step, such
+    as :data:`ELIGIBLE_ANY_AWAKE`), which is charged in every slot.  Once
+    paid, setup is sunk: the next slot sees the gather and the list
+    built, so a run that switched to the sleepers' side stays there.
+    """
+    tx = left * (k + 0.5 * size) + mass * k * deg
+    edges = asleep * deg
+    setup = edges if gather else 0.0
+    per_slot = 0.0
+    if entries is None:
+        listing = _LIST_PRICE * edges
+        if relisted:
+            per_slot = listing
+        else:
+            setup += listing
+        entries = edges
+    return setup + left * (per_slot + _ENTRY_PRICE * entries) < tx
+
+
+def _coin_runs(coin: list, probs: list, elig: list) -> tuple[list, list]:
+    """Look-ahead over one plan block: per slot, how many coin slots (flag
+    ``coin``) are left in its run of consecutive coin slots with one
+    threshold, this one included and the block's end a cut, and their
+    summed probability (``0`` and ``0.0`` off coin slots)."""
+    count = len(coin)
+    left, mass = [0] * count, [0.0] * count
+    for j in range(count - 1, -1, -1):
+        if coin[j]:
+            left[j], mass[j] = 1, probs[j]
+            if j + 1 < count and coin[j + 1] and elig[j + 1] == elig[j]:
+                left[j] += left[j + 1]
+                mass[j] += mass[j + 1]
+    return left, mass
 
 
 class _Column:
@@ -883,6 +960,15 @@ class MacroStepEngine:
         chained = None
         if chain is not None and plan.bounds is None and not observed:
             chained = chain.tolist()
+        # Look-ahead for the side switch, decoded once per block: per coin
+        # slot, the coin slots left in its run of one threshold and their
+        # summed probability, over which _sleepers_cheaper prices a side.
+        left = mass = None
+        if self._rx_ok:
+            coin = (probs >= 0.0) & (np.diff(slot_bounds) == 0)
+            if chain is not None:
+                coin &= ~chain
+            left, mass = _coin_runs(coin.tolist(), probs.tolist(), elig.tolist())
         t_start = 0.0
         executed = 0
         j = 0
@@ -922,18 +1008,17 @@ class MacroStepEngine:
                     )
                 )
                 # Pick the cheaper side of the channel: transmitter-side
-                # work scales with the eligible set and its edges (coins
-                # for k nodes, a gather of ~p * k * avg_deg edges, a
-                # bincount over the union); receiver-side work scales with
-                # the sleepers' edges only — and only sleepers can wake.
-                # Early in the run the eligible set is tiny, late in the
-                # run the sleeper set is.  ``k == 0`` is a silent slot.
-                deg = self.kernel.avg_degree
-                est_tx = k + p * k * deg + 0.5 * self._size
-                est_rx = 3.0 * self._asleep * deg
+                # work scales with the eligible set and its edges,
+                # receiver-side work with the sleepers' edges only — and
+                # only sleepers can wake.  Early in the run the eligible
+                # set is tiny, late in the run the sleeper set is.
+                # ``k == 0`` is a silent slot.
                 if k == 0:
                     pass
-                elif self._rx_ok and est_rx < est_tx and (p >= 1.0 or chain is None):
+                elif (
+                    self._rx_ok and (p >= 1.0 or chain is None)
+                    and self._sleeper_side(k, step, int(elig[j]), left[j], mass[j])
+                ):
                     rx = (p, int(elig[j]))
                 else:
                     prefix = self._prefix
@@ -1084,7 +1169,7 @@ class MacroStepEngine:
             self._collisions.append(self._per_trial(asleep)[running])
             if tx is not None:
                 self._tx_counter.inc(tx.size)
-                self._tx_counts[tx] += 1
+                np.add.at(self._tx_counts, tx, 1)
         if self._tracing:
             if cf is not None and cf.has_crashes:
                 colliding = colliding[self._crash_slots[colliding] > step]
@@ -1176,6 +1261,31 @@ class MacroStepEngine:
 
     # -- receiver-side resolution ------------------------------------------
 
+    def _sleeper_side(self, k: int, step: int, elig: int, left: int,
+                      mass: float) -> bool:
+        """Whether slot ``step``, a coin slot of threshold ``elig`` with
+        ``k`` eligible nodes and ``left`` slots left in its run (summed
+        probability ``mass``), resolves from the sleepers' side: the
+        prices of :func:`_sleepers_cheaper` on this engine's state."""
+        gather = self._gather_due()
+        entries = None if gather or not self._listed(elig) else self._el_slot.size
+        return _sleepers_cheaper(
+            k, left, mass, self.kernel.avg_degree, self._size, self._asleep,
+            gather, entries, relisted=elig > step,
+        )
+
+    def _listed(self, elig: int) -> bool:
+        """Whether the eligible-entry list holds threshold ``elig``'s
+        entries: built for it, at a step ``elig`` does not exceed."""
+        built = self._el_for
+        return built is not None and built[0] == elig and elig <= built[1]
+
+    def _gather_due(self) -> bool:
+        """Whether the next sleeper-side slot builds the sleepers' row
+        gather or compacts it (see :meth:`_sleeper_gather`)."""
+        sleepers = self._sl_idx
+        return sleepers is None or 2 * self._asleep < sleepers.size
+
     def _sleeper_gather(self) -> None:
         """Build, or compact, the sleepers' neighbour gather.
 
@@ -1188,17 +1298,17 @@ class MacroStepEngine:
         compacted in place, so compaction costs a geometric series rather
         than one re-gather per wake event.
         """
+        if not self._gather_due():
+            return
         s = self._sl_idx
         if s is None:
             s = np.flatnonzero(self._wake == ASLEEP)
             nbr, lengths = self.kernel.gather(s)
-        elif 2 * self._asleep < s.size:
+        else:
             keep = self._wake[s] == ASLEEP
             s = s[keep]
             nbr = self._sl_nbr[np.repeat(keep, self._sl_len)]
             lengths = self._sl_len[keep]
-        else:
-            return
         self._sl_idx, self._sl_nbr, self._sl_len = s, nbr, lengths
         self._sl_owner = np.repeat(np.arange(s.size), lengths)
         self._el_for = None  # entry positions moved
@@ -1222,8 +1332,7 @@ class MacroStepEngine:
         so a retired trial's awake nodes never reach a count.
         """
         self._sleeper_gather()
-        built = self._el_for
-        if built is None or built[0] != elig or elig > built[1]:
+        if not self._listed(elig):
             eligible = np.flatnonzero(self._wake[self._sl_nbr] < elig)
             self._el_slot = self._sl_owner[eligible]
             self._el_keys = self._keys[self._sl_nbr[eligible]]

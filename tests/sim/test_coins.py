@@ -277,3 +277,47 @@ class TestBelowThreshold:
             np.testing.assert_array_equal(
                 batch.below(step, p), batch.uniform(step) < p
             )
+
+
+class TestBlockedBelow:
+    """Key arrays longer than one block are hashed block by block into one
+    output; every decision must still equal the scalar coin's."""
+
+    SEED, STEP = 11, 777
+    SIZES = [(1 << 15) - 1, 1 << 15, (1 << 15) + 1, 3 * (1 << 15) + 7]
+    PROBS = [2.0**-53, 0.3, 1 - 2.0**-53]
+
+    @pytest.fixture(scope="class")
+    def scalar_coins(self):
+        """``coin_uniform`` of labels ``0 .. max(SIZES) - 1`` at ``STEP``,
+        for seeds ``SEED`` and ``SEED + 1``."""
+        labels = range(max(self.SIZES))
+        return {
+            seed: np.array([coin_uniform(seed, label, self.STEP) for label in labels])
+            for seed in (self.SEED, self.SEED + 1)
+        }
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_one_dimensional_keys(self, scalar_coins, size):
+        coins = CoinSource.for_run(self.SEED, np.arange(size))
+        expected = scalar_coins[self.SEED][:size]
+        for p in self.PROBS:
+            got = coins.below(self.STEP, p)
+            assert got.shape == (size,) and got.dtype == bool
+            np.testing.assert_array_equal(got, expected < p)
+            # The same keys passed as a subset.
+            np.testing.assert_array_equal(
+                coins.below(self.STEP, p, coins._keys), expected < p
+            )
+
+    def test_trials_by_nodes_keys(self, scalar_coins):
+        """A ``(T, n)`` batch with ``keys=None``, longer than two blocks,
+        with a row length that does not divide the block."""
+        n = (1 << 15) + 3
+        coins = CoinSource.for_batch([self.SEED, self.SEED + 1], np.arange(n))
+        expected = np.stack([scalar_coins[self.SEED][:n],
+                             scalar_coins[self.SEED + 1][:n]])
+        for p in self.PROBS:
+            got = coins.below(self.STEP, p)
+            assert got.shape == (2, n) and got.dtype == bool
+            np.testing.assert_array_equal(got, expected < p)

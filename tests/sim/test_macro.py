@@ -27,6 +27,7 @@ from types import SimpleNamespace
 
 import repro.sim.driver as driver
 import repro.sim.guard as guard
+import repro.sim.macro as macro
 from repro.baselines.bgi import BGIBroadcast
 from repro.baselines.centralized import CentralizedGreedySchedule
 from repro.baselines.round_robin import RoundRobinBroadcast
@@ -332,6 +333,93 @@ class TestReceiverSide:
         assert used_rx
         assert engine.completion_times() == [reference.time]
         assert engine.wake_times() == reference.wake_times
+
+
+#: Runs whose slots split between the two sides of the channel by
+#: default: ``(network, algorithm, seeds)``.
+SIDE_CASES = {
+    "gnp": lambda: (gnp_random_csr(20_000, 12 / 20_000, seed=21), None, 3),
+    "km_layered_union": lambda: (
+        km_hard_layered_csr(1024, 64, seed=0), None, list(range(16))
+    ),
+    "any_awake": lambda: (gnp_random_csr(1_500, 6 / 1_500, seed=4),
+                          AnyAwakeSweep(), 7),
+}
+
+
+class TestSideChoice:
+    """The side a slot resolves on is a cost decision only: forcing every
+    legal slot to either side leaves every wake slot unchanged, and the
+    prices follow the rules of ``_sleepers_cheaper``."""
+
+    @pytest.mark.parametrize("case", sorted(SIDE_CASES))
+    def test_forced_sides_give_the_default_run(self, case, monkeypatch):
+        net, algo, seeds = SIDE_CASES[case]()
+        make = (lambda: _kp(net)) if algo is None else (lambda: algo)
+        runs = {}
+        for forced in (None, False, True):
+            with monkeypatch.context() as patch:
+                if forced is not None:
+                    patch.setattr(MacroStepEngine, "_sleeper_side",
+                                  lambda self, *args, side=forced: side)
+                runs[forced] = _run_engine(net, make(), seeds, 64)
+        default, used_rx = runs[None]
+        assert default.all_informed and used_rx
+        assert runs[True][1] and not runs[False][1]
+        for engine, _ in runs.values():
+            assert np.array_equal(engine.wake_steps, default.wake_steps)
+            assert engine.completion_times() == default.completion_times()
+
+    # G(n, 12/n)-like numbers: a union of 10^6, 10^5 eligible nodes.
+    SIZE, K, DEG = 1_000_000, 100_000, 12.0
+
+    def _cheaper(self, left, mass, asleep, gather, entries, relisted=False):
+        return macro._sleepers_cheaper(
+            self.K, left, mass, self.DEG, self.SIZE, asleep, gather, entries,
+            relisted,
+        )
+
+    def test_a_missing_gather_is_amortised_over_the_run(self):
+        """The gather and the list cost more than one transmitter-side
+        slot, but less than the rest of a long run saves."""
+        asleep, p = 40_000, 2.0**-9
+        assert not self._cheaper(1, p, asleep, gather=True, entries=None)
+        assert self._cheaper(20, 20 * p, asleep, gather=True, entries=None)
+
+    def test_a_built_list_is_compared_per_slot(self):
+        """With the gather and this threshold's list built, nothing is
+        amortised: the side flips where 0.7 units per listed entry meet
+        the transmitter side's ``k + N/2 + p·k·deg`` (1.2 M at p = 1/2),
+        whatever the run length and however many sleepers remain."""
+        p = 0.5
+        for left in (1, 20):
+            for asleep in (100_000, 1_000_000):
+                assert self._cheaper(left, left * p, asleep, False, 1_600_000)
+                assert not self._cheaper(left, left * p, asleep, False, 1_800_000)
+
+    def test_a_list_rebuilt_every_slot_is_not_amortised(self):
+        """A threshold above the current step (``ELIGIBLE_ANY_AWAKE``)
+        rebuilds the list in every slot, so its price is paid per slot."""
+        asleep, left, p = 100_000, 20, 0.5
+        assert self._cheaper(left, left * p, asleep, False, None)
+        assert not self._cheaper(left, left * p, asleep, False, None,
+                                 relisted=True)
+
+    def test_the_engine_reads_its_state_into_the_prices(self, monkeypatch):
+        """``_sleeper_side`` passes a missing gather, a missing list and
+        an any-awake threshold as such."""
+        net = gnp_random_csr(2_000, 8 / 2_000, seed=1)
+        engine = MacroStepEngine(net, AnyAwakeSweep(), seed=0)
+        calls = []
+        monkeypatch.setattr(macro, "_sleepers_cheaper",
+                            lambda *args, **kwargs: calls.append((args, kwargs)))
+        engine._sleeper_side(5, 3, ELIGIBLE_ANY_AWAKE, 4, 1.5)
+        engine._sleeper_side(5, 3, 2, 4, 1.5)
+        (args, any_awake), (same, stage) = calls
+        assert args == same == (
+            5, 4, 1.5, engine.kernel.avg_degree, 2_000, 1_999, True, None
+        )
+        assert any_awake == {"relisted": True} and stage == {"relisted": False}
 
 
 def _directed_network(n: int, extra: int, seed: int) -> RadioNetwork:
