@@ -167,18 +167,42 @@ class PropagationDAG:
         }
 
 
+def _label_slots(nodes: np.ndarray):
+    """``(width, slot_of)`` for label-indexed lookups over the distinct
+    labels ``nodes``: ``slot_of(labels)`` gives each node label its own
+    slot below ``width`` and any other label a slot that, read with
+    ``take(..., mode="clip")`` from an array of ``width + 1`` entries,
+    lands on the last one.  Dense labels (as in :func:`_tally`) are their
+    own slots; sparse ones become positions among the sorted labels, so
+    no lookup array is longer than the labels informed."""
+    top = int(nodes.max())
+    if top < 4 * nodes.size + 1024:
+        return top + 1, lambda labels: labels
+    distinct = np.sort(nodes)
+
+    def slot_of(labels):
+        slots = distinct.searchsorted(labels)
+        slots[distinct.take(slots, mode="clip") != labels] = distinct.size
+        return slots
+
+    return distinct.size, slot_of
+
+
 def build_dag(trace: Trace) -> PropagationDAG:
     """Derive the propagation DAG from a ``FULL`` trace's columns.
 
-    Each woken node's parent is the sender of the same slot's delivery
-    to it (one sorted-key lookup for all of them); depths come from
-    pointer jumping along the parent array, ``ceil(log2(depth))``
-    vectorised rounds.
+    Each woken node's parent is the sender of the one delivery to it in
+    its wake slot, found through a label-indexed wake-slot array; parents
+    become node positions through a label-indexed position array, and
+    depths come from pointer jumping along the parent positions,
+    ``ceil(log2(depth))`` vectorised rounds.
 
     Raises:
         ValueError: If the trace is not ``FULL``, has no initially
             informed root, or has several (forensics assumes single-source
-            broadcast), or if a node woke without a recorded delivery.
+            broadcast), if a node woke without a recorded delivery, was
+            woken by a node never informed, or if the parents form a
+            cycle.
     """
     trace._require_full("propagation DAG construction")
     roots = trace.initially_informed()
@@ -193,32 +217,44 @@ def build_dag(trace: Trace) -> PropagationDAG:
     woken = cols.woken
     slots = np.arange(len(cols))
     woken_slot = slots.repeat(cols.woken_counts)
-    # (slot, receiver) keys: sorted, since each slot's receivers are.
-    width = 1 + int(max(root, woken.max(initial=0), cols.receivers.max(initial=0)))
-    delivered = slots.repeat(cols.delivery_counts) * width + cols.receivers
-    wanted = woken_slot * width + woken
-    at = np.minimum(delivered.searchsorted(wanted), max(0, delivered.size - 1))
-    found = delivered[at] == wanted if delivered.size else np.zeros(woken.size, bool)
-    if not found.all():
-        miss = int(np.argmin(found))
+    nodes = np.concatenate(([root], woken))
+    # Lookups by label slot: entries not set below hold -1, and so does
+    # the last one, which labels past every informed one read.
+    width, slot_of = _label_slots(nodes)
+    node_slots = slot_of(nodes)
+    wake_slot = np.full(width + 1, -1, dtype=np.int64)
+    wake_slot[node_slots[1:]] = woken_slot
+    # A delivery is a wake's parent delivery iff it reaches the node in
+    # its wake slot; a slot delivers to a receiver at most once.
+    receivers = slot_of(cols.receivers)
+    waking = wake_slot.take(receivers, mode="clip") == slots.repeat(
+        cols.delivery_counts
+    )
+    parent_of = np.full(width + 1, -1, dtype=np.int64)
+    parent_of[receivers[waking]] = np.flatnonzero(waking)
+    delivery = parent_of[node_slots[1:]]
+    if delivery.min(initial=0) < 0:
+        miss = int(np.argmax(delivery < 0))
         raise ValueError(
             f"malformed trace: node {int(woken[miss])} woke in slot "
             f"{int(cols.steps[woken_slot[miss]])} without a recorded delivery"
         )
-    parents = cols.senders[at] if woken.size else woken
-    # Depths by pointer jumping over node positions (root 0, the i-th
-    # woken node i + 1): ``dist`` is the hop count to ``anc``, and each
-    # round doubles the jump, so ceil(log2(depth)) rounds reach the root.
-    nodes = np.concatenate(([root], woken))
-    by_label = nodes.argsort(kind="stable")
-    up = by_label[np.minimum(nodes[by_label].searchsorted(parents), nodes.size - 1)]
-    if not np.array_equal(nodes[up], parents):
-        miss = int(np.argmin(nodes[up] == parents))
+    parents = cols.senders[delivery]
+    # Node positions: root 0, the i-th woken node i + 1.
+    position = np.full(width + 1, -1, dtype=np.int64)
+    position[node_slots] = np.arange(nodes.size)
+    up = position.take(slot_of(parents), mode="clip")
+    if up.min(initial=0) < 0:
+        miss = int(np.argmax(up < 0))
         raise ValueError(
             f"malformed trace: node {int(woken[miss])} was woken by "
             f"{int(parents[miss])}, which was never informed"
         )
-    anc = np.concatenate(([0], up))
+    # Depths by pointer jumping: ``dist`` is the hop count to ``anc``,
+    # and each round doubles the jump, so ceil(log2(depth)) rounds reach
+    # the root.
+    parent_at = np.concatenate(([0], up))
+    anc = parent_at
     dist = np.ones(anc.size, dtype=np.int64)
     dist[0] = 0
     for _ in range(anc.size.bit_length()):
@@ -235,9 +271,8 @@ def build_dag(trace: Trace) -> PropagationDAG:
         # The last-woken node with the lowest label: the first entry of
         # the last wake slot (slots increase, each slot's woken sorted).
         path = [int(wake_slots.searchsorted(wake_slots[-1]))]
-        parent_at = [0, *up.tolist()]
         while path[-1]:
-            path.append(parent_at[path[-1]])
+            path.append(parent_at.item(path[-1]))
     return PropagationDAG(
         root=root,
         nodes=nodes,

@@ -10,7 +10,9 @@ indices (node ``v`` of trial ``t`` is ``t * n + v``), it resolves a
 transmitter set (:meth:`~ChannelKernel.resolve`: the event engine's
 long-row slots and every transmitter-side slot of the macro engine),
 tests which rows have a sleeping neighbour (the macro engine's frontier)
-and gathers rows for the macro engine's receiver-side counting.
+and gathers rows for the macro engine's receiver-side counting, whose
+per-sleeper hit count (:meth:`~ChannelKernel.hear_once`) gives both the
+exactly-once wakes and the collisions at sleepers.
 
 :func:`ragged_positions` is the one vectorised row gather every CSR
 consumer shares: the kernel, the label-set plans and the CSR topology
@@ -221,9 +223,14 @@ class ChannelKernel:
         return useful, cat, owner, asleep
 
     @staticmethod
-    def hear_once(rows: np.ndarray, owners: np.ndarray) -> np.ndarray:
-        """Receiver-side resolution: the entries of ``rows`` that hear
-        exactly one transmitter, where each entry of ``owners`` is the
-        position in ``rows`` of one transmitting in-neighbour (a gathered
-        row entry whose node transmits)."""
-        return rows[np.bincount(owners, minlength=rows.size) == 1]
+    def hear_once(
+        rows: np.ndarray, owners: np.ndarray, collisions: bool = False
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Receiver-side resolution: ``(once, colliding)``, the entries of
+        ``rows`` that hear exactly one transmitter and, with
+        ``collisions``, those that hear two or more (empty otherwise),
+        where each entry of ``owners`` is the position in ``rows`` of one
+        transmitting in-neighbour (a gathered row entry whose node
+        transmits)."""
+        hits = np.bincount(owners, minlength=rows.size)
+        return rows[hits == 1], rows[hits >= 2] if collisions else _EMPTY

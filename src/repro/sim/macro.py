@@ -41,8 +41,11 @@ slots where three nodes transmit.  This module removes both:
   (see ``MacroStepEngine._run_chain``); a KP stage's eligible prefix is
   pruned to them when it is rebuilt, once a probe finds that most of it
   is interior (see ``MacroStepEngine._eligible_prefix``).  A metrics
-  run, which tallies every transmission, flags interior nodes there
-  instead: they still flip coins, but stay out of the channel.
+  run, which tallies every transmission, flips the whole eligible
+  prefix's coins on either side; on the transmitter side it flags
+  interior nodes instead of pruning them, and leaves them out of the
+  channel.  On the sleepers' side the per-sleeper hit count gives its
+  collisions at sleepers too.
 
 * **Unions of trials.**  ``T`` Monte-Carlo seeds run as one execution
   over ``T`` disjoint copies of the network, so a sweep point pays the
@@ -280,6 +283,13 @@ def _sleepers_cheaper(
     as :data:`ELIGIBLE_ANY_AWAKE`), which is charged in every slot.  Once
     paid, setup is sunk: the next slot sees the gather and the list
     built, so a run that switched to the sleepers' side stays there.
+
+    A metrics run also flips the ``k`` prefix coins on the sleepers'
+    side.  The price leaves them out, as it leaves out the interior
+    search a metrics run pays on the transmitter side: charged, they
+    moved four late slots back to the transmitter side on G(10^5, 16/n)
+    and slowed the run.  So a metrics run is priced as a plain run and,
+    on G(n, p), picks the plain run's side in every slot.
     """
     tx = left * (k + 0.5 * size) + mass * k * deg
     edges = asleep * deg
@@ -505,9 +515,10 @@ class MacroStepEngine:
     the engine keeps the coins, the wake filter and the fault pipeline.
     Fault plans, metrics, timings and traces run on the same block loop:
     they add per-slot bookkeeping, and the ones that need hit counts at
-    awake receivers pin resolution to the transmitter side (see
-    ``_rx_ok``).  Semantics are the reference engine's, slot for slot —
-    asserted by the conformance suite and the large-n spot checks.
+    awake receivers (FULL traces, fault plans) pin resolution to the
+    transmitter side (see ``_rx_ok``).  Semantics are the reference
+    engine's, slot for slot — asserted by the conformance suite and the
+    large-n spot checks.
 
     **Unions.**  ``T`` seeds run as one execution over the disjoint union
     of ``T`` copies of the network: union index ``t * n + v`` is node
@@ -674,18 +685,18 @@ class MacroStepEngine:
         # computes.
         self._hits_needed = self._trace_full or faults is not None
         # Metrics count collisions at sleepers only, but tally every
-        # transmission: a metrics run flags the informed nodes with no
-        # sleeping neighbour (``True`` = interior) and leaves them out of
-        # the channel, where a plain run drops them from the awake list.
+        # transmission: on transmitter-side slots a metrics run flags the
+        # informed nodes with no sleeping neighbour (``True`` = interior)
+        # and leaves them out of the channel, where a plain run drops them
+        # from the awake list.
         self._interior = (
             np.zeros(size, dtype=bool)
             if metrics is not None and not self._hits_needed else None
         )
         # Receiver-side counting reads a sleeper's row as its in-neighbour
         # list, which needs symmetric rows.  Runs that need hit counts at
-        # awake receivers and runs that tally transmitters stay on the
-        # transmitter-side path.
-        self._rx_ok = kernel.symmetric and not self._hits_needed and metrics is None
+        # awake receivers stay on the transmitter-side path.
+        self._rx_ok = kernel.symmetric and not self._hits_needed
         self._observed = (
             self._hits_needed or metrics is not None or timings is not None
             or self._tracing
@@ -882,26 +893,29 @@ class MacroStepEngine:
         self._awake_count = kept + count - k
         self._prefix = None
 
-    def _eligible_prefix(self, k: int) -> tuple:
-        """Cache and return the transmitter-side prefix ``(k, indices, coin
+    def _eligible_prefix(self, k: int, search: bool = True) -> tuple:
+        """Cache and return the transmitter prefix ``(k, indices, coin
         keys)`` of the first ``k`` awake-list entries.
 
         Without a fault plan the sleepers only shrink, so an entry with
         no sleeping neighbour can wake no one, nor collide at a sleeper,
-        in this slot or any later one.  Unless the run counts hits at
-        every receiver (FULL traces, fault plans), such entries are found
-        here: a plain run (or one with timings, spans or a PROGRESS
-        trace) drops them from the awake list for good, so the prefix
-        shrinks to the frontier; a metrics run, which tallies every
-        transmission, flags them interior and keeps them.  Finding them
-        gathers every row not yet known interior, so a strided probe of
-        at most ``_PROBE`` of those rows decides first: the search runs
-        only when fewer than half of the probed nodes have a sleeping
-        neighbour, so it is expected to find at least half of the rows it
-        gathers interior (exactly so when the probe is all of them).
+        in this slot or any later one.  With ``search`` and unless the
+        run counts hits at every receiver (FULL traces, fault plans),
+        such entries are found here: a plain run (or one with timings,
+        spans or a PROGRESS trace) drops them from the awake list for
+        good, so the prefix shrinks to the frontier; a metrics run, which
+        tallies every transmission, flags them interior and keeps them.
+        Finding them gathers every row not yet known interior, so a
+        strided probe of at most ``_PROBE`` of those rows decides first:
+        the search runs only when fewer than half of the probed nodes
+        have a sleeping neighbour, so it is expected to find at least
+        half of the rows it gathers interior (exactly so when the probe
+        is all of them).  A metrics run's sleeper-side slot builds the
+        prefix only to flip its coins for the tally and gathers no
+        transmitter row, so it skips the search (``search`` false).
         """
         cand = self._awake_idx[:k]
-        if not self._hits_needed:
+        if search and not self._hits_needed:
             interior = self._interior
             rows = cand if interior is None else cand[~interior[cand]]
             size = rows.size
@@ -969,6 +983,9 @@ class MacroStepEngine:
             if chain is not None:
                 coin &= ~chain
             left, mass = _coin_runs(coin.tolist(), probs.tolist(), elig.tolist())
+        # A metrics run tallies the transmitters on either side, so it
+        # flips the eligible prefix's coins on sleeper-side slots too.
+        tallied = self.metrics is not None
         t_start = 0.0
         executed = 0
         j = 0
@@ -1013,17 +1030,15 @@ class MacroStepEngine:
                 # only sleepers can wake.  Early in the run the eligible
                 # set is tiny, late in the run the sleeper set is.
                 # ``k == 0`` is a silent slot.
-                if k == 0:
-                    pass
-                elif (
+                if k and (
                     self._rx_ok and (p >= 1.0 or chain is None)
                     and self._sleeper_side(k, step, int(elig[j]), left[j], mass[j])
                 ):
                     rx = (p, int(elig[j]))
-                else:
+                if k and (rx is None or tallied):
                     prefix = self._prefix
                     if prefix is None or prefix[0] != k:
-                        prefix = self._eligible_prefix(k)
+                        prefix = self._eligible_prefix(k, search=rx is None)
                     _, cand, keys = prefix
                     tx = cand if p >= 1.0 else cand[self.coins.below(step, p, keys)]
             if observed:
@@ -1033,9 +1048,10 @@ class MacroStepEngine:
             elif tx is not None and tx.size:
                 self._resolve_and_wake(tx, step)
             if rx is not None:
-                # The sleepers' side lists no transmitters: at p >= 1 they
-                # are the eligible prefix, and p < 1 slots resolve there
-                # only in plans without chained slots.
+                # The sleepers' side lists no transmitters (a metrics
+                # run's tally aside): at p >= 1 they are the eligible
+                # prefix, and p < 1 slots resolve there only in plans
+                # without chained slots.
                 tx = self._awake_idx[:k] if rx[0] >= 1.0 else None
             elif tx is None:
                 tx = _EMPTY
@@ -1146,7 +1162,9 @@ class MacroStepEngine:
             timings.add("engine.coins", t_coins - t_start)
         colliding = heard = senders = _EMPTY
         if rx is not None:
-            newly = self._resolve_receiver_side(*rx, step)
+            newly, colliding = self._resolve_receiver_side(
+                *rx, step, collisions=self.metrics is not None
+            )
         elif tx is None:
             newly = _EMPTY
         elif self._hits_needed:
@@ -1313,9 +1331,14 @@ class MacroStepEngine:
         self._sl_owner = np.repeat(np.arange(s.size), lengths)
         self._el_for = None  # entry positions moved
 
-    def _resolve_receiver_side(self, p: float, elig: int, step: int) -> np.ndarray:
+    def _resolve_receiver_side(
+        self, p: float, elig: int, step: int, collisions: bool = False
+    ) -> tuple[np.ndarray, np.ndarray]:
         """One slot resolved from the sleepers' side of the channel;
-        returns the newly woken indices.
+        returns ``(newly, colliding)``: the newly woken indices and, with
+        ``collisions``, the gathered nodes that heard two or more
+        transmitters (woken ones among them, since the gather keeps them
+        until it is compacted; empty otherwise).
 
         For each sleeper, count transmitting in-neighbours directly: a
         neighbour transmits iff it woke before ``elig`` and its slot coin
@@ -1340,11 +1363,11 @@ class MacroStepEngine:
         slots = self._el_slot
         if p < 1.0:
             slots = slots[self.coins.below(step, p, self._el_keys)]
-        candidates = self.kernel.hear_once(self._sl_idx, slots)
+        candidates, colliding = self.kernel.hear_once(self._sl_idx, slots, collisions)
         newly = candidates[self._wake[candidates] == ASLEEP]
         if newly.size:
             self._append_newly(newly, step)
-        return newly
+        return newly, colliding
 
     def _append_newly(self, newly: np.ndarray, step) -> None:
         """Wake ``newly`` at ``step`` (one slot, or one per node, in

@@ -33,13 +33,22 @@ from repro.obs.forensics import (
     SLOT_CLASSES,
     ForensicsReport,
     analyze,
+    build_dag,
     classify_slot,
     forensic_span_events,
 )
 from repro.sim import simulate
 from repro.sim.faults import FaultPlan
+from repro.sim.network import RadioNetwork
 from repro.sim.trace import Trace, TraceLevel
-from repro.topology import gnp_connected, km_hard_layered, path, random_tree, star
+from repro.topology import (
+    gnp_connected,
+    gnp_random_csr,
+    km_hard_layered,
+    path,
+    random_tree,
+    star,
+)
 
 # ----------------------------------------------------------------------
 # The oracle: record-by-record forensics
@@ -439,6 +448,80 @@ def test_malformed_trace_names_the_first_orphan():
     for build in (analyze, oracle_analyze):
         with pytest.raises(ValueError, match="node 2 woke in slot 1"):
             build(trace)
+
+
+def test_a_macro_trace_at_ten_thousand_nodes():
+    """The label-indexed DAG at the engines' scale: a complete FULL-trace
+    KP run on a CSR-native G(n, p) of 10^4 nodes."""
+    n = 10_000
+    net = gnp_random_csr(n, 12 / n, seed=5)
+    algo = KnownRadiusKP(net.r, net.radius)
+    (result,) = simulate(net, algo, [3], engine="macro",
+                         trace_level=TraceLevel.FULL)
+    assert result.completed and result.informed == n
+    report = assert_matches_oracle(result, KnownRadiusKP(net.r, net.radius))
+    assert report.dag.depth >= net.radius
+
+
+def _spread(net, scale: int) -> RadioNetwork:
+    """``net`` with every label ``v`` renamed ``scale * v + v % 7``:
+    gappy labels, far above ``n`` for a large ``scale``."""
+    name = {v: scale * v + v % 7 for v in net.nodes}
+    edges = {(min(u, w), max(u, w)) for u in net.nodes
+             for w in net.out_neighbors[u]}
+    return RadioNetwork.undirected(
+        [name[v] for v in net.nodes], [(name[u], name[w]) for u, w in edges]
+    )
+
+
+@pytest.mark.parametrize("engine", ["reference", "event", "macro"])
+@pytest.mark.parametrize("scale", [3, 10**6])
+def test_sparse_labels(scale, engine):
+    """Labels with gaps (``scale`` 3: still looked up by label) and labels
+    far above ``n`` (``scale`` 10^6: looked up by their rank)."""
+    net = _spread(gnp_connected(48, 0.1, seed=2), scale)
+    assert net.r >= scale * 40
+    for make in (lambda: KnownRadiusKP(net.r, max(1, net.radius)),
+                 lambda: BGIBroadcast(net.r)):
+        results = simulate(net, make(), [0, 1], engine=engine,
+                           trace_level=TraceLevel.FULL)
+        for result in results:
+            assert result.informed > 1
+            assert_matches_oracle(result, make())
+
+
+@pytest.mark.parametrize("scale", [1, 10**9])
+def test_malformed_traces_keep_their_messages(scale):
+    """An orphan wake, a parent never informed and a parent cycle each
+    raise their own error, whether labels are looked up directly or by
+    rank.  The parent never informed sits between two informed labels,
+    so a rank lookup must not mistake it for a neighbour."""
+    a, ghost, b, c = 2 * scale, 3 * scale, 4 * scale, 6 * scale
+
+    def trace(*slots):
+        recorded = Trace(level=TraceLevel.FULL)
+        recorded.mark_initially_informed(0)
+        informed = 1
+        for step, (tx, deliveries, woken) in enumerate(slots):
+            informed += len(woken)
+            recorded.record(step, tx, deliveries, (), woken, informed=informed)
+        return recorded
+
+    cases = [
+        (trace(((0,), {a: 0}, (a,)), ((a,), {c: a}, (b, c))),
+         f"node {b} woke in slot 1 without a recorded delivery"),
+        (trace(((0,), {a: 0}, (a,)), ((ghost,), {b: ghost}, (b,))),
+         f"node {b} was woken by {ghost}, which was never informed"),
+        (trace(((b,), {a: b}, (a,)), ((a,), {b: a}, (b,))),
+         "the delivery parents form a cycle"),
+    ]
+    for recorded, message in cases:
+        with pytest.raises(ValueError, match=message):
+            build_dag(recorded)
+    # A well-formed trace on the same labels builds.
+    dag = build_dag(trace(((0,), {a: 0, b: 0}, (a, b)), ((b,), {c: b}, (c,))))
+    assert dag.parents == {a: 0, b: 0, c: b}
+    assert dag.critical_path == (0, b, c)
 
 
 def test_oracle_classes_agree_with_classify_slot():

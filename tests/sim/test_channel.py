@@ -152,9 +152,41 @@ def test_row_gathers_match_the_rows(kind, trials, seed):
         # in-neighbour of that row's node.
         passes = owner[np.array([rng.random() < 0.5 for _ in owner], dtype=bool)]
         counts = Counter(passes.tolist())
-        assert kernel.hear_once(idx, passes).tolist() == [
+        once, colliding = kernel.hear_once(idx, passes)
+        assert once.tolist() == [
             u for i, u in enumerate(picked) if counts[i] == 1
         ]
+        assert colliding.size == 0
+
+
+@pytest.mark.parametrize("trials", [1, 3])
+@pytest.mark.parametrize("kind", ["undirected", "csr"])
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_hear_once_collisions_match_a_per_edge_count(kind, trials, seed):
+    """The sleepers' side as the macro engine runs it: the rows of a set
+    of listeners (symmetric, so each row is the listener's in-neighbour
+    list), the entries whose node transmits, and one count per listener.
+    Its exactly-once and two-or-more lists must be the transmitter-side
+    per-edge count restricted to those listeners, with listeners on both
+    sides of the collision threshold."""
+    rng = random.Random(seed)
+    kernel = ChannelKernel(_network(kind, rng)).union(trials)
+    rows = _rows(kernel)
+    nodes = list(range(kernel.size))
+    rng.shuffle(nodes)
+    cut = rng.randint(kernel.size // 4, kernel.size // 2)
+    tx_list, listeners = nodes[:cut], sorted(nodes[cut:])
+    once, _, colliding = _brute(rows, tx_list, half_duplex=False)
+    heard, collided = set(once), set(colliding)
+    idx = np.array(listeners, dtype=np.int64)
+    _, cat, owner, _ = kernel.sleeping_neighbours(idx, np.zeros(kernel.size, dtype=np.int64))
+    is_tx = np.zeros(kernel.size, dtype=bool)
+    is_tx[tx_list] = True
+    got_once, got_coll = kernel.hear_once(idx, owner[is_tx[cat]], collisions=True)
+    assert got_once.tolist() == [u for u in listeners if u in heard]
+    assert got_coll.tolist() == [u for u in listeners if u in collided]
+    assert got_once.size and got_coll.size
 
 
 def test_union_shares_the_csr_arrays():

@@ -182,6 +182,25 @@ def _dense(net, algo, seed, max_steps=None, faults=None):
     )
 
 
+def _dense_metrics(dense) -> MetricsRegistry:
+    """The metrics a driver run records for a :func:`_dense` run, fault
+    counters aside."""
+    expected = MetricsRegistry()
+    expected.counter("engine_slots").inc(len(dense.steps))
+    expected.counter("engine_transmissions").inc(int(dense.transmissions.sum()))
+    expected.counter("runs_total").inc()
+    if dense.completed:
+        expected.counter("runs_completed").inc()
+    expected.histogram("collisions_per_slot", COUNT_BUCKETS).observe_many(
+        dense.collisions
+    )
+    expected.histogram("slots_to_completion", SLOT_BUCKETS).observe(dense.time)
+    expected.histogram("transmissions_per_node", COUNT_BUCKETS).observe_many(
+        dense.transmissions
+    )
+    return expected
+
+
 def _run_engine(net, algo, seed, block_size):
     """A full run at block size ``block_size`` (``seed``: one seed or a
     union's seed list), plus whether any slot was resolved from the
@@ -369,6 +388,69 @@ class TestSideChoice:
         for engine, _ in runs.values():
             assert np.array_equal(engine.wake_steps, default.wake_steps)
             assert engine.completion_times() == default.completion_times()
+
+    @pytest.mark.parametrize("case", ["gnp", "km_layered_union"])
+    def test_forced_sides_give_the_default_metrics(self, case, monkeypatch):
+        """A metrics run tallies the prefix coins and counts collisions
+        at sleepers on either side, so forcing every legal slot to one
+        side leaves every counter, the ``collisions_per_slot`` and
+        ``transmissions_per_node`` histograms and the wake slots
+        unchanged."""
+        net, _, seeds = SIDE_CASES[case]()
+        seeds = seeds if isinstance(seeds, list) else [seeds]
+        runs = {}
+        for forced in (None, False, True):
+            with monkeypatch.context() as patch:
+                if forced is not None:
+                    patch.setattr(MacroStepEngine, "_sleeper_side",
+                                  lambda self, *args, side=forced: side)
+                resolved = []
+                real = MacroStepEngine._resolve_receiver_side
+
+                def counted(self, *args, **kwargs):
+                    resolved.append(kwargs["collisions"])
+                    return real(self, *args, **kwargs)
+
+                patch.setattr(MacroStepEngine, "_resolve_receiver_side", counted)
+                metrics = MetricsRegistry()
+                results = simulate(net, _kp(net), seeds, engine="macro",
+                                   metrics=metrics)
+            snapshot = metrics.to_dict()
+            runs[forced] = (
+                snapshot["counters"], snapshot["histograms"],
+                [result.wake_times for result in results], resolved,
+            )
+        assert runs[None][3] and runs[True][3] and not runs[False][3]
+        assert all(runs[None][3])  # metrics runs ask for the collisions
+        assert runs[None][1]["collisions_per_slot"]["sum"] > 0
+        for forced in (False, True):
+            assert runs[forced][:3] == runs[None][:3]
+
+    def test_a_metrics_run_takes_the_plain_runs_sides_on_gnp(self):
+        """A metrics run is priced as a plain run, and on G(n, p) neither
+        prunes, so it resolves every coin slot on the plain run's side,
+        the sleepers' side included; its tallies equal the dense
+        oracle's."""
+        net = gnp_random_csr(20_000, 12 / 20_000, seed=21)
+        max_steps = default_max_steps(net, _kp(net))
+        sides = {}
+        for label, metrics in (("plain", None), ("metrics", MetricsRegistry())):
+            engine = MacroStepEngine(net, _kp(net), seed=3, metrics=metrics)
+            chosen = sides[label] = []
+            decide = engine._sleeper_side
+            engine._sleeper_side = lambda *args, decide=decide, chosen=chosen: (
+                chosen.append(decide(*args)) or chosen[-1]
+            )
+            engine.run(max_steps)
+        assert any(sides["plain"]) and not all(sides["plain"])
+        assert sides["metrics"] == sides["plain"]
+        dense = _dense(net, _kp(net), 3)
+        assert engine.wake_times() == dense.wake_times
+        assert np.array_equal(engine.transmission_counts(), dense.transmissions)
+        snapshot, wanted = metrics.to_dict(), _dense_metrics(dense).to_dict()
+        for kind in ("counters", "histograms"):
+            for name, value in snapshot[kind].items():
+                assert value == wanted[kind][name], name
 
     # G(n, 12/n)-like numbers: a union of 10^6, 10^5 eligible nodes.
     SIZE, K, DEG = 1_000_000, 100_000, 12.0
@@ -666,9 +748,9 @@ def _record_prefix_builds(engine):
         row = indices[indptr[v]:indptr[v + 1]] + t * engine.n
         return bool((engine._wake[row] == ASLEEP).any())
 
-    def recorded(k):
+    def recorded(k, **options):
         before = engine._awake_idx[:engine._awake_count].tolist()
-        prefix = build(k)
+        prefix = build(k, **options)
         kept = prefix[0]
         after = engine._awake_idx[:engine._awake_count].tolist()
         if kept < k:
@@ -780,9 +862,12 @@ class TestFrontierPrefix:
                                                           prunes, flags):
         """Runs that record only wakes and times prune like a plain run;
         metrics runs tally every transmission, so they flag the interior
-        nodes instead (and leave them out of the channel); FULL traces and
-        fault plans count hits at every receiver, so they do neither.
-        Every mode gives the plain run's wakes."""
+        nodes instead (and leave them out of the channel) — on
+        transmitter-side slots only, since a sleeper-side slot gathers no
+        transmitter row (this network is a ``RadioNetwork``, whose slots
+        all resolve on the transmitter side); FULL traces and fault plans
+        count hits at every receiver, so they do neither.  Every mode
+        gives the plain run's wakes."""
         net = KP_NETWORKS["km_layered"]
         max_steps = default_max_steps(net, _kp(net))
         plain = MacroStepEngine(net, _kp(net), seed=[0, 1, 2])
@@ -1115,24 +1200,12 @@ class TestLargeNSpotChecks:
         assert any(record.collisions for record in dense.steps)
         assert macro.trace.informed_counts == dense.informed_counts
 
-        expected = MetricsRegistry()
-        expected.counter("engine_slots").inc(len(dense.steps))
-        expected.counter("engine_transmissions").inc(int(dense.transmissions.sum()))
-        expected.counter("runs_total").inc()
-        if dense.completed:
-            expected.counter("runs_completed").inc()
+        expected = _dense_metrics(dense)
         for name, value in zip(
             ("crashed_nodes", "jammed_slots", "lost_messages", "delayed_wakes"),
             dataclasses.astuple(dense.fault_counters),
         ):
             expected.counter(f"faults_{name}").inc(value)
-        expected.histogram("collisions_per_slot", COUNT_BUCKETS).observe_many(
-            dense.collisions
-        )
-        expected.histogram("slots_to_completion", SLOT_BUCKETS).observe(dense.time)
-        expected.histogram("transmissions_per_node", COUNT_BUCKETS).observe_many(
-            dense.transmissions
-        )
         snapshot, wanted = metrics.to_dict(), expected.to_dict()
         assert snapshot["counters"] == wanted["counters"]
         assert snapshot["histograms"] == wanted["histograms"]
